@@ -18,6 +18,7 @@ from diagfilter import (
     AttackSpec,
     ExperimentConfig,
     ResidualFilter,
+    RunBatch,
     average_q,
     calibrate_threshold,
     default_config,
@@ -44,11 +45,14 @@ def main():
 
     print(f"=== training: {M_TRAIN} healthy plant runs of {horizon:.0f} s ===")
     t0 = time.perf_counter()
+    batch = RunBatch(
+        [(ctx.disturbance_spec(ctx.cfg.seed + i, horizon), AttackSpec.none())
+         for i in range(M_TRAIN)]
+    )
+    plant_runs = simulate_nonlinear(ctx.plant, batch)
     q_list, sigs = [], []
-    for i in range(M_TRAIN):
-        spec = ctx.disturbance_spec(ctx.cfg.seed + i, horizon)
-        plant_run = simulate_nonlinear(ctx.plant, spec, AttackSpec.none())
-        model_run = simulate_linear(ctx.model_d, spec, AttackSpec.none())
+    for i, ((signal, _), plant_run) in enumerate(zip(batch.runs, plant_runs)):
+        model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
         sig = mismatch_signature(plant_run.Y, model_run.Y)
         sigs.append(sig)
         q_list.append(q_matrix(ctx.stacked, sig, gram).Q)

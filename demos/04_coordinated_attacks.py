@@ -16,6 +16,7 @@ from diagfilter import (
     AttackSpec,
     ExperimentConfig,
     ResidualFilter,
+    RunBatch,
     average_q,
     calibrate_threshold,
     design_multivariate,
@@ -57,11 +58,13 @@ def main():
     print(f"\n=== training ({M_TRAIN} healthy runs) and design ===")
     train_h = float(ctx.cfg.train["horizon_seconds"])
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
+    batch = RunBatch(
+        [(ctx.disturbance_spec(ctx.cfg.seed + i, train_h), AttackSpec.none())
+         for i in range(M_TRAIN)]
+    )
     q_list = []
-    for i in range(M_TRAIN):
-        spec = ctx.disturbance_spec(ctx.cfg.seed + i, train_h)
-        plant_run = simulate_nonlinear(ctx.plant, spec, AttackSpec.none())
-        model_run = simulate_linear(ctx.model_d, spec, AttackSpec.none())
+    for (signal, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch)):
+        model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
         q_list.append(
             q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram).Q
         )
@@ -85,7 +88,9 @@ def main():
     f_vec = attack.basis @ alpha_worst
     print(f"injected channel biases: {f_vec}")
     spec = ctx.disturbance_spec(ctx.cfg.seed + 1234, HORIZON)
-    traj = simulate_nonlinear(ctx.plant, spec, AttackSpec.multivariate(f_vec, ONSET))
+    [traj] = simulate_nonlinear(
+        ctx.plant, RunBatch([(spec, AttackSpec.multivariate(f_vec, ONSET))])
+    )
     detector = calibrate_threshold(
         design, q_list, float(ctx.cfg.filter["margin"]), ctx.window_samples
     )

@@ -67,6 +67,7 @@ from .simulate import (
     AttackSpec,
     DisturbanceSpec,
     PlantConfig,
+    RunBatch,
     simulate_linear,
     simulate_nonlinear,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "PolyMatrix",
     "QpProblem",
     "ResidualFilter",
+    "RunBatch",
     "SimulationBlowUp",
     "Solution",
     "SolverError",

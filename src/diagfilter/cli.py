@@ -5,14 +5,16 @@ configuration and writes into one experiment directory:
 
     diagfilter run-all  --config experiment.json --out runs/exp1
     diagfilter pretrain --config experiment.json --out runs/exp1
-    diagfilter train    --config experiment.json --out runs/exp1 --jobs 4
+    diagfilter train    --config experiment.json --out runs/exp1
     diagfilter design   --config experiment.json --out runs/exp1
     diagfilter test     --config experiment.json --out runs/exp1
 
 ``--seed`` and ``--mode`` override the corresponding configuration fields,
 which keeps A/B comparisons (pure vs. data-assisted, different seeds) to a
-single flag.  Exit codes: 0 success, 2 infeasible design or solver failure,
-3 simulation blow-up, 4 configuration error.
+single flag.  ``--jobs`` is accepted and checked (>= 1) but has no effect:
+each phase integrates all of its plant runs as one batch in one process.
+Exit codes: 0 success, 2 infeasible design, 3 simulation blow-up,
+4 configuration error, 5 solver failure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_SIMULATION = 3
 EXIT_CONFIG = 4
+EXIT_SOLVER = 5
 
 _MODE_NAMES = {"pure": "pure_model", "assisted": "data_assisted"}
 
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the design mode",
         )
         cmd.add_argument(
-            "--jobs", type=int, default=1, help="worker processes for simulation batches"
+            "--jobs", type=int, default=1, help="no effect: each phase's runs are one batch"
         )
         cmd.add_argument(
             "--dump-matrices",
@@ -131,7 +134,10 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationBlowUp as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (DetectorInfeasibleError, NoFilterError, SolverError) as exc:
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (DetectorInfeasibleError, NoFilterError) as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -6,11 +6,12 @@ class ConfigError(ValueError):
 
 
 class SimulationBlowUp(RuntimeError):
-    """The integrator left the trust region (state norm exceeded the cap)."""
+    """The integrator left the trust region; ``run`` indexes the run in its batch."""
 
-    def __init__(self, time: float, norm: float, detail: str = ""):
+    def __init__(self, time: float, norm: float, detail: str = "", run: int | None = None):
         self.time = time
         self.norm = norm
+        self.run = run
         msg = f"state norm {norm:.3e} exceeded limit at t={time:.3f} s"
         super().__init__(msg + (f" ({detail})" if detail else ""))
 

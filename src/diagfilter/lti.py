@@ -248,13 +248,6 @@ class StackedSystem:
             raise IndexError(f"coefficient index {i} outside 0..{self.d_n}")
         return slice(i * self.n_r, (i + 1) * self.n_r)
 
-    def split_coeffs(self, nbar: np.ndarray) -> list[np.ndarray]:
-        """View ``nbar`` as the list of row coefficients [N_0, ..., N_dn]."""
-        nbar = np.asarray(nbar, dtype=float).ravel()
-        if nbar.size != self.n_vars:
-            raise ValueError(f"nbar must have {self.n_vars} entries")
-        return [nbar[self.coeff_slice(i)][np.newaxis, :] for i in range(self.d_n + 1)]
-
 
 def build_stacked(dae: DaeSystem, d_n: int) -> StackedSystem:
     """Stack H, L, F for residual generators of polynomial degree ``d_n``.

@@ -30,9 +30,7 @@ out-of-sample by construction.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +55,14 @@ from .errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
 from .lti import DaeSystem, LinearModel, StackedSystem, assemble_dae, build_stacked, zoh_discretize
 from .runtime import Detector, ResidualFilter, calibrate_threshold
 from .shiftpoly import pole_polynomial
-from .simulate import AttackSpec, DisturbanceSpec, PlantConfig, simulate_linear, simulate_nonlinear
+from .simulate import (
+    AttackSpec,
+    DisturbanceSpec,
+    PlantConfig,
+    RunBatch,
+    simulate_linear,
+    simulate_nonlinear,
+)
 
 TEST_SEED_OFFSET = 100_000
 
@@ -195,6 +200,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if int(self.train["m"]) < 1:
             raise ConfigError("train.m must be >= 1")
+        if int(self.test["runs"]) < 1:
+            raise ConfigError("test.runs must be >= 1")
         if float(self.filter["margin"]) < 0:
             raise ConfigError("filter.margin must be nonnegative")
         if int(self.filter["d_n"]) < 1:
@@ -310,11 +317,6 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     )
 
 
-@lru_cache(maxsize=4)
-def _cached_context(cfg_json: str) -> PipelineContext:
-    return build_context(ExperimentConfig.from_dict(json.loads(cfg_json)))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -384,51 +386,37 @@ def _instance_meta(ctx: PipelineContext, seed: int) -> dict:
     }
 
 
-def _run_training_instance(cfg_json: str, index: int) -> tuple[int, np.ndarray, np.ndarray]:
-    ctx = _cached_context(cfg_json)
-    seed = ctx.cfg.seed + index
-    spec = ctx.disturbance_spec(seed, float(ctx.cfg.train["horizon_seconds"]))
-    try:
-        traj = simulate_nonlinear(ctx.plant, spec, AttackSpec.none())
-    except SimulationBlowUp as exc:
-        raise SimulationBlowUp(
-            exc.time, exc.norm, f"training instance {index}, seed {seed}"
-        ) from exc
-    return index, traj.t, traj.Y
-
-
 def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
-    """Run the paired healthy simulations and persist the mismatch statistics."""
+    """Run the paired healthy simulations and persist the mismatch statistics.
+
+    All ``m`` plant runs are integrated as one batch.  ``jobs`` has no
+    effect; it is accepted so callers that pass it keep working.
+    """
     ctx = build_context(cfg)
     out = Path(out_dir)
     train_dir = out / "train"
     train_dir.mkdir(parents=True, exist_ok=True)
     m = int(cfg.train["m"])
-    cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
-
-    results: list[tuple[np.ndarray, np.ndarray] | None] = [None] * m
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for idx, t, y in pool.map(
-                _run_training_instance, [cfg_json] * m, range(m), chunksize=1
-            ):
-                results[idx] = (t, y)
-    else:
-        for i in range(m):
-            idx, t, y = _run_training_instance(cfg_json, i)
-            results[idx] = (t, y)
+    horizon = float(cfg.train["horizon_seconds"])
+    batch = RunBatch(
+        [(ctx.disturbance_spec(cfg.seed + i, horizon), AttackSpec.none()) for i in range(m)]
+    )
+    try:
+        results = simulate_nonlinear(ctx.plant, batch)
+    except SimulationBlowUp as exc:
+        detail = f"training instance {exc.run}, seed {cfg.seed + exc.run}"
+        raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
     q_list: list[np.ndarray] = []
     instances = []
-    for i, (t, y_plant) in enumerate(results):
+    for i, ((signal, _), traj) in enumerate(zip(batch.runs, results)):
         seed = cfg.seed + i
         matio.save_trajectory(
-            train_dir / f"traj_{i:03d}.csv", t, y_plant, _instance_meta(ctx, seed)
+            train_dir / f"traj_{i:03d}.csv", traj.t, traj.Y, _instance_meta(ctx, seed)
         )
-        spec = ctx.disturbance_spec(seed, float(cfg.train["horizon_seconds"]))
-        reference = simulate_linear(ctx.model_d, spec, AttackSpec.none())
-        sig = mismatch_signature(y_plant, reference.Y)
+        reference = simulate_linear(ctx.model_d, signal, AttackSpec.none())
+        sig = mismatch_signature(traj.Y, reference.Y)
         data = q_matrix(ctx.stacked, sig, gram)
         q_list.append(data.Q)
         instances.append(
@@ -657,15 +645,20 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     onset = float(cfg.test["onset_seconds"])
     filt = ResidualFilter(design, ctx.dae.L)
 
+    # one batch: a clean then an attacked copy of each held-out run
+    seeds = [cfg.seed + TEST_SEED_OFFSET + j for j in range(runs)]
+    batch = RunBatch(
+        [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec.none(), attack)]
+    )
+    trajs = iter(simulate_nonlinear(ctx.plant, batch))
+
     per_run = []
     false_alarms = 0
     detections = 0
-    for j in range(runs):
-        seed = cfg.seed + TEST_SEED_OFFSET + j
-        spec = ctx.disturbance_spec(seed, horizon)
+    for j, seed in enumerate(seeds):
         entry: dict = {"seed": int(seed)}
-        for label, atk in (("clean", AttackSpec.none()), ("attack", attack)):
-            traj = simulate_nonlinear(ctx.plant, spec, atk)
+        for label in ("clean", "attack"):
+            traj = next(trajs)
             residuals = filt.run(traj.Y)
             verdict = detector.evaluate(residuals)
             alarm_time = (
@@ -711,7 +704,10 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
 
 def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
-    """Execute every phase in order into one experiment directory."""
+    """Execute every phase in order into one experiment directory.
+
+    ``jobs`` is passed on to :func:`cmd_train`, where it has no effect.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = build_context(cfg)

@@ -7,7 +7,10 @@ subtracted channel by channel:
   model and stands in for the abstract design model;
 * :func:`simulate_nonlinear` integrates the continuous AGC dynamics with a
   fixed-step RK4 scheme plus a menu of actuator nonlinearities, and stands
-  in for the physics the design model does not capture.
+  in for the physics the design model does not capture.  It is the
+  package's one RK4 engine: it integrates a :class:`RunBatch` of runs side
+  by side, one state row per run, and a run's trajectory is bitwise the
+  same whatever batch it is integrated in.  A single run is a batch of one.
 
 With every nonlinearity switched off the two agree to integrator accuracy,
 which pins down the alignment of sampling instants, held inputs and attack
@@ -267,105 +270,132 @@ def _deadband(x: np.ndarray, width: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - half, 0.0)
 
 
-def simulate_nonlinear(
-    plant: PlantConfig, dist: DisturbanceSignal | DisturbanceSpec, atk: AttackSpec
-) -> SampledTrajectory:
-    """Integrate the nonlinear plant and sample its measured outputs.
+@dataclass
+class RunBatch:
+    """Plant runs integrated side by side, one (disturbance, attack) pair each.
 
-    Fixed-step RK4 from a zero initial state.  Inputs are evaluated once per
-    integration step (they are piecewise constant and their switching times
-    align with the step grid).  The attack bias reaches the AGC integrator
-    through the assembled B_f and is added to the measured outputs through
-    D_f, matching the corrupted-ACE routing of the abstract model.
+    Disturbance specs are realised on construction; :attr:`horizon` checks
+    that the batch holds runs of one shared horizon.
+    """
+
+    runs: list[tuple[DisturbanceSignal, AttackSpec]]
+
+    def __post_init__(self):
+        self.runs = [(_resolve_signal(dist), atk) for dist, atk in self.runs]
+
+    @property
+    def horizon(self) -> float:
+        horizons = {signal.spec.horizon for signal, _ in self.runs}
+        if len(horizons) != 1:
+            raise ConfigError(f"a batch needs runs of one shared horizon, got {sorted(horizons)}")
+        return horizons.pop()
+
+
+def _apply(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``mat @ row`` for each row, summed in one order whatever the batch.
+
+    BLAS forms (``rows @ mat.T``, ``mat @ rows.T``) pick kernels by batch
+    width and so change a run's last bits with the batch it is in.
+    """
+    return np.einsum("mj,ij->mi", rows, mat)
+
+
+def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
+    """Integrate the nonlinear plant for every run of a batch at once.
+
+    Fixed-step RK4 from a zero initial state; the state holds one row per
+    run.  Inputs are evaluated once per integration step (they are piecewise
+    constant and their switching times align with the step grid).  The
+    attack bias reaches the AGC integrator through the assembled B_f and is
+    added to the measured outputs through D_f, matching the corrupted-ACE
+    routing of the abstract model.  A single run is a batch of one.
+
+    Returns:
+        one sampled trajectory per run, in batch order.
 
     Raises:
-        SimulationBlowUp: if the state infinity norm exceeds the config cap.
+        SimulationBlowUp: if a run's state infinity norm exceeds the config
+            cap; the error names the first such run (its ``run`` index).
     """
     plant.validate()
-    signal = _resolve_signal(dist)
     model, index = plant.assemble()
-    a_mat, b_d, b_f = model.A, model.B_d, model.B_f
-    c_mat, d_f = model.C, model.D_f
     n_x, n_f = model.n_x, model.n_f
 
     t_s, dt = plant.t_s, plant.dt
-    horizon = signal.spec.horizon
+    horizon = batch.horizon
     n_samples = int(round(horizon / t_s))
     if abs(n_samples * t_s - horizon) > 1e-9:
         raise ConfigError("horizon must be a multiple of the sampling time")
     per_sample = int(round(t_s / dt))
     n_steps = n_samples * per_sample
 
+    # (step, run, channel) tables of the inputs u = (d, f); b_u maps u into the state
     step_times = np.arange(n_steps) * dt
-    d_steps = signal.sample(step_times)
-    f_steps = atk.sample(step_times, n_f)
     sample_times = np.arange(1, n_samples + 1) * t_s
-    f_at_samples = atk.sample(sample_times, n_f)
+    u_steps = np.stack(
+        [np.vstack([sig.sample(step_times), atk.sample(step_times, n_f)]).T
+         for sig, atk in batch.runs],
+        axis=1,
+    )
+    f_at_samples = np.stack([atk.sample(sample_times, n_f).T for _, atk in batch.runs], axis=1)
+    b_u = np.hstack([model.B_d, model.B_f])
 
-    gov_rows = index.gov_rows
-    gov_omega = index.gov_omega
-    gov_droop = index.gov_droop_coef
     agc_rows = np.array([index.agc_row[a] for a in index.area_ids], dtype=int)
-    tie_rows, tie_coef = index.tie_rows, index.tie_coef
-    tie_own, tie_other = index.tie_omega_own, index.tie_omega_other
+    limits, rate = plant.agc_limits, plant.rate_limit
+    n_theta = index.tie_rows.size if plant.sine_ties else 0
 
-    deadband = plant.deadband
-    limits = plant.agc_limits
-    rate = plant.rate_limit
-    sine = plant.sine_ties
-    n_theta = tie_rows.size if sine else 0
-
-    def rhs(state: np.ndarray, u_d: np.ndarray, u_f: np.ndarray) -> np.ndarray:
-        x = state[:n_x]
-        dx = a_mat @ x + b_d @ u_d + b_f @ u_f
+    def rhs(state: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        x = state[:, :n_x]
+        dx = _apply(x, model.A) + drive
         out = np.empty_like(state)
-        if deadband > 0.0:
-            omega = x[gov_omega]
-            out_corr = gov_droop * (_deadband(omega, deadband) - omega)
-            dx[gov_rows] += out_corr
-        if sine:
-            theta = state[n_x:]
-            dtheta = x[tie_own] - x[tie_other]
-            dx[tie_rows] += tie_coef * (np.cos(theta) - 1.0) * dtheta
-            out[n_x:] = dtheta
+        if plant.deadband > 0.0:
+            omega = x.take(index.gov_omega, axis=1)
+            banded = _deadband(omega, plant.deadband)
+            dx[:, index.gov_rows] += index.gov_droop_coef * (banded - omega)
+        if plant.sine_ties:
+            theta = state[:, n_x:]
+            dtheta = x.take(index.tie_omega_own, axis=1) - x.take(index.tie_omega_other, axis=1)
+            dx[:, index.tie_rows] += index.tie_coef * (np.cos(theta) - 1.0) * dtheta
+            out[:, n_x:] = dtheta
         if limits is not None:
             lo, hi = limits
-            agc = x[agc_rows]
-            d_agc = dx[agc_rows]
+            agc = x.take(agc_rows, axis=1)
+            d_agc = dx.take(agc_rows, axis=1)
             d_agc[(agc >= hi) & (d_agc > 0.0)] = 0.0
             d_agc[(agc <= lo) & (d_agc < 0.0)] = 0.0
-            dx[agc_rows] = d_agc
+            dx[:, agc_rows] = d_agc
         if rate is not None:
-            dx[agc_rows] = np.clip(dx[agc_rows], -rate, rate)
-        out[:n_x] = dx
+            dx[:, agc_rows] = np.minimum(np.maximum(dx.take(agc_rows, axis=1), -rate), rate)
+        out[:, :n_x] = dx
         return out
 
-    state = np.zeros(n_x + n_theta)
-    Y = np.empty((model.n_y, n_samples))
+    state = np.zeros((len(batch.runs), n_x + n_theta))
+    Y = np.empty((n_samples, len(batch.runs), model.n_y))
     half = 0.5 * dt
     sixth = dt / 6.0
     k_out = 0
     for step in range(n_steps):
-        u_d = d_steps[:, step]
-        u_f = f_steps[:, step]
-        k1 = rhs(state, u_d, u_f)
-        k2 = rhs(state + half * k1, u_d, u_f)
-        k3 = rhs(state + half * k2, u_d, u_f)
-        k4 = rhs(state + dt * k3, u_d, u_f)
+        # the inputs are held over the step, so all four stages share their term
+        drive = _apply(u_steps[step], b_u)
+        k1 = rhs(state, drive)
+        k2 = rhs(state + half * k1, drive)
+        k3 = rhs(state + half * k2, drive)
+        k4 = rhs(state + dt * k3, drive)
         state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if limits is not None:
-            state[agc_rows] = np.clip(state[agc_rows], limits[0], limits[1])
+            state[:, agc_rows] = np.minimum(
+                np.maximum(state.take(agc_rows, axis=1), limits[0]), limits[1]
+            )
         if (step + 1) % per_sample == 0:
-            norm = np.abs(state).max() if state.size else 0.0
-            if norm > plant.blowup_norm:
-                raise SimulationBlowUp((step + 1) * dt, norm)
-            Y[:, k_out] = c_mat @ state[:n_x] + d_f @ f_at_samples[:, k_out]
+            norms = np.abs(state).max(axis=1)
+            over = np.flatnonzero(norms > plant.blowup_norm)
+            if over.size:
+                run = int(over[0])
+                raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
+            Y[k_out] = _apply(state[:, :n_x], model.C) + _apply(f_at_samples[k_out], model.D_f)
             k_out += 1
-    meta = {
-        "t_s": t_s,
-        "horizon": horizon,
-        "kind": "nonlinear",
-        "dt": dt,
-        "seed": signal.spec.seed,
-    }
-    return SampledTrajectory(t=sample_times, Y=Y, meta=meta)
+    meta = {"t_s": t_s, "horizon": horizon, "kind": "nonlinear", "dt": dt}
+    return [
+        SampledTrajectory(sample_times.copy(), Y[:, i].T.copy(), {**meta, "seed": sig.spec.seed})
+        for i, (sig, _) in enumerate(batch.runs)
+    ]

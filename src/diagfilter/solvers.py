@@ -320,12 +320,11 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
             if ray is not None:
                 # descent ray with zero curvature: unbounded unless blocked
                 direction = z_w @ ray
-                blocked, _ = _max_step(a_red, b_red, working, z, direction)
+                blocked, alpha = _max_step(a_red, b_red, working, z, direction)
                 if blocked is None:
                     return Solution(status="unbounded")
-                alpha, idx = _blocking_step(a_red, b_red, working, z, direction)
                 z = z + alpha * direction
-                working.append(idx)
+                working.append(blocked)
                 working.sort()
                 continue
             step = z_w @ u
@@ -385,13 +384,6 @@ def _max_step(a_red, b_red, working, z, direction):
     return blocked, max(alpha, 0.0)
 
 
-def _blocking_step(a_red, b_red, working, z, direction):
-    blocked, alpha = _max_step(a_red, b_red, working, z, direction)
-    if blocked is None:
-        raise SolverError("expected a blocking constraint")
-    return alpha, blocked
-
-
 def _recover_eq_duals(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if not problem.a_eq.size:
         return np.zeros(0)
@@ -400,28 +392,3 @@ def _recover_eq_duals(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> np.
         rhs = rhs - problem.a_ineq.T @ lam
     nu, *_ = np.linalg.lstsq(problem.a_eq.T, rhs, rcond=None)
     return nu
-
-
-def dump_problem(path, problem: QpProblem) -> None:
-    """Write a QP to a plain-text debugging dump.
-
-    Format: one header line ``n m_eq m_ineq`` followed by the dense blocks
-    P, c, a_eq, b_eq, a_ineq, b_ineq, each preceded by its name on its own
-    line and written row-major with 17 significant digits.
-    """
-    blocks = [
-        ("P", problem.P),
-        ("c", problem.c[None, :]),
-        ("a_eq", problem.a_eq),
-        ("b_eq", problem.b_eq[None, :]),
-        ("a_ineq", problem.a_ineq),
-        ("b_ineq", problem.b_ineq[None, :]),
-    ]
-    with open(path, "w") as fh:
-        fh.write(
-            f"{problem.n} {problem.a_eq.shape[0]} {problem.a_ineq.shape[0]}\n"
-        )
-        for name, mat in blocks:
-            fh.write(name + "\n")
-            for row in np.atleast_2d(mat):
-                fh.write(" ".join(format(v, ".17g") for v in row) + "\n")

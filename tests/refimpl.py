@@ -146,3 +146,68 @@ def zoh_bruteforce(a: np.ndarray, b: np.ndarray, t_s: float, terms: int = 60):
         term = term @ (a * t_s) * (1.0 / (k + 1))
         integral = integral + term
     return ad, integral @ b
+
+
+def simulate_nonlinear_loop(plant, signal, atk) -> np.ndarray:
+    """Sampled outputs of one nonlinear plant run, integrated on its own.
+
+    The per-run fixed-step RK4 loop: matrix-vector products on one state
+    vector, each nonlinearity applied to that vector alone.  Returns the
+    (n_y, T) output record; raises nothing on blow-up.
+    """
+    model, index = plant.assemble()
+    a_mat, b_d, b_f = model.A, model.B_d, model.B_f
+    n_x, n_f = model.n_x, model.n_f
+    t_s, dt = plant.t_s, plant.dt
+    n_samples = int(round(signal.spec.horizon / t_s))
+    per_sample = int(round(t_s / dt))
+    n_steps = n_samples * per_sample
+    step_times = np.arange(n_steps) * dt
+    d_steps = signal.sample(step_times)
+    f_steps = atk.sample(step_times, n_f)
+    f_at_samples = atk.sample(np.arange(1, n_samples + 1) * t_s, n_f)
+    agc_rows = np.array([index.agc_row[a] for a in index.area_ids], dtype=int)
+    n_theta = index.tie_rows.size if plant.sine_ties else 0
+
+    def rhs(state, u_d, u_f):
+        x = state[:n_x]
+        dx = a_mat @ x + b_d @ u_d + b_f @ u_f
+        out = np.empty_like(state)
+        if plant.deadband > 0.0:
+            omega = x[index.gov_omega]
+            half = 0.5 * plant.deadband
+            banded = np.sign(omega) * np.maximum(np.abs(omega) - half, 0.0)
+            dx[index.gov_rows] += index.gov_droop_coef * (banded - omega)
+        if plant.sine_ties:
+            theta = state[n_x:]
+            dtheta = x[index.tie_omega_own] - x[index.tie_omega_other]
+            dx[index.tie_rows] += index.tie_coef * (np.cos(theta) - 1.0) * dtheta
+            out[n_x:] = dtheta
+        if plant.agc_limits is not None:
+            lo, hi = plant.agc_limits
+            agc = x[agc_rows]
+            d_agc = dx[agc_rows]
+            d_agc[(agc >= hi) & (d_agc > 0.0)] = 0.0
+            d_agc[(agc <= lo) & (d_agc < 0.0)] = 0.0
+            dx[agc_rows] = d_agc
+        if plant.rate_limit is not None:
+            dx[agc_rows] = np.clip(dx[agc_rows], -plant.rate_limit, plant.rate_limit)
+        out[:n_x] = dx
+        return out
+
+    state = np.zeros(n_x + n_theta)
+    Y = np.empty((model.n_y, n_samples))
+    half, sixth = 0.5 * dt, dt / 6.0
+    for step in range(n_steps):
+        u_d, u_f = d_steps[:, step], f_steps[:, step]
+        k1 = rhs(state, u_d, u_f)
+        k2 = rhs(state + half * k1, u_d, u_f)
+        k3 = rhs(state + half * k2, u_d, u_f)
+        k4 = rhs(state + dt * k3, u_d, u_f)
+        state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if plant.agc_limits is not None:
+            state[agc_rows] = np.clip(state[agc_rows], *plant.agc_limits)
+        if (step + 1) % per_sample == 0:
+            k = (step + 1) // per_sample - 1
+            Y[:, k] = model.C @ state[:n_x] + model.D_f @ f_at_samples[:, k]
+    return Y

@@ -39,7 +39,13 @@ from diagfilter.pipeline import (
 )
 from diagfilter.runtime import ResidualFilter, calibrate_threshold, residual_energy
 from diagfilter.shiftpoly import pole_polynomial
-from diagfilter.simulate import AttackSpec, DisturbanceSpec, simulate_linear, simulate_nonlinear
+from diagfilter.simulate import (
+    AttackSpec,
+    DisturbanceSpec,
+    RunBatch,
+    simulate_linear,
+    simulate_nonlinear,
+)
 from diagfilter.solvers import QpProblem, solve_lp, solve_qp
 from refimpl import direct_energy, gram_bruteforce, lp_by_vertex_enumeration
 
@@ -104,15 +110,18 @@ def held_out(ctx):
         float(ctx.cfg.attack["magnitude"]), onset, channel=int(ctx.cfg.attack["channel"])
     )
     start = time.perf_counter()
-    clean, attacked = [], []
-    for j in range(runs):
-        seed = ctx.cfg.seed + TEST_SEED_OFFSET + j
-        spec = ctx.disturbance_spec(seed, horizon)
-        clean.append(simulate_nonlinear(ctx.plant, spec, AttackSpec.none()))
-        attacked.append(simulate_nonlinear(ctx.plant, spec, attack))
+    # the batch cmd_test integrates: a clean and an attacked copy of each run
+    batch = RunBatch(
+        [
+            (ctx.disturbance_spec(ctx.cfg.seed + TEST_SEED_OFFSET + j, horizon), atk)
+            for j in range(runs)
+            for atk in (AttackSpec.none(), attack)
+        ]
+    )
+    trajs = simulate_nonlinear(ctx.plant, batch)
     seconds = time.perf_counter() - start
     return SimpleNamespace(
-        clean=clean, attacked=attacked, onset=onset, runs=runs, seconds=seconds
+        clean=trajs[0::2], attacked=trajs[1::2], onset=onset, runs=runs, seconds=seconds
     )
 
 
@@ -346,10 +355,13 @@ def test_9_coordinated_attacks_hide_at_dc_but_not_in_transient(
         if detector.evaluate(filt.run(traj.Y)).alarm:
             false_alarms += 1
     detections = 0
-    for j in range(held_out.runs):
-        seed = mv_ctx.cfg.seed + TEST_SEED_OFFSET + j
-        spec = mv_ctx.disturbance_spec(seed, horizon)
-        traj = simulate_nonlinear(mv_ctx.plant, spec, attack)
+    batch = RunBatch(
+        [
+            (mv_ctx.disturbance_spec(mv_ctx.cfg.seed + TEST_SEED_OFFSET + j, horizon), attack)
+            for j in range(held_out.runs)
+        ]
+    )
+    for traj in simulate_nonlinear(mv_ctx.plant, batch):
         verdict = detector.evaluate(filt.run(traj.Y))
         if verdict.first_index is not None and float(traj.t[verdict.first_index]) >= onset:
             detections += 1

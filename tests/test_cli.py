@@ -9,6 +9,7 @@ from diagfilter.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_SIMULATION,
+    EXIT_SOLVER,
     build_parser,
     main,
 )
@@ -119,13 +120,31 @@ def test_simulation_blowup_exits_simulation_code(tmp_path, capsys, monkeypatch):
     import diagfilter.pipeline as pipeline
     from diagfilter.errors import SimulationBlowUp
 
-    def exploding(plant, dist, atk):
-        raise SimulationBlowUp(1.25, 1e7)
+    def exploding(plant, batch):
+        raise SimulationBlowUp(1.25, 1e7, "run 1", run=1)
 
     monkeypatch.setattr(pipeline, "simulate_nonlinear", exploding)
     code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == EXIT_SIMULATION
-    assert "simulation failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulation failure" in err
+    assert "training instance 1, seed 2025" in err
+
+
+def test_solver_failure_exits_solver_code(tmp_path, capsys):
+    # large disturbances on two short instances give a mismatch form on
+    # which the active-set method stalls: a numerical failure, not an
+    # infeasible design
+    cfg = tiny_config()
+    cfg["train"]["sigma"] = 0.3
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", cfg_path, "--out", out]) == EXIT_OK
+    code = main(["design", "--config", cfg_path, "--out", out])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure" in err
+    assert "infeasible" not in err
 
 
 def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):

@@ -43,6 +43,7 @@ def test_config_validation_rejects_defects():
     for mutate in (
         lambda c: c.update(mode="hybrid"),
         lambda c: c["train"].update(m=0),
+        lambda c: c["test"].update(runs=0),
         lambda c: c["filter"].update(margin=-1.0),
         lambda c: c["filter"].update(d_n=0),
         lambda c: c["filter"].update(pole=1.5),

@@ -10,11 +10,13 @@ from diagfilter.simulate import (
     AttackSpec,
     DisturbanceSpec,
     PlantConfig,
+    RunBatch,
     _deadband,
     gen_disturbance,
     simulate_linear,
     simulate_nonlinear,
 )
+from refimpl import simulate_nonlinear_loop
 
 
 def scalar_model(a: float, dt: float = 1.0) -> LinearModel:
@@ -32,6 +34,29 @@ def default_plant(**kw) -> PlantConfig:
     kw.setdefault("t_s", 0.5)
     kw.setdefault("dt", 1e-3)
     return PlantConfig(areas=three_area_default(), attacks=univariate_topology(), **kw)
+
+
+def simulate_one(plant, dist, atk):
+    return simulate_nonlinear(plant, RunBatch([(dist, atk)]))[0]
+
+
+def all_switches_plant() -> PlantConfig:
+    # on the runs below, dropping any one switch moves the outputs
+    # (the sine ties by ~1e-9, the others by ~1e-3)
+    return default_plant(
+        agc_limits=(-0.002, 0.002), deadband=0.001, sine_ties=True, rate_limit=0.004
+    )
+
+
+def mixed_runs() -> list:
+    return [
+        (DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, channels=(0, 1, 2), seed=seed), atk)
+        for seed, atk in (
+            (11, AttackSpec.none()),
+            (12, AttackSpec.univariate(0.1, start=1.0)),
+            (13, AttackSpec.univariate(-0.05, start=2.2)),
+        )
+    ]
 
 
 def test_gaussian_disturbance_is_seeded_and_held():
@@ -136,7 +161,7 @@ def test_nonlinear_reduces_to_linear_when_switches_off():
     spec = DisturbanceSpec(n_d=3, horizon=8.0, sigma=0.02, channels=(0, 1, 2), seed=7)
     atk = AttackSpec.univariate(0.1, start=4.0)
     lin = simulate_linear(plant.sampled_model(), spec, atk)
-    nl = simulate_nonlinear(plant, spec, atk)
+    nl = simulate_one(plant, spec, atk)
     assert lin.Y.shape == nl.Y.shape == (25, 16)
     assert np.max(np.abs(lin.Y - nl.Y)) < 1e-9
 
@@ -145,8 +170,8 @@ def test_agc_saturation_clamps_command_state():
     step = DisturbanceSpec(
         n_d=3, horizon=8.0, kind="step", step_value=0.05, step_time=0.0
     )
-    free = simulate_nonlinear(default_plant(), step, AttackSpec.none())
-    clamped = simulate_nonlinear(
+    free = simulate_one(default_plant(), step, AttackSpec.none())
+    clamped = simulate_one(
         default_plant(agc_limits=(-0.001, 0.001)), step, AttackSpec.none()
     )
     # output row 5 is area 1's AGC command
@@ -156,15 +181,15 @@ def test_agc_saturation_clamps_command_state():
 
 def test_deadband_changes_governor_response():
     spec = DisturbanceSpec(n_d=3, horizon=6.0, sigma=0.02, channels=(0, 1, 2), seed=3)
-    plain = simulate_nonlinear(default_plant(), spec, AttackSpec.none())
-    banded = simulate_nonlinear(default_plant(deadband=0.01), spec, AttackSpec.none())
+    plain = simulate_one(default_plant(), spec, AttackSpec.none())
+    banded = simulate_one(default_plant(deadband=0.01), spec, AttackSpec.none())
     assert np.max(np.abs(plain.Y - banded.Y)) > 1e-6
 
 
 def test_sine_tie_coupling_stays_near_linear_for_small_angles():
     spec = DisturbanceSpec(n_d=3, horizon=6.0, sigma=0.02, channels=(0, 1, 2), seed=3)
-    plain = simulate_nonlinear(default_plant(), spec, AttackSpec.none())
-    sine = simulate_nonlinear(default_plant(sine_ties=True), spec, AttackSpec.none())
+    plain = simulate_one(default_plant(), spec, AttackSpec.none())
+    sine = simulate_one(default_plant(sine_ties=True), spec, AttackSpec.none())
     gap = np.max(np.abs(plain.Y - sine.Y))
     assert 0.0 < gap < 1e-3
 
@@ -174,9 +199,58 @@ def test_blowup_guard_raises_with_time():
         n_d=3, horizon=8.0, kind="step", step_value=0.05, step_time=0.0
     )
     with pytest.raises(SimulationBlowUp) as err:
-        simulate_nonlinear(default_plant(blowup_norm=1e-4), step, AttackSpec.none())
+        simulate_one(default_plant(blowup_norm=1e-4), step, AttackSpec.none())
     assert err.value.time > 0.0
     assert err.value.norm > 1e-4
+
+
+def test_blowup_inside_a_batch_names_the_run():
+    def step(value):
+        spec = DisturbanceSpec(n_d=3, horizon=8.0, kind="step", step_value=value, step_time=0.0)
+        return spec, AttackSpec.none()
+
+    plant = default_plant(blowup_norm=5e-3)
+    runs = [step(0.0005), step(0.05), step(0.0005)]
+    with pytest.raises(SimulationBlowUp) as alone:
+        simulate_one(plant, *runs[1])
+    with pytest.raises(SimulationBlowUp) as err:
+        simulate_nonlinear(plant, RunBatch(runs))
+    assert err.value.run == 1
+    assert "(run 1)" in str(err.value)
+    assert err.value.time == alone.value.time
+    assert err.value.norm == alone.value.norm
+
+
+def test_run_batch_needs_one_shared_horizon():
+    with pytest.raises(ConfigError):
+        RunBatch([]).horizon
+    runs = [(DisturbanceSpec(n_d=3, horizon=h), AttackSpec.none()) for h in (4.0, 5.0)]
+    with pytest.raises(ConfigError):
+        simulate_nonlinear(default_plant(), RunBatch(runs))
+
+
+def test_batched_engine_matches_the_per_run_loop():
+    # every nonlinearity on; the tolerance was fixed before measuring (the
+    # two differ only in the summation order inside each product: 5e-18 on
+    # outputs of magnitude 0.07)
+    plant = all_switches_plant()
+    runs = mixed_runs()
+    trajs = simulate_nonlinear(plant, RunBatch(runs))
+    for (signal, atk), traj in zip(RunBatch(runs).runs, trajs):
+        reference = simulate_nonlinear_loop(plant, signal, atk)
+        assert traj.Y.shape == reference.shape == (25, 6)
+        assert np.max(np.abs(traj.Y - reference)) <= 1e-15
+
+
+def test_trajectory_is_bitwise_independent_of_its_batch():
+    plant = all_switches_plant()
+    runs = mixed_runs()
+    batch = simulate_nonlinear(plant, RunBatch(runs))
+    alone = simulate_one(plant, *runs[1])
+    reordered = simulate_nonlinear(plant, RunBatch([runs[1], runs[2], runs[0]]))
+    assert np.array_equal(alone.Y, batch[1].Y)
+    for moved, original in zip(reordered, (batch[1], batch[2], batch[0])):
+        assert np.array_equal(moved.Y, original.Y)
 
 
 def test_plant_config_validation():
