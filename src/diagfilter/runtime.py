@@ -11,6 +11,7 @@ those synthetic zeros and are flagged as warm-up; detectors ignore them.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ class ResidualFilter:
 
     Keeps ring buffers of the last ``dn`` projected inputs and residual
     values; one :meth:`step` per output sample.  :meth:`run` evaluates a
-    whole trajectory at once and matches the streaming path bit for bit.
+    whole trajectory through :meth:`step` from a fresh zero state.
     """
 
     def __init__(self, design: FilterDesign, l_matrix: np.ndarray):
@@ -69,26 +70,12 @@ class ResidualFilter:
     def run(self, Y: np.ndarray) -> np.ndarray:
         """Residuals for a full (n_y, T) trajectory from a fresh zero state.
 
-        Replays the exact operation order of :meth:`step` (including the
-        per-sample projection product) so the two paths agree bit for bit.
+        One :meth:`step` per column on a fresh copy, so the two paths agree
+        bit for bit and this filter's streaming state is left alone.
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        d_n = self.d_n
-        a = self.a_coeffs
-        n = Y.shape[1]
-        proj = np.empty((d_n + 1, n))
-        for c in range(n):
-            proj[:, c] = self.weights @ Y[:, c]
-        r = np.zeros(n)
-        for c in range(n):
-            acc = proj[d_n, c]
-            for i in range(d_n):
-                src = c - d_n + i
-                p = proj[i, src] if src >= 0 else 0.0
-                prev = r[src] if src >= 0 else 0.0
-                acc += p - a[i] * prev
-            r[c] = acc / a[d_n]
-        return r
+        fresh = copy.copy(self)
+        fresh.reset()
+        return np.array([fresh.step(y) for y in np.atleast_2d(np.asarray(Y, dtype=float)).T])
 
 
 def residual_energy(residuals: np.ndarray, window: int) -> np.ndarray:

@@ -9,13 +9,21 @@ subtracted channel by channel:
   fixed-step RK4 scheme plus a menu of actuator nonlinearities, and stands
   in for the physics the design model does not capture.  It is the
   package's one RK4 engine: it integrates a :class:`RunBatch` of runs side
-  by side, one state row per run, and a run's trajectory is bitwise the
-  same whatever batch it is integrated in.  A single run is a batch of one.
+  by side, and a run's trajectory is bitwise the same whatever batch it is
+  integrated in.  A single run is a batch of one.
 
 With every nonlinearity switched off the two agree to integrator accuracy,
 which pins down the alignment of sampling instants, held inputs and attack
 onset used throughout the package: sample k lives at t = k*t_s for
 k = 1..T, and inputs are held constant on [k*t_s, (k+1)*t_s).
+
+Each RK4 stage of the engine is one product plus a few elementwise
+operations.  A work array, one column per run, holds the permuted state,
+the held inputs and the deadband feature (:class:`_StageLayout`); one matrix
+built per call maps it to the whole derivative, and the sine-tie factor
+and the AGC limits act on contiguous blocks of the result.  The product
+runs on a row-layout copy of the work array (:func:`_apply`): only that
+``einsum`` form sums each run in one order whatever the batch width.
 """
 
 from __future__ import annotations
@@ -26,7 +34,12 @@ import numpy as np
 
 from .agc import AreaParams, AttackTopology, ModelIndex, assemble_multiarea
 from .errors import ConfigError, SimulationBlowUp
-from .lti import LinearModel, zoh_discretize
+from .lti import LinearModel
+
+# Signals switch a hair early, so that an instant computed as a float sum
+# (k * hold, or a step time) reads the value that starts there.
+_HOLD_EDGE = 1e-9  # in hold intervals
+_ONSET_EDGE = 1e-12  # in seconds
 
 
 @dataclass
@@ -76,14 +89,21 @@ class DisturbanceSignal:
         times = np.asarray(times, dtype=float)
         spec = self.spec
         if spec.kind == "gaussian":
-            j = np.floor(times / spec.hold + 1e-9).astype(int)
+            j = np.floor(times / spec.hold + _HOLD_EDGE).astype(int)
             j = np.clip(j, 0, self.values.shape[0] - 1)
             return self.values[j].T
         out = np.zeros((spec.n_d, times.size))
-        on = times >= spec.step_time - 1e-12
+        on = times >= spec.step_time - _ONSET_EDGE
         for ch in spec.channels:
             out[ch, on] = spec.step_value
         return out
+
+    def switch_times(self) -> np.ndarray:
+        """The instants at which :meth:`sample` may change value."""
+        spec = self.spec
+        if spec.kind == "gaussian":
+            return (np.arange(1, self.values.shape[0]) - _HOLD_EDGE) * spec.hold
+        return np.array([spec.step_time - _ONSET_EDGE])
 
     def held_samples(self, t_s: float, n_samples: int) -> np.ndarray:
         """Values held over [k*t_s, (k+1)*t_s) for k = 0..n_samples-1."""
@@ -154,9 +174,13 @@ class AttackSpec:
         out = np.zeros((n_f, times.size))
         if self.kind == "none":
             return out
-        on = times >= self.start - 1e-12
+        on = times >= self.start - _ONSET_EDGE
         out[:, on] = self.bias_vector(n_f)[:, None]
         return out
+
+    def switch_times(self) -> np.ndarray:
+        """The instants at which :meth:`sample` may change value."""
+        return np.empty(0) if self.kind == "none" else np.array([self.start - _ONSET_EDGE])
 
 
 @dataclass
@@ -259,16 +283,6 @@ class PlantConfig:
     def assemble(self) -> tuple[LinearModel, ModelIndex]:
         return assemble_multiarea(self.areas, self.attacks)
 
-    def sampled_model(self) -> LinearModel:
-        """The abstract (linear, ZOH-sampled) counterpart of this plant."""
-        model, _ = self.assemble()
-        return zoh_discretize(model, self.t_s)
-
-
-def _deadband(x: np.ndarray, width: float) -> np.ndarray:
-    half = 0.5 * width
-    return np.sign(x) * np.maximum(np.abs(x) - half, 0.0)
-
 
 @dataclass
 class RunBatch:
@@ -291,24 +305,120 @@ class RunBatch:
         return horizons.pop()
 
 
-def _apply(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``mat @ row`` for each row, summed in one order whatever the batch.
+def _apply(rows: np.ndarray, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``mat @ row`` for each row of a C-contiguous (runs, n) array.
 
-    BLAS forms (``rows @ mat.T``, ``mat @ rows.T``) pick kernels by batch
-    width and so change a run's last bits with the batch it is in.
+    In this row layout ``einsum`` sums every row's contiguous ``j`` axis
+    with one kernel whatever the number of rows, so a run's product is
+    bitwise the same in any batch.  BLAS forms (``rows @ mat.T``,
+    ``mat @ cols``) and ``einsum`` on the column layout (``"ij,jm->im"``)
+    pick kernels or loop orders by batch width and change a run's last bits
+    with the batch it is in; callers therefore copy column-per-run buffers
+    into row layout before the product.
     """
-    return np.einsum("mj,ij->mi", rows, mat)
+    return np.einsum("mj,ij->mi", rows, mat, out=out)
+
+
+@dataclass
+class _StageLayout:
+    """Layout of the RK4 work array and the matrix that differentiates it.
+
+    The work array holds, one column per run, ``[state | u | band]``:
+
+    * the state, permuted so that the tie flows, the area frequencies and
+      the AGC commands form contiguous blocks (``tie``, ``omega``, ``agc``),
+      followed by the internal tie angles (``theta``) when ``sine_ties`` is on;
+    * the held inputs ``u = (d, f)``;
+    * with a deadband, ``clip(omega, +-deadband/2)`` per area (``band``):
+      the dead-banded governor input is ``omega - clip(omega)``, so the
+      governor rows take ``-droop * clip(omega)`` on top of their linear part.
+
+    ``matrix`` maps the work array to the state derivative: ``A``,
+    ``[B_d B_f]``, the droop coefficients of the band block and the
+    frequency difference that drives each tie angle.  The sine-tie factor
+    and the AGC limits then act elementwise on the derivative's blocks.
+    """
+
+    order: np.ndarray  # original index of each permuted plant state
+    matrix: np.ndarray  # (n_state, n_work)
+    tie: slice
+    omega: slice
+    agc: slice
+    theta: slice
+    u: slice
+    band: slice
+
+
+def _stage_layout(plant: PlantConfig, model: LinearModel, index: ModelIndex) -> _StageLayout:
+    n_x, n_tie, n_area = model.n_x, index.tie_rows.size, len(index.area_ids)
+    omega_rows = [index.omega_row[a] for a in index.area_ids]
+    head = [*index.tie_rows.tolist(), *omega_rows, *(index.agc_row[a] for a in index.area_ids)]
+    order = np.array(head + sorted(set(range(n_x)) - set(head)))
+    pos = np.argsort(order)  # permuted position of each original state
+    n_state = n_x + (n_tie if plant.sine_ties else 0)
+    n_u = model.n_d + model.n_f
+    n_band = n_area if plant.deadband > 0.0 else 0
+    matrix = np.zeros((n_state, n_state + n_u + n_band))
+    matrix[:n_x, :n_x] = model.A[np.ix_(order, order)]
+    matrix[:n_x, n_state : n_state + n_u] = np.hstack([model.B_d, model.B_f])[order]
+    if plant.sine_ties:
+        angles = np.arange(n_x, n_state)
+        matrix[angles, pos[index.tie_omega_own]] = 1.0
+        matrix[angles, pos[index.tie_omega_other]] = -1.0
+    if n_band:
+        band_col = [n_state + n_u + omega_rows.index(w) for w in index.gov_omega]
+        matrix[pos[index.gov_rows], band_col] = -index.gov_droop_coef
+    return _StageLayout(
+        order=order,
+        matrix=matrix,
+        tie=slice(0, n_tie),
+        omega=slice(n_tie, n_tie + n_area),
+        agc=slice(n_tie + n_area, n_tie + 2 * n_area),
+        theta=slice(n_x, n_state),
+        u=slice(n_state, n_state + n_u),
+        band=slice(n_state + n_u, n_state + n_u + n_band),
+    )
+
+
+def _input_switches(
+    batch: RunBatch, n_f: int, dt: float, n_steps: int
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Steps at which runs' held inputs ``u = (d, f)`` change, with new values.
+
+    Maps a step to the runs whose inputs change there and their (n_u, runs)
+    values from that step on; step 0 holds every run's initial inputs.
+    Each run's inputs are evaluated at the steps next to the instants where
+    its signals may switch (one step either way, for rounding), and a step
+    enters only where a value changes.
+    """
+    changes: dict[int, list] = {}
+    for run, (signal, atk) in enumerate(batch.runs):
+        near = np.ceil(np.concatenate([signal.switch_times(), atk.switch_times()]) / dt)
+        candidates = np.concatenate([[0.0], near - 1.0, near, near + 1.0])
+        steps = np.unique(np.clip(candidates, 0, n_steps - 1)).astype(int)
+        times = steps * dt
+        u = np.vstack([signal.sample(times), atk.sample(times, n_f)])
+        new = np.concatenate([[True], np.any(u[:, 1:] != u[:, :-1], axis=0)])
+        for step, value in zip(steps[new], u[:, new].T):
+            changes.setdefault(int(step), []).append((run, value))
+    return {
+        step: (np.array([run for run, _ in change]), np.array([value for _, value in change]).T)
+        for step, change in changes.items()
+    }
 
 
 def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
     """Integrate the nonlinear plant for every run of a batch at once.
 
-    Fixed-step RK4 from a zero initial state; the state holds one row per
-    run.  Inputs are evaluated once per integration step (they are piecewise
-    constant and their switching times align with the step grid).  The
-    attack bias reaches the AGC integrator through the assembled B_f and is
-    added to the measured outputs through D_f, matching the corrupted-ACE
-    routing of the abstract model.  A single run is a batch of one.
+    Fixed-step RK4 from a zero initial state.  Each stage evaluates the
+    derivative of every run with one product of the work array (see
+    :class:`_StageLayout`) plus a few elementwise operations on contiguous
+    blocks.  Each step holds the inputs sampled at its start; they are
+    written into the work array only at the steps where they switch (hold
+    boundaries and onsets, see :func:`_input_switches`).  The attack bias
+    reaches the AGC integrator through the assembled B_f and is added to the
+    measured outputs through D_f, matching the corrupted-ACE routing of the
+    abstract model.  A single run is a batch of one.
 
     Returns:
         one sampled trajectory per run, in batch order.
@@ -319,8 +429,6 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     """
     plant.validate()
     model, index = plant.assemble()
-    n_x, n_f = model.n_x, model.n_f
-
     t_s, dt = plant.t_s, plant.dt
     horizon = batch.horizon
     n_samples = int(round(horizon / t_s))
@@ -329,71 +437,88 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     per_sample = int(round(t_s / dt))
     n_steps = n_samples * per_sample
 
-    # (step, run, channel) tables of the inputs u = (d, f); b_u maps u into the state
-    step_times = np.arange(n_steps) * dt
+    layout = _stage_layout(plant, model, index)
+    switches = _input_switches(batch, model.n_f, dt, n_steps)
     sample_times = np.arange(1, n_samples + 1) * t_s
-    u_steps = np.stack(
-        [np.vstack([sig.sample(step_times), atk.sample(step_times, n_f)]).T
-         for sig, atk in batch.runs],
-        axis=1,
+    f_at_samples = np.stack(
+        [atk.sample(sample_times, model.n_f).T for _, atk in batch.runs], axis=1
     )
-    f_at_samples = np.stack([atk.sample(sample_times, n_f).T for _, atk in batch.runs], axis=1)
-    b_u = np.hstack([model.B_d, model.B_f])
+    c_state = model.C[:, layout.order]
 
-    agc_rows = np.array([index.agc_row[a] for a in index.area_ids], dtype=int)
+    n_runs = len(batch.runs)
+    n_state, n_work = layout.matrix.shape
+    work = np.zeros((n_work, n_runs))
+    rows = np.empty((n_runs, n_work))
+    prod = np.empty((n_runs, n_state))
+    k = np.empty((4, n_state, n_runs))
+    state = np.zeros((n_state, n_runs))
+    acc = np.empty_like(state)
+    stage_state, held = work[:n_state], work[layout.u]
+    omega, band, theta = work[layout.omega], work[layout.band], work[layout.theta]
+    agc_stage, agc_state = work[layout.agc], state[layout.agc]
+    cos_theta = np.empty_like(theta)
+    at_limit = np.empty(agc_stage.shape, dtype=bool)
+    k_tie = [k_i[layout.tie] for k_i in k]
+    k_agc = [k_i[layout.agc] for k_i in k]
+    half_band = 0.5 * plant.deadband
     limits, rate = plant.agc_limits, plant.rate_limit
-    n_theta = index.tie_rows.size if plant.sine_ties else 0
 
-    def rhs(state: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        x = state[:, :n_x]
-        dx = _apply(x, model.A) + drive
-        out = np.empty_like(state)
-        if plant.deadband > 0.0:
-            omega = x.take(index.gov_omega, axis=1)
-            banded = _deadband(omega, plant.deadband)
-            dx[:, index.gov_rows] += index.gov_droop_coef * (banded - omega)
+    def derivative(i: int):
+        """k[i] = the state derivative at ``stage_state`` under the held inputs."""
+        if half_band:
+            np.minimum(omega, half_band, out=band)
+            np.maximum(band, -half_band, out=band)
+        np.copyto(rows, work.T)
+        _apply(rows, layout.matrix, out=prod)
+        np.copyto(k[i], prod.T)
         if plant.sine_ties:
-            theta = state[:, n_x:]
-            dtheta = x.take(index.tie_omega_own, axis=1) - x.take(index.tie_omega_other, axis=1)
-            dx[:, index.tie_rows] += index.tie_coef * (np.cos(theta) - 1.0) * dtheta
-            out[:, n_x:] = dtheta
+            # each tie row of A holds only the linear coupling tie_coef * (omega
+            # difference), which the sine law scales by cos(theta)
+            np.cos(theta, out=cos_theta)
+            np.multiply(k_tie[i], cos_theta, out=k_tie[i])
+        d_agc = k_agc[i]
         if limits is not None:
-            lo, hi = limits
-            agc = x.take(agc_rows, axis=1)
-            d_agc = dx.take(agc_rows, axis=1)
-            d_agc[(agc >= hi) & (d_agc > 0.0)] = 0.0
-            d_agc[(agc <= lo) & (d_agc < 0.0)] = 0.0
-            dx[:, agc_rows] = d_agc
+            np.greater_equal(agc_stage, limits[1], out=at_limit)
+            np.minimum(d_agc, 0.0, out=d_agc, where=at_limit)
+            np.less_equal(agc_stage, limits[0], out=at_limit)
+            np.maximum(d_agc, 0.0, out=d_agc, where=at_limit)
         if rate is not None:
-            dx[:, agc_rows] = np.minimum(np.maximum(dx.take(agc_rows, axis=1), -rate), rate)
-        out[:, :n_x] = dx
-        return out
+            np.minimum(d_agc, rate, out=d_agc)
+            np.maximum(d_agc, -rate, out=d_agc)
 
-    state = np.zeros((len(batch.runs), n_x + n_theta))
-    Y = np.empty((n_samples, len(batch.runs), model.n_y))
+    Y = np.empty((n_samples, n_runs, model.n_y))
     half = 0.5 * dt
     sixth = dt / 6.0
-    k_out = 0
     for step in range(n_steps):
-        # the inputs are held over the step, so all four stages share their term
-        drive = _apply(u_steps[step], b_u)
-        k1 = rhs(state, drive)
-        k2 = rhs(state + half * k1, drive)
-        k3 = rhs(state + half * k2, drive)
-        k4 = rhs(state + dt * k3, drive)
-        state = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        switch = switches.get(step)
+        if switch is not None:
+            runs, values = switch
+            held[:, runs] = values
+        np.copyto(stage_state, state)
+        derivative(0)
+        for i, h in ((1, half), (2, half), (3, dt)):
+            np.multiply(k[i - 1], h, out=stage_state)
+            stage_state += state
+            derivative(i)
+        # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
+        np.add(k[1], k[2], out=acc)
+        acc *= 2.0
+        acc += k[0]
+        acc += k[3]
+        acc *= sixth
+        state += acc
         if limits is not None:
-            state[:, agc_rows] = np.minimum(
-                np.maximum(state.take(agc_rows, axis=1), limits[0]), limits[1]
-            )
+            np.maximum(agc_state, limits[0], out=agc_state)
+            np.minimum(agc_state, limits[1], out=agc_state)
         if (step + 1) % per_sample == 0:
-            norms = np.abs(state).max(axis=1)
+            norms = np.abs(state).max(axis=0)
             over = np.flatnonzero(norms > plant.blowup_norm)
             if over.size:
                 run = int(over[0])
                 raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
-            Y[k_out] = _apply(state[:, :n_x], model.C) + _apply(f_at_samples[k_out], model.D_f)
-            k_out += 1
+            k_out = (step + 1) // per_sample - 1
+            x_rows = np.ascontiguousarray(state[: model.n_x].T)
+            Y[k_out] = _apply(x_rows, c_state) + _apply(f_at_samples[k_out], model.D_f)
     meta = {"t_s": t_s, "horizon": horizon, "kind": "nonlinear", "dt": dt}
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy(), {**meta, "seed": sig.spec.seed})

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from diagfilter.agc import three_area_default, univariate_topology
+from diagfilter.agc import multivariate_topology, three_area_default, univariate_topology
 from diagfilter.errors import ConfigError, SimulationBlowUp
-from diagfilter.lti import LinearModel
+from diagfilter.lti import LinearModel, zoh_discretize
 from diagfilter.simulate import (
     AttackSpec,
     DisturbanceSpec,
     PlantConfig,
     RunBatch,
-    _deadband,
     gen_disturbance,
     simulate_linear,
     simulate_nonlinear,
@@ -33,30 +32,56 @@ def scalar_model(a: float, dt: float = 1.0) -> LinearModel:
 def default_plant(**kw) -> PlantConfig:
     kw.setdefault("t_s", 0.5)
     kw.setdefault("dt", 1e-3)
-    return PlantConfig(areas=three_area_default(), attacks=univariate_topology(), **kw)
+    kw.setdefault("attacks", univariate_topology())
+    return PlantConfig(areas=three_area_default(), **kw)
 
 
 def simulate_one(plant, dist, atk):
     return simulate_nonlinear(plant, RunBatch([(dist, atk)]))[0]
 
 
-def all_switches_plant() -> PlantConfig:
-    # on the runs below, dropping any one switch moves the outputs
-    # (the sine ties by ~1e-9, the others by ~1e-3)
-    return default_plant(
-        agc_limits=(-0.002, 0.002), deadband=0.001, sine_ties=True, rate_limit=0.004
+# on the runs below, dropping any one switch moves the outputs
+# (the sine ties by ~1e-9, the others by ~1e-3)
+ALL_SWITCHES = dict(agc_limits=(-0.002, 0.002), deadband=0.001, sine_ties=True, rate_limit=0.004)
+
+# the engine has a separate branch for each switch
+SWITCH_CASES = {
+    "no-switches": {},
+    "deadband": {"deadband": ALL_SWITCHES["deadband"]},
+    "sine-ties": {"sine_ties": True},
+    "agc-limits": {"agc_limits": ALL_SWITCHES["agc_limits"]},
+    "rate-limit": {"rate_limit": ALL_SWITCHES["rate_limit"]},
+    "all-switches": ALL_SWITCHES,
+    "multivariate": {**ALL_SWITCHES, "attacks": multivariate_topology()},
+}
+
+
+def mixed_runs(width: int = 3, n_f: int = 1) -> list:
+    attacks = (
+        AttackSpec.none(),
+        AttackSpec.univariate(0.1, start=1.0),
+        AttackSpec.multivariate(np.linspace(-0.05, 0.05, n_f), start=2.2),
     )
-
-
-def mixed_runs() -> list:
     return [
-        (DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, channels=(0, 1, 2), seed=seed), atk)
-        for seed, atk in (
-            (11, AttackSpec.none()),
-            (12, AttackSpec.univariate(0.1, start=1.0)),
-            (13, AttackSpec.univariate(-0.05, start=2.2)),
+        (
+            DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, channels=(0, 1, 2), seed=11 + i),
+            attacks[i % 3],
         )
+        for i in range(width)
     ]
+
+
+def switch_case(case: str, width: int) -> tuple[PlantConfig, list]:
+    plant = default_plant(**SWITCH_CASES[case])
+    return plant, mixed_runs(width, plant.attacks.n_f)
+
+
+def assert_matches_the_loop(plant, runs):
+    trajs = simulate_nonlinear(plant, RunBatch(runs))
+    for (signal, atk), traj in zip(RunBatch(runs).runs, trajs):
+        reference = simulate_nonlinear_loop(plant, signal, atk)
+        assert traj.Y.shape == reference.shape == (25, 6)
+        assert np.max(np.abs(traj.Y - reference)) <= 1e-15
 
 
 def test_gaussian_disturbance_is_seeded_and_held():
@@ -150,17 +175,11 @@ def test_linear_requires_discrete_model_and_aligned_horizon():
         )
 
 
-def test_deadband_shape():
-    x = np.array([-0.3, -0.05, 0.0, 0.05, 0.15])
-    out = _deadband(x, 0.2)
-    assert np.allclose(out, [-0.2, 0.0, 0.0, 0.0, 0.05])
-
-
 def test_nonlinear_reduces_to_linear_when_switches_off():
     plant = default_plant()
     spec = DisturbanceSpec(n_d=3, horizon=8.0, sigma=0.02, channels=(0, 1, 2), seed=7)
     atk = AttackSpec.univariate(0.1, start=4.0)
-    lin = simulate_linear(plant.sampled_model(), spec, atk)
+    lin = simulate_linear(zoh_discretize(plant.assemble()[0], plant.t_s), spec, atk)
     nl = simulate_one(plant, spec, atk)
     assert lin.Y.shape == nl.Y.shape == (25, 16)
     assert np.max(np.abs(lin.Y - nl.Y)) < 1e-9
@@ -229,27 +248,43 @@ def test_run_batch_needs_one_shared_horizon():
         simulate_nonlinear(default_plant(), RunBatch(runs))
 
 
-def test_batched_engine_matches_the_per_run_loop():
-    # every nonlinearity on; the tolerance was fixed before measuring (the
-    # two differ only in the summation order inside each product: 5e-18 on
-    # outputs of magnitude 0.07)
-    plant = all_switches_plant()
-    runs = mixed_runs()
-    trajs = simulate_nonlinear(plant, RunBatch(runs))
-    for (signal, atk), traj in zip(RunBatch(runs).runs, trajs):
-        reference = simulate_nonlinear_loop(plant, signal, atk)
-        assert traj.Y.shape == reference.shape == (25, 6)
-        assert np.max(np.abs(traj.Y - reference)) <= 1e-15
+LOOP_CASES = [(case, 3) for case in SWITCH_CASES] + [("all-switches", w) for w in (1, 2, 17)]
 
 
-def test_trajectory_is_bitwise_independent_of_its_batch():
-    plant = all_switches_plant()
-    runs = mixed_runs()
+@pytest.mark.parametrize("case, width", LOOP_CASES)
+def test_batched_engine_matches_the_per_run_loop(case, width):
+    # the tolerance was fixed before measuring; the two differ only in the
+    # summation order inside each product (at most 6e-17 on outputs of
+    # magnitude 0.2)
+    assert_matches_the_loop(*switch_case(case, width))
+
+
+def test_inputs_switching_off_the_sample_grid_match_the_loop():
+    # holds of 0.3 s do not divide t_s = 0.5 s, and the onsets fall between
+    # samples, one of them between integration steps too
+    plant = default_plant(**ALL_SWITCHES)
+    runs = [
+        (
+            DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed),
+            atk,
+        )
+        for seed, atk in (
+            (21, AttackSpec.univariate(0.1, start=1.2345)),
+            (22, AttackSpec.univariate(-0.05, start=0.7)),
+        )
+    ]
+    assert_matches_the_loop(plant, runs)
+
+
+# width 1 is the reference every case compares against
+@pytest.mark.parametrize("case, width", [(c, w) for c, w in LOOP_CASES if w > 1])
+def test_trajectory_is_bitwise_independent_of_its_batch(case, width):
+    plant, runs = switch_case(case, width)
     batch = simulate_nonlinear(plant, RunBatch(runs))
     alone = simulate_one(plant, *runs[1])
-    reordered = simulate_nonlinear(plant, RunBatch([runs[1], runs[2], runs[0]]))
+    reordered = simulate_nonlinear(plant, RunBatch(runs[::-1]))
     assert np.array_equal(alone.Y, batch[1].Y)
-    for moved, original in zip(reordered, (batch[1], batch[2], batch[0])):
+    for moved, original in zip(reordered, batch[::-1]):
         assert np.array_equal(moved.Y, original.Y)
 
 
