@@ -55,7 +55,7 @@ def main():
         model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
         sig = mismatch_signature(plant_run.Y, model_run.Y)
         sigs.append(sig)
-        q_list.append(q_matrix(ctx.stacked, sig, gram).Q)
+        q_list.append(q_matrix(ctx.stacked, sig, gram))
         print(f"  instance {i}: max |mismatch| = {np.max(np.abs(sig)):.3e}")
     qbar = average_q(q_list)
     print(f"collected {len(q_list)} quadratic forms of shape {qbar.shape} "

@@ -66,7 +66,7 @@ def main():
     for (signal, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch)):
         model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
         q_list.append(
-            q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram).Q
+            q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram)
         )
     design = design_multivariate(
         ctx.stacked, average_q(q_list), attack, pre.gamma_star, pre.j_star,

@@ -8,8 +8,9 @@ between a nonlinear plant and its linear abstraction.
 
 Layers, bottom to top:
 
-* :mod:`~diagfilter.shiftpoly`, :mod:`~diagfilter.lti` -- polynomial-matrix
-  algebra, ZOH sampling, and the stacked difference-algebraic form;
+* :mod:`~diagfilter.shiftpoly`, :mod:`~diagfilter.lti` -- the filter's
+  denominator polynomial, ZOH sampling, and the stacked difference-algebraic
+  form;
 * :mod:`~diagfilter.agc` -- the multi-area frequency-control model builder;
 * :mod:`~diagfilter.simulate` -- linear and nonlinear plant simulation;
 * :mod:`~diagfilter.solvers` -- certified LP/QP solves;
@@ -62,7 +63,7 @@ from .lti import (
 )
 from .pipeline import ExperimentConfig, cmd_run_all, default_config, multivariate_default_config
 from .runtime import Detector, ResidualFilter, calibrate_threshold, residual_energy
-from .shiftpoly import PolyMatrix, pole_polynomial, shift_matrix
+from .shiftpoly import pole_polynomial
 from .simulate import (
     AttackSpec,
     DisturbanceSpec,
@@ -92,7 +93,6 @@ __all__ = [
     "LinearModel",
     "NoFilterError",
     "PlantConfig",
-    "PolyMatrix",
     "QpProblem",
     "ResidualFilter",
     "RunBatch",
@@ -118,7 +118,6 @@ __all__ = [
     "pretrain_multivariate",
     "q_matrix",
     "residual_energy",
-    "shift_matrix",
     "simulate_linear",
     "simulate_nonlinear",
     "solve_lp",

@@ -194,17 +194,6 @@ def build_area(params: AreaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b_d, c
 
 
-def corrupted_ace(
-    omega: float, tie_flows: np.ndarray, bias: float, f_bias: np.ndarray | float = 0.0
-) -> float:
-    """Area control error seen by the AGC integrator under tie telemetry bias.
-
-    ``ACE = bias * omega + sum(tie_flows + f_bias)`` where ``f_bias`` holds
-    the injected offsets on the individual tie readings that feed the ACE.
-    """
-    return float(bias * omega + np.sum(np.asarray(tie_flows) + f_bias))
-
-
 def assemble_multiarea(
     areas: list[AreaParams], attacks: AttackTopology | None = None
 ) -> tuple[LinearModel, ModelIndex]:

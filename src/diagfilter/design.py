@@ -18,14 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import ConfigError, DetectorInfeasibleError, NoFilterError
+from .errors import ConfigError, DetectorInfeasibleError, NoFilterError, SolverError
 from .lti import StackedSystem
 from .shiftpoly import pole_polynomial
-from .solvers import QpProblem, Solution, solve_lp, solve_qp
+from .solvers import FEAS_TOL, QpProblem, Solution, certify_point, solve_lp, solve_qp
 
 # ridge added to the averaged quadratic form before it enters a solver
 REGULARIZATION = 1e-10
+# relative width at which the multivariate visibility-floor bisection stops,
+# and the cap on its doubling steps and on its halving steps
+BISECT_TOL = 1e-7
+BISECT_ITERS = 40
 
 
 def mismatch_signature(y_p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,16 +101,7 @@ def stack_shifted(signature: np.ndarray, d_n: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MismatchData:
-    """One training instance: signature, its shift stack, and quadratic form."""
-
-    E: np.ndarray
-    Dstack: np.ndarray
-    Q: np.ndarray
-
-
-def q_matrix(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) -> MismatchData:
+def q_matrix(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Quadratic form whose value ``nbar Q nbar'`` is the filtered mismatch energy.
 
     ``Q = (barL Dstack) G (barL Dstack)'`` is positive semidefinite by
@@ -119,10 +115,9 @@ def q_matrix(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) ->
         )
     if gram.shape != (sig.shape[1], sig.shape[1]):
         raise ValueError("gram matrix does not match the signature horizon")
-    dstack = stack_shifted(sig, stacked.d_n)
-    ld = stacked.barL @ dstack
+    ld = stacked.barL @ stack_shifted(sig, stacked.d_n)
     q = ld @ gram @ ld.T
-    return MismatchData(E=sig, Dstack=dstack, Q=0.5 * (q + q.T))
+    return 0.5 * (q + q.T)
 
 
 def average_q(q_list: list[np.ndarray]) -> np.ndarray:
@@ -264,15 +259,28 @@ def design_univariate(
     Minimises the averaged mismatch form over the model null space, subject
     to unit attack visibility: one coefficient of the attack response is
     pushed to at least one in magnitude.  Each coefficient/sign pair is one
-    convex branch; the best feasible branch wins (ties resolved toward the
-    lowest coefficient index and positive sign).  Without extra linear
-    constraints the two signs mirror each other, so only positive branches
-    are solved; enabling ``track_steady_state`` adds the DC normalisation
-    ``-a(1)^{-1} N(1) F = 1``, which breaks the symmetry, and both signs are
-    solved.
+    convex branch, visited by ascending coefficient index, positive sign
+    first.  A branch replaces the incumbent only if its objective is lower
+    by more than an absolute 1e-12.  Data-assisted objectives are of order
+    1e-14 and model-only ones are zero, so in practice the first feasible
+    branch is kept even where a later branch's objective is several times
+    lower.  Without extra linear constraints the two signs mirror each
+    other, so only positive branches are solved; enabling
+    ``track_steady_state`` adds the DC normalisation
+    ``-a(1)^{-1} N(1) F = 1``, which breaks the symmetry, and both signs
+    are solved.
+
+    Every branch is an equality-constrained QP with the one inequality
+    ``g x >= 1``, solved in closed form on a single null-space basis ``Z``
+    of the equalities and one Cholesky factor ``R`` of ``Z' P Z``: the
+    equality-only optimum ``x_free`` is the answer when it already clears
+    the inequality, otherwise the inequality is active and the optimum is
+    ``x_free + lambda Z R^{-1} Z' g`` with the multiplier ``lambda`` that
+    makes ``g x = 1``.  Each candidate is KKT-certified like a solver result.
 
     Raises:
         NoFilterError: if every branch is infeasible.
+        SolverError: if a candidate fails KKT certification.
     """
     if stacked.n_f != 1:
         raise ConfigError("design_univariate expects exactly one attack channel")
@@ -290,28 +298,48 @@ def design_univariate(
     else:
         signs = (1,)
 
+    x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+    consistent = np.abs(a_eq @ x_part - b_eq).max() <= FEAS_TOL
+    if consistent:
+        z_basis = scipy.linalg.null_space(a_eq)
+        try:
+            chol = scipy.linalg.cho_factor(z_basis.T @ p_mat @ z_basis)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"reduced quadratic form is not positive definite: {exc}") from exc
+        x_free = x_part - z_basis @ scipy.linalg.cho_solve(chol, z_basis.T @ (p_mat @ x_part))
+
     best = None
     report = []
     for j in range(stacked.d_n + 1):
-        fcol = stacked.barF[:, j]
         for sign in signs:
-            sol = solve_qp(
-                QpProblem(
-                    P=p_mat,
-                    c=np.zeros(stacked.n_vars),
-                    a_eq=a_eq,
-                    b_eq=b_eq,
-                    a_ineq=(sign * fcol)[None, :],
-                    b_ineq=np.array([1.0]),
-                )
-            )
-            entry = {"coeff_index": j, "sign": sign, "status": sol.status}
-            if sol.status == "optimal":
-                value = quadratic_value(sol.x, qbar_true)
-                entry["objective"] = value
-                if best is None or value < best[0] - 1e-12:
-                    best = (value, j, sign, sol)
+            g = sign * stacked.barF[:, j]
+            entry = {"coeff_index": j, "sign": sign, "status": "infeasible"}
             report.append(entry)
+            if not consistent:
+                continue
+            shortfall = 1.0 - g @ x_free
+            if shortfall <= 0.0:
+                x, lam = x_free, 0.0
+            else:
+                h = z_basis.T @ g
+                if np.linalg.norm(h) <= 1e-9 * np.linalg.norm(g):
+                    continue
+                step = scipy.linalg.cho_solve(chol, h)
+                lam = shortfall / (h @ step)
+                x = x_free + z_basis @ (lam * step)
+            problem = QpProblem(
+                P=p_mat,
+                c=np.zeros(stacked.n_vars),
+                a_eq=a_eq,
+                b_eq=b_eq,
+                a_ineq=g[None, :],
+                b_ineq=np.array([1.0]),
+            )
+            sol = certify_point(problem, x, np.array([lam]))
+            value = quadratic_value(sol.x, qbar_true)
+            entry.update(status=sol.status, objective=value)
+            if best is None or value < best[0] - 1e-12:
+                best = (value, j, sign, sol)
     if best is None:
         raise NoFilterError("all design branches infeasible", report)
 
@@ -369,7 +397,7 @@ class PretrainResult:
         return float(self.gammas[self.j_star - 1])
 
 
-def _coupling_rows(stacked: StackedSystem, attack: AttackModel, j: int):
+def _coupling_rows(stacked: StackedSystem, attack: AttackModel, j: int) -> np.ndarray:
     """Equality rows tying the coefficient response to the polytope dual."""
     idx, sign = program_branch(j)
     if idx > stacked.d_n:
@@ -383,20 +411,43 @@ def _coupling_rows(stacked: StackedSystem, attack: AttackModel, j: int):
     for col in range(d):
         rows[col, sl] = sign * m_resp[:, col]
         rows[col, n_vars:] = -attack.polytope_a[:, col]
-    return rows, np.zeros(d), idx, sign
+    return rows
 
 
-def _norm_cap_rows(n_vars: int, n_total: int):
-    rows = np.zeros((2 * n_vars, n_total))
-    rows[:n_vars, :n_vars] = np.eye(n_vars)
-    rows[n_vars:, :n_vars] = -np.eye(n_vars)
-    rhs = -np.ones(2 * n_vars)
-    return rows, rhs
+def _program_constraints(
+    stacked: StackedSystem, attack: AttackModel, j: int, gamma: float | None = None
+):
+    """Constraints of program ``j`` over the variables ``[nbar, lambda]``.
+
+    Equalities: the null-space rows ``barH' nbar = 0`` and the coupling
+    rows.  Inequalities, in this order: ``lambda >= 0``, the support row
+    ``b' lambda >= gamma`` when a floor ``gamma`` is given, and the norm
+    cap ``|nbar|_inf <= 1`` that keeps every program bounded.  Returns
+    ``(a_eq, b_eq, a_ineq, b_ineq)``.
+    """
+    n_vars = stacked.n_vars
+    n_b = attack.polytope_b.size
+    n_total = n_vars + n_b
+    n_h = stacked.barH.shape[1]
+    coupling = _coupling_rows(stacked, attack, j)
+    a_eq = np.zeros((n_h + coupling.shape[0], n_total))
+    a_eq[:n_h, :n_vars] = stacked.barH.T
+    a_eq[n_h:] = coupling
+
+    cap_row = n_b if gamma is None else n_b + 1
+    a_ineq = np.zeros((cap_row + 2 * n_vars, n_total))
+    b_ineq = np.zeros(a_ineq.shape[0])
+    a_ineq[:n_b, n_vars:] = np.eye(n_b)
+    if gamma is not None:
+        a_ineq[n_b, n_vars:] = attack.polytope_b
+        b_ineq[n_b] = gamma
+    a_ineq[cap_row : cap_row + n_vars, :n_vars] = np.eye(n_vars)
+    a_ineq[cap_row + n_vars :, :n_vars] = -np.eye(n_vars)
+    b_ineq[cap_row:] = -1.0
+    return a_eq, np.zeros(a_eq.shape[0]), a_ineq, b_ineq
 
 
-def pretrain_multivariate(
-    stacked: StackedSystem, attack: AttackModel, *, normalize: bool = True
-) -> PretrainResult:
+def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> PretrainResult:
     """Feasibility pretraining: largest certified visibility per program.
 
     For each of the ``2 d_n + 2`` sign-definite programs, maximise the
@@ -405,36 +456,19 @@ def pretrain_multivariate(
     response and the polytope normals.  A positive optimum certifies that
     every admissible attack is visible in that coefficient with at least the
     optimal margin.  The filter norm is capped at one (infinity norm) so the
-    programs stay bounded; without the cap an unbounded program is reported
-    as ``inf``.
+    programs stay bounded; a program the solver still reports unbounded
+    gets the margin ``inf``.
     """
     attack.validate_against(stacked.n_f)
     n_vars = stacked.n_vars
-    n_b = attack.polytope_b.size
-    n_total = n_vars + n_b
     n_programs = 2 * stacked.d_n + 2
 
     gammas = np.zeros(n_programs)
     statuses = []
+    cost = np.zeros(n_vars + attack.polytope_b.size)
+    cost[n_vars:] = -attack.polytope_b
     for j in range(1, n_programs + 1):
-        rows, rhs, _, _ = _coupling_rows(stacked, attack, j)
-        a_eq = np.zeros((stacked.barH.shape[1] + rows.shape[0], n_total))
-        a_eq[: stacked.barH.shape[1], :n_vars] = stacked.barH.T
-        a_eq[stacked.barH.shape[1] :] = rows
-        b_eq = np.zeros(a_eq.shape[0])
-
-        ineq_blocks = [np.zeros((n_b, n_total))]
-        ineq_blocks[0][:, n_vars:] = np.eye(n_b)
-        rhs_blocks = [np.zeros(n_b)]
-        if normalize:
-            cap, cap_rhs = _norm_cap_rows(n_vars, n_total)
-            ineq_blocks.append(cap)
-            rhs_blocks.append(cap_rhs)
-        a_ineq = np.vstack(ineq_blocks)
-        b_ineq = np.concatenate(rhs_blocks)
-
-        cost = np.zeros(n_total)
-        cost[n_vars:] = -attack.polytope_b
+        a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j)
         sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
         statuses.append(sol.status)
         if sol.status == "optimal":
@@ -448,43 +482,14 @@ def pretrain_multivariate(
 
 
 def _multivariate_qp(
-    stacked: StackedSystem,
-    p_mat: np.ndarray,
-    attack: AttackModel,
-    gamma: float,
-    j: int,
-    normalize: bool,
+    stacked: StackedSystem, p_mat: np.ndarray, attack: AttackModel, gamma: float, j: int
 ) -> QpProblem:
+    a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, gamma)
     n_vars = stacked.n_vars
-    n_b = attack.polytope_b.size
-    n_total = n_vars + n_b
-    rows, rhs, _, _ = _coupling_rows(stacked, attack, j)
-    a_eq = np.zeros((stacked.barH.shape[1] + rows.shape[0], n_total))
-    a_eq[: stacked.barH.shape[1], :n_vars] = stacked.barH.T
-    a_eq[stacked.barH.shape[1] :] = rows
-    b_eq = np.zeros(a_eq.shape[0])
-
-    blocks = [np.zeros((n_b, n_total))]
-    blocks[0][:, n_vars:] = np.eye(n_b)
-    rhs_blocks = [np.zeros(n_b)]
-    support = np.zeros((1, n_total))
-    support[0, n_vars:] = attack.polytope_b
-    blocks.append(support)
-    rhs_blocks.append(np.array([gamma]))
-    if normalize:
-        cap, cap_rhs = _norm_cap_rows(n_vars, n_total)
-        blocks.append(cap)
-        rhs_blocks.append(cap_rhs)
-
-    p_full = np.zeros((n_total, n_total))
+    p_full = np.zeros((a_eq.shape[1], a_eq.shape[1]))
     p_full[:n_vars, :n_vars] = p_mat
     return QpProblem(
-        P=p_full,
-        c=np.zeros(n_total),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ineq=np.vstack(blocks),
-        b_ineq=np.concatenate(rhs_blocks),
+        P=p_full, c=np.zeros(p_full.shape[0]), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq
     )
 
 
@@ -498,16 +503,13 @@ def design_multivariate(
     pole: float,
     mode: str | None = None,
     tune: bool = True,
-    bisect_tol: float = 1e-7,
-    bisect_iters: int = 40,
-    normalize: bool = True,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
 
     Minimises the averaged mismatch form subject to the visibility floor
     ``b' lambda >= gamma`` and the coupling rows of program ``j``.  When
     ``tune`` is set, the floor is pushed by bisection to the largest value
-    that keeps the program feasible (within ``bisect_tol``), starting from
+    that keeps the program feasible (within ``BISECT_TOL``), starting from
     the pretraining recommendation ``gamma_j``.
 
     Raises:
@@ -520,7 +522,7 @@ def design_multivariate(
     a_coeffs = pole_polynomial(pole, stacked.d_n)
 
     def attempt(gamma: float) -> Solution:
-        return solve_qp(_multivariate_qp(stacked, p_mat, attack, gamma, j, normalize))
+        return solve_qp(_multivariate_qp(stacked, p_mat, attack, gamma, j))
 
     gamma = float(gamma_j)
     sol = attempt(gamma)
@@ -530,23 +532,21 @@ def design_multivariate(
             hi = max(2.0 * gamma, gamma + 1.0)
             hi_sol = attempt(hi)
             expansions = 0
-            while hi_sol.status == "optimal" and expansions < bisect_iters:
+            while hi_sol.status == "optimal" and expansions < BISECT_ITERS:
                 lo, lo_sol = hi, hi_sol
                 hi *= 2.0
                 hi_sol = attempt(hi)
                 expansions += 1
             if hi_sol.status == "optimal":
-                raise NoFilterError(
-                    "visibility floor appears unbounded; enable the norm cap"
-                )
+                raise NoFilterError("visibility floor appears unbounded under the norm cap")
         else:
             hi = gamma
             lo = 0.0
             lo_sol = attempt(lo)
             if lo_sol.status != "optimal":
                 raise NoFilterError(f"program {j} infeasible even at gamma = 0")
-        for _ in range(bisect_iters):
-            if hi - lo <= bisect_tol * max(1.0, abs(lo)):
+        for _ in range(BISECT_ITERS):
+            if hi - lo <= BISECT_TOL * max(1.0, abs(lo)):
                 break
             mid = 0.5 * (lo + hi)
             mid_sol = attempt(mid)

@@ -417,13 +417,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict
         )
         reference = simulate_linear(ctx.model_d, signal, AttackSpec.none())
         sig = mismatch_signature(traj.Y, reference.Y)
-        data = q_matrix(ctx.stacked, sig, gram)
-        q_list.append(data.Q)
+        q = q_matrix(ctx.stacked, sig, gram)
+        q_list.append(q)
         instances.append(
             {
                 "seed": int(seed),
                 "max_abs_mismatch": float(np.max(np.abs(sig))),
-                "q_trace": float(np.trace(data.Q)),
+                "q_trace": float(np.trace(q)),
             }
         )
     qbar = average_q(q_list)
@@ -473,7 +473,7 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
             raise ConfigError(f"{f}: trajectory shape does not match the configuration")
         sig = mismatch_signature(y_plant, reference.Y)
         signatures.append(sig)
-        q_list.append(q_matrix(ctx.stacked, sig, gram).Q)
+        q_list.append(q_matrix(ctx.stacked, sig, gram))
     qbar = average_q(q_list)
     stored = matio.load_matrix(train_dir / "qbar.csv")
     drift = float(np.max(np.abs(stored - qbar)))

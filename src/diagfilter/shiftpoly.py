@@ -1,69 +1,11 @@
-"""Polynomial matrices in the forward shift operator, and horizon shift matrices.
+"""The residual filter's denominator polynomial in the forward shift operator.
 
-A polynomial matrix is a finite sum ``M(q) = M_0 + M_1 q + ... + M_d q^d``
-whose coefficients are real matrices of a common shape.  Applied to a signal
-``s[k]``, the operator ``q`` advances time: ``(q s)[k] = s[k+1]``.  On a
-finite-horizon signature matrix (one column per sample) the same advance is
-a column left-shift with zero fill, realised by right-multiplication with
-the nilpotent matrix returned by :func:`shift_matrix`.
+The operator ``q`` advances time: ``(q s)[k] = s[k+1]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class PolyMatrix:
-    """Matrix polynomial ``sum_i coeffs[i] * q**i`` in the shift operator q.
-
-    Coefficients are stored in ascending powers and must share one shape.
-    """
-
-    coeffs: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("PolyMatrix needs at least one coefficient")
-        self.coeffs = [np.atleast_2d(np.asarray(c, dtype=float)) for c in self.coeffs]
-        shape = self.coeffs[0].shape
-        for c in self.coeffs[1:]:
-            if c.shape != shape:
-                raise ValueError(f"coefficient shapes differ: {c.shape} vs {shape}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.coeffs[0].shape
-
-    def __call__(self, q0: float | complex) -> np.ndarray:
-        """Evaluate the polynomial at a scalar point ``q0``."""
-        acc = np.zeros(self.shape, dtype=np.result_type(float, type(q0)))
-        for i, c in enumerate(self.coeffs):
-            acc = acc + c * (q0 ** i)
-        return acc
-
-    def eval_at_one(self) -> np.ndarray:
-        """Coefficient sum, i.e. the DC (steady-state) evaluation M(1)."""
-        return sum(self.coeffs[1:], start=self.coeffs[0].copy())
-
-
-def shift_matrix(horizon: int) -> np.ndarray:
-    """Square matrix ``D`` realising the forward shift on signature matrices.
-
-    For a signature ``E`` with one column per sample, ``E @ D`` moves every
-    column one slot to the left and zero-fills the last column, matching the
-    zero-extension of the signal beyond the horizon.  ``D`` is nilpotent with
-    index ``horizon``.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    return np.eye(horizon, k=-1)
 
 
 def pole_polynomial(pole: float, degree: int) -> np.ndarray:

@@ -136,6 +136,28 @@ def _certify(problem: QpProblem, sol: Solution) -> Solution:
     return sol
 
 
+def certify_point(
+    problem: QpProblem, x: np.ndarray, ineq_duals: np.ndarray, iterations: int = 0
+) -> Solution:
+    """Label a candidate point and its inequality multipliers optimal, if certified.
+
+    The equality multipliers are recovered by least squares from the
+    stationarity condition.
+
+    Raises:
+        SolverError: if the KKT residuals exceed the certification thresholds.
+    """
+    sol = Solution(
+        status="optimal",
+        x=x,
+        objective=problem.objective(x),
+        eq_duals=_recover_eq_duals(problem, x, ineq_duals),
+        ineq_duals=ineq_duals,
+        iterations=iterations,
+    )
+    return _certify(problem, sol)
+
+
 def solve_lp(
     c: np.ndarray,
     a_eq: np.ndarray | None = None,
@@ -260,16 +282,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
         x = x_part
         if problem.a_ineq.size and (problem.a_ineq @ x - problem.b_ineq).min() < -FEAS_TOL:
             return Solution(status="infeasible")
-        lam = np.zeros(problem.a_ineq.shape[0])
-        nu = _recover_eq_duals(problem, x, lam)
-        sol = Solution(
-            status="optimal",
-            x=x,
-            objective=problem.objective(x),
-            eq_duals=nu,
-            ineq_duals=lam,
-        )
-        return _certify(problem, sol)
+        return certify_point(problem, x, np.zeros(problem.a_ineq.shape[0]))
 
     p_red = z_basis.T @ problem.P @ z_basis
     c_red = z_basis.T @ (problem.P @ x_part + problem.c)
@@ -354,16 +367,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
     lam = np.zeros(m)
     if working and lam_w.size:
         lam[np.asarray(working, dtype=int)] = np.maximum(lam_w, 0.0)
-    nu = _recover_eq_duals(problem, x, lam)
-    sol = Solution(
-        status="optimal",
-        x=x,
-        objective=problem.objective(x),
-        eq_duals=nu,
-        ineq_duals=lam,
-        iterations=itn + 1,
-    )
-    return _certify(problem, sol)
+    return certify_point(problem, x, lam, iterations=itn + 1)
 
 
 def _max_step(a_red, b_red, working, z, direction):

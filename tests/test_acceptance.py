@@ -160,7 +160,7 @@ def test_1_quadratic_form_equals_simulated_residual_energy(ctx):
     gram = gram_matrix(a_coeffs, horizon)
     null_basis = scipy.linalg.null_space(ctx.stacked.barH.T)
     sigs = [rng.normal(scale=0.01, size=(ctx.stacked.n_y, horizon)) for _ in range(20)]
-    q_mats = [q_matrix(ctx.stacked, s, gram).Q for s in sigs]
+    q_mats = [q_matrix(ctx.stacked, s, gram) for s in sigs]
     nbars = [null_basis @ rng.normal(size=null_basis.shape[1]) for _ in range(20)]
     worst = 0.0
     for sig, q in zip(sigs, q_mats):

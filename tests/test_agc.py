@@ -12,7 +12,6 @@ from diagfilter.agc import (
     areas_to_dict,
     assemble_multiarea,
     build_area,
-    corrupted_ace,
     multivariate_topology,
     output_labels,
     state_labels,
@@ -101,14 +100,6 @@ def test_tie_pairs_conserve_flow():
     eig = np.linalg.eigvals(model.A)
     assert int(np.sum(np.abs(eig) < 1e-9)) == 4
     assert np.max(eig.real[np.abs(eig) > 1e-9]) < -0.05
-
-
-def test_corrupted_ace_adds_injected_tie_bias():
-    ties = np.array([0.01, -0.02])
-    clean = corrupted_ace(0.001, ties, bias=20.0)
-    assert abs(clean - (20.0 * 0.001 + 0.01 - 0.02)) < 1e-15
-    biased = corrupted_ace(0.001, ties, bias=20.0, f_bias=np.array([0.1, 0.0]))
-    assert abs(biased - clean - 0.1) < 1e-15
 
 
 def test_attack_columns_route_to_outputs_and_ace():

@@ -131,20 +131,34 @@ def test_simulation_blowup_exits_simulation_code(tmp_path, capsys, monkeypatch):
     assert "training instance 1, seed 2025" in err
 
 
-def test_solver_failure_exits_solver_code(tmp_path, capsys):
-    # large disturbances on two short instances give a mismatch form on
-    # which the active-set method stalls: a numerical failure, not an
-    # infeasible design
-    cfg = tiny_config()
-    cfg["train"]["sigma"] = 0.3
-    cfg_path = write_config(tmp_path, cfg)
+def test_solver_failure_exits_solver_code(tmp_path, capsys, monkeypatch):
+    # a numerical failure in synthesis is not an infeasible design
+    cfg_path = write_config(tmp_path, tiny_config())
     out = str(tmp_path / "o")
     assert main(["train", "--config", cfg_path, "--out", out]) == EXIT_OK
+    import diagfilter.pipeline as pipeline
+    from diagfilter.errors import SolverError
+
+    def failing(*args, **kwargs):
+        raise SolverError("KKT certification failed")
+
+    monkeypatch.setattr(pipeline, "design_univariate", failing)
     code = main(["design", "--config", cfg_path, "--out", out])
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "solver failure" in err
     assert "infeasible" not in err
+
+
+def test_rank_deficient_training_form_designs(tmp_path):
+    # large disturbances on two short instances give a rank-deficient
+    # mismatch form; the design is well posed and must not fail on it
+    cfg = tiny_config()
+    cfg["train"]["sigma"] = 0.3
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert main(["design", "--config", cfg_path, "--out", out]) == EXIT_OK
 
 
 def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Residual filter synthesis: quadratic forms, convex branches, certificates."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagfilter.agc import three_area_default, univariate_topology
 from diagfilter.design import (
+    REGULARIZATION,
     AttackModel,
     FilterDesign,
-    MismatchData,
     average_q,
     design_multivariate,
     design_univariate,
@@ -24,9 +28,10 @@ from diagfilter.design import (
     worst_case_alpha,
     worst_case_value,
 )
-from diagfilter.errors import ConfigError, NoFilterError
+from diagfilter.errors import ConfigError, NoFilterError, SolverError
 from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discretize
 from diagfilter.shiftpoly import pole_polynomial
+from diagfilter.solvers import QpProblem, solve_qp
 from refimpl import direct_energy, gram_bruteforce, impulse_response_bruteforce
 
 
@@ -145,13 +150,13 @@ def test_quadratic_form_reproduces_direct_filtering():
         a = pole_polynomial(pole, stacked.d_n)
         horizon = int(rng.integers(6, 15))
         sig = rng.normal(size=(stacked.n_y, horizon))
-        data = q_matrix(stacked, sig, gram_matrix(a, horizon))
+        q = q_matrix(stacked, sig, gram_matrix(a, horizon))
         nbar = rng.normal(size=stacked.n_vars)
         direct = direct_energy(nbar, dae.L, sig, a)
-        quad = quadratic_value(nbar, data.Q)
+        quad = quadratic_value(nbar, q)
         assert abs(quad - direct) < 1e-9 * (1.0 + abs(direct))
         # and the form is PSD up to round-off
-        assert np.min(np.linalg.eigvalsh(data.Q)) > -1e-9
+        assert np.min(np.linalg.eigvalsh(q)) > -1e-9
 
 
 def test_q_matrix_validates_shapes():
@@ -204,7 +209,7 @@ def test_assisted_design_never_loses_to_pure_on_training_energy():
     a = pole_polynomial(0.5, 3)
     g = gram_matrix(a, 12)
     q_list = [
-        q_matrix(stacked, rng.normal(size=(stacked.n_y, 12)), g).Q for _ in range(5)
+        q_matrix(stacked, rng.normal(size=(stacked.n_y, 12)), g) for _ in range(5)
     ]
     qbar = average_q(q_list)
     pure = design_univariate(stacked, None, pole=0.5)
@@ -213,6 +218,56 @@ def test_assisted_design_never_loses_to_pure_on_training_energy():
     assert assisted.objective <= quadratic_value(pure.nbar, qbar) + 1e-9
     assert assisted.diagnostics["null_residual"] < 1e-7
     assert assisted.diagnostics["attack_gain"] >= 1.0 - 1e-6
+
+
+@lru_cache(maxsize=1)
+def cached_default_stacked():
+    return default_stacked()[1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank_fraction=st.floats(0.0, 1.0),
+    log_scale=st.floats(-8.0, 2.0),
+    track=st.booleans(),
+)
+def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_scale, track):
+    # rank-deficient and badly scaled forms are what small or noisy training
+    # sets produce; the closed-form branches must design on all of them
+    stacked = cached_default_stacked()
+    n = stacked.n_vars
+    rank = 1 + int(rank_fraction * (n - 1))
+    factor = np.random.default_rng(seed).normal(size=(n, rank))
+    q = factor @ factor.T
+    q *= 10.0**log_scale / np.linalg.eigvalsh(q).max()
+
+    design = design_univariate(stacked, q, pole=0.5, track_steady_state=track)
+    assert design.diagnostics["null_residual"] < 1e-9
+    assert design.diagnostics["attack_gain"] >= 1.0 - 1e-6
+    a_eq, b_eq = stacked.barH.T, np.zeros(stacked.barH.shape[1])
+    if track:
+        f_matrix = stacked.barF[stacked.coeff_slice(0), 0:1]
+        assert abs(steady_state_residual(design, f_matrix, np.array([0.1])) - 0.1) < 1e-8
+        a_eq = np.vstack([a_eq, -stacked.barF.sum(axis=1) / design.a_at_one])
+        b_eq = np.append(b_eq, 1.0)
+
+    # the iterative solver, where it converges, finds the same optimum
+    j, sign = design.branch["coeff_index"], design.branch["sign"]
+    problem = QpProblem(
+        P=2.0 * (q + REGULARIZATION * np.eye(n)),
+        c=np.zeros(n),
+        a_eq=a_eq,
+        b_eq=b_eq,
+        a_ineq=(sign * stacked.barF[:, j])[None, :],
+        b_ineq=np.array([1.0]),
+    )
+    try:
+        sol = solve_qp(problem)
+    except SolverError:
+        return
+    if sol.status == "optimal":
+        assert np.linalg.norm(sol.x - design.nbar) <= 1e-8 * np.linalg.norm(sol.x)
 
 
 def test_design_requires_single_channel_for_univariate():

@@ -151,7 +151,7 @@ def test_calibration_uses_worst_training_energy():
     a = design.a_coeffs
     g = gram_matrix(a, 10)
     q_list = [
-        q_matrix(stacked, rng.normal(scale=0.01, size=(stacked.n_y, 10)), g).Q
+        q_matrix(stacked, rng.normal(scale=0.01, size=(stacked.n_y, 10)), g)
         for _ in range(4)
     ]
     det = calibrate_threshold(design, q_list, margin=0.05, window=20)
@@ -184,7 +184,7 @@ def test_replaying_training_data_stays_under_calibrated_threshold():
         sig = rng.normal(scale=0.01, size=(stacked.n_y, horizon))
         sig[:, : design.d_n] = 0.0
         sigs.append(sig)
-    q_list = [q_matrix(stacked, s, g).Q for s in sigs]
+    q_list = [q_matrix(stacked, s, g) for s in sigs]
     det = calibrate_threshold(design, q_list, margin=1e-9, window=horizon)
     filt = ResidualFilter(design, dae.L)
     energies = []

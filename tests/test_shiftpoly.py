@@ -1,26 +1,9 @@
-"""Polynomial-matrix and shift-operator basics."""
+"""The filter denominator polynomial."""
 
 import numpy as np
 import pytest
 
-from diagfilter.shiftpoly import PolyMatrix, pole_polynomial, shift_matrix
-
-
-def test_shift_matrix_advances_columns():
-    horizon = 6
-    d = shift_matrix(horizon)
-    rng = np.random.default_rng(0)
-    e = rng.normal(size=(3, horizon))
-    shifted = e @ d
-    assert np.array_equal(shifted[:, :-1], e[:, 1:])
-    assert np.all(shifted[:, -1] == 0.0)
-
-
-def test_shift_matrix_is_nilpotent():
-    horizon = 5
-    d = shift_matrix(horizon)
-    assert np.any(np.linalg.matrix_power(d, horizon - 1) != 0)
-    assert np.all(np.linalg.matrix_power(d, horizon) == 0)
+from diagfilter.shiftpoly import pole_polynomial
 
 
 def test_pole_polynomial_halved_pole_values():
@@ -53,18 +36,3 @@ def test_pole_polynomial_rejects_unit_pole():
     with pytest.raises(ValueError):
         pole_polynomial(1.0, 3)
 
-
-def test_polymatrix_evaluation():
-    m0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-    m1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pm = PolyMatrix([m0, m1])
-    assert pm.degree == 1
-    assert pm.shape == (2, 2)
-    q0 = 3.0
-    assert np.allclose(pm(q0), m0 + q0 * m1)
-    assert np.allclose(pm.eval_at_one(), m0 + m1)
-
-
-def test_polymatrix_rejects_mixed_shapes():
-    with pytest.raises(ValueError):
-        PolyMatrix([np.zeros((2, 2)), np.zeros((3, 2))])
