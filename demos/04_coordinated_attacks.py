@@ -69,11 +69,12 @@ def main():
             q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram)
         )
     design = design_multivariate(
-        ctx.stacked, average_q(q_list), attack, pre.gamma_star, pre.j_star,
+        ctx.stacked, average_q(q_list), attack, pre.j_star,
         pole=float(ctx.cfg.filter["pole"]), mode="data_assisted",
     )
     print(f"branch {design.branch}, objective {design.objective:.3e}, "
-          f"tuned gamma {design.diagnostics.get('gamma'):.6f}")
+          f"visibility floor gamma {design.diagnostics['gamma']:.6f} "
+          "(the support-LP optimum)")
 
     mu, alpha_dc = steady_state_margin(design, ctx.dae.F, attack)
     print(f"\nsteady-state stealth margin over the admissible set: {mu:.2e}")

@@ -27,10 +27,9 @@ from .solvers import FEAS_TOL, QpProblem, Solution, certify_point, solve_lp, sol
 
 # ridge added to the averaged quadratic form before it enters a solver
 REGULARIZATION = 1e-10
-# relative width at which the multivariate visibility-floor bisection stops,
-# and the cap on its doubling steps and on its halving steps
-BISECT_TOL = 1e-7
-BISECT_ITERS = 40
+# relative step by which the multivariate design lowers its support-LP floor
+# once when the QP's phase-one LP rejects the optimum itself
+FLOOR_BACKOFF = 1e-7
 
 
 def mismatch_signature(y_p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -447,6 +446,14 @@ def _program_constraints(
     return a_eq, np.zeros(a_eq.shape[0]), a_ineq, b_ineq
 
 
+def _support_lp(stacked: StackedSystem, attack: AttackModel, j: int) -> Solution:
+    """Program ``j``'s support LP: maximise ``b' lambda`` over its constraints."""
+    a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j)
+    cost = np.zeros(a_eq.shape[1])
+    cost[stacked.n_vars :] = -attack.polytope_b
+    return solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
+
+
 def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> PretrainResult:
     """Feasibility pretraining: largest certified visibility per program.
 
@@ -460,16 +467,12 @@ def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> Pretra
     gets the margin ``inf``.
     """
     attack.validate_against(stacked.n_f)
-    n_vars = stacked.n_vars
     n_programs = 2 * stacked.d_n + 2
 
     gammas = np.zeros(n_programs)
     statuses = []
-    cost = np.zeros(n_vars + attack.polytope_b.size)
-    cost[n_vars:] = -attack.polytope_b
     for j in range(1, n_programs + 1):
-        a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j)
-        sol = solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
+        sol = _support_lp(stacked, attack, j)
         statuses.append(sol.status)
         if sol.status == "optimal":
             gammas[j - 1] = -sol.objective
@@ -497,23 +500,27 @@ def design_multivariate(
     stacked: StackedSystem,
     qbar: np.ndarray | None,
     attack: AttackModel,
-    gamma_j: float,
     j: int,
     *,
     pole: float,
     mode: str | None = None,
-    tune: bool = True,
+    gamma: float | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
 
     Minimises the averaged mismatch form subject to the visibility floor
-    ``b' lambda >= gamma`` and the coupling rows of program ``j``.  When
-    ``tune`` is set, the floor is pushed by bisection to the largest value
-    that keeps the program feasible (within ``BISECT_TOL``), starting from
-    the pretraining recommendation ``gamma_j``.
+    ``b' lambda >= gamma`` and the coupling rows of program ``j``.  With
+    ``gamma=None`` the floor is the largest feasible one: the optimum of
+    program ``j``'s support LP, the margin pretraining reports, and one QP
+    is solved there.  Where the QP's phase-one LP rejects that optimum by
+    round-off, the floor is lowered once by ``FLOOR_BACKOFF`` (relative).
+    A number fixes the floor instead.
 
     Raises:
-        NoFilterError: if the program is infeasible even at gamma = 0.
+        NoFilterError: if the support LP is infeasible or unbounded, or a
+            fixed floor is infeasible.
+        SolverError: if the QP rejects the support-LP floor and its back-off,
+            which the LP certifies feasible.
     """
     attack.validate_against(stacked.n_f)
     if mode is None:
@@ -521,42 +528,30 @@ def design_multivariate(
     qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
     a_coeffs = pole_polynomial(pole, stacked.d_n)
 
-    def attempt(gamma: float) -> Solution:
-        return solve_qp(_multivariate_qp(stacked, p_mat, attack, gamma, j))
+    def attempt(floor: float) -> Solution:
+        return solve_qp(_multivariate_qp(stacked, p_mat, attack, floor, j))
 
-    gamma = float(gamma_j)
-    sol = attempt(gamma)
-    if tune:
-        if sol.status == "optimal":
-            lo, lo_sol = gamma, sol
-            hi = max(2.0 * gamma, gamma + 1.0)
-            hi_sol = attempt(hi)
-            expansions = 0
-            while hi_sol.status == "optimal" and expansions < BISECT_ITERS:
-                lo, lo_sol = hi, hi_sol
-                hi *= 2.0
-                hi_sol = attempt(hi)
-                expansions += 1
-            if hi_sol.status == "optimal":
-                raise NoFilterError("visibility floor appears unbounded under the norm cap")
-        else:
-            hi = gamma
-            lo = 0.0
-            lo_sol = attempt(lo)
-            if lo_sol.status != "optimal":
-                raise NoFilterError(f"program {j} infeasible even at gamma = 0")
-        for _ in range(BISECT_ITERS):
-            if hi - lo <= BISECT_TOL * max(1.0, abs(lo)):
-                break
-            mid = 0.5 * (lo + hi)
-            mid_sol = attempt(mid)
-            if mid_sol.status == "optimal":
-                lo, lo_sol = mid, mid_sol
-            else:
-                hi = mid
-        gamma, sol = lo, lo_sol
-    elif sol.status != "optimal":
-        raise NoFilterError(f"program {j} infeasible at gamma = {gamma}")
+    if gamma is not None:
+        gamma = float(gamma)
+        sol = attempt(gamma)
+        if sol.status != "optimal":
+            raise NoFilterError(f"program {j} infeasible at gamma = {gamma}")
+    else:
+        support = _support_lp(stacked, attack, j)
+        if support.status == "unbounded":
+            raise NoFilterError("visibility floor appears unbounded under the norm cap")
+        if support.status != "optimal":
+            raise NoFilterError(f"program {j} infeasible even at gamma = 0")
+        gamma = -support.objective
+        sol = attempt(gamma)
+        if sol.status != "optimal":
+            gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))
+            sol = attempt(gamma)
+        if sol.status != "optimal":
+            raise SolverError(
+                f"program {j}: the QP rejected the support-LP floor and its "
+                f"back-off to gamma = {gamma!r}"
+            )
 
     n_vars = stacked.n_vars
     nbar = sol.x[:n_vars].copy()

@@ -524,7 +524,6 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
             ctx.stacked,
             qbar,
             ctx.attack_model,
-            gamma_j=float(report["gamma_star"]),
             j=int(report["j_star"]),
             pole=pole,
             mode=cfg.mode,
@@ -542,11 +541,10 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
                 ctx.stacked,
                 None,
                 ctx.attack_model,
-                gamma_j=float(design.diagnostics.get("gamma", 0.0)),
                 j=int(design.branch["program"]),
                 pole=pole,
                 mode="pure_model",
-                tune=False,
+                gamma=design.diagnostics["gamma"],
             )
         assisted_value = quadratic_value(design.nbar, qbar)
         pure_value = quadratic_value(baseline.nbar, qbar)

@@ -211,3 +211,45 @@ def simulate_nonlinear_loop(plant, signal, atk) -> np.ndarray:
             k = (step + 1) // per_sample - 1
             Y[:, k] = model.C @ state[:n_x] + model.D_f @ f_at_samples[:, k]
     return Y
+
+
+def bisect_visibility_floor(attempt, gamma_j: float, tol: float = 1e-7, iters: int = 40):
+    """Largest feasible visibility floor by bisection, probing one design per floor.
+
+    ``attempt(gamma)`` returns the design at the fixed floor ``gamma``, or
+    None when that floor is infeasible.  From a feasible start the bracket's
+    upper end doubles until it turns infeasible (at most ``iters`` times);
+    from an infeasible start the bracket is ``[0, gamma_j]``.  Then the
+    bracket is halved until its width is at most ``tol * max(1, lo)`` (at
+    most ``iters`` times).  Returns ``(lo, design at lo)``; raises
+    ValueError when the floor never turns infeasible or zero is infeasible.
+    """
+    gamma = float(gamma_j)
+    design = attempt(gamma)
+    if design is not None:
+        lo, lo_design = gamma, design
+        hi = max(2.0 * gamma, gamma + 1.0)
+        hi_design = attempt(hi)
+        expansions = 0
+        while hi_design is not None and expansions < iters:
+            lo, lo_design = hi, hi_design
+            hi *= 2.0
+            hi_design = attempt(hi)
+            expansions += 1
+        if hi_design is not None:
+            raise ValueError("visibility floor never turned infeasible")
+    else:
+        hi, lo = gamma, 0.0
+        lo_design = attempt(lo)
+        if lo_design is None:
+            raise ValueError("infeasible even at gamma = 0")
+    for _ in range(iters):
+        if hi - lo <= tol * max(1.0, abs(lo)):
+            break
+        mid = 0.5 * (lo + hi)
+        mid_design = attempt(mid)
+        if mid_design is not None:
+            lo, lo_design = mid, mid_design
+        else:
+            hi = mid
+    return lo, lo_design

@@ -135,7 +135,6 @@ def mv_design(mv_ctx, bundle):
         mv_ctx.stacked,
         bundle.data.qbar,
         mv_ctx.attack_model,
-        gamma_j=pretrain.gamma_star,
         j=pretrain.j_star,
         pole=float(mv_ctx.cfg.filter["pole"]),
         mode="data_assisted",

@@ -31,8 +31,14 @@ from diagfilter.design import (
 from diagfilter.errors import ConfigError, NoFilterError, SolverError
 from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discretize
 from diagfilter.shiftpoly import pole_polynomial
-from diagfilter.solvers import QpProblem, solve_qp
-from refimpl import direct_energy, gram_bruteforce, impulse_response_bruteforce
+import diagfilter.design as design_module
+from diagfilter.solvers import QpProblem, Solution, solve_qp
+from refimpl import (
+    bisect_visibility_floor,
+    direct_energy,
+    gram_bruteforce,
+    impulse_response_bruteforce,
+)
 
 
 def small_stacked(rng, d_n=2, n_x=3, n_d=1, n_f=1, n_y=2):
@@ -350,9 +356,7 @@ def test_multivariate_design_certifies_visibility_floor():
     _, stacked = mv_stacked()
     attack = mv_attack()
     pretrain = pretrain_multivariate(stacked, attack)
-    design = design_multivariate(
-        stacked, None, attack, pretrain.gamma_star, pretrain.j_star, pole=0.5
-    )
+    design = design_multivariate(stacked, None, attack, pretrain.j_star, pole=0.5)
     assert design.branch["program"] == pretrain.j_star
     gamma = design.diagnostics["gamma"]
     assert gamma >= pretrain.gamma_star - 1e-6
@@ -368,19 +372,71 @@ def test_multivariate_design_certifies_visibility_floor():
 def test_multivariate_design_without_tuning_respects_fixed_floor():
     _, stacked = mv_stacked(d_n=2)
     attack = mv_attack()
-    design = design_multivariate(stacked, None, attack, 0.05, 4, pole=0.5, tune=False)
+    design = design_multivariate(stacked, None, attack, 4, pole=0.5, gamma=0.05)
     assert design.diagnostics["support_value"] >= 0.05 - 1e-8
     with pytest.raises(NoFilterError):
-        design_multivariate(stacked, None, attack, 1e9, 4, pole=0.5, tune=False)
+        design_multivariate(stacked, None, attack, 4, pole=0.5, gamma=1e9)
+
+
+def test_every_program_gets_its_support_lp_floor():
+    _, stacked = mv_stacked()
+    attack = mv_attack()
+    pretrain = pretrain_multivariate(stacked, attack)
+    for j in range(1, 9):
+        design = design_multivariate(stacked, None, attack, j, pole=0.5)
+        gamma = design.diagnostics["gamma"]
+        floor = pretrain.gammas[j - 1]
+        if j <= 2:
+            # the QP's phase one rejects these LP optima; one back-off step
+            assert floor - 1e-7 * max(1.0, floor) <= gamma < floor
+        else:
+            assert gamma == floor
+        assert design.diagnostics["support_value"] >= gamma - 1e-6
+
+
+def test_rejected_support_lp_floor_is_a_solver_failure(monkeypatch):
+    _, stacked = mv_stacked(d_n=2)
+    attack = mv_attack()
+    monkeypatch.setattr(design_module, "solve_qp", lambda problem: Solution("infeasible"))
+    with pytest.raises(SolverError, match="support-LP floor"):
+        design_multivariate(stacked, None, attack, 3, pole=0.5)
+
+
+def test_infeasible_support_lp_means_no_filter(monkeypatch):
+    _, stacked = mv_stacked(d_n=2)
+    monkeypatch.setattr(design_module, "_support_lp", lambda *args: Solution("infeasible"))
+    with pytest.raises(NoFilterError, match="program 3 infeasible even at gamma = 0"):
+        design_multivariate(stacked, None, mv_attack(), 3, pole=0.5)
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_support_lp_floor_matches_the_bisection_reference(j):
+    # program 1 takes the back-off step, program 3 the LP optimum itself
+    _, stacked = mv_stacked(d_n=2)
+    attack = mv_attack()
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(stacked.n_vars, stacked.n_vars))
+    qbar = 1e-3 * (b @ b.T) / stacked.n_vars
+
+    def attempt(gamma):
+        try:
+            return design_multivariate(stacked, qbar, attack, j, pole=0.5, gamma=gamma)
+        except NoFilterError:
+            return None
+
+    floor = pretrain_multivariate(stacked, attack).gammas[j - 1]
+    ref_gamma, ref = bisect_visibility_floor(attempt, floor)
+    design = design_multivariate(stacked, qbar, attack, j, pole=0.5)
+    gamma = design.diagnostics["gamma"]
+    assert abs(gamma - ref_gamma) <= 1e-7 * max(1.0, ref_gamma)
+    assert abs(design.objective - ref.objective) <= 1e-6 * ref.objective
 
 
 def test_steady_state_margin_flags_stealthy_sets():
     _, stacked = mv_stacked()
     attack = mv_attack()
     pretrain = pretrain_multivariate(stacked, attack)
-    design = design_multivariate(
-        stacked, None, attack, pretrain.gamma_star, pretrain.j_star, pole=0.5
-    )
+    design = design_multivariate(stacked, None, attack, pretrain.j_star, pole=0.5)
     f_matrix = stacked.barF[stacked.coeff_slice(0), 0 : stacked.n_f]
     margin, alpha = steady_state_margin(design, f_matrix, attack)
     # the declared attack set contains combinations with zero DC residual

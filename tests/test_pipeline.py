@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diagfilter.design as design_module
 from diagfilter.errors import ConfigError
 from diagfilter.matio import load_matrix, load_trajectory
 from diagfilter.pipeline import (
@@ -239,6 +240,24 @@ def test_pretraining_writes_margin_table(tmp_path):
     assert report["j_star"] == 3
     assert report["gamma_star"] == pytest.approx(0.3, abs=1e-6)
     assert len(report["gammas"]) == 8
+
+
+def test_multivariate_design_solves_two_qps(tmp_path, monkeypatch):
+    # the data-assisted design and its model-only baseline, one QP each
+    raw = multivariate_default_config()
+    raw["train"].update(m=2, horizon_seconds=2.5)
+    cfg = ExperimentConfig.from_dict(raw)
+    cmd_train(cfg, tmp_path)
+    calls = []
+    solve_qp = design_module.solve_qp
+
+    def counted(problem):
+        calls.append(problem)
+        return solve_qp(problem)
+
+    monkeypatch.setattr(design_module, "solve_qp", counted)
+    cmd_design(cfg, tmp_path)
+    assert len(calls) == 2
 
 
 def test_training_is_byte_deterministic(tmp_path):
