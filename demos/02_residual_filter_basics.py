@@ -37,9 +37,7 @@ def main():
     dae = assemble_dae(model_d)
     stacked = build_stacked(dae, D_N)
 
-    design = design_univariate(
-        stacked, None, pole=POLE, mode="pure_model", track_steady_state=True
-    )
+    design = design_univariate(stacked, None, pole=POLE, track_steady_state=True)
     print("=== designed filter ===")
     print(f"order d_n = {design.d_n}, pole = {design.pole}, branch = {design.branch}")
     print(f"denominator a(q) coefficients: {design.a_coeffs}")

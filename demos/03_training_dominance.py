@@ -62,12 +62,8 @@ def main():
           f"in {time.perf_counter() - t0:.1f} s")
 
     print("\n=== design: trained vs model-only ===")
-    assisted = design_univariate(
-        ctx.stacked, qbar, pole=0.5, mode="data_assisted", track_steady_state=True
-    )
-    pure = design_univariate(
-        ctx.stacked, None, pole=0.5, mode="pure_model", track_steady_state=True
-    )
+    assisted = design_univariate(ctx.stacked, qbar, pole=0.5, track_steady_state=True)
+    pure = design_univariate(ctx.stacked, None, pole=0.5, track_steady_state=True)
     va = quadratic_value(assisted.nbar, qbar)
     vp = quadratic_value(pure.nbar, qbar)
     print(f"average mismatch energy, trained filter:    {va:.3e}")

@@ -70,7 +70,7 @@ def main():
         )
     design = design_multivariate(
         ctx.stacked, average_q(q_list), attack, pre.j_star,
-        pole=float(ctx.cfg.filter["pole"]), mode="data_assisted",
+        pole=float(ctx.cfg.filter["pole"]),
     )
     print(f"branch {design.branch}, objective {design.objective:.3e}, "
           f"visibility floor gamma {design.diagnostics['gamma']:.6f} "

@@ -11,10 +11,9 @@ configuration and writes into one experiment directory:
 
 ``--seed`` and ``--mode`` override the corresponding configuration fields,
 which keeps A/B comparisons (pure vs. data-assisted, different seeds) to a
-single flag.  ``--jobs`` is accepted and checked (>= 1) but has no effect:
-each phase integrates all of its plant runs as one batch in one process.
-Exit codes: 0 success, 2 infeasible design, 3 simulation blow-up,
-4 configuration error, 5 solver failure.
+single flag.  Each phase integrates all of its plant runs as one batch in
+one process.  Exit codes: 0 success, 2 infeasible design, 3 simulation
+blow-up, 4 configuration error, 5 solver failure.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the design mode",
         )
         cmd.add_argument(
-            "--jobs", type=int, default=1, help="no effect: each phase's runs are one batch"
-        )
-        cmd.add_argument(
             "--dump-matrices",
             action="store_true",
             help="also write the continuous-time model matrices as CSV",
@@ -83,8 +79,6 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.mode is not None:
         cfg.mode = _MODE_NAMES[args.mode]
     cfg.validate()
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     if args.dump_matrices:
         pipeline.dump_model_matrices(pipeline.build_context(cfg), args.out)
         print(f"wrote model matrices under {args.out}/model_matrices")
@@ -96,7 +90,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             f"margin {report['gamma_star']:.6g}; table in pretrain_report.json"
         )
     elif args.command == "train":
-        summary = pipeline.cmd_train(cfg, args.out, jobs=args.jobs)
+        summary = pipeline.cmd_train(cfg, args.out)
         print(
             f"train: {summary['m']} instances, {summary['horizon_samples']} samples each; "
             f"avg form trace {summary['qbar_trace']:.6g}"
@@ -115,7 +109,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             f"threshold {report['threshold']:.6g}"
         )
     else:
-        summary = pipeline.cmd_run_all(cfg, args.out, jobs=args.jobs)
+        summary = pipeline.cmd_run_all(cfg, args.out)
         test = summary["test"]
         print(
             f"run-all: {test['false_alarms']} false alarm(s), "

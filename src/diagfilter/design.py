@@ -144,18 +144,16 @@ class AttackModel:
     """Declared attack set used during synthesis.
 
     ``kind="univariate"`` models a single corrupted channel with a constant
-    bias in ``[f_min, f_max]``; only the channel's existence matters to the
-    design (any nonzero bias is detectable iff the filter responds at all),
-    the range is used by experiments when injecting test attacks.
+    bias; only the channel's existence matters to the design (any nonzero
+    bias is detectable iff the filter responds at all).
 
     ``kind="multivariate"`` models coordinated biases ``f = basis @ alpha``
     with ``alpha`` constrained to the polytope ``polytope_a @ alpha >=
-    polytope_b``.  ``basis`` has one column per degree of freedom.
+    polytope_b``.  ``basis`` has one column per degree of freedom.  An empty
+    polytope is rejected at construction.
     """
 
     kind: str
-    f_min: float = -0.3
-    f_max: float = 0.3
     basis: np.ndarray | None = None
     polytope_a: np.ndarray | None = None
     polytope_b: np.ndarray | None = None
@@ -164,8 +162,6 @@ class AttackModel:
         if self.kind not in ("univariate", "multivariate"):
             raise ConfigError(f"unknown attack model kind {self.kind!r}")
         if self.kind == "univariate":
-            if not self.f_min < self.f_max:
-                raise ConfigError("univariate attack range needs f_min < f_max")
             return
         if self.basis is None or self.polytope_a is None or self.polytope_b is None:
             raise ConfigError("multivariate attack model needs basis and polytope")
@@ -175,6 +171,9 @@ class AttackModel:
         d = self.basis.shape[1]
         if self.polytope_a.shape != (self.polytope_b.size, d):
             raise ConfigError("polytope dimensions do not match the basis")
+        probe = solve_lp(np.zeros(d), a_ineq=self.polytope_a, b_ineq=self.polytope_b)
+        if probe.status == "infeasible":
+            raise ConfigError("attack polytope is empty")
 
     @property
     def dof(self) -> int:
@@ -191,16 +190,15 @@ class AttackModel:
             raise ConfigError(
                 f"attack basis has {self.basis.shape[0]} rows, model has {n_f} channels"
             )
-        probe = solve_lp(
-            np.zeros(self.dof), a_ineq=self.polytope_a, b_ineq=self.polytope_b
-        )
-        if probe.status == "infeasible":
-            raise ConfigError("attack polytope is empty")
 
 
 @dataclass
 class FilterDesign:
-    """A synthesised residual generator plus its design certificates."""
+    """A synthesised residual generator plus its design certificates.
+
+    ``mode`` is ``"data_assisted"`` for a design against a training form and
+    ``"pure_model"`` for one without.
+    """
 
     nbar: np.ndarray
     d_n: int
@@ -250,7 +248,6 @@ def design_univariate(
     qbar: np.ndarray | None,
     *,
     pole: float,
-    mode: str | None = None,
     track_steady_state: bool = False,
 ) -> FilterDesign:
     """Synthesise a filter against a single attacked channel.
@@ -283,8 +280,6 @@ def design_univariate(
     """
     if stacked.n_f != 1:
         raise ConfigError("design_univariate expects exactly one attack channel")
-    if mode is None:
-        mode = "pure_model" if qbar is None else "data_assisted"
     qbar_true, p_mat, a_eq, b_eq = _design_matrices(stacked, qbar)
     a_coeffs = pole_polynomial(pole, stacked.d_n)
 
@@ -355,7 +350,7 @@ def design_univariate(
         pole=pole,
         a_coeffs=a_coeffs,
         n_r=stacked.n_r,
-        mode=mode,
+        mode="pure_model" if qbar is None else "data_assisted",
         objective=value,
         branch={"coeff_index": j, "sign": sign},
         track_steady_state=track_steady_state,
@@ -503,7 +498,6 @@ def design_multivariate(
     j: int,
     *,
     pole: float,
-    mode: str | None = None,
     gamma: float | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
@@ -523,8 +517,6 @@ def design_multivariate(
             which the LP certifies feasible.
     """
     attack.validate_against(stacked.n_f)
-    if mode is None:
-        mode = "pure_model" if qbar is None else "data_assisted"
     qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
     a_coeffs = pole_polynomial(pole, stacked.d_n)
 
@@ -564,7 +556,7 @@ def design_multivariate(
         pole=pole,
         a_coeffs=a_coeffs,
         n_r=stacked.n_r,
-        mode=mode,
+        mode="pure_model" if qbar is None else "data_assisted",
         objective=value,
         branch={"coeff_index": idx, "sign": sign, "program": j},
         diagnostics={

@@ -14,13 +14,16 @@ figures from them:
   the structural invariants, so a stale artefact fails loudly instead of
   producing silently wrong residuals.
 
-Floats are written with ``%.17g`` everywhere, which round-trips IEEE doubles
-exactly and keeps reruns byte-identical.
+The three CSV kinds are written by ``np.savetxt`` and read by ``np.loadtxt``;
+each loader parses and checks its own header line.  Floats are written with
+``%.17g`` everywhere, which round-trips IEEE doubles exactly and keeps reruns
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -39,6 +42,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path: str | Path, header: str, rows: np.ndarray, fmt="%.17g") -> None:
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def _parse_body(path: str | Path, text: str, width: int, unit: str) -> np.ndarray:
+    """The CSV rows below a header as a ``(rows, width)`` array.
+
+    The width is checked here: a rectangular body of the wrong width is
+    rejected, never reshaped into place.
+    """
+    if not text.strip():
+        return np.empty((0, width))
+    try:
+        body = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed body: {exc}") from exc
+    if body.shape[1] != width:
+        raise ConfigError(f"{path}: rows have {body.shape[1]} {unit}, expected {width}")
+    return body
+
+
 # --- matrix CSV ---------------------------------------------------------------
 
 
@@ -47,30 +71,21 @@ def save_matrix(path: str | Path, mat: np.ndarray) -> None:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.ndim != 2:
         raise ValueError("save_matrix expects a 2-D array")
-    lines = [f"# {mat.shape[0]} {mat.shape[1]}"]
-    for row in mat:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, f"# {mat.shape[0]} {mat.shape[1]}", mat)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("#"):
+    header, _, text = Path(path).read_text().partition("\n")
+    if not header.startswith("#"):
         raise ConfigError(f"{path}: missing '# rows cols' header")
     try:
-        rows, cols = (int(tok) for tok in text[0][1:].split())
+        rows, cols = (int(tok) for tok in header[1:].split())
     except ValueError as exc:
-        raise ConfigError(f"{path}: malformed header {text[0]!r}") from exc
-    body = [ln for ln in text[1:] if ln.strip()]
-    if len(body) != rows:
-        raise ConfigError(f"{path}: header promises {rows} rows, found {len(body)}")
-    out = np.empty((rows, cols))
-    for i, ln in enumerate(body):
-        vals = ln.split(",")
-        if len(vals) != cols:
-            raise ConfigError(f"{path}: row {i} has {len(vals)} values, expected {cols}")
-        out[i] = [float(v) for v in vals]
-    return out
+        raise ConfigError(f"{path}: malformed header {header!r}") from exc
+    body = _parse_body(path, text, cols, "values")
+    if body.shape[0] != rows:
+        raise ConfigError(f"{path}: header promises {rows} rows, found {body.shape[0]}")
+    return body
 
 
 # --- trajectory CSV + sidecar -------------------------------------------------
@@ -91,30 +106,18 @@ def save_trajectory(path: str | Path, t: np.ndarray, y: np.ndarray, meta: dict) 
     if y.ndim != 2 or y.shape[1] != t.size:
         raise ValueError("y must be (n_y, len(t))")
     header = "t," + ",".join(f"y_{i + 1}" for i in range(y.shape[0]))
-    lines = [header]
-    for k in range(t.size):
-        lines.append(",".join([_fmt(t[k])] + [_fmt(v) for v in y[:, k]]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, np.vstack([t, y]).T)
     sidecar_path(path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def load_trajectory(path: str | Path) -> tuple[np.ndarray, np.ndarray, dict]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("t,"):
+    header, _, text = Path(path).read_text().partition("\n")
+    if not header.startswith("t,"):
         raise ConfigError(f"{path}: missing trajectory header")
-    n_y = len(lines[0].split(",")) - 1
-    body = [ln for ln in lines[1:] if ln.strip()]
-    t = np.empty(len(body))
-    y = np.empty((n_y, len(body)))
-    for k, ln in enumerate(body):
-        vals = [float(v) for v in ln.split(",")]
-        if len(vals) != n_y + 1:
-            raise ConfigError(f"{path}: row {k} has {len(vals)} columns, expected {n_y + 1}")
-        t[k] = vals[0]
-        y[:, k] = vals[1:]
+    columns = _parse_body(path, text, header.count(",") + 1, "columns").T.copy()
     meta_file = sidecar_path(path)
     meta = json.loads(meta_file.read_text()) if meta_file.exists() else {}
-    return t, y, meta
+    return columns[0], columns[1:], meta
 
 
 def save_residual_trace(
@@ -124,12 +127,8 @@ def save_residual_trace(
     energy: np.ndarray,
     alarm: np.ndarray,
 ) -> None:
-    lines = ["t,r,energy,alarm"]
-    for k in range(len(t)):
-        lines.append(
-            ",".join([_fmt(t[k]), _fmt(r[k]), _fmt(energy[k]), str(int(alarm[k]))])
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([t, r, energy, alarm])
+    _write_csv(path, "t,r,energy,alarm", rows, fmt=["%.17g"] * 3 + ["%d"])
 
 
 # --- filter artefact ----------------------------------------------------------

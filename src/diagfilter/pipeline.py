@@ -30,7 +30,7 @@ out-of-sample by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -291,8 +291,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     stacked = build_stacked(dae, d_n)
     atk = cfg.attack
     if atk["kind"] == "univariate":
-        mag = abs(float(atk.get("magnitude", 0.1)))
-        attack_model = AttackModel(kind="univariate", f_min=-3 * mag, f_max=3 * mag)
+        attack_model = AttackModel(kind="univariate")
     else:
         attack_model = AttackModel(
             kind="multivariate",
@@ -398,43 +397,34 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict
     train_dir.mkdir(parents=True, exist_ok=True)
     m = int(cfg.train["m"])
     horizon = float(cfg.train["horizon_seconds"])
-    batch = RunBatch(
-        [(ctx.disturbance_spec(cfg.seed + i, horizon), AttackSpec.none()) for i in range(m)]
-    )
+    seeds = [cfg.seed + i for i in range(m)]
+    batch = RunBatch([(ctx.disturbance_spec(s, horizon), AttackSpec.none()) for s in seeds])
     try:
         results = simulate_nonlinear(ctx.plant, batch)
     except SimulationBlowUp as exc:
-        detail = f"training instance {exc.run}, seed {cfg.seed + exc.run}"
+        detail = f"training instance {exc.run}, seed {seeds[exc.run]}"
         raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
-    gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
-    q_list: list[np.ndarray] = []
-    instances = []
-    for i, ((signal, _), traj) in enumerate(zip(batch.runs, results)):
-        seed = cfg.seed + i
+    for i, (seed, traj) in enumerate(zip(seeds, results)):
         matio.save_trajectory(
             train_dir / f"traj_{i:03d}.csv", traj.t, traj.Y, _instance_meta(ctx, seed)
         )
-        reference = simulate_linear(ctx.model_d, signal, AttackSpec.none())
-        sig = mismatch_signature(traj.Y, reference.Y)
-        q = q_matrix(ctx.stacked, sig, gram)
-        q_list.append(q)
-        instances.append(
-            {
-                "seed": int(seed),
-                "max_abs_mismatch": float(np.max(np.abs(sig))),
-                "q_trace": float(np.trace(q)),
-            }
-        )
-    qbar = average_q(q_list)
-    matio.save_matrix(train_dir / "qbar.csv", qbar)
+    bundle = _training_bundle(ctx, seeds, [traj.Y for traj in results])
+    matio.save_matrix(train_dir / "qbar.csv", bundle.qbar)
     summary = {
         "m": m,
         "horizon_samples": ctx.train_samples,
         "t_s": ctx.t_s,
         "model_hash": ctx.model_hash,
-        "instances": instances,
-        "qbar_trace": float(np.trace(qbar)),
+        "instances": [
+            {
+                "seed": int(seed),
+                "max_abs_mismatch": float(np.max(np.abs(sig))),
+                "q_trace": float(np.trace(q)),
+            }
+            for seed, sig, q in zip(seeds, bundle.signatures, bundle.q_list)
+        ],
+        "qbar_trace": float(np.trace(bundle.qbar)),
     }
     _write_json(train_dir / "training_summary.json", summary)
     return summary
@@ -442,11 +432,32 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict
 
 @dataclass
 class TrainingBundle:
-    """In-memory view of a persisted training run."""
+    """Mismatch statistics of a training set: one signature and form per run."""
 
     q_list: list[np.ndarray]
     qbar: np.ndarray
-    signatures: list[np.ndarray] = field(default_factory=list)
+    signatures: list[np.ndarray]
+
+
+def _training_bundle(
+    ctx: PipelineContext, seeds: list[int], outputs: list[np.ndarray]
+) -> TrainingBundle:
+    """Signatures, quadratic forms and their average for recorded plant runs.
+
+    Run ``i`` is replayed on the abstract model from the disturbance drawn
+    with ``seeds[i]``; its signature is the plant's ``outputs[i]`` less that
+    replay.
+    """
+    horizon = float(ctx.cfg.train["horizon_seconds"])
+    gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
+    signatures, q_list = [], []
+    for seed, y_plant in zip(seeds, outputs):
+        spec = ctx.disturbance_spec(seed, horizon)
+        reference = simulate_linear(ctx.model_d, spec, AttackSpec.none())
+        sig = mismatch_signature(y_plant, reference.Y)
+        signatures.append(sig)
+        q_list.append(q_matrix(ctx.stacked, sig, gram))
+    return TrainingBundle(q_list=q_list, qbar=average_q(q_list), signatures=signatures)
 
 
 def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingBundle:
@@ -460,29 +471,24 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
     files = sorted(train_dir.glob("traj_*.csv"))
     if not files:
         raise ConfigError(f"no training trajectories under {train_dir}")
-    gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
-    q_list = []
-    signatures = []
+    seeds, outputs = [], []
     for f in files:
-        t, y_plant, meta = matio.load_trajectory(f)
+        _, y_plant, meta = matio.load_trajectory(f)
         if "seed" not in meta:
             raise ConfigError(f"{f}: missing seed in trajectory sidecar")
-        spec = ctx.disturbance_spec(int(meta["seed"]), float(ctx.cfg.train["horizon_seconds"]))
-        reference = simulate_linear(ctx.model_d, spec, AttackSpec.none())
-        if y_plant.shape != reference.Y.shape:
+        if y_plant.shape != (ctx.model_d.n_y, ctx.train_samples):
             raise ConfigError(f"{f}: trajectory shape does not match the configuration")
-        sig = mismatch_signature(y_plant, reference.Y)
-        signatures.append(sig)
-        q_list.append(q_matrix(ctx.stacked, sig, gram))
-    qbar = average_q(q_list)
+        seeds.append(int(meta["seed"]))
+        outputs.append(y_plant)
+    bundle = _training_bundle(ctx, seeds, outputs)
     stored = matio.load_matrix(train_dir / "qbar.csv")
-    drift = float(np.max(np.abs(stored - qbar)))
+    drift = float(np.max(np.abs(stored - bundle.qbar)))
     if drift > 1e-9:
         raise ConfigError(
             f"persisted average mismatch form disagrees with the trajectories "
             f"(max deviation {drift:.3e}); re-run the training phase"
         )
-    return TrainingBundle(q_list=q_list, qbar=qbar, signatures=signatures)
+    return bundle
 
 
 # --- design -------------------------------------------------------------------
@@ -512,30 +518,21 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     pole = float(cfg.filter["pole"])
     track = bool(cfg.filter["track_steady_state"])
     if ctx.attack_model.kind == "univariate":
-        design = design_univariate(
-            ctx.stacked, qbar, pole=pole, mode=cfg.mode, track_steady_state=track
-        )
+        design = design_univariate(ctx.stacked, qbar, pole=pole, track_steady_state=track)
         pretrain_used = None
     else:
         report = _load_pretrain(out)
         if report is None:
             report = cmd_pretrain(cfg, out)
         design = design_multivariate(
-            ctx.stacked,
-            qbar,
-            ctx.attack_model,
-            j=int(report["j_star"]),
-            pole=pole,
-            mode=cfg.mode,
+            ctx.stacked, qbar, ctx.attack_model, j=int(report["j_star"]), pole=pole
         )
         pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}
 
     dominance = None
     if qbar is not None:
         if ctx.attack_model.kind == "univariate":
-            baseline = design_univariate(
-                ctx.stacked, None, pole=pole, mode="pure_model", track_steady_state=track
-            )
+            baseline = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=track)
         else:
             baseline = design_multivariate(
                 ctx.stacked,
@@ -543,7 +540,6 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
                 ctx.attack_model,
                 j=int(design.branch["program"]),
                 pole=pole,
-                mode="pure_model",
                 gamma=design.diagnostics["gamma"],
             )
         assisted_value = quadratic_value(design.nbar, qbar)
@@ -704,7 +700,7 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute every phase in order into one experiment directory.
 
-    ``jobs`` is passed on to :func:`cmd_train`, where it has no effect.
+    ``jobs`` has no effect; it is accepted so callers that pass it keep working.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -715,7 +711,7 @@ def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> di
     if ctx.attack_model.kind == "multivariate":
         summary["pretrain"] = cmd_pretrain(cfg, out)
     if cfg.mode == "data_assisted":
-        summary["train"] = cmd_train(cfg, out, jobs=jobs)
+        summary["train"] = cmd_train(cfg, out)
     design = cmd_design(cfg, out)
     summary["design"] = {"objective": float(design.objective), "branch": design.branch}
     summary["test"] = cmd_test(cfg, out)

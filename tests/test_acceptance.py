@@ -79,15 +79,9 @@ def designs(ctx, bundle):
     pole = float(ctx.cfg.filter["pole"])
     start = time.perf_counter()
     assisted = design_univariate(
-        ctx.stacked,
-        bundle.data.qbar,
-        pole=pole,
-        mode="data_assisted",
-        track_steady_state=True,
+        ctx.stacked, bundle.data.qbar, pole=pole, track_steady_state=True
     )
-    pure = design_univariate(
-        ctx.stacked, None, pole=pole, mode="pure_model", track_steady_state=True
-    )
+    pure = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=True)
     det_assisted = calibrate_threshold(assisted, bundle.data.q_list, margin, window)
     det_pure = calibrate_threshold(pure, [], margin, window)
     seconds = time.perf_counter() - start
@@ -137,7 +131,6 @@ def mv_design(mv_ctx, bundle):
         mv_ctx.attack_model,
         j=pretrain.j_star,
         pole=float(mv_ctx.cfg.filter["pole"]),
-        mode="data_assisted",
     )
     margin = float(mv_ctx.cfg.filter["margin"])
     detector = calibrate_threshold(

@@ -34,12 +34,11 @@ def test_parser_covers_all_phases():
     for phase in ("pretrain", "train", "design", "test", "run-all"):
         args = parser.parse_args([phase, "--config", "c.json", "--out", "o"])
         assert args.command == phase
-        assert args.jobs == 1
         assert args.seed is None and args.mode is None
     args = parser.parse_args(
-        ["train", "--config", "c.json", "--out", "o", "--seed", "7", "--mode", "pure", "--jobs", "3"]
+        ["train", "--config", "c.json", "--out", "o", "--seed", "7", "--mode", "pure"]
     )
-    assert (args.seed, args.mode, args.jobs) == (7, "pure", 3)
+    assert (args.seed, args.mode) == (7, "pure")
 
 
 def test_run_all_succeeds_and_reports(tmp_path, capsys):
@@ -97,10 +96,11 @@ def test_invalid_mode_value_exits_config_code(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_bad_jobs_value_exits_config_code(tmp_path):
+def test_removed_jobs_flag_is_rejected(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
-    code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "0"])
-    assert code == EXIT_CONFIG
+    with pytest.raises(SystemExit):
+        main(["train", "--config", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "1"])
+    assert not (tmp_path / "o").exists()
 
 
 def test_univariate_pretrain_exits_config_code(tmp_path, capsys):

@@ -318,8 +318,6 @@ def test_attack_model_validation():
     with pytest.raises(ConfigError):
         AttackModel(kind="sinusoidal")
     with pytest.raises(ConfigError):
-        AttackModel(kind="univariate", f_min=0.3, f_max=0.3)
-    with pytest.raises(ConfigError):
         AttackModel(kind="multivariate", basis=MV_BASIS)
     with pytest.raises(ConfigError):
         AttackModel(
@@ -330,14 +328,15 @@ def test_attack_model_validation():
         )
     with pytest.raises(ConfigError):
         AttackModel(kind="univariate").validate_against(5)
-    empty = AttackModel(
-        kind="multivariate",
-        basis=MV_BASIS,
-        polytope_a=np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
-        polytope_b=np.array([1.0, 1.0]),
-    )
-    with pytest.raises(ConfigError):
-        empty.validate_against(5)
+    with pytest.raises(ConfigError, match="polytope is empty"):
+        AttackModel(
+            kind="multivariate",
+            basis=MV_BASIS,
+            polytope_a=np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+            polytope_b=np.array([1.0, 1.0]),
+        )
+    with pytest.raises(ConfigError, match="model has 4 channels"):
+        mv_attack().validate_against(4)
 
 
 def test_pretrain_margins_on_reference_network():

@@ -43,6 +43,19 @@ def test_matrix_round_trip_is_exact(tmp_path):
     assert np.array_equal(load_matrix(path), mat)
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    # %.17g floats, comma-separated, "\n" line ends; the residual trace's
+    # bytes are pinned in test_residual_trace_format
+    path = tmp_path / "m.csv"
+    save_matrix(path, np.array([[-0.0, 1.0 / 3.0], [1e-300, 2.5]]))
+    assert path.read_bytes() == b"# 2 2\n-0,0.33333333333333331\n1e-300,2.5\n"
+    save_trajectory(path, np.array([0.5, 1.0]), np.array([[0.1, -0.2], [1e-5, 0.0]]), {})
+    assert path.read_bytes() == (
+        b"t,y_1,y_2\n0.5,0.10000000000000001,1.0000000000000001e-05\n"
+        b"1,-0.20000000000000001,0\n"
+    )
+
+
 def test_matrix_loader_rejects_defects(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,4\n")
@@ -84,6 +97,10 @@ def test_trajectory_shape_and_header_checks(tmp_path):
     path.write_text("t,y_1,y_2\n0.5,1.0\n")
     with pytest.raises(ConfigError, match="columns"):
         load_trajectory(path)
+    # every row one column short of the header: rejected, not reshaped
+    path.write_text("t,y_1,y_2\n0.5,1.0\n1.0,2.0\n")
+    with pytest.raises(ConfigError, match="columns"):
+        load_trajectory(path)
 
 
 def test_residual_trace_format(tmp_path):
@@ -95,10 +112,10 @@ def test_residual_trace_format(tmp_path):
         np.array([0.1, 0.25]),
         np.array([False, True]),
     )
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r,energy,alarm"
-    assert lines[1].endswith(",0")
-    assert lines[2].endswith(",1")
+    assert path.read_bytes() == (
+        b"t,r,energy,alarm\n0.5,0.10000000000000001,0.10000000000000001,0\n"
+        b"1,-0.20000000000000001,0.25,1\n"
+    )
 
 
 def test_model_hash_ignores_key_order_but_not_values():

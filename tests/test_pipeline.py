@@ -282,4 +282,4 @@ def test_training_bundle_round_trip(completed_run):
     assert len(bundle.q_list) == 3
     assert bundle.qbar.shape == (176, 176)
     stored = load_matrix(out / "train/qbar.csv")
-    assert np.max(np.abs(bundle.qbar - stored)) < 1e-9
+    assert np.array_equal(bundle.qbar, stored)
