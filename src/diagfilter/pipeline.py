@@ -482,6 +482,11 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
         outputs.append(y_plant)
     bundle = _training_bundle(ctx, seeds, outputs)
     stored = matio.load_matrix(train_dir / "qbar.csv")
+    if stored.shape != bundle.qbar.shape:
+        raise ConfigError(
+            f"persisted average mismatch form has shape {stored.shape}, the configured "
+            f"filter needs {bundle.qbar.shape}; re-run the training phase"
+        )
     drift = float(np.max(np.abs(stored - bundle.qbar)))
     if drift > 1e-9:
         raise ConfigError(

@@ -22,8 +22,10 @@ operations.  A work array, one column per run, holds the permuted state,
 the held inputs and the deadband feature (:class:`_StageLayout`); one matrix
 built per call maps it to the whole derivative, and the sine-tie factor
 and the AGC limits act on contiguous blocks of the result.  The product
-runs on a row-layout copy of the work array (:func:`_apply`): only that
-``einsum`` form sums each run in one order whatever the batch width.
+is the ``np.matvec`` gufunc, one BLAS gemv per run: each run's sums are
+formed by the same kernel in the same order whatever the batch width,
+where one matrix-matrix product over the batch would pick its kernel and
+blocking by width and move a run's last bits with its batch.
 """
 
 from __future__ import annotations
@@ -305,20 +307,6 @@ class RunBatch:
         return horizons.pop()
 
 
-def _apply(rows: np.ndarray, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``mat @ row`` for each row of a C-contiguous (runs, n) array.
-
-    In this row layout ``einsum`` sums every row's contiguous ``j`` axis
-    with one kernel whatever the number of rows, so a run's product is
-    bitwise the same in any batch.  BLAS forms (``rows @ mat.T``,
-    ``mat @ cols``) and ``einsum`` on the column layout (``"ij,jm->im"``)
-    pick kernels or loop orders by batch width and change a run's last bits
-    with the batch it is in; callers therefore copy column-per-run buffers
-    into row layout before the product.
-    """
-    return np.einsum("mj,ij->mi", rows, mat, out=out)
-
-
 @dataclass
 class _StageLayout:
     """Layout of the RK4 work array and the matrix that differentiates it.
@@ -335,8 +323,9 @@ class _StageLayout:
 
     ``matrix`` maps the work array to the state derivative: ``A``,
     ``[B_d B_f]``, the droop coefficients of the band block and the
-    frequency difference that drives each tie angle.  The sine-tie factor
-    and the AGC limits then act elementwise on the derivative's blocks.
+    frequency difference that drives each tie angle, as one ``matvec``
+    per run (see the module docstring).  The sine-tie factor and the AGC
+    limits then act elementwise on the derivative's blocks.
     """
 
     order: np.ndarray  # original index of each permuted plant state
@@ -411,8 +400,9 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     """Integrate the nonlinear plant for every run of a batch at once.
 
     Fixed-step RK4 from a zero initial state.  Each stage evaluates the
-    derivative of every run with one product of the work array (see
-    :class:`_StageLayout`) plus a few elementwise operations on contiguous
+    derivative of every run with one ``np.matvec`` of the work array, a gemv
+    per run so that a run's bits do not depend on its batch (see
+    :class:`_StageLayout`), plus a few elementwise operations on contiguous
     blocks.  Each step holds the inputs sampled at its start; they are
     written into the work array only at the steps where they switch (hold
     boundaries and onsets, see :func:`_input_switches`).  The attack bias
@@ -448,8 +438,6 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     n_runs = len(batch.runs)
     n_state, n_work = layout.matrix.shape
     work = np.zeros((n_work, n_runs))
-    rows = np.empty((n_runs, n_work))
-    prod = np.empty((n_runs, n_state))
     k = np.empty((4, n_state, n_runs))
     state = np.zeros((n_state, n_runs))
     acc = np.empty_like(state)
@@ -460,17 +448,24 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     at_limit = np.empty(agc_stage.shape, dtype=bool)
     k_tie = [k_i[layout.tie] for k_i in k]
     k_agc = [k_i[layout.agc] for k_i in k]
-    half_band = 0.5 * plant.deadband
     limits, rate = plant.agc_limits, plant.rate_limit
+    # Every constant operand of the loop is an array of its operand's shape:
+    # a Python float would cost each ufunc call a scalar conversion.
+    band_hi = np.full(band.shape, 0.5 * plant.deadband)
+    band_lo = -band_hi
+    lo, hi = limits if limits is not None else (-np.inf, np.inf)
+    agc_lo, agc_hi, agc_zero = (np.full(agc_stage.shape, v) for v in (lo, hi, 0.0))
+    rate_hi = np.full(agc_stage.shape, np.inf if rate is None else rate)
+    rate_lo = -rate_hi
+    stage_steps = [np.full(state.shape, h) for h in (0.5 * dt, 0.5 * dt, dt)]
+    two, sixth = np.full(state.shape, 2.0), np.full(state.shape, dt / 6.0)
 
     def derivative(i: int):
         """k[i] = the state derivative at ``stage_state`` under the held inputs."""
-        if half_band:
-            np.minimum(omega, half_band, out=band)
-            np.maximum(band, -half_band, out=band)
-        np.copyto(rows, work.T)
-        _apply(rows, layout.matrix, out=prod)
-        np.copyto(k[i], prod.T)
+        if band.size:
+            np.minimum(omega, band_hi, out=band)
+            np.maximum(band, band_lo, out=band)
+        np.matvec(layout.matrix, work.T, out=k[i].T)
         if plant.sine_ties:
             # each tie row of A holds only the linear coupling tie_coef * (omega
             # difference), which the sine law scales by cos(theta)
@@ -478,17 +473,16 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
             np.multiply(k_tie[i], cos_theta, out=k_tie[i])
         d_agc = k_agc[i]
         if limits is not None:
-            np.greater_equal(agc_stage, limits[1], out=at_limit)
-            np.minimum(d_agc, 0.0, out=d_agc, where=at_limit)
-            np.less_equal(agc_stage, limits[0], out=at_limit)
-            np.maximum(d_agc, 0.0, out=d_agc, where=at_limit)
+            np.greater_equal(agc_stage, agc_hi, out=at_limit)
+            np.minimum(d_agc, agc_zero, out=d_agc, where=at_limit)
+            np.less_equal(agc_stage, agc_lo, out=at_limit)
+            np.maximum(d_agc, agc_zero, out=d_agc, where=at_limit)
         if rate is not None:
-            np.minimum(d_agc, rate, out=d_agc)
-            np.maximum(d_agc, -rate, out=d_agc)
+            np.minimum(d_agc, rate_hi, out=d_agc)
+            np.maximum(d_agc, rate_lo, out=d_agc)
 
-    Y = np.empty((n_samples, n_runs, model.n_y))
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    # the D_f feedthrough of every sample up front; C x joins it per sample
+    Y = np.matvec(model.D_f, f_at_samples)
     for step in range(n_steps):
         switch = switches.get(step)
         if switch is not None:
@@ -496,29 +490,27 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
             held[:, runs] = values
         np.copyto(stage_state, state)
         derivative(0)
-        for i, h in ((1, half), (2, half), (3, dt)):
+        for i, h in enumerate(stage_steps, start=1):
             np.multiply(k[i - 1], h, out=stage_state)
             stage_state += state
             derivative(i)
         # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
         np.add(k[1], k[2], out=acc)
-        acc *= 2.0
+        acc *= two
         acc += k[0]
         acc += k[3]
         acc *= sixth
         state += acc
         if limits is not None:
-            np.maximum(agc_state, limits[0], out=agc_state)
-            np.minimum(agc_state, limits[1], out=agc_state)
+            np.maximum(agc_state, agc_lo, out=agc_state)
+            np.minimum(agc_state, agc_hi, out=agc_state)
         if (step + 1) % per_sample == 0:
             norms = np.abs(state).max(axis=0)
             over = np.flatnonzero(norms > plant.blowup_norm)
             if over.size:
                 run = int(over[0])
                 raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
-            k_out = (step + 1) // per_sample - 1
-            x_rows = np.ascontiguousarray(state[: model.n_x].T)
-            Y[k_out] = _apply(x_rows, c_state) + _apply(f_at_samples[k_out], model.D_f)
+            Y[(step + 1) // per_sample - 1] += np.matvec(c_state, state[: model.n_x].T)
     meta = {"t_s": t_s, "horizon": horizon, "kind": "nonlinear", "dt": dt}
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy(), {**meta, "seed": sig.spec.seed})

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import SolverError
 
@@ -183,6 +182,10 @@ def solve_lp(
 
 
 def _solve_lp_problem(problem: QpProblem) -> Solution:
+    # imported here: no univariate run solves an LP, and the import costs a
+    # fresh process about a third of its set-up
+    import scipy.optimize
+
     a_ub = -problem.a_ineq if problem.a_ineq.size else None
     b_ub = -problem.b_ineq if problem.a_ineq.size else None
     a_eq = problem.a_eq if problem.a_eq.size else None

@@ -150,6 +150,18 @@ def test_solver_failure_exits_solver_code(tmp_path, capsys, monkeypatch):
     assert "infeasible" not in err
 
 
+def test_design_under_another_filter_order_exits_config_code(tmp_path, capsys):
+    # the persisted average form was built for d_n 3; d_n 2 rebuilds smaller
+    # forms from the same trajectories, which must not reach the drift check
+    cfg = tiny_config()
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", out]) == EXIT_OK
+    cfg["filter"]["d_n"] = 2
+    code = main(["design", "--config", write_config(tmp_path, cfg), "--out", out])
+    assert code == EXIT_CONFIG
+    assert "re-run the training phase" in capsys.readouterr().err
+
+
 def test_rank_deficient_training_form_designs(tmp_path):
     # large disturbances on two short instances give a rank-deficient
     # mismatch form; the design is well posed and must not fail on it

@@ -2,6 +2,10 @@
 
 import filecmp
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +176,6 @@ def test_design_rejects_tampered_training_average(completed_run, tmp_path):
     cfg, out, _ = completed_run
     clone = tmp_path / "clone"
     clone.mkdir()
-    import shutil
-
     shutil.copytree(out / "train", clone / "train")
     qbar_path = clone / "train/qbar.csv"
     mat = load_matrix(qbar_path)
@@ -283,3 +285,31 @@ def test_training_bundle_round_trip(completed_run):
     assert bundle.qbar.shape == (176, 176)
     stored = load_matrix(out / "train/qbar.csv")
     assert np.array_equal(bundle.qbar, stored)
+
+
+def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_path):
+    # no univariate run solves an LP, so a fresh process must not pay for
+    # importing scipy.optimize
+    cfg, out, _ = completed_run
+    shutil.copytree(out / "train", tmp_path / "train")
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg.to_dict()))
+    script = (
+        "import sys\n"
+        "from diagfilter.pipeline import ExperimentConfig, build_context, cmd_design\n"
+        "cfg = ExperimentConfig.from_file(sys.argv[1])\n"
+        "build_context(cfg)\n"
+        "cmd_design(cfg, sys.argv[2])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(design_module.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(cfg_file), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "filter.txt").exists()
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diagfilter.agc import multivariate_topology, three_area_default, univariate_topology
 from diagfilter.errors import ConfigError, SimulationBlowUp
@@ -286,6 +288,19 @@ def test_trajectory_is_bitwise_independent_of_its_batch(case, width):
     assert np.array_equal(alone.Y, batch[1].Y)
     for moved, original in zip(reordered, batch[::-1]):
         assert np.array_equal(moved.Y, original.Y)
+
+
+@pytest.mark.parametrize("case", ["all-switches", "multivariate"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(1, 20), pick=st.integers(0, 19))
+@example(width=6, pick=5).via("the uni-assisted training width")
+@example(width=8, pick=3).via("the mv-assisted training width")
+def test_any_run_of_any_batch_width_is_bitwise_its_run_alone(case, width, pick):
+    plant, runs = switch_case(case, width)
+    position = pick % width
+    batch = simulate_nonlinear(plant, RunBatch(runs))
+    alone = simulate_one(plant, *runs[position])
+    assert np.array_equal(batch[position].Y, alone.Y)
 
 
 def test_plant_config_validation():
