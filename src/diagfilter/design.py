@@ -273,6 +273,10 @@ def design_univariate(
     the inequality, otherwise the inequality is active and the optimum is
     ``x_free + lambda Z R^{-1} Z' g`` with the multiplier ``lambda`` that
     makes ``g x = 1``.  Each candidate is KKT-certified like a solver result.
+    All branches share the equalities, so one SVD of them per design serves
+    both ``Z`` (with the rank rule of ``scipy.linalg.null_space``) and, at
+    the same rank, the pseudo-inverse that recovers every candidate's
+    equality multipliers (the minimum-norm ones ``lstsq`` would return).
 
     Raises:
         NoFilterError: if every branch is infeasible.
@@ -295,7 +299,10 @@ def design_univariate(
     x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     consistent = np.abs(a_eq @ x_part - b_eq).max() <= FEAS_TOL
     if consistent:
-        z_basis = scipy.linalg.null_space(a_eq)
+        u, s, vt = scipy.linalg.svd(a_eq, full_matrices=True)
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(a_eq.shape) * s.max())
+        z_basis = vt[rank:].T
+        eq_pinv = (u[:, :rank] / s[:rank]) @ vt[:rank]
         try:
             chol = scipy.linalg.cho_factor(z_basis.T @ p_mat @ z_basis)
         except np.linalg.LinAlgError as exc:
@@ -329,7 +336,7 @@ def design_univariate(
                 a_ineq=g[None, :],
                 b_ineq=np.array([1.0]),
             )
-            sol = certify_point(problem, x, np.array([lam]))
+            sol = certify_point(problem, x, np.array([lam]), eq_pinv=eq_pinv)
             value = quadratic_value(sol.x, qbar_true)
             entry.update(status=sol.status, objective=value)
             if best is None or value < best[0] - 1e-12:

@@ -445,7 +445,9 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     omega, band, theta = work[layout.omega], work[layout.band], work[layout.theta]
     agc_stage, agc_state = work[layout.agc], state[layout.agc]
     cos_theta = np.empty_like(theta)
-    at_limit = np.empty(agc_stage.shape, dtype=bool)
+    # rows: AGC state at or above its upper limit, at or below its lower one
+    at_limit = np.empty((2, *agc_stage.shape), dtype=bool)
+    at_hi, at_lo = at_limit
     k_tie = [k_i[layout.tie] for k_i in k]
     k_agc = [k_i[layout.agc] for k_i in k]
     limits, rate = plant.agc_limits, plant.rate_limit
@@ -473,10 +475,12 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
             np.multiply(k_tie[i], cos_theta, out=k_tie[i])
         d_agc = k_agc[i]
         if limits is not None:
-            np.greater_equal(agc_stage, agc_hi, out=at_limit)
-            np.minimum(d_agc, agc_zero, out=d_agc, where=at_limit)
-            np.less_equal(agc_stage, agc_lo, out=at_limit)
-            np.maximum(d_agc, agc_zero, out=d_agc, where=at_limit)
+            np.greater_equal(agc_stage, agc_hi, out=at_hi)
+            np.less_equal(agc_stage, agc_lo, out=at_lo)
+            # skip both clamps while no AGC state sits at a limit
+            if np.count_nonzero(at_limit):
+                np.minimum(d_agc, agc_zero, out=d_agc, where=at_hi)
+                np.maximum(d_agc, agc_zero, out=d_agc, where=at_lo)
         if rate is not None:
             np.minimum(d_agc, rate_hi, out=d_agc)
             np.maximum(d_agc, rate_lo, out=d_agc)

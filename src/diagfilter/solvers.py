@@ -46,7 +46,8 @@ class QpProblem:
         self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
         if self.P.shape != (n, n):
             raise ValueError("P must be n x n")
-        if not np.allclose(self.P, self.P.T, atol=1e-10):
+        # relative to the largest entry: training forms are of order 1e-14
+        if np.abs(self.P - self.P.T).max(initial=0.0) > 1e-10 * np.abs(self.P).max(initial=0.0):
             raise ValueError("P must be symmetric")
         for name in ("a_eq", "a_ineq"):
             mat = getattr(self, name)
@@ -136,12 +137,19 @@ def _certify(problem: QpProblem, sol: Solution) -> Solution:
 
 
 def certify_point(
-    problem: QpProblem, x: np.ndarray, ineq_duals: np.ndarray, iterations: int = 0
+    problem: QpProblem,
+    x: np.ndarray,
+    ineq_duals: np.ndarray,
+    iterations: int = 0,
+    eq_pinv: np.ndarray | None = None,
 ) -> Solution:
     """Label a candidate point and its inequality multipliers optimal, if certified.
 
-    The equality multipliers are recovered by least squares from the
-    stationarity condition.
+    The equality multipliers are the minimum-norm least-squares solution of
+    the stationarity condition: ``eq_pinv @ (P x + c - a_ineq' lambda)``
+    when the pseudo-inverse ``eq_pinv`` of ``a_eq'`` is given, so that
+    callers certifying many points under one ``a_eq`` factor it once, and
+    one ``lstsq`` otherwise.
 
     Raises:
         SolverError: if the KKT residuals exceed the certification thresholds.
@@ -150,7 +158,7 @@ def certify_point(
         status="optimal",
         x=x,
         objective=problem.objective(x),
-        eq_duals=_recover_eq_duals(problem, x, ineq_duals),
+        eq_duals=_recover_eq_duals(problem, x, ineq_duals, eq_pinv),
         ineq_duals=ineq_duals,
         iterations=iterations,
     )
@@ -391,11 +399,15 @@ def _max_step(a_red, b_red, working, z, direction):
     return blocked, max(alpha, 0.0)
 
 
-def _recover_eq_duals(problem: QpProblem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _recover_eq_duals(
+    problem: QpProblem, x: np.ndarray, lam: np.ndarray, eq_pinv: np.ndarray | None
+) -> np.ndarray:
     if not problem.a_eq.size:
         return np.zeros(0)
     rhs = problem.P @ x + problem.c
     if problem.a_ineq.size:
         rhs = rhs - problem.a_ineq.T @ lam
+    if eq_pinv is not None:
+        return eq_pinv @ rhs
     nu, *_ = np.linalg.lstsq(problem.a_eq.T, rhs, rcond=None)
     return nu

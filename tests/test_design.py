@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 
 from diagfilter.agc import three_area_default, univariate_topology
 from diagfilter.design import (
@@ -32,7 +33,7 @@ from diagfilter.errors import ConfigError, NoFilterError, SolverError
 from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discretize
 from diagfilter.shiftpoly import pole_polynomial
 import diagfilter.design as design_module
-from diagfilter.solvers import QpProblem, Solution, solve_qp
+from diagfilter.solvers import QpProblem, Solution, certify_point, solve_qp
 from refimpl import (
     bisect_visibility_floor,
     direct_energy,
@@ -248,7 +249,24 @@ def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_sca
     q = factor @ factor.T
     q *= 10.0**log_scale / np.linalg.eigvalsh(q).max()
 
-    design = design_univariate(stacked, q, pole=0.5, track_steady_state=track)
+    # every candidate's multipliers from the design's one factorization, next
+    # to the ones a separate lstsq recovers
+    duals = []
+
+    def certify_both_ways(problem, x, ineq_duals, eq_pinv):
+        sol = certify_point(problem, x, ineq_duals, eq_pinv=eq_pinv)
+        duals.append((sol.eq_duals, certify_point(problem, x, ineq_duals).eq_duals))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design_module, "certify_point", certify_both_ways)
+        design = design_univariate(stacked, q, pole=0.5, track_steady_state=track)
+    # the tolerance was fixed before measuring: both are the minimum-norm
+    # solution at the same rank, and the kept singular values of the
+    # equalities span under three decades
+    assert duals
+    for reused, solved in duals:
+        assert np.abs(reused - solved).max() <= 1e-9 * np.abs(solved).max()
     assert design.diagnostics["null_residual"] < 1e-9
     assert design.diagnostics["attack_gain"] >= 1.0 - 1e-6
     a_eq, b_eq = stacked.barH.T, np.zeros(stacked.barH.shape[1])
@@ -274,6 +292,44 @@ def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_sca
         return
     if sol.status == "optimal":
         assert np.linalg.norm(sol.x - design.nbar) <= 1e-8 * np.linalg.norm(sol.x)
+
+
+def test_univariate_design_factors_its_equalities_once(monkeypatch):
+    # one lstsq for the particular solution, one SVD for the null-space basis
+    # and every branch's equality multipliers
+    _, stacked = default_stacked()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module, name in (
+        (scipy.linalg, "svd"),
+        (scipy.linalg, "null_space"),
+        (np.linalg, "svd"),
+        (np.linalg, "lstsq"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    design = design_univariate(stacked, None, pole=0.5, track_steady_state=True)
+    assert len(design.diagnostics["branch_report"]) == 8
+    a_eq_shape = (stacked.barH.shape[1] + 1, stacked.n_vars)
+    assert sorted(calls) == [("lstsq", a_eq_shape), ("svd", a_eq_shape)]
+
+
+def test_non_stationary_candidate_fails_certification(monkeypatch):
+    # every Cholesky step scaled by 1.5: each candidate still meets the
+    # equalities and g x >= 1, but is no longer the branch optimum
+    stacked = cached_default_stacked()
+    factor = np.random.default_rng(0).normal(size=(stacked.n_vars, stacked.n_vars))
+    q = factor @ factor.T / stacked.n_vars
+    cho_solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: 1.5 * cho_solve(*a, **k))
+    with pytest.raises(SolverError, match="KKT certification failed"):
+        design_univariate(stacked, q, pole=0.5, track_steady_state=True)
 
 
 def test_design_requires_single_channel_for_univariate():

@@ -199,6 +199,14 @@ def test_problem_validation():
         QpProblem(P=np.eye(2), c=np.zeros(2), a_ineq=np.eye(2), b_ineq=np.zeros(3))
 
 
+def test_symmetry_check_is_relative_to_the_scale_of_p():
+    # training forms are of order 1e-14..1e-10, below any absolute tolerance
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(P=1e-12 * np.array([[1.0, 2.0], [0.0, 1.0]]), c=np.zeros(2))
+    # round-off asymmetry at that scale is still accepted
+    QpProblem(P=1e-12 * np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]]), c=np.zeros(2))
+
+
 def test_identical_inputs_give_identical_outputs():
     rng = np.random.default_rng(5)
     p = np.eye(3)
