@@ -137,7 +137,6 @@ class ModelIndex:
     n_x: int
     area_ids: list[int]
     state_offset: dict[int, int]
-    output_offset: dict[int, int]
     omega_row: dict[int, int]
     agc_row: dict[int, int]
     # one entry per tie state, in global state order
@@ -149,7 +148,6 @@ class ModelIndex:
     gov_rows: np.ndarray
     gov_omega: np.ndarray
     gov_droop_coef: np.ndarray
-    gov_tch: np.ndarray
 
 
 def build_area(params: AreaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,7 +243,7 @@ def assemble_multiarea(
     c = np.zeros((n_y, n_x))
     omega_row, agc_row = {}, {}
     tie_rows, tie_coef, tie_own, tie_other = [], [], [], []
-    gov_rows, gov_omega, gov_droop, gov_tch = [], [], [], []
+    gov_rows, gov_omega, gov_droop = [], [], []
 
     for col, a in enumerate(areas):
         a_ii, b_id, c_i = build_area(a)
@@ -270,7 +268,6 @@ def assemble_multiarea(
             gov_rows.append(row)
             gov_omega.append(omega_row[a.area_id])
             gov_droop.append(-1.0 / (gen.t_ch * gen.droop))
-            gov_tch.append(gen.t_ch)
 
     n_f = attacks.n_f
     b_f = np.zeros((n_x, max(n_f, 0)))
@@ -299,7 +296,6 @@ def assemble_multiarea(
         n_x=n_x,
         area_ids=ids,
         state_offset=state_offset,
-        output_offset=output_offset,
         omega_row=omega_row,
         agc_row=agc_row,
         tie_rows=np.array(tie_rows, dtype=int),
@@ -309,7 +305,6 @@ def assemble_multiarea(
         gov_rows=np.array(gov_rows, dtype=int),
         gov_omega=np.array(gov_omega, dtype=int),
         gov_droop_coef=np.array(gov_droop, dtype=float),
-        gov_tch=np.array(gov_tch, dtype=float),
     )
     model = LinearModel(A=a_mat, B_d=b_d, B_f=b_f, C=c, D_f=d_f, dt=None)
     return model, index

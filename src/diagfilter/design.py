@@ -23,7 +23,15 @@ import scipy.linalg
 from .errors import ConfigError, DetectorInfeasibleError, NoFilterError, SolverError
 from .lti import StackedSystem
 from .shiftpoly import pole_polynomial
-from .solvers import FEAS_TOL, QpProblem, Solution, certify_point, solve_lp, solve_qp
+from .solvers import (
+    FEAS_TOL,
+    QpProblem,
+    Solution,
+    certify_point,
+    factor_equalities,
+    solve_lp,
+    solve_qp,
+)
 
 # ridge added to the averaged quadratic form before it enters a solver
 REGULARIZATION = 1e-10
@@ -273,10 +281,10 @@ def design_univariate(
     the inequality, otherwise the inequality is active and the optimum is
     ``x_free + lambda Z R^{-1} Z' g`` with the multiplier ``lambda`` that
     makes ``g x = 1``.  Each candidate is KKT-certified like a solver result.
-    All branches share the equalities, so one SVD of them per design serves
-    both ``Z`` (with the rank rule of ``scipy.linalg.null_space``) and, at
-    the same rank, the pseudo-inverse that recovers every candidate's
-    equality multipliers (the minimum-norm ones ``lstsq`` would return).
+    All branches share the equalities, so one SVD of them per design
+    (:func:`~diagfilter.solvers.factor_equalities`) gives the particular
+    solution, ``Z`` and the pseudo-inverse that recovers every candidate's
+    equality multipliers.
 
     Raises:
         NoFilterError: if every branch is infeasible.
@@ -296,13 +304,9 @@ def design_univariate(
     else:
         signs = (1,)
 
-    x_part, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+    x_part, z_basis, eq_pinv = factor_equalities(a_eq, b_eq)
     consistent = np.abs(a_eq @ x_part - b_eq).max() <= FEAS_TOL
     if consistent:
-        u, s, vt = scipy.linalg.svd(a_eq, full_matrices=True)
-        rank = np.count_nonzero(s > np.finfo(float).eps * max(a_eq.shape) * s.max())
-        z_basis = vt[rank:].T
-        eq_pinv = (u[:, :rank] / s[:rank]) @ vt[:rank]
         try:
             chol = scipy.linalg.cho_factor(z_basis.T @ p_mat @ z_basis)
         except np.linalg.LinAlgError as exc:
@@ -336,7 +340,7 @@ def design_univariate(
                 a_ineq=g[None, :],
                 b_ineq=np.array([1.0]),
             )
-            sol = certify_point(problem, x, np.array([lam]), eq_pinv=eq_pinv)
+            sol = certify_point(problem, x, np.array([lam]), eq_pinv)
             value = quadratic_value(sol.x, qbar_true)
             entry.update(status=sol.status, objective=value)
             if best is None or value < best[0] - 1e-12:
@@ -576,19 +580,18 @@ def design_multivariate(
 
 
 def worst_case_alpha(
-    stacked: StackedSystem, design: FilterDesign, attack: AttackModel, j: int | None = None
+    stacked: StackedSystem, design: FilterDesign, attack: AttackModel
 ) -> tuple[np.ndarray | None, float, str]:
     """Least-visible admissible attack coordinates for a designed filter.
 
-    Minimises the coefficient response ``sign * N_idx F basis @ alpha`` over
-    the polytope.  By linear-programming duality the optimum can never fall
-    below the ``b' lambda`` certified at design time.  Returns
-    ``(alpha, value, status)``; alpha is None when the program is unbounded.
+    Minimises the coefficient response ``sign * N_idx F basis @ alpha`` of
+    the design's program over the polytope.  By linear-programming duality
+    the optimum can never fall below the ``b' lambda`` certified at design
+    time.  Returns ``(alpha, value, status)``; alpha is None when the
+    program is unbounded.
     """
     attack.validate_against(stacked.n_f)
-    if j is None:
-        j = design.branch["program"]
-    idx, sign = program_branch(j)
+    idx, sign = program_branch(design.branch["program"])
     resp = design.coeff(idx) @ stacked.barF[
         stacked.coeff_slice(idx), idx * stacked.n_f : (idx + 1) * stacked.n_f
     ]

@@ -73,13 +73,6 @@ class LinearModel:
     def n_y(self) -> int:
         return self.C.shape[0]
 
-    def is_stable(self, tol: float = 0.0) -> bool:
-        """Hurwitz stability for continuous models, Schur for discrete ones."""
-        eig = np.linalg.eigvals(self.A)
-        if self.dt is None:
-            return bool(np.all(eig.real < -tol))
-        return bool(np.all(np.abs(eig) < 1.0 - tol))
-
 
 def zoh_discretize(model: LinearModel, t_s: float) -> LinearModel:
     """Exact zero-order-hold discretisation of a continuous-time model.

@@ -668,7 +668,7 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
                 traj.t,
                 residuals,
                 verdict.energies,
-                verdict.energies > detector.threshold,
+                verdict.above,
             )
             entry[label] = {
                 "alarm": bool(verdict.alarm),

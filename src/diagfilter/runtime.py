@@ -95,9 +95,15 @@ def residual_energy(residuals: np.ndarray, window: int) -> np.ndarray:
 
 @dataclass
 class DetectionReport:
-    """Latched alarm decision over one residual stream."""
+    """Alarm decisions over one residual stream.
+
+    ``above`` is the per-sample decision: the energy exceeds the threshold
+    and the sample is past the warm-up.  The latched ``alarm`` is raised at
+    its first true sample, ``first_index``.
+    """
 
     energies: np.ndarray
+    above: np.ndarray
     alarm: bool
     first_index: int | None
     max_energy: float
@@ -129,6 +135,7 @@ class Detector:
         first = int(idx[0]) if idx.size else None
         return DetectionReport(
             energies=energies,
+            above=above,
             alarm=first is not None,
             first_index=first,
             max_energy=float(energies.max()) if energies.size else 0.0,

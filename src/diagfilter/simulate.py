@@ -30,7 +30,7 @@ blocking by width and move a run's last bits with its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,11 +191,6 @@ class SampledTrajectory:
 
     t: np.ndarray
     Y: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> int:
-        return self.Y.shape[1]
 
 
 def _resolve_signal(dist) -> DisturbanceSignal:
@@ -231,13 +226,7 @@ def simulate_linear(
     for k in range(n_samples):
         x = model.A @ x + model.B_d @ d_held[:, k] + model.B_f @ f_held[:, k]
         Y[:, k] = model.C @ x + model.D_f @ f_at_sample[:, k]
-    meta = {
-        "t_s": t_s,
-        "horizon": horizon,
-        "kind": "linear",
-        "seed": signal.spec.seed,
-    }
-    return SampledTrajectory(t=t_grid, Y=Y, meta=meta)
+    return SampledTrajectory(t=t_grid, Y=Y)
 
 
 @dataclass
@@ -515,8 +504,6 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
                 run = int(over[0])
                 raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
             Y[(step + 1) // per_sample - 1] += np.matvec(c_state, state[: model.n_x].T)
-    meta = {"t_s": t_s, "horizon": horizon, "kind": "nonlinear", "dt": dt}
     return [
-        SampledTrajectory(sample_times.copy(), Y[:, i].T.copy(), {**meta, "seed": sig.spec.seed})
-        for i, (sig, _) in enumerate(batch.runs)
+        SampledTrajectory(sample_times.copy(), Y[:, i].T.copy()) for i in range(len(batch.runs))
     ]

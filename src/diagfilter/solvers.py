@@ -12,6 +12,12 @@ trust a solution without re-deriving optimality.  Linear programs are
 delegated to the HiGHS dual simplex through scipy; quadratic programs use a
 null-space active-set method written here.  Both paths are deterministic:
 identical inputs give bit-identical outputs.
+
+Each equality system is factored once, by one SVD in
+:func:`factor_equalities`: a QP's equalities, each working set of its
+active-set method and the univariate design's equalities.  The one SVD gives
+the particular solution, the null-space basis and the pseudo-inverse from
+which :func:`certify_point` recovers the equality multipliers.
 """
 
 from __future__ import annotations
@@ -140,29 +146,54 @@ def certify_point(
     problem: QpProblem,
     x: np.ndarray,
     ineq_duals: np.ndarray,
+    eq_pinv: np.ndarray,
     iterations: int = 0,
-    eq_pinv: np.ndarray | None = None,
 ) -> Solution:
     """Label a candidate point and its inequality multipliers optimal, if certified.
 
     The equality multipliers are the minimum-norm least-squares solution of
-    the stationarity condition: ``eq_pinv @ (P x + c - a_ineq' lambda)``
-    when the pseudo-inverse ``eq_pinv`` of ``a_eq'`` is given, so that
-    callers certifying many points under one ``a_eq`` factor it once, and
-    one ``lstsq`` otherwise.
+    the stationarity condition, ``eq_pinv @ (P x + c - a_ineq' lambda)``,
+    with ``eq_pinv`` the pseudo-inverse of ``a_eq'`` that
+    :func:`factor_equalities` returns: callers certifying many points under
+    one ``a_eq`` factor it once.
 
     Raises:
         SolverError: if the KKT residuals exceed the certification thresholds.
     """
+    stat = problem.P @ x + problem.c - problem.a_ineq.T @ ineq_duals
     sol = Solution(
         status="optimal",
         x=x,
         objective=problem.objective(x),
-        eq_duals=_recover_eq_duals(problem, x, ineq_duals, eq_pinv),
+        eq_duals=eq_pinv @ stat,
         ineq_duals=ineq_duals,
         iterations=iterations,
     )
     return _certify(problem, sol)
+
+
+def factor_equalities(
+    a_eq: np.ndarray, b_eq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SVD of an equality system ``a_eq x = b_eq``: ``(x_part, Z, eq_pinv)``.
+
+    The rank counts the singular values above ``eps * max(a_eq.shape) *
+    s.max()``, SciPy's rule for null spaces and least squares.  ``Z`` is an
+    orthonormal basis of the null space of ``a_eq``, so every ``x_part + Z z``
+    meets the equalities.  ``eq_pinv`` is the pseudo-inverse of ``a_eq'`` at
+    that rank: ``eq_pinv @ g`` is the minimum-norm least-squares multiplier
+    vector of a gradient ``g``.  ``x_part = eq_pinv' b_eq`` is the
+    minimum-norm least-squares solution; callers compare ``a_eq x_part`` with
+    ``b_eq`` to detect an inconsistent system.  An empty ``a_eq`` gives
+    ``(0, I, 0 x n)``.
+    """
+    n = a_eq.shape[1]
+    if a_eq.size == 0:
+        return np.zeros(n), np.eye(n), np.zeros((0, n))
+    u, s, vt = scipy.linalg.svd(a_eq, full_matrices=True)
+    rank = np.count_nonzero(s > np.finfo(float).eps * max(a_eq.shape) * s.max())
+    eq_pinv = (u[:, :rank] / s[:rank]) @ vt[:rank]
+    return eq_pinv.T @ b_eq, vt[rank:].T, eq_pinv
 
 
 def solve_lp(
@@ -243,66 +274,40 @@ def _solve_lp_problem(problem: QpProblem) -> Solution:
     return _certify(problem, sol)
 
 
-def _null_space(mat: np.ndarray, n: int) -> np.ndarray:
-    if mat.size == 0:
-        return np.eye(n)
-    return scipy.linalg.null_space(mat)
-
-
-def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
+def solve_qp(problem: QpProblem) -> Solution:
     """Primal active-set method for a convex QP, with a certified verdict.
 
     Equality constraints are eliminated exactly through a null-space basis,
-    so they hold to machine precision in the result.  A zero P delegates to
-    the LP path.  Feasibility of the inequality system is established by a
-    phase-one LP, which also yields the infeasible verdict.
+    so they hold to machine precision in the result.  The equalities, and
+    each working set of active inequalities, are factored once by
+    :func:`factor_equalities`, which also gives their multipliers.  A zero P
+    delegates to the LP path.  Feasibility of the inequality system is
+    established by a phase-one LP, which also yields the infeasible verdict.
 
     Raises:
         SolverError: if the method stalls or certification fails (neither is
             expected for PSD P with consistent data).
     """
     if not problem.P.any():
-        lp = _solve_lp_problem(
-            QpProblem(
-                P=problem.P,
-                c=problem.c,
-                a_eq=problem.a_eq,
-                b_eq=problem.b_eq,
-                a_ineq=problem.a_ineq,
-                b_ineq=problem.b_ineq,
-            )
-        )
-        return lp
-    n = problem.n
-    if max_iter is None:
-        max_iter = 100 + 20 * problem.a_ineq.shape[0]
+        return _solve_lp_problem(problem)
+    max_iter = 100 + 20 * problem.a_ineq.shape[0]
 
     # eliminate equalities: x = x_part + Z z
-    if problem.a_eq.size:
-        x_part, _, _, _ = np.linalg.lstsq(problem.a_eq, problem.b_eq, rcond=None)
-        eq_gap = np.abs(problem.a_eq @ x_part - problem.b_eq).max()
-        if eq_gap > FEAS_TOL:
-            return Solution(status="infeasible")
-        z_basis = _null_space(problem.a_eq, n)
-    else:
-        x_part = np.zeros(n)
-        z_basis = np.eye(n)
+    x_part, z_basis, eq_pinv = factor_equalities(problem.a_eq, problem.b_eq)
+    if np.abs(problem.a_eq @ x_part - problem.b_eq).max(initial=0.0) > FEAS_TOL:
+        return Solution(status="infeasible")
 
     if z_basis.shape[1] == 0:
         # equalities pin the point down completely
         x = x_part
         if problem.a_ineq.size and (problem.a_ineq @ x - problem.b_ineq).min() < -FEAS_TOL:
             return Solution(status="infeasible")
-        return certify_point(problem, x, np.zeros(problem.a_ineq.shape[0]))
+        return certify_point(problem, x, np.zeros(problem.a_ineq.shape[0]), eq_pinv)
 
     p_red = z_basis.T @ problem.P @ z_basis
     c_red = z_basis.T @ (problem.P @ x_part + problem.c)
-    a_red = problem.a_ineq @ z_basis if problem.a_ineq.size else np.zeros((0, z_basis.shape[1]))
-    b_red = (
-        problem.b_ineq - problem.a_ineq @ x_part
-        if problem.a_ineq.size
-        else np.zeros(0)
-    )
+    a_red = problem.a_ineq @ z_basis
+    b_red = problem.b_ineq - problem.a_ineq @ x_part
     m = a_red.shape[0]
 
     # phase one: feasible start for the inequality system in reduced space
@@ -327,8 +332,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
     lam_w: np.ndarray = np.zeros(0)
     for itn in range(max_iter):
         grad = p_red @ z + c_red
-        a_w = a_red[working] if working else np.zeros((0, p_red.shape[0]))
-        z_w = _null_space(a_w, p_red.shape[0])
+        _, z_w, w_pinv = factor_equalities(a_red[working], b_red[working])
         if z_w.shape[1] == 0:
             step = np.zeros_like(z)
         else:
@@ -355,7 +359,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
         if np.abs(step).max() <= 1e-11 * (1.0 + np.abs(z).max()):
             # stationary on the working set; check multiplier signs
             if working:
-                lam_w, *_ = np.linalg.lstsq(a_red[working].T, grad, rcond=None)
+                lam_w = w_pinv @ grad
                 neg = np.where(lam_w < -1e-9)[0]
                 if neg.size == 0:
                     break
@@ -378,7 +382,7 @@ def solve_qp(problem: QpProblem, max_iter: int | None = None) -> Solution:
     lam = np.zeros(m)
     if working and lam_w.size:
         lam[np.asarray(working, dtype=int)] = np.maximum(lam_w, 0.0)
-    return certify_point(problem, x, lam, iterations=itn + 1)
+    return certify_point(problem, x, lam, eq_pinv, iterations=itn + 1)
 
 
 def _max_step(a_red, b_red, working, z, direction):
@@ -397,17 +401,3 @@ def _max_step(a_red, b_red, working, z, direction):
     if blocked is None:
         return None, alpha
     return blocked, max(alpha, 0.0)
-
-
-def _recover_eq_duals(
-    problem: QpProblem, x: np.ndarray, lam: np.ndarray, eq_pinv: np.ndarray | None
-) -> np.ndarray:
-    if not problem.a_eq.size:
-        return np.zeros(0)
-    rhs = problem.P @ x + problem.c
-    if problem.a_ineq.size:
-        rhs = rhs - problem.a_ineq.T @ lam
-    if eq_pinv is not None:
-        return eq_pinv @ rhs
-    nu, *_ = np.linalg.lstsq(problem.a_eq.T, rhs, rcond=None)
-    return nu

@@ -254,8 +254,9 @@ def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_sca
     duals = []
 
     def certify_both_ways(problem, x, ineq_duals, eq_pinv):
-        sol = certify_point(problem, x, ineq_duals, eq_pinv=eq_pinv)
-        duals.append((sol.eq_duals, certify_point(problem, x, ineq_duals).eq_duals))
+        sol = certify_point(problem, x, ineq_duals, eq_pinv)
+        grad = problem.P @ x + problem.c - problem.a_ineq.T @ ineq_duals
+        duals.append((sol.eq_duals, np.linalg.lstsq(problem.a_eq.T, grad, rcond=None)[0]))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
@@ -294,10 +295,8 @@ def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_sca
         assert np.linalg.norm(sol.x - design.nbar) <= 1e-8 * np.linalg.norm(sol.x)
 
 
-def test_univariate_design_factors_its_equalities_once(monkeypatch):
-    # one lstsq for the particular solution, one SVD for the null-space basis
-    # and every branch's equality multipliers
-    _, stacked = default_stacked()
+def count_factorizations(monkeypatch) -> list:
+    """Record ``(name, shape)`` of every SVD, null-space and least-squares call."""
     calls = []
 
     def counted(name, fn):
@@ -314,10 +313,46 @@ def test_univariate_design_factors_its_equalities_once(monkeypatch):
         (np.linalg, "lstsq"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_univariate_design_factors_its_equalities_once(monkeypatch):
+    # one SVD gives the particular solution, the null-space basis and every
+    # branch's equality multipliers
+    _, stacked = default_stacked()
+    calls = count_factorizations(monkeypatch)
     design = design_univariate(stacked, None, pole=0.5, track_steady_state=True)
     assert len(design.diagnostics["branch_report"]) == 8
     a_eq_shape = (stacked.barH.shape[1] + 1, stacked.n_vars)
-    assert sorted(calls) == [("lstsq", a_eq_shape), ("svd", a_eq_shape)]
+    assert calls == [("svd", a_eq_shape)]
+
+
+def test_multivariate_design_factors_only_through_svd(monkeypatch):
+    # the QP solver eliminates its equalities and each working set, and
+    # recovers every multiplier, from one SVD of each: no lstsq, no null_space
+    _, stacked = mv_stacked()
+    attack = mv_attack()
+    solved = []
+
+    def recorded(problem):
+        sol = solve_qp(problem)
+        solved.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(design_module, "solve_qp", recorded)
+    calls = count_factorizations(monkeypatch)
+    design_multivariate(stacked, None, attack, 3, pole=0.5)
+    assert calls and {name for name, _ in calls} == {"svd"}
+    monkeypatch.undo()
+
+    # the tolerance was fixed before measuring: both are the minimum-norm
+    # least-squares multipliers at the same rank
+    assert solved
+    for problem, sol in solved:
+        assert sol.status == "optimal"
+        grad = problem.P @ sol.x + problem.c - problem.a_ineq.T @ sol.ineq_duals
+        ref = np.linalg.lstsq(problem.a_eq.T, grad, rcond=None)[0]
+        assert np.abs(sol.eq_duals - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 def test_non_stationary_candidate_fails_certification(monkeypatch):

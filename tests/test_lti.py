@@ -41,28 +41,6 @@ def test_model_shape_validation():
         )
 
 
-def test_stability_checks():
-    stable = LinearModel(
-        A=np.array([[-1.0]]),
-        B_d=np.ones((1, 1)),
-        B_f=np.zeros((1, 1)),
-        C=np.ones((1, 1)),
-        D_f=np.zeros((1, 1)),
-    )
-    assert stable.is_stable()
-    schur = LinearModel(
-        A=np.array([[0.9]]),
-        B_d=np.ones((1, 1)),
-        B_f=np.zeros((1, 1)),
-        C=np.ones((1, 1)),
-        D_f=np.zeros((1, 1)),
-        dt=1.0,
-    )
-    assert schur.is_stable()
-    schur.A[0, 0] = 1.1
-    assert not schur.is_stable()
-
-
 def test_zoh_integrator_exact():
     model = LinearModel(
         A=np.zeros((1, 1)),

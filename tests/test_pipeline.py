@@ -209,6 +209,23 @@ def test_test_phase_rejects_model_drift(completed_run, tmp_path):
         cmd_test(drifted, spot)
 
 
+def test_trace_alarm_column_is_the_detector_decision(tmp_path):
+    # with the attack on from t = 0 the energy clears the threshold during
+    # the warm-up, where the detector never alarms; the trace must agree
+    raw = small_config()
+    raw["train"].update({"m": 2, "horizon_seconds": 2.5})
+    raw["test"].update({"runs": 1, "horizon_seconds": 4.0, "onset_seconds": 0.0})
+    cmd_run_all(ExperimentConfig.from_dict(raw), tmp_path)
+    report = json.loads((tmp_path / "test/report.json").read_text())
+    trace = np.loadtxt(tmp_path / "test/attack_00.csv", delimiter=",", skiprows=1)
+    t, energy, alarm = trace[:, 0], trace[:, 2], trace[:, 3]
+    warmup = raw["filter"]["d_n"]
+    assert (energy[:warmup] > report["threshold"]).any()
+    assert not alarm[:warmup].any()
+    assert np.array_equal(alarm[warmup:], energy[warmup:] > report["threshold"])
+    assert t[np.argmax(alarm)] == report["per_run"][0]["attack"]["alarm_time"]
+
+
 def test_test_phase_requires_artefact(tmp_path):
     cfg = ExperimentConfig.from_dict(small_config())
     with pytest.raises(ConfigError, match="design phase"):

@@ -140,6 +140,7 @@ def test_detector_latches_first_crossing_and_skips_warmup():
     report = det.evaluate(r)
     assert report.alarm
     assert report.first_index == 4
+    assert np.array_equal(np.nonzero(report.above)[0], [4, 5, 6, 7])
     assert report.max_energy >= 50.0
     quiet = det.evaluate(np.full(10, 0.1))
     assert not quiet.alarm and quiet.first_index is None

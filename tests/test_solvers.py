@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diagfilter.errors import SolverError
 from diagfilter.solvers import (
     QpProblem,
+    factor_equalities,
     kkt_residuals,
     solve_lp,
     solve_qp,
@@ -117,6 +119,37 @@ def test_qp_equalities_hold_to_machine_precision():
         sol = solve_qp(QpProblem(P=np.eye(n), c=rng.normal(size=n), a_eq=a_eq, b_eq=b_eq))
         assert_certified(sol)
         assert np.max(np.abs(a_eq @ sol.x - b_eq)) < 1e-10
+
+
+def test_factor_equalities_on_empty_system():
+    x_part, z_basis, eq_pinv = factor_equalities(np.zeros((0, 3)), np.zeros(0))
+    assert np.array_equal(x_part, np.zeros(3))
+    assert np.array_equal(z_basis, np.eye(3))
+    assert eq_pinv.shape == (0, 3)
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_factor_equalities_on_rank_deficient_systems(consistent):
+    # rank 3 of 5 rows in 7 unknowns; the inconsistent rhs has a component
+    # outside the range of a_eq
+    rng = np.random.default_rng(3)
+    a_eq = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 7))
+    b_eq = a_eq @ rng.normal(size=7)
+    if not consistent:
+        b_eq += scipy.linalg.null_space(a_eq.T)[:, 0]
+    x_part, z_basis, eq_pinv = factor_equalities(a_eq, b_eq)
+
+    # the same basis scipy's null_space returns, bit for bit
+    assert np.array_equal(z_basis, scipy.linalg.null_space(a_eq))
+    assert z_basis.shape == (7, 4)
+    assert np.abs(z_basis.T @ z_basis - np.eye(4)).max() < 1e-14
+    assert np.abs(a_eq @ z_basis).max() < 1e-13
+    # minimum-norm least-squares solution, orthogonal to the null space
+    ref = np.linalg.pinv(a_eq) @ b_eq
+    assert np.abs(x_part - ref).max() < 1e-12
+    assert np.abs(z_basis.T @ x_part).max() < 1e-13
+    assert (np.abs(a_eq @ x_part - b_eq).max() < 1e-12) == consistent
+    assert np.abs(eq_pinv - np.linalg.pinv(a_eq.T)).max() < 1e-12
 
 
 def test_qp_verdicts():
