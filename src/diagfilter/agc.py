@@ -136,7 +136,6 @@ class ModelIndex:
 
     n_x: int
     area_ids: list[int]
-    state_offset: dict[int, int]
     omega_row: dict[int, int]
     agc_row: dict[int, int]
     # one entry per tie state, in global state order
@@ -295,7 +294,6 @@ def assemble_multiarea(
     index = ModelIndex(
         n_x=n_x,
         area_ids=ids,
-        state_offset=state_offset,
         omega_row=omega_row,
         agc_row=agc_row,
         tie_rows=np.array(tie_rows, dtype=int),

@@ -312,6 +312,15 @@ def design_univariate(
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"reduced quadratic form is not positive definite: {exc}") from exc
         x_free = x_part - z_basis @ scipy.linalg.cho_solve(chol, z_basis.T @ (p_mat @ x_part))
+        # one validated problem; each branch swaps in its own inequality row
+        problem = QpProblem(
+            P=p_mat,
+            c=np.zeros(stacked.n_vars),
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ineq=np.zeros((1, stacked.n_vars)),
+            b_ineq=np.array([1.0]),
+        )
 
     best = None
     report = []
@@ -332,14 +341,7 @@ def design_univariate(
                 step = scipy.linalg.cho_solve(chol, h)
                 lam = shortfall / (h @ step)
                 x = x_free + z_basis @ (lam * step)
-            problem = QpProblem(
-                P=p_mat,
-                c=np.zeros(stacked.n_vars),
-                a_eq=a_eq,
-                b_eq=b_eq,
-                a_ineq=g[None, :],
-                b_ineq=np.array([1.0]),
-            )
+            problem.a_ineq = g[None, :]
             sol = certify_point(problem, x, np.array([lam]), eq_pinv)
             value = quadratic_value(sol.x, qbar_true)
             entry.update(status=sol.status, objective=value)

@@ -14,10 +14,11 @@ null-space active-set method written here.  Both paths are deterministic:
 identical inputs give bit-identical outputs.
 
 Each equality system is factored once, by one SVD in
-:func:`factor_equalities`: a QP's equalities, each working set of its
-active-set method and the univariate design's equalities.  The one SVD gives
-the particular solution, the null-space basis and the pseudo-inverse from
-which :func:`certify_point` recovers the equality multipliers.
+:func:`factor_equalities`: a QP's equalities, the univariate design's
+equalities and each working set of the active-set method, which is factored
+when the working set changes, not on every iteration.  The one SVD gives the
+particular solution, the null-space basis and the pseudo-inverse from which
+:func:`certify_point` recovers the equality multipliers.
 """
 
 from __future__ import annotations
@@ -278,11 +279,13 @@ def solve_qp(problem: QpProblem) -> Solution:
     """Primal active-set method for a convex QP, with a certified verdict.
 
     Equality constraints are eliminated exactly through a null-space basis,
-    so they hold to machine precision in the result.  The equalities, and
-    each working set of active inequalities, are factored once by
-    :func:`factor_equalities`, which also gives their multipliers.  A zero P
-    delegates to the LP path.  Feasibility of the inequality system is
-    established by a phase-one LP, which also yields the infeasible verdict.
+    so they hold to machine precision in the result.  The equalities are
+    factored once by :func:`factor_equalities`, and each working set of
+    active inequalities once per change of the working set: iterations that
+    keep it reuse its null-space basis, multiplier pseudo-inverse and
+    reduced Hessian.  A zero P delegates to the LP path.  Feasibility of the
+    inequality system is established by a phase-one LP, which also yields
+    the infeasible verdict.
 
     Raises:
         SolverError: if the method stalls or certification fails (neither is
@@ -330,13 +333,16 @@ def solve_qp(problem: QpProblem) -> Solution:
     working = [i for i in range(m) if abs(a_red[i] @ z - b_red[i]) <= 1e-8 * scale]
 
     lam_w: np.ndarray = np.zeros(0)
+    factored = None
     for itn in range(max_iter):
         grad = p_red @ z + c_red
-        _, z_w, w_pinv = factor_equalities(a_red[working], b_red[working])
+        if working != factored:
+            factored = list(working)
+            _, z_w, w_pinv = factor_equalities(a_red[working], b_red[working])
+            m_red = z_w.T @ p_red @ z_w
         if z_w.shape[1] == 0:
             step = np.zeros_like(z)
         else:
-            m_red = z_w.T @ p_red @ z_w
             rhs = -z_w.T @ grad
             try:
                 u = np.linalg.solve(m_red, rhs)
@@ -392,10 +398,12 @@ def _max_step(a_red, b_red, working, z, direction):
     if a_red.shape[0]:
         rates = a_red @ direction
         gaps = a_red @ z - b_red
-        for i in range(a_red.shape[0]):
-            if i in working or rates[i] >= -1e-12:
-                continue
-            cand = gaps[i] / (-rates[i])
+        candidates = rates < -1e-12
+        candidates[working] = False
+        rows = np.flatnonzero(candidates)
+        # ascending scan, not argmin: a row displaces the incumbent only
+        # with a step lower by more than 1e-12
+        for i, cand in zip(rows.tolist(), (gaps[rows] / -rates[rows]).tolist()):
             if cand < alpha - 1e-12:
                 alpha, blocked = cand, i
     if blocked is None:

@@ -253,3 +253,26 @@ def bisect_visibility_floor(attempt, gamma_j: float, tol: float = 1e-7, iters: i
         else:
             hi = mid
     return lo, lo_design
+
+
+def max_step_by_row_loop(a_red, b_red, working, z, direction):
+    """Ratio test of an active-set step, one inequality row at a time.
+
+    Row ``i`` blocks the step ``z + alpha d`` when it is outside ``working``
+    and its rate ``a_i d`` is below -1e-12; its step is ``(a_i z - b_i) /
+    -(a_i d)``.  Rows are visited in ascending order and a row's step
+    replaces the incumbent only when it is lower by more than 1e-12.
+    Returns ``(blocking row, step clipped at zero)``, or ``(None, inf)``.
+    """
+    rates = a_red @ direction
+    gaps = a_red @ z - b_red
+    alpha, blocked = np.inf, None
+    for i in range(a_red.shape[0]):
+        if i in working or rates[i] >= -1e-12:
+            continue
+        cand = gaps[i] / (-rates[i])
+        if cand < alpha - 1e-12:
+            alpha, blocked = cand, i
+    if blocked is None:
+        return None, alpha
+    return blocked, max(alpha, 0.0)

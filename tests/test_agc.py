@@ -83,7 +83,7 @@ def test_cross_area_tie_coupling():
     assert model.A[0, index.omega_row[1]] == 0.545
     assert model.A[0, index.omega_row[2]] == -0.545
     # the opposite direction state lives in area 2's block
-    row_21 = index.state_offset[2]
+    row_21 = state_labels(three_area_default()).index("tie_2_1")
     assert model.A[row_21, index.omega_row[2]] == 0.545
     assert model.A[row_21, index.omega_row[1]] == -0.545
 

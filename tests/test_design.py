@@ -33,6 +33,7 @@ from diagfilter.errors import ConfigError, NoFilterError, SolverError
 from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discretize
 from diagfilter.shiftpoly import pole_polynomial
 import diagfilter.design as design_module
+import diagfilter.solvers as solvers_module
 from diagfilter.solvers import QpProblem, Solution, certify_point, solve_qp
 from refimpl import (
     bisect_visibility_floor,
@@ -353,6 +354,39 @@ def test_multivariate_design_factors_only_through_svd(monkeypatch):
         grad = problem.P @ sol.x + problem.c - problem.a_ineq.T @ sol.ineq_duals
         ref = np.linalg.lstsq(problem.a_eq.T, grad, rcond=None)[0]
         assert np.abs(sol.eq_duals - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_qp_factors_a_working_set_only_when_it_changes(monkeypatch):
+    # per QP: one SVD of the equalities, then one of each working set the
+    # active-set method moves to, never the same set twice in a row
+    _, stacked = mv_stacked()
+    factor_equalities = solvers_module.factor_equalities
+    solves = []
+
+    def recorded(problem):
+        factored = []
+        solves.append((problem, factored))
+        sol = solve_qp(problem)
+        factored.append(sol.iterations)
+        return sol
+
+    def counted(a_eq, b_eq):
+        solves[-1][1].append(a_eq.copy())
+        return factor_equalities(a_eq, b_eq)
+
+    monkeypatch.setattr(design_module, "solve_qp", recorded)
+    monkeypatch.setattr(solvers_module, "factor_equalities", counted)
+    design_multivariate(stacked, None, mv_attack(), 3, pole=0.5)
+    assert solves
+    reused = False
+    for problem, (eq, *working_sets, iterations) in solves:
+        assert np.array_equal(eq, problem.a_eq)
+        assert working_sets
+        for before, after in zip(working_sets, working_sets[1:]):
+            assert not np.array_equal(before, after)
+        # an iteration that kept its working set reused the factorisation
+        reused |= len(working_sets) < iterations
+    assert reused
 
 
 def test_non_stationary_candidate_fails_certification(monkeypatch):

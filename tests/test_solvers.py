@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diagfilter.errors import SolverError
 from diagfilter.solvers import (
     QpProblem,
+    _max_step,
     factor_equalities,
     kkt_residuals,
     solve_lp,
     solve_qp,
 )
-from refimpl import lp_by_vertex_enumeration
+from refimpl import lp_by_vertex_enumeration, max_step_by_row_loop
 
 
 def assert_certified(sol):
@@ -250,3 +253,46 @@ def test_identical_inputs_give_identical_outputs():
     s2 = solve_qp(QpProblem(P=p, c=c, a_ineq=a_ineq, b_ineq=b_ineq))
     assert np.array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
+
+
+# candidate steps 1, 1 - 1.5e-12, 1 - 2e-12 at unit rates: the ascending scan
+# blocks on the second row, an argmin would block on the third
+CHAIN = [(-1.0, 1.0, False), (-1.0, 1.0 - 1.5e-12, False), (-1.0, 1.0 - 2e-12, False)]
+
+RATES = st.one_of(
+    st.sampled_from(
+        [-1.0, -1e-12, np.nextafter(-1e-12, -1.0), np.nextafter(-1e-12, 0.0), 0.0, 1.0]
+    ),
+    st.floats(-4.0, 4.0),
+)
+# steps within 1e-12 of each other at unit rates
+GAPS = st.one_of(
+    st.integers(-5, 5).map(lambda k: 1.0 + 0.5e-12 * k),
+    st.sampled_from([0.0, -1e-3]),
+    st.floats(-1.0, 4.0),
+)
+
+
+def ratio_test_inputs(rows):
+    # identity constraint rows at z = 0 make rates and gaps the drawn values
+    m = len(rows)
+    a_red = np.eye(m)
+    direction = np.array([rate for rate, _, _ in rows], dtype=float)
+    b_red = -np.array([gap for _, gap, _ in rows], dtype=float)
+    working = [i for i, (_, _, active) in enumerate(rows) if active]
+    return a_red, b_red, working, np.zeros(m), direction
+
+
+@given(rows=st.lists(st.tuples(RATES, GAPS, st.booleans()), max_size=10))
+@example(rows=CHAIN).via("steps within 1e-12 chained")
+@example(rows=[(-1.0, 0.5, True)] + CHAIN).via("the lowest step already in the working set")
+def test_max_step_matches_the_row_loop_bit_for_bit(rows):
+    args = ratio_test_inputs(rows)
+    blocked, alpha = _max_step(*args)
+    ref_blocked, ref_alpha = max_step_by_row_loop(*args)
+    assert blocked == ref_blocked
+    assert np.float64(alpha).tobytes() == np.float64(ref_alpha).tobytes()
+
+
+def test_max_step_keeps_the_first_row_within_tolerance():
+    assert _max_step(*ratio_test_inputs(CHAIN)) == (1, 1.0 - 1.5e-12)
