@@ -9,9 +9,12 @@ Convention used throughout the package:
 Every optimal result carries its Karush-Kuhn-Tucker residuals (primal
 feasibility, stationarity, complementary slackness) so downstream code can
 trust a solution without re-deriving optimality.  Linear programs are
-delegated to the HiGHS dual simplex through scipy; quadratic programs use a
-null-space active-set method written here.  Both paths are deterministic:
-identical inputs give bit-identical outputs.
+delegated to the HiGHS dual simplex through scipy.  Quadratic programs must
+be strictly convex, with P positive definite on the null space of the
+equalities; they use a null-space active-set method written here, which
+raises :class:`SolverError` where it meets a singular reduced Hessian and
+never reports ``unbounded``.  Both paths are deterministic: identical
+inputs give bit-identical outputs.
 
 Each equality system is factored once, by one SVD in
 :func:`factor_equalities`: a QP's equalities, the univariate design's
@@ -82,9 +85,10 @@ class QpProblem:
 class Solution:
     """Solver verdict plus certificates.
 
-    ``status`` is one of ``optimal``, ``infeasible``, ``unbounded``.  For an
-    optimal result ``residuals`` holds the KKT residuals with keys
-    ``primal_eq``, ``primal_ineq``, ``stationarity``, ``complementarity``.
+    ``status`` is one of ``optimal``, ``infeasible``, ``unbounded``; only
+    :func:`solve_lp` reports ``unbounded``.  For an optimal result
+    ``residuals`` holds the KKT residuals with keys ``primal_eq``,
+    ``primal_ineq``, ``stationarity``, ``complementarity``, ``dual_sign``.
     """
 
     status: str
@@ -210,6 +214,10 @@ def solve_lp(
     HiGHS dual simplex and re-derives the duals in the package convention,
     then certifies the KKT system before reporting ``optimal``.
     """
+    # imported here: no univariate run solves an LP, and the import costs a
+    # fresh process about a third of its set-up
+    import scipy.optimize
+
     problem = QpProblem(
         P=np.zeros((np.asarray(c).size,) * 2),
         c=c,
@@ -218,14 +226,6 @@ def solve_lp(
         a_ineq=a_ineq,
         b_ineq=b_ineq,
     )
-    return _solve_lp_problem(problem)
-
-
-def _solve_lp_problem(problem: QpProblem) -> Solution:
-    # imported here: no univariate run solves an LP, and the import costs a
-    # fresh process about a third of its set-up
-    import scipy.optimize
-
     a_ub = -problem.a_ineq if problem.a_ineq.size else None
     b_ub = -problem.b_ineq if problem.a_ineq.size else None
     a_eq = problem.a_eq if problem.a_eq.size else None
@@ -276,23 +276,25 @@ def _solve_lp_problem(problem: QpProblem) -> Solution:
 
 
 def solve_qp(problem: QpProblem) -> Solution:
-    """Primal active-set method for a convex QP, with a certified verdict.
+    """Primal active-set method for a strictly convex QP, with a certified verdict.
 
-    Equality constraints are eliminated exactly through a null-space basis,
-    so they hold to machine precision in the result.  The equalities are
-    factored once by :func:`factor_equalities`, and each working set of
-    active inequalities once per change of the working set: iterations that
-    keep it reuse its null-space basis, multiplier pseudo-inverse and
-    reduced Hessian.  A zero P delegates to the LP path.  Feasibility of the
-    inequality system is established by a phase-one LP, which also yields
-    the infeasible verdict.
+    ``P`` must be positive definite on the null space of the equalities, as
+    the design's ridge makes it; the verdict is ``optimal`` or
+    ``infeasible``, never ``unbounded``.  Equality constraints are
+    eliminated exactly through a null-space basis, so they hold to machine
+    precision in the result.  The equalities are factored once by
+    :func:`factor_equalities`, and each working set of active inequalities
+    once per change of the working set: iterations that keep it reuse its
+    null-space basis, multiplier pseudo-inverse and reduced Hessian.
+    Feasibility of the inequality system is established by a phase-one LP,
+    which also yields the infeasible verdict.  The certificate reads the
+    multipliers the method stopped at, unclipped.
 
     Raises:
-        SolverError: if the method stalls or certification fails (neither is
-            expected for PSD P with consistent data).
+        SolverError: if a reduced Hessian is singular (``P`` is not positive
+            definite on the equality null space), the method stalls or
+            certification fails.
     """
-    if not problem.P.any():
-        return _solve_lp_problem(problem)
     max_iter = 100 + 20 * problem.a_ineq.shape[0]
 
     # eliminate equalities: x = x_part + Z z
@@ -315,14 +317,7 @@ def solve_qp(problem: QpProblem) -> Solution:
 
     # phase one: feasible start for the inequality system in reduced space
     if m:
-        start = _solve_lp_problem(
-            QpProblem(
-                P=np.zeros_like(p_red),
-                c=np.zeros(p_red.shape[0]),
-                a_ineq=a_red,
-                b_ineq=b_red,
-            )
-        )
+        start = solve_lp(np.zeros(p_red.shape[0]), a_ineq=a_red, b_ineq=b_red)
         if start.status == "infeasible":
             return Solution(status="infeasible")
         z = start.x
@@ -332,7 +327,6 @@ def solve_qp(problem: QpProblem) -> Solution:
     scale = 1.0 + float(np.abs(b_red).max()) if m else 1.0
     working = [i for i in range(m) if abs(a_red[i] @ z - b_red[i]) <= 1e-8 * scale]
 
-    lam_w: np.ndarray = np.zeros(0)
     factored = None
     for itn in range(max_iter):
         grad = p_red @ z + c_red
@@ -343,37 +337,22 @@ def solve_qp(problem: QpProblem) -> Solution:
         if z_w.shape[1] == 0:
             step = np.zeros_like(z)
         else:
-            rhs = -z_w.T @ grad
             try:
-                u = np.linalg.solve(m_red, rhs)
-                ray = None
+                step = z_w @ np.linalg.solve(m_red, -z_w.T @ grad)
             except np.linalg.LinAlgError:
-                u, _, _, _ = np.linalg.lstsq(m_red, rhs, rcond=None)
-                resid = rhs - m_red @ u
-                ray = resid if np.abs(resid).max() > 1e-10 * (1 + np.abs(rhs).max()) else None
-            if ray is not None:
-                # descent ray with zero curvature: unbounded unless blocked
-                direction = z_w @ ray
-                blocked, alpha = _max_step(a_red, b_red, working, z, direction)
-                if blocked is None:
-                    return Solution(status="unbounded")
-                z = z + alpha * direction
-                working.append(blocked)
-                working.sort()
-                continue
-            step = z_w @ u
+                raise SolverError(
+                    "reduced Hessian is singular: P is not positive definite "
+                    "on the null space of the equalities"
+                ) from None
         if np.abs(step).max() <= 1e-11 * (1.0 + np.abs(z).max()):
             # stationary on the working set; check multiplier signs
-            if working:
-                lam_w = w_pinv @ grad
-                neg = np.where(lam_w < -1e-9)[0]
-                if neg.size == 0:
-                    break
-                drop = working[int(neg[np.argmin(lam_w[neg])])]
-                working.remove(drop)
-                continue
-            lam_w = np.zeros(0)
-            break
+            lam_w = w_pinv @ grad
+            neg = np.where(lam_w < -1e-9)[0]
+            if neg.size == 0:
+                break
+            drop = working[int(neg[np.argmin(lam_w[neg])])]
+            working.remove(drop)
+            continue
         blocked, alpha = _max_step(a_red, b_red, working, z, step)
         if alpha >= 1.0:
             z = z + step
@@ -386,13 +365,15 @@ def solve_qp(problem: QpProblem) -> Solution:
 
     x = x_part + z_basis @ z
     lam = np.zeros(m)
-    if working and lam_w.size:
-        lam[np.asarray(working, dtype=int)] = np.maximum(lam_w, 0.0)
+    lam[working] = lam_w
     return certify_point(problem, x, lam, eq_pinv, iterations=itn + 1)
 
 
 def _max_step(a_red, b_red, working, z, direction):
-    """Largest feasible step along ``direction``; (blocking index, alpha)."""
+    """Largest feasible step along ``direction``; (blocking index, alpha).
+
+    An unblocked direction gives ``(None, inf)``.
+    """
     alpha = np.inf
     blocked = None
     if a_red.shape[0]:
@@ -406,6 +387,4 @@ def _max_step(a_red, b_red, working, z, direction):
         for i, cand in zip(rows.tolist(), (gaps[rows] / -rates[rows]).tolist()):
             if cand < alpha - 1e-12:
                 alpha, blocked = cand, i
-    if blocked is None:
-        return None, alpha
     return blocked, max(alpha, 0.0)

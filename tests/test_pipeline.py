@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import diagfilter.design as design_module
-from diagfilter.errors import ConfigError
+import diagfilter.pipeline as pipeline_module
+from diagfilter.errors import ConfigError, DetectorInfeasibleError
 from diagfilter.matio import load_matrix, load_trajectory
 from diagfilter.pipeline import (
     TEST_SEED_OFFSET,
@@ -261,22 +262,75 @@ def test_pretraining_writes_margin_table(tmp_path):
     assert len(report["gammas"]) == 8
 
 
-def test_multivariate_design_solves_two_qps(tmp_path, monkeypatch):
-    # the data-assisted design and its model-only baseline, one QP each
+@pytest.fixture(scope="module")
+def mv_trained(tmp_path_factory):
     raw = multivariate_default_config()
     raw["train"].update(m=2, horizon_seconds=2.5)
     cfg = ExperimentConfig.from_dict(raw)
-    cmd_train(cfg, tmp_path)
-    calls = []
+    out = tmp_path_factory.mktemp("mv")
+    cmd_train(cfg, out)
+    return cfg, out
+
+
+def record_qps(monkeypatch) -> list:
+    """Record ``(problem, solution)`` of every design QP."""
+    solved = []
     solve_qp = design_module.solve_qp
 
-    def counted(problem):
-        calls.append(problem)
-        return solve_qp(problem)
+    def recorded(problem):
+        sol = solve_qp(problem)
+        solved.append((problem, sol))
+        return sol
 
-    monkeypatch.setattr(design_module, "solve_qp", counted)
+    monkeypatch.setattr(design_module, "solve_qp", recorded)
+    return solved
+
+
+def test_multivariate_design_solves_two_qps(mv_trained, tmp_path, monkeypatch):
+    # the data-assisted design and its model-only baseline, one QP each
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    solved = record_qps(monkeypatch)
     cmd_design(cfg, tmp_path)
-    assert len(calls) == 2
+    assert len(solved) == 2
+
+
+def test_multivariate_design_certificates_read_the_stopping_multipliers(
+    mv_trained, tmp_path, monkeypatch
+):
+    # the bound was fixed before measuring.  Clipping the stopping
+    # multipliers (about -1e-9) at zero moved their error into stationarity,
+    # 4e-10 on this run; the multipliers as computed leave round-off.
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    solved = record_qps(monkeypatch)
+    cmd_design(cfg, tmp_path)
+    assert solved
+    for _, sol in solved:
+        assert sol.status == "optimal"
+        assert sol.residuals["stationarity"] <= 1e-12
+        assert sol.residuals["dual_sign"] <= 1e-6
+
+
+def test_design_that_loses_to_its_baseline_is_rejected(completed_run, tmp_path, monkeypatch):
+    # a baseline of half the assisted filter has a quarter of its objective:
+    # at the training scale, below the assisted one by much less than 1e-9
+    cfg, out, _ = completed_run
+    shutil.copytree(out / "train", tmp_path / "train")
+    design_univariate = pipeline_module.design_univariate
+    assisted = []
+
+    def halved(stacked, qbar, **kwargs):
+        design = design_univariate(stacked, qbar, **kwargs)
+        if qbar is not None:
+            assisted.append(design)
+        else:
+            design.nbar = 0.5 * assisted[0].nbar
+        return design
+
+    monkeypatch.setattr(pipeline_module, "design_univariate", halved)
+    with pytest.raises(DetectorInfeasibleError, match="lost to the model-only baseline"):
+        cmd_design(cfg, tmp_path)
 
 
 def test_training_is_byte_deterministic(tmp_path):

@@ -165,16 +165,22 @@ def test_qp_verdicts():
         )
     )
     assert infeas.status == "infeasible"
-    # zero curvature along a feasible descent ray
-    unb = solve_qp(
+    # no unbounded verdict: a program that is not strictly convex on the
+    # null space of its equalities is refused
+    not_strictly_convex = [
+        # zero curvature along a feasible descent ray
         QpProblem(
             P=np.diag([1.0, 0.0]),
             c=np.array([0.0, -1.0]),
             a_ineq=np.array([[1.0, 0.0]]),
             b_ineq=np.array([0.0]),
-        )
-    )
-    assert unb.status == "unbounded"
+        ),
+        # a zero P: linear programs go to solve_lp
+        QpProblem(P=np.zeros((2, 2)), c=np.array([1.0, -1.0])),
+    ]
+    for problem in not_strictly_convex:
+        with pytest.raises(SolverError, match="reduced Hessian is singular"):
+            solve_qp(problem)
 
 
 def test_qp_matches_constructed_kkt_solutions():
@@ -199,17 +205,6 @@ def test_qp_matches_constructed_kkt_solutions():
         sol = solve_qp(QpProblem(P=p, c=c, a_ineq=a_ineq, b_ineq=b_ineq))
         assert_certified(sol)
         assert np.max(np.abs(sol.x - x_star)) < 1e-6
-
-
-def test_zero_curvature_delegates_to_lp():
-    cost = np.array([1.0, -1.0])
-    a_ineq = np.vstack([np.eye(2), -np.eye(2)])
-    b_ineq = np.array([0.0, 0.0, -1.0, -1.0])
-    lp = solve_lp(cost, a_ineq=a_ineq, b_ineq=b_ineq)
-    qp = solve_qp(QpProblem(P=np.zeros((2, 2)), c=cost, a_ineq=a_ineq, b_ineq=b_ineq))
-    assert qp.status == lp.status == "optimal"
-    assert abs(qp.objective - lp.objective) < 1e-12
-    assert np.array_equal(qp.x, lp.x)
 
 
 def test_kkt_residuals_vanish_at_hand_optimum():
