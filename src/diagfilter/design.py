@@ -24,11 +24,9 @@ from .errors import ConfigError, DetectorInfeasibleError, NoFilterError, SolverE
 from .lti import StackedSystem
 from .shiftpoly import pole_polynomial
 from .solvers import (
-    FEAS_TOL,
     QpProblem,
     Solution,
     certify_point,
-    factor_equalities,
     solve_lp,
     solve_qp,
 )
@@ -205,7 +203,10 @@ class FilterDesign:
     """A synthesised residual generator plus its design certificates.
 
     ``mode`` is ``"data_assisted"`` for a design against a training form and
-    ``"pure_model"`` for one without.
+    ``"pure_model"`` for one without.  ``constraints`` is the problem whose
+    constraints the design was solved over; a later design over the same
+    constraints, such as the model-only baseline, takes it to reuse their
+    reduction.  It is not persisted.
     """
 
     nbar: np.ndarray
@@ -218,6 +219,7 @@ class FilterDesign:
     branch: dict
     track_steady_state: bool = False
     diagnostics: dict = field(default_factory=dict)
+    constraints: QpProblem | None = field(default=None, repr=False, compare=False)
 
     def coeff(self, i: int) -> np.ndarray:
         if not 0 <= i <= self.d_n:
@@ -257,6 +259,7 @@ def design_univariate(
     *,
     pole: float,
     track_steady_state: bool = False,
+    constraints: QpProblem | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a single attacked channel.
 
@@ -281,10 +284,13 @@ def design_univariate(
     the inequality, otherwise the inequality is active and the optimum is
     ``x_free + lambda Z R^{-1} Z' g`` with the multiplier ``lambda`` that
     makes ``g x = 1``.  Each candidate is KKT-certified like a solver result.
-    All branches share the equalities, so one SVD of them per design
-    (:func:`~diagfilter.solvers.factor_equalities`) gives the particular
-    solution, ``Z`` and the pseudo-inverse that recovers every candidate's
-    equality multipliers.
+    All branches share the equalities, so one reduction of them
+    (:meth:`~diagfilter.solvers.QpProblem.reduction`, one SVD) gives the
+    particular solution, ``Z`` and the pseudo-inverse that recovers every
+    candidate's equality multipliers.  ``constraints``, an earlier
+    design's :attr:`FilterDesign.constraints` under the same ``pole`` and
+    ``track_steady_state``, supplies that reduction; without it the design
+    builds its own.
 
     Raises:
         NoFilterError: if every branch is infeasible.
@@ -294,18 +300,18 @@ def design_univariate(
         raise ConfigError("design_univariate expects exactly one attack channel")
     qbar_true, p_mat, a_eq, b_eq = _design_matrices(stacked, qbar)
     a_coeffs = pole_polynomial(pole, stacked.d_n)
+    signs = (1, -1) if track_steady_state else (1,)
+    if constraints is None:
+        if track_steady_state:
+            a_one = float(np.sum(a_coeffs))
+            dc_row = -(1.0 / a_one) * stacked.barF.sum(axis=1)
+            a_eq = np.vstack([a_eq, dc_row])
+            b_eq = np.append(b_eq, 1.0)
+        constraints = QpProblem(P=p_mat, c=np.zeros(stacked.n_vars), a_eq=a_eq, b_eq=b_eq)
 
-    if track_steady_state:
-        a_one = float(np.sum(a_coeffs))
-        dc_row = -(1.0 / a_one) * stacked.barF.sum(axis=1)
-        a_eq = np.vstack([a_eq, dc_row])
-        b_eq = np.append(b_eq, 1.0)
-        signs = (1, -1)
-    else:
-        signs = (1,)
-
-    x_part, z_basis, eq_pinv = factor_equalities(a_eq, b_eq)
-    consistent = np.abs(a_eq @ x_part - b_eq).max() <= FEAS_TOL
+    red = constraints.reduction()
+    x_part, z_basis, eq_pinv = red.x_part, red.z_basis, red.eq_pinv
+    consistent = red.start is not None
     if consistent:
         try:
             chol = scipy.linalg.cho_factor(z_basis.T @ p_mat @ z_basis)
@@ -316,8 +322,8 @@ def design_univariate(
         problem = QpProblem(
             P=p_mat,
             c=np.zeros(stacked.n_vars),
-            a_eq=a_eq,
-            b_eq=b_eq,
+            a_eq=constraints.a_eq,
+            b_eq=constraints.b_eq,
             a_ineq=np.zeros((1, stacked.n_vars)),
             b_ineq=np.array([1.0]),
         )
@@ -372,6 +378,7 @@ def design_univariate(
             "attack_gain": float(np.abs(nf_row).max()),
             "branch_report": report,
         },
+        constraints=constraints,
     )
 
 
@@ -492,18 +499,6 @@ def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> Pretra
     return PretrainResult(gammas=gammas, j_star=j_star, statuses=statuses)
 
 
-def _multivariate_qp(
-    stacked: StackedSystem, p_mat: np.ndarray, attack: AttackModel, gamma: float, j: int
-) -> QpProblem:
-    a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, gamma)
-    n_vars = stacked.n_vars
-    p_full = np.zeros((a_eq.shape[1], a_eq.shape[1]))
-    p_full[:n_vars, :n_vars] = p_mat
-    return QpProblem(
-        P=p_full, c=np.zeros(p_full.shape[0]), a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq
-    )
-
-
 def design_multivariate(
     stacked: StackedSystem,
     qbar: np.ndarray | None,
@@ -512,6 +507,7 @@ def design_multivariate(
     *,
     pole: float,
     gamma: float | None = None,
+    constraints: QpProblem | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
 
@@ -521,7 +517,10 @@ def design_multivariate(
     program ``j``'s support LP, the margin pretraining reports, and one QP
     is solved there.  Where the QP's phase-one LP rejects that optimum by
     round-off, the floor is lowered once by ``FLOOR_BACKOFF`` (relative).
-    A number fixes the floor instead.
+    A number fixes the floor instead.  ``constraints``, the
+    :attr:`FilterDesign.constraints` of an earlier design of program ``j``,
+    fixes the floor at that design's: the QP is solved over the same
+    constraints and reuses their factorisation and phase-one start.
 
     Raises:
         NoFilterError: if the support LP is infeasible or unbounded, or a
@@ -532,13 +531,24 @@ def design_multivariate(
     attack.validate_against(stacked.n_f)
     qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
     a_coeffs = pole_polynomial(pole, stacked.d_n)
+    n_vars = stacked.n_vars
+    n_b = attack.polytope_b.size
+    p_full = np.zeros((n_vars + n_b, n_vars + n_b))
+    p_full[:n_vars, :n_vars] = p_mat
+    c_full = np.zeros(n_vars + n_b)
 
-    def attempt(floor: float) -> Solution:
-        return solve_qp(_multivariate_qp(stacked, p_mat, attack, floor, j))
+    def program(floor: float) -> QpProblem:
+        a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, floor)
+        return QpProblem(P=p_full, c=c_full, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
 
-    if gamma is not None:
+    if constraints is not None:
+        problem = constraints.with_objective(p_full, c_full)
+        gamma = float(problem.b_ineq[n_b])
+    elif gamma is not None:
         gamma = float(gamma)
-        sol = attempt(gamma)
+        problem = program(gamma)
+    if gamma is not None:
+        sol = solve_qp(problem)
         if sol.status != "optimal":
             raise NoFilterError(f"program {j} infeasible at gamma = {gamma}")
     else:
@@ -548,17 +558,18 @@ def design_multivariate(
         if support.status != "optimal":
             raise NoFilterError(f"program {j} infeasible even at gamma = 0")
         gamma = -support.objective
-        sol = attempt(gamma)
+        problem = program(gamma)
+        sol = solve_qp(problem)
         if sol.status != "optimal":
             gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))
-            sol = attempt(gamma)
+            problem = program(gamma)
+            sol = solve_qp(problem)
         if sol.status != "optimal":
             raise SolverError(
                 f"program {j}: the QP rejected the support-LP floor and its "
                 f"back-off to gamma = {gamma!r}"
             )
 
-    n_vars = stacked.n_vars
     nbar = sol.x[:n_vars].copy()
     lam = sol.x[n_vars:].copy()
     idx, sign = program_branch(j)
@@ -578,6 +589,7 @@ def design_multivariate(
             "support_value": float(attack.polytope_b @ lam),
             "polytope_dual": lam,
         },
+        constraints=problem,
     )
 
 

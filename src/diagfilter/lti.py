@@ -254,11 +254,14 @@ def build_stacked(dae: DaeSystem, d_n: int) -> StackedSystem:
         raise ValueError("d_n must be nonnegative")
     n_r, n_c = dae.n_r, dae.n_c
     bar_h = np.zeros(((d_n + 1) * n_r, (d_n + 2) * n_c))
+    bar_l = np.zeros(((d_n + 1) * n_r, (d_n + 1) * dae.n_y))
+    bar_f = np.zeros(((d_n + 1) * n_r, (d_n + 1) * dae.n_f))
     for i in range(d_n + 1):
-        bar_h[i * n_r : (i + 1) * n_r, i * n_c : (i + 1) * n_c] = dae.H0
-        bar_h[i * n_r : (i + 1) * n_r, (i + 1) * n_c : (i + 2) * n_c] = dae.H1
-    bar_l = scipy.linalg.block_diag(*([dae.L] * (d_n + 1)))
-    bar_f = scipy.linalg.block_diag(*([dae.F] * (d_n + 1)))
+        rows = slice(i * n_r, (i + 1) * n_r)
+        bar_h[rows, i * n_c : (i + 1) * n_c] = dae.H0
+        bar_h[rows, (i + 1) * n_c : (i + 2) * n_c] = dae.H1
+        bar_l[rows, i * dae.n_y : (i + 1) * dae.n_y] = dae.L
+        bar_f[rows, i * dae.n_f : (i + 1) * dae.n_f] = dae.F
     return StackedSystem(
         barH=bar_h,
         barL=bar_l,

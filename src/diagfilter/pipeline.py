@@ -508,7 +508,15 @@ def _load_pretrain(out: Path) -> dict | None:
 
 
 def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
-    """Synthesise the filter, calibrate the detector, write the artefact."""
+    """Synthesise the filter, calibrate the detector, write the artefact.
+
+    A data-assisted design is checked against the model-only baseline:
+    the same design without the training form.  The model fixes the
+    feasible set and the form only the objective, so the baseline is
+    designed over the assisted design's constraints (for a multivariate
+    attack, at its final floor) and reuses their reduction: one
+    factorisation of the equalities and one phase-one start per call.
+    """
     ctx = build_context(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -538,7 +546,13 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     dominance = None
     if qbar is not None:
         if ctx.attack_model.kind == "univariate":
-            baseline = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=track)
+            baseline = design_univariate(
+                ctx.stacked,
+                None,
+                pole=pole,
+                track_steady_state=track,
+                constraints=design.constraints,
+            )
         else:
             baseline = design_multivariate(
                 ctx.stacked,
@@ -546,7 +560,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
                 ctx.attack_model,
                 j=int(design.branch["program"]),
                 pole=pole,
-                gamma=design.diagnostics["gamma"],
+                constraints=design.constraints,
             )
         assisted_value = quadratic_value(design.nbar, qbar)
         pure_value = quadratic_value(baseline.nbar, qbar)
@@ -565,6 +579,9 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
         dominance = {
             "assisted_value": float(assisted_value),
             "pure_value": float(pure_value),
+            "assisted_ridged": float(assisted_ridged),
+            "pure_ridged": float(pure_ridged),
+            "ridged_ratio": float(assisted_ridged / pure_ridged),
         }
 
     detector = calibrate_threshold(
@@ -585,6 +602,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
         "track_steady_state": bool(design.track_steady_state),
         "calibration": calibration,
         "dominance": dominance,
+        "branch_report": design.diagnostics.get("branch_report"),
         "pretrain": pretrain_used,
         "model_hash": ctx.model_hash,
     }

@@ -22,6 +22,12 @@ equalities and each working set of the active-set method, which is factored
 when the working set changes, not on every iteration.  The one SVD gives the
 particular solution, the null-space basis and the pseudo-inverse from which
 :func:`certify_point` recovers the equality multipliers.
+
+A QP solve has two halves.  :class:`Reduction` is the half that reads only
+the constraints: the factored equalities, the inequalities in null-space
+coordinates and the phase-one start.  The active-set loop reads one
+objective.  Problems made by :meth:`QpProblem.with_objective` share one
+reduction, so two objectives over one feasible set pay for it once.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ class QpProblem:
     b_eq: np.ndarray | None = None
     a_ineq: np.ndarray | None = None
     b_ineq: np.ndarray | None = None
+    _reduction: Reduction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -79,6 +86,63 @@ class QpProblem:
 
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.P @ x + self.c @ x)
+
+    def reduction(self) -> Reduction:
+        """The constraint-only half of :func:`solve_qp`, computed on first use."""
+        if self._reduction is None:
+            self._reduction = _reduce_constraints(self)
+        return self._reduction
+
+    def with_objective(self, P: np.ndarray, c: np.ndarray) -> QpProblem:
+        """These constraints under the objective ``(P, c)``, sharing one reduction."""
+        other = QpProblem(
+            P=P, c=c, a_eq=self.a_eq, b_eq=self.b_eq, a_ineq=self.a_ineq, b_ineq=self.b_ineq
+        )
+        other._reduction = self.reduction()
+        return other
+
+
+@dataclass
+class Reduction:
+    """A constraint set in the coordinates of its equalities' null space.
+
+    ``(x_part, z_basis, eq_pinv)`` is :func:`factor_equalities` of the
+    equalities, so ``x = x_part + z_basis z`` meets them.  ``a_red z >=
+    b_red`` are the inequalities in those coordinates.  ``start`` is a
+    feasible ``z``, from the phase-one LP when there are inequalities, or
+    ``None`` when the constraints admit no point.
+    """
+
+    x_part: np.ndarray
+    z_basis: np.ndarray
+    eq_pinv: np.ndarray
+    a_red: np.ndarray
+    b_red: np.ndarray
+    start: np.ndarray | None
+
+
+def _reduce_constraints(problem: QpProblem) -> Reduction:
+    """Factor the equalities of ``problem``, reduce its inequalities, find a start.
+
+    Reads only the constraints.  The equalities are inconsistent when
+    ``a_eq x_part`` misses ``b_eq`` by more than ``FEAS_TOL``; where they pin
+    the point down, ``x_part`` must meet the inequalities to ``FEAS_TOL``;
+    otherwise a phase-one LP over ``a_red z >= b_red`` decides feasibility.
+    """
+    x_part, z_basis, eq_pinv = factor_equalities(problem.a_eq, problem.b_eq)
+    a_red = problem.a_ineq @ z_basis
+    b_red = problem.b_ineq - problem.a_ineq @ x_part
+    k = z_basis.shape[1]
+    if np.abs(problem.a_eq @ x_part - problem.b_eq).max(initial=0.0) > FEAS_TOL:
+        start = None
+    elif k == 0:
+        start = np.zeros(0) if b_red.max(initial=0.0) <= FEAS_TOL else None
+    elif a_red.shape[0]:
+        phase_one = solve_lp(np.zeros(k), a_ineq=a_red, b_ineq=b_red)
+        start = None if phase_one.status == "infeasible" else phase_one.x
+    else:
+        start = np.zeros(k)
+    return Reduction(x_part, z_basis, eq_pinv, a_red, b_red, start)
 
 
 @dataclass
@@ -282,48 +346,32 @@ def solve_qp(problem: QpProblem) -> Solution:
     the design's ridge makes it; the verdict is ``optimal`` or
     ``infeasible``, never ``unbounded``.  Equality constraints are
     eliminated exactly through a null-space basis, so they hold to machine
-    precision in the result.  The equalities are factored once by
-    :func:`factor_equalities`, and each working set of active inequalities
-    once per change of the working set: iterations that keep it reuse its
-    null-space basis, multiplier pseudo-inverse and reduced Hessian.
-    Feasibility of the inequality system is established by a phase-one LP,
-    which also yields the infeasible verdict.  The certificate reads the
-    multipliers the method stopped at, unclipped.
+    precision in the result.  The constraints are reduced by
+    :meth:`QpProblem.reduction`: one factorisation of the equalities and a
+    phase-one LP that finds a feasible start or the infeasible verdict.
+    Problems from :meth:`QpProblem.with_objective` share that reduction.
+    Each working set of active inequalities is factored once per change of
+    the working set: iterations that keep it reuse its null-space basis,
+    multiplier pseudo-inverse and reduced Hessian.  The certificate reads
+    the multipliers the method stopped at, unclipped.
 
     Raises:
         SolverError: if a reduced Hessian is singular (``P`` is not positive
             definite on the equality null space), the method stalls or
             certification fails.
     """
-    max_iter = 100 + 20 * problem.a_ineq.shape[0]
-
-    # eliminate equalities: x = x_part + Z z
-    x_part, z_basis, eq_pinv = factor_equalities(problem.a_eq, problem.b_eq)
-    if np.abs(problem.a_eq @ x_part - problem.b_eq).max(initial=0.0) > FEAS_TOL:
+    red = problem.reduction()
+    if red.start is None:
         return Solution(status="infeasible")
-
-    if z_basis.shape[1] == 0:
+    m = red.a_red.shape[0]
+    if red.z_basis.shape[1] == 0:
         # equalities pin the point down completely
-        x = x_part
-        if problem.a_ineq.size and (problem.a_ineq @ x - problem.b_ineq).min() < -FEAS_TOL:
-            return Solution(status="infeasible")
-        return certify_point(problem, x, np.zeros(problem.a_ineq.shape[0]), eq_pinv)
+        return certify_point(problem, red.x_part, np.zeros(m), red.eq_pinv)
 
+    max_iter = 100 + 20 * m
+    x_part, z_basis, a_red, b_red, z = red.x_part, red.z_basis, red.a_red, red.b_red, red.start
     p_red = z_basis.T @ problem.P @ z_basis
     c_red = z_basis.T @ (problem.P @ x_part + problem.c)
-    a_red = problem.a_ineq @ z_basis
-    b_red = problem.b_ineq - problem.a_ineq @ x_part
-    m = a_red.shape[0]
-
-    # phase one: feasible start for the inequality system in reduced space
-    if m:
-        start = solve_lp(np.zeros(p_red.shape[0]), a_ineq=a_red, b_ineq=b_red)
-        if start.status == "infeasible":
-            return Solution(status="infeasible")
-        z = start.x
-    else:
-        z = np.zeros(p_red.shape[0])
-
     scale = 1.0 + float(np.abs(b_red).max()) if m else 1.0
     working = [i for i in range(m) if abs(a_red[i] @ z - b_red[i]) <= 1e-8 * scale]
 
@@ -366,7 +414,7 @@ def solve_qp(problem: QpProblem) -> Solution:
     x = x_part + z_basis @ z
     lam = np.zeros(m)
     lam[working] = lam_w
-    return certify_point(problem, x, lam, eq_pinv, iterations=itn + 1)
+    return certify_point(problem, x, lam, red.eq_pinv, iterations=itn + 1)
 
 
 def _max_step(a_red, b_red, working, z, direction):

@@ -96,6 +96,13 @@ def mv_stacked(d_n=3, t_s=0.5):
     return dae, build_stacked(dae, d_n)
 
 
+def test_stacked_blocks_match_scipy_block_diag():
+    for dae, stacked in (default_stacked(), mv_stacked()):
+        copies = stacked.d_n + 1
+        assert np.array_equal(stacked.barL, scipy.linalg.block_diag(*[dae.L] * copies))
+        assert np.array_equal(stacked.barF, scipy.linalg.block_diag(*[dae.F] * copies))
+
+
 def test_mismatch_signature_subtracts_and_checks_shapes():
     y_p = np.arange(6.0).reshape(2, 3)
     y = np.ones((2, 3))
@@ -554,6 +561,25 @@ def test_support_lp_floor_matches_the_bisection_reference(j):
     gamma = design.diagnostics["gamma"]
     assert abs(gamma - ref_gamma) <= 1e-7 * max(1.0, ref_gamma)
     assert abs(design.objective - ref.objective) <= 1e-6 * ref.objective
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_baseline_over_shared_constraints_is_a_baseline_designed_alone(j):
+    # program 1 backs its floor off, program 3 keeps the support-LP optimum:
+    # either way the baseline meets the arrays the assisted design ended on
+    _, stacked = mv_stacked(d_n=2)
+    attack = mv_attack()
+    b = np.random.default_rng(7).normal(size=(stacked.n_vars, stacked.n_vars))
+    qbar = 1e-3 * (b @ b.T) / stacked.n_vars
+    assisted = design_multivariate(stacked, qbar, attack, j, pole=0.5)
+    gamma = assisted.diagnostics["gamma"]
+    shared = design_multivariate(
+        stacked, None, attack, j, pole=0.5, constraints=assisted.constraints
+    )
+    alone = design_multivariate(stacked, None, attack, j, pole=0.5, gamma=gamma)
+    assert shared.diagnostics["gamma"] == gamma
+    assert np.array_equal(shared.nbar, alone.nbar)
+    assert np.array_equal(shared.objective, alone.objective)
 
 
 def test_steady_state_margin_flags_stealthy_sets():

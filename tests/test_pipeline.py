@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
+import diagfilter.solvers as solvers_module
+from diagfilter.design import design_multivariate, design_univariate
 from diagfilter.errors import ConfigError, DetectorInfeasibleError
 from diagfilter.matio import load_matrix, load_trajectory
 from diagfilter.pipeline import (
@@ -146,7 +149,16 @@ def test_design_report_and_artefact_agree(completed_run):
     _, out, summary = completed_run
     report = json.loads((out / "design_report.json").read_text())
     assert report["mode"] == "data_assisted"
-    assert report["dominance"]["assisted_value"] <= report["dominance"]["pure_value"] + 1e-9
+    dominance = report["dominance"]
+    # the rule cmd_design enforces, on the ridged objectives it compares
+    assert dominance["ridged_ratio"] == dominance["assisted_ridged"] / dominance["pure_ridged"]
+    assert dominance["ridged_ratio"] <= 1.0 + 1e-6
+    table = [(b["coeff_index"], b["sign"]) for b in report["branch_report"]]
+    assert table == [(j, s) for j in range(4) for s in (1, -1)]
+    branch = report["branch"]
+    chosen = report["branch_report"][table.index((branch["coeff_index"], branch["sign"]))]
+    assert chosen["status"] == "optimal"
+    assert chosen["objective"] == report["objective"]
     cal = report["calibration"]
     assert cal["threshold"] == cal["tau_star"] + cal["margin"]
     assert cal["window"] == 20
@@ -270,6 +282,97 @@ def mv_trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("mv")
     cmd_train(cfg, out)
     return cfg, out
+
+
+def test_univariate_design_factors_the_decoupling_equalities_once(
+    completed_run, tmp_path, monkeypatch
+):
+    # the assisted design and its model-only baseline share one SVD
+    cfg, out, _ = completed_run
+    shutil.copytree(out / "train", tmp_path / "train")
+    stacked = build_context(cfg).stacked
+    svd = scipy.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counted)
+    cmd_design(cfg, tmp_path)
+    # the decoupling rows barH' nbar = 0 and the DC row
+    assert shapes == [(stacked.barH.shape[1] + 1, stacked.n_vars)]
+
+
+def test_multivariate_design_shares_one_phase_one_and_factorisation(
+    mv_trained, tmp_path, monkeypatch
+):
+    # the baseline QP runs over the assisted QP's constraints at its final
+    # floor: one SVD of their equalities and one phase-one LP serve both
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    solved = record_qps(monkeypatch)
+    phase_one, equalities = [], []
+    solve_lp = solvers_module.solve_lp
+    factor_equalities = solvers_module.factor_equalities
+
+    def counted_lp(*args, **kwargs):
+        phase_one.append(args)
+        return solve_lp(*args, **kwargs)
+
+    def counted_factor(a_eq, b_eq):
+        equalities.append(a_eq.shape)
+        return factor_equalities(a_eq, b_eq)
+
+    monkeypatch.setattr(solvers_module, "solve_lp", counted_lp)
+    monkeypatch.setattr(solvers_module, "factor_equalities", counted_factor)
+    cmd_design(cfg, tmp_path)
+    assert len(solved) == 2
+    problem = solved[0][0]
+    assert solved[1][0].a_eq is problem.a_eq
+    assert len(phase_one) == 1
+    # working sets are factored in the null-space coordinates, fewer columns
+    assert [shape for shape in equalities if shape[1] == problem.n] == [problem.a_eq.shape]
+    report = json.loads((tmp_path / "design_report.json").read_text())
+    assert report["branch_report"] is None
+    assert report["dominance"]["ridged_ratio"] <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("kind", ["univariate", "multivariate"])
+def test_baseline_of_a_design_pass_is_the_baseline_designed_alone(
+    kind, completed_run, mv_trained, tmp_path, monkeypatch
+):
+    cfg, out = completed_run[:2] if kind == "univariate" else mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    name = f"design_{kind}"
+    design = getattr(pipeline_module, name)
+    designs = []
+
+    def recorded(*args, **kwargs):
+        designs.append(design(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(pipeline_module, name, recorded)
+    cmd_design(cfg, tmp_path)
+    monkeypatch.undo()
+    assisted, baseline = designs
+    ctx = build_context(cfg)
+    pole = float(cfg.filter["pole"])
+    if kind == "univariate":
+        track = bool(cfg.filter["track_steady_state"])
+        alone = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=track)
+    else:
+        alone = design_multivariate(
+            ctx.stacked,
+            None,
+            ctx.attack_model,
+            assisted.branch["program"],
+            pole=pole,
+            gamma=assisted.diagnostics["gamma"],
+        )
+    assert baseline.mode == "pure_model"
+    assert np.array_equal(baseline.nbar, alone.nbar)
+    assert np.array_equal(baseline.objective, alone.objective)
 
 
 def record_qps(monkeypatch) -> list:
