@@ -16,7 +16,7 @@ Layers, bottom to top:
 * :mod:`~diagfilter.solvers` -- certified LP/QP solves;
 * :mod:`~diagfilter.design` -- filter synthesis (single and coordinated
   attack hypotheses) and its training statistics;
-* :mod:`~diagfilter.runtime` -- streaming residual evaluation and detection;
+* :mod:`~diagfilter.runtime` -- residual evaluation over trajectories and detection;
 * :mod:`~diagfilter.matio`, :mod:`~diagfilter.pipeline`,
   :mod:`~diagfilter.cli` -- artefact formats and experiment orchestration.
 """

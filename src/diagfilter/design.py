@@ -140,6 +140,11 @@ def quadratic_value(nbar: np.ndarray, q: np.ndarray) -> float:
     return float(nbar @ q @ nbar)
 
 
+def regularised_value(nbar: np.ndarray, q: np.ndarray) -> float:
+    """``nbar`` on ``q`` plus the ridge the design programs add before solving."""
+    return quadratic_value(nbar, q + REGULARIZATION * np.eye(q.shape[0]))
+
+
 def worst_case_value(nbar: np.ndarray, q_list: list[np.ndarray]) -> float:
     """Largest per-instance energy ``nbar Q_i nbar'`` over a training set."""
     return max(quadratic_value(nbar, q) for q in q_list)

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .agc import AreaParams, AttackTopology, ModelIndex, areas_from_dict, areas_to_dict
+from .agc import areas_from_dict, areas_to_dict
 from .design import (
-    REGULARIZATION,
     AttackModel,
     FilterDesign,
     average_q,
@@ -49,6 +48,7 @@ from .design import (
     pretrain_multivariate,
     q_matrix,
     quadratic_value,
+    regularised_value,
     steady_state_margin,
     worst_case_alpha,
 )
@@ -223,6 +223,11 @@ class ExperimentConfig:
         kind = self.attack.get("kind")
         if kind not in ("univariate", "multivariate"):
             raise ConfigError(f"unknown attack kind {kind!r}")
+        if kind == "multivariate" and bool(self.filter["track_steady_state"]):
+            raise ConfigError(
+                "filter.track_steady_state applies to univariate attacks only; "
+                "the multivariate design has no DC normalisation"
+            )
 
 
 # --- derived context ----------------------------------------------------------
@@ -233,10 +238,7 @@ class PipelineContext:
     """Everything derivable from the configuration, built once per phase."""
 
     cfg: ExperimentConfig
-    areas: list[AreaParams]
-    topology: AttackTopology
     model_c: LinearModel
-    index: ModelIndex
     model_d: LinearModel
     dae: DaeSystem
     stacked: StackedSystem
@@ -285,7 +287,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
         rate_limit=plant_cfg.get("rate_limit"),
     )
     plant.validate()
-    model_c, index = plant.assemble()
+    model_c, _ = plant.assemble()
     model_d = zoh_discretize(model_c, plant.t_s)
     dae = assemble_dae(model_d)
     d_n = int(cfg.filter["d_n"])
@@ -303,10 +305,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     attack_model.validate_against(model_c.n_f)
     return PipelineContext(
         cfg=cfg,
-        areas=areas,
-        topology=topology,
         model_c=model_c,
-        index=index,
         model_d=model_d,
         dae=dae,
         stacked=stacked,
@@ -510,12 +509,16 @@ def _load_pretrain(out: Path) -> dict | None:
 def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     """Synthesise the filter, calibrate the detector, write the artefact.
 
-    A data-assisted design is checked against the model-only baseline:
-    the same design without the training form.  The model fixes the
-    feasible set and the form only the objective, so the baseline is
-    designed over the assisted design's constraints (for a multivariate
-    attack, at its final floor) and reuses their reduction: one
-    factorisation of the equalities and one phase-one start per call.
+    ``pose(form, constraints)`` is the one design call of the configured
+    attack kind (a multivariate attack first loads or runs pretraining for
+    its program).  A data-assisted design is checked against the
+    model-only baseline: the same design without the training form.  The
+    model fixes the feasible set and the form only the objective, so the
+    baseline is posed over the assisted design's constraints (for a
+    multivariate attack, at its final floor) and reuses their reduction:
+    one factorisation of the equalities and one phase-one start per call.
+    Both are compared on the ridged form the design programs minimise
+    (:func:`~diagfilter.design.regularised_value`).
     """
     ctx = build_context(cfg)
     out = Path(out_dir)
@@ -530,46 +533,37 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
         q_list = []
 
     pole = float(cfg.filter["pole"])
-    track = bool(cfg.filter["track_steady_state"])
     if ctx.attack_model.kind == "univariate":
-        design = design_univariate(ctx.stacked, qbar, pole=pole, track_steady_state=track)
+        track = bool(cfg.filter["track_steady_state"])
+
+        def pose(form, constraints=None):
+            return design_univariate(
+                ctx.stacked, form, pole=pole, track_steady_state=track, constraints=constraints
+            )
+
         pretrain_used = None
     else:
         report = _load_pretrain(out)
         if report is None:
             report = cmd_pretrain(cfg, out)
-        design = design_multivariate(
-            ctx.stacked, qbar, ctx.attack_model, j=int(report["j_star"]), pole=pole
-        )
+        j_star = int(report["j_star"])
+
+        def pose(form, constraints=None):
+            return design_multivariate(
+                ctx.stacked, form, ctx.attack_model, j=j_star, pole=pole, constraints=constraints
+            )
+
         pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}
 
+    design = pose(qbar)
     dominance = None
     if qbar is not None:
-        if ctx.attack_model.kind == "univariate":
-            baseline = design_univariate(
-                ctx.stacked,
-                None,
-                pole=pole,
-                track_steady_state=track,
-                constraints=design.constraints,
-            )
-        else:
-            baseline = design_multivariate(
-                ctx.stacked,
-                None,
-                ctx.attack_model,
-                j=int(design.branch["program"]),
-                pole=pole,
-                constraints=design.constraints,
-            )
-        assisted_value = quadratic_value(design.nbar, qbar)
-        pure_value = quadratic_value(baseline.nbar, qbar)
+        baseline = pose(None, design.constraints)
         # the assisted design minimises the ridged form over a set that holds
         # the baseline; compared relatively, as the forms are of order 1e-14
         # to 1e-10
-        ridged = qbar + REGULARIZATION * np.eye(qbar.shape[0])
-        assisted_ridged = quadratic_value(design.nbar, ridged)
-        pure_ridged = quadratic_value(baseline.nbar, ridged)
+        assisted_ridged = regularised_value(design.nbar, qbar)
+        pure_ridged = regularised_value(baseline.nbar, qbar)
         if assisted_ridged > pure_ridged * (1.0 + 1e-6):
             raise DetectorInfeasibleError(
                 "training-aware design lost to the model-only baseline on its own "
@@ -577,8 +571,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
                 "the quadratic forms are inconsistent"
             )
         dominance = {
-            "assisted_value": float(assisted_value),
-            "pure_value": float(pure_value),
+            "assisted_value": float(design.objective),
+            "pure_value": float(quadratic_value(baseline.nbar, qbar)),
             "assisted_ridged": float(assisted_ridged),
             "pure_ridged": float(pure_ridged),
             "ridged_ratio": float(assisted_ridged / pure_ridged),

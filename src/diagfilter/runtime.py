@@ -1,19 +1,19 @@
 """Causal residual evaluation, windowed energy, and threshold detection.
 
 The designed filter ``r = a(q)^{-1} N(q) L(q) y`` is proper (numerator and
-denominator share one degree), so it runs online as a difference equation:
+denominator share one degree), so it runs over a recorded trajectory as a
+difference equation:
 
     a_dn r[k] = sum_i (N_i L) y[k - dn + i] - sum_{i<dn} a_i r[k - dn + i]
 
-with all buffers starting at zero.  The first ``dn`` residual samples mix in
-those synthetic zeros and are flagged as warm-up; detectors ignore them.
+with the samples before the trajectory taken as zero.  The first ``dn``
+residual samples mix in those synthetic zeros and are flagged as warm-up;
+detectors ignore them.
 """
 
 from __future__ import annotations
 
-import copy
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,10 @@ from .design import FilterDesign, worst_case_value
 
 
 class ResidualFilter:
-    """Streaming evaluator of a designed residual generator.
-
-    Keeps ring buffers of the last ``dn`` projected inputs and residual
-    values; one :meth:`step` per output sample.  :meth:`run` evaluates a
-    whole trajectory through :meth:`step` from a fresh zero state.
-    """
+    """Evaluator of a designed residual generator over whole trajectories."""
 
     def __init__(self, design: FilterDesign, l_matrix: np.ndarray):
         l_matrix = np.asarray(l_matrix, dtype=float)
-        n_y = l_matrix.shape[1]
         self.design = design
         self.d_n = design.d_n
         # row i: the output weights N_i L applied at lag dn - i
@@ -38,44 +32,30 @@ class ResidualFilter:
             [design.coeff(i) @ l_matrix for i in range(self.d_n + 1)]
         )
         self.a_coeffs = np.asarray(design.a_coeffs, dtype=float)
-        self.n_y = n_y
-        self.reset()
-
-    def reset(self):
-        self._proj: deque[np.ndarray] = deque(
-            [np.zeros(self.d_n + 1) for _ in range(self.d_n)], maxlen=self.d_n
-        )
-        self._res: deque[float] = deque([0.0] * self.d_n, maxlen=self.d_n)
-        self._count = 0
-
-    @property
-    def warmup(self) -> int:
-        return self.d_n
-
-    def step(self, y: np.ndarray) -> float:
-        """Consume one output sample and emit the residual at that instant."""
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.n_y:
-            raise ValueError(f"expected {self.n_y} outputs, got {y.size}")
-        proj = self.weights @ y
-        acc = proj[self.d_n]
-        for i in range(self.d_n):
-            acc += self._proj[i][i] - self.a_coeffs[i] * self._res[i]
-        r = acc / self.a_coeffs[self.d_n]
-        self._proj.append(proj)
-        self._res.append(r)
-        self._count += 1
-        return float(r)
+        self.n_y = l_matrix.shape[1]
 
     def run(self, Y: np.ndarray) -> np.ndarray:
-        """Residuals for a full (n_y, T) trajectory from a fresh zero state.
+        """Residuals for a full (n_y, T) trajectory from a zero state.
 
-        One :meth:`step` per column on a fresh copy, so the two paths agree
-        bit for bit and this filter's streaming state is left alone.
+        Raises:
+            ValueError: if ``Y`` does not have one row per output.
         """
-        fresh = copy.copy(self)
-        fresh.reset()
-        return np.array([fresh.step(y) for y in np.atleast_2d(np.asarray(Y, dtype=float)).T])
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        if Y.shape[0] != self.n_y:
+            raise ValueError(f"expected {self.n_y} outputs, got {Y.shape[0]}")
+        d_n = self.d_n
+        a = self.a_coeffs
+        # d_n zero samples of history precede the trajectory in both buffers
+        proj = [np.zeros(d_n + 1)] * d_n
+        res = [0.0] * d_n
+        for k, y in enumerate(Y.T):
+            p = self.weights @ np.ascontiguousarray(y)
+            acc = p[d_n]
+            for i in range(d_n):
+                acc += proj[k + i][i] - a[i] * res[k + i]
+            proj.append(p)
+            res.append(acc / a[d_n])
+        return np.array(res[d_n:], dtype=float)
 
 
 def residual_energy(residuals: np.ndarray, window: int) -> np.ndarray:

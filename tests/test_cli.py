@@ -185,6 +185,17 @@ def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
     assert "polytope" in capsys.readouterr().err
 
 
+def test_dc_tracking_under_multivariate_attack_exits_config_code(tmp_path, capsys):
+    from diagfilter.pipeline import multivariate_default_config
+
+    cfg = multivariate_default_config()
+    cfg["filter"]["track_steady_state"] = True
+    cfg_path = write_config(tmp_path, cfg)
+    code = main(["run-all", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "track_steady_state" in capsys.readouterr().err
+
+
 def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
     # a zero basis admits only the zero bias: nothing to detect
     from diagfilter.pipeline import multivariate_default_config

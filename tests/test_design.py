@@ -430,6 +430,41 @@ def test_no_filter_when_attack_is_invisible():
         design_univariate(stacked, None, pole=0.5)
 
 
+@pytest.mark.parametrize("track", [True, False])
+def test_no_filter_when_attack_enters_as_a_load(track, monkeypatch):
+    # the attack enters the default network exactly as the first load, so any
+    # filter blind to the loads is blind to it: with DC tracking the
+    # equalities admit no point; without it they do, but every visibility
+    # row lies in the row space of barH'
+    from diagfilter.agc import assemble_multiarea
+
+    model, _ = assemble_multiarea(three_area_default(), univariate_topology())
+    load = LinearModel(
+        A=model.A,
+        B_d=model.B_d,
+        B_f=model.B_d[:, :1],
+        C=model.C,
+        D_f=np.zeros_like(model.D_f),
+    )
+    stacked = build_stacked(assemble_dae(zoh_discretize(load, 0.5)), 3)
+    reductions = []
+    reduction = QpProblem.reduction
+
+    def spy(self):
+        red = reduction(self)
+        reductions.append(red)
+        return red
+
+    monkeypatch.setattr(QpProblem, "reduction", spy)
+    with pytest.raises(NoFilterError, match="all design branches infeasible") as info:
+        design_univariate(stacked, None, pole=0.5, track_steady_state=track)
+    report = info.value.branch_report
+    assert len(report) == (stacked.d_n + 1) * (2 if track else 1)
+    assert all(entry["status"] == "infeasible" for entry in report)
+    assert len(reductions) == 1
+    assert (reductions[0].start is None) == track
+
+
 def test_program_numbering_covers_signed_coefficients():
     mapping = [program_branch(j) for j in range(1, 9)]
     assert mapping == [

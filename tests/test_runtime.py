@@ -1,4 +1,4 @@
-"""Streaming residual evaluation and windowed-energy detection."""
+"""Batch residual evaluation and windowed-energy detection."""
 
 import numpy as np
 import pytest
@@ -44,17 +44,6 @@ def toy_design(nbar, d_n, n_r, pole=0.5) -> FilterDesign:
         objective=0.0,
         branch={},
     )
-
-
-def test_streaming_and_batch_paths_agree_bitwise():
-    disc, dae, stacked, design = reference_setup()
-    filt = ResidualFilter(design, dae.L)
-    rng = np.random.default_rng(8)
-    Y = rng.normal(size=(disc.n_y, 40))
-    batch = filt.run(Y)
-    filt.reset()
-    stream = np.array([filt.step(Y[:, k]) for k in range(40)])
-    assert np.array_equal(batch, stream)
 
 
 def test_filter_is_causal():
@@ -111,11 +100,11 @@ def test_scalar_filter_reproduces_difference_equation():
         r_prev = r[k]
 
 
-def test_step_rejects_wrong_output_size():
+def test_run_rejects_wrong_output_count():
     design = toy_design([0.25, 0.5], d_n=1, n_r=1)
     filt = ResidualFilter(design, np.eye(1))
-    with pytest.raises(ValueError):
-        filt.step(np.zeros(2))
+    with pytest.raises(ValueError, match="expected 1 outputs, got 2"):
+        filt.run(np.zeros((2, 5)))
 
 
 def test_windowed_energy_matches_direct_loop():
