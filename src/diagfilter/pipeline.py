@@ -163,7 +163,12 @@ class ExperimentConfig:
         cfg = ExperimentConfig(
             model=raw["model"],
             plant={**defaults["plant"], **raw.get("plant", {})},
-            filter={**defaults["filter"], **raw.get("filter", {})},
+            # DC tracking is a univariate option: its default follows the attack
+            filter={
+                **defaults["filter"],
+                "track_steady_state": raw["attack"].get("kind") != "multivariate",
+                **raw.get("filter", {}),
+            },
             train={**defaults["train"], **raw.get("train", {})},
             test={**defaults["test"], **raw.get("test", {})},
             attack=raw["attack"],

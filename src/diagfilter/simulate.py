@@ -26,6 +26,16 @@ is the ``np.matvec`` gufunc, one BLAS gemv per run: each run's sums are
 formed by the same kernel in the same order whatever the batch width,
 where one matrix-matrix product over the batch would pick its kernel and
 blocking by width and move a run's last bits with its batch.
+
+At the step counts of a training set the interpreter's fixed cost per numpy
+call, not the flops, sets the simulator's speed, so the step loop keeps to
+one call per arithmetic operation.  The state lives at the head of a first
+work array, where stage 0 differentiates it in place; stages 1-3 build
+their stage states in a second one.  Every switch and every view a stage
+reads or writes is resolved once per call, and outputs are passed to the
+ufuncs positionally (keyword parsing costs more than some of the
+operations), except to ``np.minimum``/``np.maximum``, which numpy 2
+deprecates a positional ``out`` for.
 """
 
 from __future__ import annotations
@@ -389,12 +399,14 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     """Integrate the nonlinear plant for every run of a batch at once.
 
     Fixed-step RK4 from a zero initial state.  Each stage evaluates the
-    derivative of every run with one ``np.matvec`` of the work array, a gemv
+    derivative of every run with one ``np.matvec`` of a work array, a gemv
     per run so that a run's bits do not depend on its batch (see
     :class:`_StageLayout`), plus a few elementwise operations on contiguous
-    blocks.  Each step holds the inputs sampled at its start; they are
-    written into the work array only at the steps where they switch (hold
-    boundaries and onsets, see :func:`_input_switches`).  The attack bias
+    blocks.  Stage 0 reads the state in place, at the head of the first of
+    two work arrays; stages 1-3 write their stage states into the second.
+    Each step holds the inputs sampled at its start; they are written into
+    both work arrays only at the steps where they switch (hold boundaries
+    and onsets, see :func:`_input_switches`).  The attack bias
     reaches the AGC integrator through the assembled B_f and is added to the
     measured outputs through D_f, matching the corrupted-ACE routing of the
     abstract model.  A single run is a batch of one.
@@ -404,7 +416,8 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
 
     Raises:
         SimulationBlowUp: if a run's state infinity norm exceeds the config
-            cap; the error names the first such run (its ``run`` index).
+            cap or is not finite at a sample; the error names the first such
+            run (its ``run`` index).
     """
     plant.validate()
     model, index = plant.assemble()
@@ -425,85 +438,98 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     c_state = model.C[:, layout.order]
 
     n_runs = len(batch.runs)
-    n_state, n_work = layout.matrix.shape
-    work = np.zeros((n_work, n_runs))
+    matrix = layout.matrix
+    n_state, n_work = matrix.shape
+    state_work, stage_work = np.zeros((n_work, n_runs)), np.zeros((n_work, n_runs))
+    state, stage_state = state_work[:n_state], stage_work[:n_state]
+    helds = (state_work[layout.u], stage_work[layout.u])
+    agc_state = state[layout.agc]
     k = np.empty((4, n_state, n_runs))
-    state = np.zeros((n_state, n_runs))
+    k1, k2, k3, k4 = k
     acc = np.empty_like(state)
-    stage_state, held = work[:n_state], work[layout.u]
-    omega, band, theta = work[layout.omega], work[layout.band], work[layout.theta]
-    agc_stage, agc_state = work[layout.agc], state[layout.agc]
-    cos_theta = np.empty_like(theta)
+    cos_theta = np.empty_like(state[layout.theta])
     # rows: AGC state at or above its upper limit, at or below its lower one
-    at_limit = np.empty((2, *agc_stage.shape), dtype=bool)
+    at_limit = np.empty((2, *agc_state.shape), dtype=bool)
     at_hi, at_lo = at_limit
-    k_tie = [k_i[layout.tie] for k_i in k]
-    k_agc = [k_i[layout.agc] for k_i in k]
+    has_band, sine_ties = plant.deadband > 0.0, plant.sine_ties
     limits, rate = plant.agc_limits, plant.rate_limit
     # Every constant operand of the loop is an array of its operand's shape:
     # a Python float would cost each ufunc call a scalar conversion.
-    band_hi = np.full(band.shape, 0.5 * plant.deadband)
+    band_hi = np.full(state_work[layout.band].shape, 0.5 * plant.deadband)
     band_lo = -band_hi
     lo, hi = limits if limits is not None else (-np.inf, np.inf)
-    agc_lo, agc_hi, agc_zero = (np.full(agc_stage.shape, v) for v in (lo, hi, 0.0))
-    rate_hi = np.full(agc_stage.shape, np.inf if rate is None else rate)
+    agc_lo, agc_hi, agc_zero = (np.full(agc_state.shape, v) for v in (lo, hi, 0.0))
+    rate_hi = np.full(agc_state.shape, np.inf if rate is None else rate)
     rate_lo = -rate_hi
-    stage_steps = [np.full(state.shape, h) for h in (0.5 * dt, 0.5 * dt, dt)]
     two, sixth = np.full(state.shape, 2.0), np.full(state.shape, dt / 6.0)
-
-    def derivative(i: int):
-        """k[i] = the state derivative at ``stage_state`` under the held inputs."""
-        if band.size:
-            np.minimum(omega, band_hi, out=band)
-            np.maximum(band, band_lo, out=band)
-        np.matvec(layout.matrix, work.T, out=k[i].T)
-        if plant.sine_ties:
-            # each tie row of A holds only the linear coupling tie_coef * (omega
-            # difference), which the sine law scales by cos(theta)
-            np.cos(theta, out=cos_theta)
-            np.multiply(k_tie[i], cos_theta, out=k_tie[i])
-        d_agc = k_agc[i]
-        if limits is not None:
-            np.greater_equal(agc_stage, agc_hi, out=at_hi)
-            np.less_equal(agc_stage, agc_lo, out=at_lo)
-            # skip both clamps while no AGC state sits at a limit
-            if np.count_nonzero(at_limit):
-                np.minimum(d_agc, agc_zero, out=d_agc, where=at_hi)
-                np.maximum(d_agc, agc_zero, out=d_agc, where=at_lo)
-        if rate is not None:
-            np.minimum(d_agc, rate_hi, out=d_agc)
-            np.maximum(d_agc, rate_lo, out=d_agc)
+    # Per stage: the previous stage's slope and the step taken along it
+    # (None at stage 0), then the views of the stage's work array and slope.
+    plan = ((state_work, None), (stage_work, 0.5 * dt), (stage_work, 0.5 * dt), (stage_work, dt))
+    stages = [
+        (
+            None if h is None else k[i - 1],
+            None if h is None else np.full(state.shape, h),
+            work.T,
+            k[i].T,
+            work[layout.omega],
+            work[layout.band],
+            work[layout.theta],
+            work[layout.agc],
+            k[i][layout.tie],
+            k[i][layout.agc],
+        )
+        for i, (work, h) in enumerate(plan)
+    ]
 
     # the D_f feedthrough of every sample up front; C x joins it per sample
     Y = np.matvec(model.D_f, f_at_samples)
-    for step in range(n_steps):
-        switch = switches.get(step)
-        if switch is not None:
-            runs, values = switch
-            held[:, runs] = values
-        np.copyto(stage_state, state)
-        derivative(0)
-        for i, h in enumerate(stage_steps, start=1):
-            np.multiply(k[i - 1], h, out=stage_state)
-            stage_state += state
-            derivative(i)
-        # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
-        np.add(k[1], k[2], out=acc)
-        acc *= two
-        acc += k[0]
-        acc += k[3]
-        acc *= sixth
-        state += acc
-        if limits is not None:
-            np.maximum(agc_state, agc_lo, out=agc_state)
-            np.minimum(agc_state, agc_hi, out=agc_state)
-        if (step + 1) % per_sample == 0:
-            norms = np.abs(state).max(axis=0)
-            over = np.flatnonzero(norms > plant.blowup_norm)
-            if over.size:
-                run = int(over[0])
-                raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
-            Y[(step + 1) // per_sample - 1] += np.matvec(c_state, state[: model.n_x].T)
+    for sample in range(n_samples):
+        for step in range(sample * per_sample, (sample + 1) * per_sample):
+            switch = switches.get(step)
+            if switch is not None:
+                runs, values = switch
+                for held in helds:
+                    held[:, runs] = values
+            for prev, h, work_t, k_t, omega, band, theta, agc, k_tie, k_agc in stages:
+                if prev is not None:
+                    np.multiply(prev, h, stage_state)
+                    np.add(stage_state, state, stage_state)
+                if has_band:
+                    np.minimum(omega, band_hi, out=band)
+                    np.maximum(band, band_lo, out=band)
+                np.matvec(matrix, work_t, k_t)
+                if sine_ties:
+                    # each tie row of A holds only the linear coupling tie_coef *
+                    # (omega difference), which the sine law scales by cos(theta)
+                    np.cos(theta, cos_theta)
+                    np.multiply(k_tie, cos_theta, k_tie)
+                if limits is not None:
+                    np.greater_equal(agc, agc_hi, at_hi)
+                    np.less_equal(agc, agc_lo, at_lo)
+                    # skip both clamps while no AGC state sits at a limit
+                    if np.count_nonzero(at_limit):
+                        np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
+                        np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
+                if rate is not None:
+                    np.minimum(k_agc, rate_hi, out=k_agc)
+                    np.maximum(k_agc, rate_lo, out=k_agc)
+            # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
+            np.add(k2, k3, acc)
+            np.multiply(acc, two, acc)
+            np.add(acc, k1, acc)
+            np.add(acc, k4, acc)
+            np.multiply(acc, sixth, acc)
+            np.add(state, acc, state)
+            if limits is not None:
+                np.maximum(agc_state, agc_lo, out=agc_state)
+                np.minimum(agc_state, agc_hi, out=agc_state)
+        norms = np.abs(state).max(axis=0)
+        # a NaN norm (an overflow within the interval) counts as a blow-up
+        over = np.flatnonzero(~(norms <= plant.blowup_norm))
+        if over.size:
+            run = int(over[0])
+            raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
+        Y[sample] += np.matvec(c_state, state[: model.n_x].T)
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy()) for i in range(len(batch.runs))
     ]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from diagfilter.cli import (
@@ -129,6 +130,20 @@ def test_simulation_blowup_exits_simulation_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "simulation failure" in err
     assert "training instance 1, seed 2025" in err
+
+
+def test_diverging_plant_exits_simulation_code(tmp_path, capsys):
+    # an integration step far beyond the plant's RK4 stability limit
+    cfg = tiny_config()
+    cfg["plant"].update(t_s=500.0, dt=5.0)
+    cfg["train"].update(horizon_seconds=500.0)
+    cfg["filter"].update(window_seconds=500.0)
+    cfg["test"].update(horizon_seconds=1000.0, onset_seconds=500.0)
+    cfg_path = write_config(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_SIMULATION
+    assert "simulation failure" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_solver_code(tmp_path, capsys, monkeypatch):

@@ -77,6 +77,20 @@ def test_partial_config_inherits_defaults():
     assert cfg.mode == "data_assisted"
 
 
+def test_dc_tracking_default_follows_the_attack_kind():
+    # a multivariate config that leaves the key (or the whole section) out
+    # gets the only value it may hold, and its stored config says so
+    mv = multivariate_default_config()
+    without_key = json.loads(json.dumps(mv))
+    del without_key["filter"]["track_steady_state"]
+    without_section = {k: v for k, v in mv.items() if k != "filter"}
+    for raw in (without_key, without_section):
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.to_dict()["filter"]["track_steady_state"] is False
+    uni = {k: v for k, v in default_config().items() if k != "filter"}
+    assert ExperimentConfig.from_dict(uni).filter["track_steady_state"] is True
+
+
 def test_model_path_indirection(tmp_path):
     base = default_config()
     (tmp_path / "model.json").write_text(json.dumps(base["model"]))

@@ -1,5 +1,7 @@
 """Disturbance generation and the linear / nonlinear simulator pair."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +58,14 @@ SWITCH_CASES = {
     "all-switches": ALL_SWITCHES,
     "multivariate": {**ALL_SWITCHES, "attacks": multivariate_topology()},
 }
+# the engine resolves each switch once per call: the other on/off
+# combinations of the four switches (pairs and triples)
+SWITCH_NAMES = ("deadband", "sine_ties", "agc_limits", "rate_limit")
+COMBINED_CASES = {
+    "+".join(names): {name: ALL_SWITCHES[name] for name in names}
+    for size in (2, 3)
+    for names in combinations(SWITCH_NAMES, size)
+}
 
 
 def mixed_runs(width: int = 3, n_f: int = 1) -> list:
@@ -74,7 +84,7 @@ def mixed_runs(width: int = 3, n_f: int = 1) -> list:
 
 
 def switch_case(case: str, width: int) -> tuple[PlantConfig, list]:
-    plant = default_plant(**SWITCH_CASES[case])
+    plant = default_plant(**{**SWITCH_CASES, **COMBINED_CASES}[case])
     return plant, mixed_runs(width, plant.attacks.n_f)
 
 
@@ -225,6 +235,18 @@ def test_blowup_guard_raises_with_time():
     assert err.value.norm > 1e-4
 
 
+@pytest.mark.parametrize("t_s, dt", [(500.0, 5.0), (1000.0, 10.0)])
+def test_diverging_run_raises_instead_of_returning_nan(t_s, dt):
+    # RK4 at this step is unstable on the plant: within one sample interval
+    # the state overflows to inf and inf - inf gives NaN, whose norm compares
+    # false against any cap
+    step = DisturbanceSpec(n_d=3, horizon=t_s, kind="step", step_value=0.05, step_time=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUp) as err:
+        simulate_one(default_plant(t_s=t_s, dt=dt), step, AttackSpec.none())
+    assert err.value.run == 0
+    assert err.value.time == t_s
+
+
 def test_blowup_inside_a_batch_names_the_run():
     def step(value):
         spec = DisturbanceSpec(n_d=3, horizon=8.0, kind="step", step_value=value, step_time=0.0)
@@ -253,7 +275,7 @@ def test_run_batch_needs_one_shared_horizon():
 LOOP_CASES = [(case, 3) for case in SWITCH_CASES] + [("all-switches", w) for w in (1, 2, 17)]
 
 
-@pytest.mark.parametrize("case, width", LOOP_CASES)
+@pytest.mark.parametrize("case, width", LOOP_CASES + [(case, 3) for case in COMBINED_CASES])
 def test_batched_engine_matches_the_per_run_loop(case, width):
     # the tolerance was fixed before measuring; the two differ only in the
     # summation order inside each product (at most 6e-17 on outputs of
