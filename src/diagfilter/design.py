@@ -323,15 +323,11 @@ def design_univariate(
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"reduced quadratic form is not positive definite: {exc}") from exc
         x_free = x_part - z_basis @ scipy.linalg.cho_solve(chol, z_basis.T @ (p_mat @ x_part))
-        # one validated problem; each branch swaps in its own inequality row
-        problem = QpProblem(
-            P=p_mat,
-            c=np.zeros(stacked.n_vars),
-            a_eq=constraints.a_eq,
-            b_eq=constraints.b_eq,
-            a_ineq=np.zeros((1, stacked.n_vars)),
-            b_ineq=np.array([1.0]),
-        )
+        # one problem to certify against, its P validated once per design
+        # (not again when the design built the constraints over that P);
+        # each branch swaps in its own inequality row g x >= 1
+        problem = constraints.with_objective(p_mat, np.zeros(stacked.n_vars))
+        problem.b_ineq = np.array([1.0])
 
     best = None
     report = []

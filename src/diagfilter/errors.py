@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ConfigError(ValueError):
     """A configuration file or parameter set is malformed or inconsistent."""
@@ -12,8 +14,15 @@ class SimulationBlowUp(RuntimeError):
         self.time = time
         self.norm = norm
         self.run = run
-        msg = f"state norm {norm:.3e} exceeded limit at t={time:.3f} s"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+        where = f"at t={time:.3f} s" + (f" ({detail})" if detail else "")
+        if math.isfinite(norm):
+            msg = f"state norm {norm:.3e} exceeded limit {where}"
+        else:
+            msg = (
+                f"state is no longer finite (norm {norm}) {where}; "
+                "a smaller integration step dt may keep it stable"
+            )
+        super().__init__(msg)
 
 
 class NoFilterError(RuntimeError):

@@ -430,6 +430,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict
             for seed, sig, q in zip(seeds, bundle.signatures, bundle.q_list)
         ],
         "qbar_trace": float(np.trace(bundle.qbar)),
+        "rk4_run_steps": batch.run_steps(ctx.plant),
     }
     _write_json(train_dir / "training_summary.json", summary)
     return summary
@@ -718,6 +719,7 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         "detections": detections,
         "per_run": per_run,
         "mode": design.mode,
+        "rk4_run_steps": batch.run_steps(ctx.plant),
     }
     _write_json(test_dir / "report.json", report)
     return report

@@ -29,13 +29,27 @@ blocking by width and move a run's last bits with its batch.
 
 At the step counts of a training set the interpreter's fixed cost per numpy
 call, not the flops, sets the simulator's speed, so the step loop keeps to
-one call per arithmetic operation.  The state lives at the head of a first
-work array, where stage 0 differentiates it in place; stages 1-3 build
-their stage states in a second one.  Every switch and every view a stage
-reads or writes is resolved once per call, and outputs are passed to the
-ufuncs positionally (keyword parsing costs more than some of the
-operations), except to ``np.minimum``/``np.maximum``, which numpy 2
+one call per arithmetic operation.  Each stage has its own work array, the
+four stacked as one ``(4, n_work, runs)`` array; the state lives at the
+head of stage 0's, where it is differentiated in place.  Every switch and
+every view a stage reads or writes is resolved once per call, and outputs
+are passed to the ufuncs positionally (keyword parsing costs more than some
+of the operations), except to ``np.minimum``/``np.maximum``, which numpy 2
 deprecates a positional ``out`` for.
+
+The AGC limits cost nothing until a run reaches one.  A sample interval is
+integrated in chunks of ``_CHUNK_STEPS`` steps, each either checked (every
+stage tests the AGC entries against the limits, every step clamps the AGC
+state) or fast (neither; it only tracks the running extremes of all four
+stages' AGC entries, one strided view of the stacked work arrays).  A fast
+chunk whose stage values all stayed strictly inside the limits and whose
+final AGC state lies within them performed exactly a checked chunk's
+operations, since no test would have fired and no clamp would have moved
+anything, and stands.  Any other fast chunk, a non-finite one included, is
+restored from a snapshot of the work arrays taken at its start (held inputs
+and all) and integrated again, checked.  The chunk after a checked chunk
+that met a limit is checked too, so a saturated run pays one replay per
+onset, not one per interval.
 """
 
 from __future__ import annotations
@@ -52,6 +66,9 @@ from .lti import LinearModel
 # (k * hold, or a step time) reads the value that starts there.
 _HOLD_EDGE = 1e-9  # in hold intervals
 _ONSET_EDGE = 1e-12  # in seconds
+
+# RK4 steps per chunk of a sample interval (see simulate_nonlinear)
+_CHUNK_STEPS = 50
 
 
 @dataclass
@@ -203,6 +220,14 @@ class SampledTrajectory:
     Y: np.ndarray
 
 
+def _sample_count(horizon: float, t_s: float) -> int:
+    """Samples in a horizon; raises ConfigError unless ``t_s`` divides it."""
+    n_samples = int(round(horizon / t_s))
+    if abs(n_samples * t_s - horizon) > 1e-9:
+        raise ConfigError("horizon must be a multiple of the sampling time")
+    return n_samples
+
+
 def _resolve_signal(dist) -> DisturbanceSignal:
     if isinstance(dist, DisturbanceSpec):
         return gen_disturbance(dist)
@@ -222,10 +247,7 @@ def simulate_linear(
         raise ConfigError("simulate_linear expects a discrete-time model")
     signal = _resolve_signal(dist)
     t_s = model.dt
-    horizon = signal.spec.horizon
-    n_samples = int(round(horizon / t_s))
-    if abs(n_samples * t_s - horizon) > 1e-9:
-        raise ConfigError("horizon must be a multiple of the sampling time")
+    n_samples = _sample_count(signal.spec.horizon, t_s)
     d_held = signal.held_samples(t_s, n_samples)
     t_grid = np.arange(1, n_samples + 1) * t_s
     f_held = atk.sample(np.arange(n_samples) * t_s, model.n_f)
@@ -304,6 +326,10 @@ class RunBatch:
         if len(horizons) != 1:
             raise ConfigError(f"a batch needs runs of one shared horizon, got {sorted(horizons)}")
         return horizons.pop()
+
+    def run_steps(self, plant: PlantConfig) -> int:
+        """RK4 steps :func:`simulate_nonlinear` takes on this batch, summed over its runs."""
+        return len(self.runs) * _sample_count(self.horizon, plant.t_s) * round(plant.t_s / plant.dt)
 
 
 @dataclass
@@ -395,6 +421,21 @@ def _input_switches(
     }
 
 
+def _clear_of_limits(agc_max, agc_min, agc_state, lo: float, hi: float) -> bool:
+    """Whether a chunk integrated without the AGC-limit tests stands as it is.
+
+    Every stage's AGC value stayed strictly inside ``(lo, hi)``, so no
+    stage test would have fired, and the chunk's final AGC state lies in
+    ``[lo, hi]``, so no clamp would have moved it.  A NaN fails both.
+    """
+    return (
+        lo < agc_min.min()
+        and agc_max.max() < hi
+        and lo <= agc_state.min()
+        and agc_state.max() <= hi
+    )
+
+
 def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
     """Integrate the nonlinear plant for every run of a batch at once.
 
@@ -402,14 +443,18 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     derivative of every run with one ``np.matvec`` of a work array, a gemv
     per run so that a run's bits do not depend on its batch (see
     :class:`_StageLayout`), plus a few elementwise operations on contiguous
-    blocks.  Stage 0 reads the state in place, at the head of the first of
-    two work arrays; stages 1-3 write their stage states into the second.
-    Each step holds the inputs sampled at its start; they are written into
-    both work arrays only at the steps where they switch (hold boundaries
-    and onsets, see :func:`_input_switches`).  The attack bias
-    reaches the AGC integrator through the assembled B_f and is added to the
-    measured outputs through D_f, matching the corrupted-ACE routing of the
-    abstract model.  A single run is a batch of one.
+    blocks.  Stage 0 reads the state in place, at the head of its work
+    array; stages 1-3 write their stage states into theirs.  Each step holds
+    the inputs sampled at its start; they are written into the four work
+    arrays only at the steps where they switch (hold boundaries and onsets,
+    see :func:`_input_switches`).  The AGC-limit tests and clamps run only
+    in the chunks of steps where a run reaches a limit; elsewhere a chunk
+    runs without them and is replayed with them if it reached one, so the
+    outputs are bitwise those of a loop that checks every step (see the
+    module docstring).  The attack bias reaches the AGC integrator through
+    the assembled B_f and is added to the measured outputs through D_f,
+    matching the corrupted-ACE routing of the abstract model.  A single run
+    is a batch of one.
 
     Returns:
         one sampled trajectory per run, in batch order.
@@ -422,10 +467,7 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     plant.validate()
     model, index = plant.assemble()
     t_s, dt = plant.t_s, plant.dt
-    horizon = batch.horizon
-    n_samples = int(round(horizon / t_s))
-    if abs(n_samples * t_s - horizon) > 1e-9:
-        raise ConfigError("horizon must be a multiple of the sampling time")
+    n_samples = _sample_count(batch.horizon, t_s)
     per_sample = int(round(t_s / dt))
     n_steps = n_samples * per_sample
 
@@ -440,10 +482,16 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     n_runs = len(batch.runs)
     matrix = layout.matrix
     n_state, n_work = matrix.shape
-    state_work, stage_work = np.zeros((n_work, n_runs)), np.zeros((n_work, n_runs))
-    state, stage_state = state_work[:n_state], stage_work[:n_state]
-    helds = (state_work[layout.u], stage_work[layout.u])
+    # one work array per stage: stage 0 differentiates the state in place at
+    # the head of the first, stages 1-3 build their stage states in the others
+    work = np.zeros((4, n_work, n_runs))
+    state = work[0, :n_state]
+    helds = work[:, layout.u]
     agc_state = state[layout.agc]
+    # every stage's AGC entries, one strided view, and their running extremes
+    agc_stages = work[:, layout.agc]
+    agc_max, agc_min = np.empty_like(agc_stages), np.empty_like(agc_stages)
+    snapshot = np.empty_like(work)
     k = np.empty((4, n_state, n_runs))
     k1, k2, k3, k4 = k
     acc = np.empty_like(state)
@@ -455,7 +503,7 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     limits, rate = plant.agc_limits, plant.rate_limit
     # Every constant operand of the loop is an array of its operand's shape:
     # a Python float would cost each ufunc call a scalar conversion.
-    band_hi = np.full(state_work[layout.band].shape, 0.5 * plant.deadband)
+    band_hi = np.full(work[0, layout.band].shape, 0.5 * plant.deadband)
     band_lo = -band_hi
     lo, hi = limits if limits is not None else (-np.inf, np.inf)
     agc_lo, agc_hi, agc_zero = (np.full(agc_state.shape, v) for v in (lo, hi, 0.0))
@@ -464,71 +512,92 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     two, sixth = np.full(state.shape, 2.0), np.full(state.shape, dt / 6.0)
     # Per stage: the previous stage's slope and the step taken along it
     # (None at stage 0), then the views of the stage's work array and slope.
-    plan = ((state_work, None), (stage_work, 0.5 * dt), (stage_work, 0.5 * dt), (stage_work, dt))
     stages = [
         (
             None if h is None else k[i - 1],
             None if h is None else np.full(state.shape, h),
-            work.T,
+            work[i, :n_state],
+            work[i].T,
             k[i].T,
-            work[layout.omega],
-            work[layout.band],
-            work[layout.theta],
-            work[layout.agc],
+            work[i, layout.omega],
+            work[i, layout.band],
+            work[i, layout.theta],
+            work[i, layout.agc],
             k[i][layout.tie],
             k[i][layout.agc],
         )
-        for i, (work, h) in enumerate(plan)
+        for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt))
     ]
 
     # the D_f feedthrough of every sample up front; C x joins it per sample
     Y = np.matvec(model.D_f, f_at_samples)
+    # chunks, fast or checked: see the module docstring
+    checking = touched = False
     for sample in range(n_samples):
-        for step in range(sample * per_sample, (sample + 1) * per_sample):
-            switch = switches.get(step)
-            if switch is not None:
-                runs, values = switch
-                for held in helds:
-                    held[:, runs] = values
-            for prev, h, work_t, k_t, omega, band, theta, agc, k_tie, k_agc in stages:
-                if prev is not None:
-                    np.multiply(prev, h, stage_state)
-                    np.add(stage_state, state, stage_state)
-                if has_band:
-                    np.minimum(omega, band_hi, out=band)
-                    np.maximum(band, band_lo, out=band)
-                np.matvec(matrix, work_t, k_t)
-                if sine_ties:
-                    # each tie row of A holds only the linear coupling tie_coef *
-                    # (omega difference), which the sine law scales by cos(theta)
-                    np.cos(theta, cos_theta)
-                    np.multiply(k_tie, cos_theta, k_tie)
-                if limits is not None:
-                    np.greater_equal(agc, agc_hi, at_hi)
-                    np.less_equal(agc, agc_lo, at_lo)
-                    # skip both clamps while no AGC state sits at a limit
-                    if np.count_nonzero(at_limit):
-                        np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
-                        np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
-                if rate is not None:
-                    np.minimum(k_agc, rate_hi, out=k_agc)
-                    np.maximum(k_agc, rate_lo, out=k_agc)
-            # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
-            np.add(k2, k3, acc)
-            np.multiply(acc, two, acc)
-            np.add(acc, k1, acc)
-            np.add(acc, k4, acc)
-            np.multiply(acc, sixth, acc)
-            np.add(state, acc, state)
-            if limits is not None:
-                np.maximum(agc_state, agc_lo, out=agc_state)
-                np.minimum(agc_state, agc_hi, out=agc_state)
+        start, end = sample * per_sample, (sample + 1) * per_sample
+        while start < end:
+            stop = min(start + _CHUNK_STEPS, end)
+            fast = limits is not None and not checking
+            if fast:
+                np.copyto(snapshot, work)
+                agc_max.fill(-np.inf)
+                agc_min.fill(np.inf)
+            for step in range(start, stop):
+                switch = switches.get(step)
+                if switch is not None:
+                    runs, values = switch
+                    helds[:, :, runs] = values
+                for prev, h, stage_x, work_t, k_t, omega, band, theta, agc, k_tie, k_agc in stages:
+                    if prev is not None:
+                        np.multiply(prev, h, stage_x)
+                        np.add(stage_x, state, stage_x)
+                    if has_band:
+                        np.minimum(omega, band_hi, out=band)
+                        np.maximum(band, band_lo, out=band)
+                    np.matvec(matrix, work_t, k_t)
+                    if sine_ties:
+                        # each tie row of A holds only the linear coupling tie_coef *
+                        # (omega difference), which the sine law scales by cos(theta)
+                        np.cos(theta, cos_theta)
+                        np.multiply(k_tie, cos_theta, k_tie)
+                    if checking:
+                        np.greater_equal(agc, agc_hi, at_hi)
+                        np.less_equal(agc, agc_lo, at_lo)
+                        # skip both clamps while no AGC state sits at a limit
+                        if np.count_nonzero(at_limit):
+                            touched = True
+                            np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
+                            np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
+                    if rate is not None:
+                        np.minimum(k_agc, rate_hi, out=k_agc)
+                        np.maximum(k_agc, rate_lo, out=k_agc)
+                if fast:
+                    np.maximum(agc_max, agc_stages, out=agc_max)
+                    np.minimum(agc_min, agc_stages, out=agc_min)
+                # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
+                np.add(k2, k3, acc)
+                np.multiply(acc, two, acc)
+                np.add(acc, k1, acc)
+                np.add(acc, k4, acc)
+                np.multiply(acc, sixth, acc)
+                np.add(state, acc, state)
+                if checking:
+                    np.maximum(agc_state, agc_lo, out=agc_state)
+                    np.minimum(agc_state, agc_hi, out=agc_state)
+            if fast and not _clear_of_limits(agc_max, agc_min, agc_state, lo, hi):
+                np.copyto(work, snapshot)
+                checking = True
+                continue
+            # a checked chunk that met a limit has the next one checked too
+            if checking:
+                checking, touched = touched, False
+            start = stop
         norms = np.abs(state).max(axis=0)
         # a NaN norm (an overflow within the interval) counts as a blow-up
         over = np.flatnonzero(~(norms <= plant.blowup_norm))
         if over.size:
             run = int(over[0])
-            raise SimulationBlowUp((step + 1) * dt, norms[run], f"run {run}", run=run)
+            raise SimulationBlowUp(end * dt, norms[run], f"run {run}", run=run)
         Y[sample] += np.matvec(c_state, state[: model.n_x].T)
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy()) for i in range(len(batch.runs))

@@ -32,6 +32,7 @@ reduction, so two objectives over one feasible set pay for it once.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +61,7 @@ class QpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
         n = self.c.size
-        self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
-        if self.P.shape != (n, n):
-            raise ValueError("P must be n x n")
-        # relative to the largest entry: training forms are of order 1e-14
-        if np.abs(self.P - self.P.T).max(initial=0.0) > 1e-10 * np.abs(self.P).max(initial=0.0):
-            raise ValueError("P must be symmetric")
+        self.P = _symmetric_form(self.P, n)
         for name in ("a_eq", "a_ineq"):
             mat = getattr(self, name)
             vec = getattr(self, "b" + name[1:])
@@ -94,12 +90,31 @@ class QpProblem:
         return self._reduction
 
     def with_objective(self, P: np.ndarray, c: np.ndarray) -> QpProblem:
-        """These constraints under the objective ``(P, c)``, sharing one reduction."""
-        other = QpProblem(
-            P=P, c=c, a_eq=self.a_eq, b_eq=self.b_eq, a_ineq=self.a_ineq, b_ineq=self.b_ineq
-        )
-        other._reduction = self.reduction()
+        """These constraints under the objective ``(P, c)``, sharing one reduction.
+
+        ``P`` is validated as by the constructor unless it is this problem's
+        own, already validated, ``P``.
+        """
+        if self._reduction is None:  # computed here, so that both problems share it
+            self.reduction()
+        other = copy.copy(self)  # the constraint arrays and their reduction
+        other.c = np.asarray(c, dtype=float).ravel()
+        if other.c.size != self.n:
+            raise ValueError(f"c has {other.c.size} entries, the constraints {self.n} columns")
+        if P is not self.P:
+            other.P = _symmetric_form(P, self.n)
         return other
+
+
+def _symmetric_form(P: np.ndarray, n: int) -> np.ndarray:
+    """``P`` as a float n x n array; raises ValueError unless it is symmetric."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if P.shape != (n, n):
+        raise ValueError("P must be n x n")
+    # relative to the largest entry: training forms are of order 1e-14
+    if np.abs(P - P.T).max(initial=0.0) > 1e-10 * np.abs(P).max(initial=0.0):
+        raise ValueError("P must be symmetric")
+    return P
 
 
 @dataclass

@@ -335,6 +335,27 @@ def test_univariate_design_factors_its_equalities_once(monkeypatch):
     assert calls == [("svd", a_eq_shape)]
 
 
+def test_univariate_design_validates_its_form_once(monkeypatch):
+    # the symmetry check of P runs once per design, whether the design builds
+    # its constraints over that P or takes an earlier design's
+    _, stacked = default_stacked()
+    check = solvers_module._symmetric_form
+    shapes = []
+
+    def counted(p, n):
+        shapes.append(np.shape(p))
+        return check(p, n)
+
+    monkeypatch.setattr(solvers_module, "_symmetric_form", counted)
+    first = design_univariate(stacked, None, pole=0.5, track_steady_state=True)
+    assert shapes == [(stacked.n_vars, stacked.n_vars)]
+    shapes.clear()
+    design_univariate(
+        stacked, None, pole=0.5, track_steady_state=True, constraints=first.constraints
+    )
+    assert shapes == [(stacked.n_vars, stacked.n_vars)]
+
+
 def test_multivariate_design_factors_only_through_svd(monkeypatch):
     # the QP solver eliminates its equalities and each working set, and
     # recovers every multiplier, from one SVD of each: no lstsq, no null_space

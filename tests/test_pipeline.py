@@ -148,6 +148,8 @@ def test_training_outputs_are_coherent(completed_run):
     train = summary["train"]
     assert train["m"] == 3
     assert train["horizon_samples"] == 10
+    # 3 runs of 10 samples, 500 RK4 steps of 1 ms per 0.5 s sample
+    assert train["rk4_run_steps"] == 3 * 10 * 500
     seeds = [inst["seed"] for inst in train["instances"]]
     assert seeds == [cfg.seed + i for i in range(3)]
     t, y, meta = load_trajectory(out / "train/traj_001.csv")
@@ -186,6 +188,8 @@ def test_test_report_structure_and_seed_policy(completed_run):
     report = summary["test"]
     assert report["runs"] == 2
     assert len(report["per_run"]) == 2
+    # a clean and an attacked copy of each run, 40 samples of 500 steps
+    assert report["rk4_run_steps"] == 2 * 2 * 40 * 500
     seeds = [run["seed"] for run in report["per_run"]]
     assert seeds == [cfg.seed + TEST_SEED_OFFSET + j for j in range(2)]
     # the injected bias is orders of magnitude above any healthy energy here

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diagfilter.simulate as simulate_module
 from diagfilter.agc import multivariate_topology, three_area_default, univariate_topology
 from diagfilter.errors import ConfigError, SimulationBlowUp
 from diagfilter.lti import LinearModel, zoh_discretize
@@ -245,6 +246,10 @@ def test_diverging_run_raises_instead_of_returning_nan(t_s, dt):
         simulate_one(default_plant(t_s=t_s, dt=dt), step, AttackSpec.none())
     assert err.value.run == 0
     assert err.value.time == t_s
+    assert np.isnan(err.value.norm)
+    message = str(err.value)
+    assert message.startswith(f"state is no longer finite (norm nan) at t={t_s:.3f} s")
+    assert "smaller integration step dt" in message
 
 
 def test_blowup_inside_a_batch_names_the_run():
@@ -323,6 +328,145 @@ def test_any_run_of_any_batch_width_is_bitwise_its_run_alone(case, width, pick):
     batch = simulate_nonlinear(plant, RunBatch(runs))
     alone = simulate_one(plant, *runs[position])
     assert np.array_equal(batch[position].Y, alone.Y)
+
+
+@pytest.fixture
+def fast_chunks(monkeypatch):
+    """Each chunk integrated without the AGC-limit tests, as ``(kept, highest
+    AGC stage value, highest final AGC state)``."""
+    chunks = []
+    clear_of_limits = simulate_module._clear_of_limits
+
+    def recorded(agc_max, agc_min, agc_state, lo, hi):
+        kept = clear_of_limits(agc_max, agc_min, agc_state, lo, hi)
+        chunks.append((kept, agc_max.max(), agc_state.max()))
+        return kept
+
+    monkeypatch.setattr(simulate_module, "_clear_of_limits", recorded)
+    return chunks
+
+
+def checked_integration(plant, runs) -> list:
+    """The batch's trajectories with every step taken with the AGC-limit tests."""
+    with pytest.MonkeyPatch.context() as mp:
+        # every chunk integrated without the tests is rejected and replayed
+        mp.setattr(simulate_module, "_clear_of_limits", lambda *args: False)
+        return simulate_nonlinear(plant, RunBatch(runs))
+
+
+def assert_chunks_change_no_bit(plant, runs):
+    """Outputs match the per-run loop, the checked integration bit for bit
+    and each run integrated alone or in reverse batch order bit for bit."""
+    assert_matches_the_loop(plant, runs)
+    batch = simulate_nonlinear(plant, RunBatch(runs))
+    reordered = simulate_nonlinear(plant, RunBatch(runs[::-1]))
+    checked = checked_integration(plant, runs)
+    for run, traj, moved, reference in zip(runs, batch, reordered[::-1], checked):
+        assert np.array_equal(traj.Y, reference.Y)
+        assert np.array_equal(moved.Y, traj.Y)
+        assert np.array_equal(simulate_one(plant, *run).Y, traj.Y)
+
+
+AGC_OUTPUT_ROWS = [5, 14, 22]  # y = the AGC command of each area
+
+
+def step_run(step_value: float, step_time: float = 0.0, horizon: float = 3.0) -> tuple:
+    spec = DisturbanceSpec(
+        n_d=3,
+        horizon=horizon,
+        kind="step",
+        step_value=step_value,
+        step_time=step_time,
+        channels=(0, 1, 2),
+    )
+    return spec, AttackSpec.none()
+
+
+def test_limits_first_reached_anywhere_in_a_chunk_match_the_loop(fast_chunks):
+    # Until its step disturbance switches on, a run's state is exactly zero;
+    # limits of +-1e-30 then catch the AGC commands within the switching
+    # step.  Steps 50, 123 and 499 are a chunk's first step, a step inside a
+    # chunk and the last step of a sample interval.
+    plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (-1e-30, 1e-30)})
+    runs = [step_run(0.05, step_time=step * plant.dt) for step in (50, 123, 499)]
+    for traj in simulate_nonlinear(plant, RunBatch(runs)):
+        assert np.abs(traj.Y[AGC_OUTPUT_ROWS]).max() == 1e-30
+    assert not all(kept for kept, _, _ in fast_chunks)
+    assert_chunks_change_no_bit(plant, runs)
+
+
+def test_limit_first_met_by_the_clamp_ending_a_chunk_matches_the_loop(fast_chunks):
+    # Under a 0.05 step on every load from t = 0, the highest AGC command
+    # first passes 3.743746016e-05 in the combination that ends step 49, the
+    # first chunk's last: no stage value reaches the limit, only the clamp
+    # after the step acts.
+    hi = 3.743746016e-05
+    plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (-1.0, hi)})
+    runs = [step_run(0.05), step_run(0.0)]
+    simulate_nonlinear(plant, RunBatch(runs))
+    kept, stage_max, final_max = fast_chunks[0]
+    assert not kept and stage_max < hi < final_max
+    assert_chunks_change_no_bit(plant, runs)
+
+
+def test_limits_touched_on_and_off_across_chunks_match_the_loop(fast_chunks):
+    # the AGC commands meet the limits, leave them and meet them again, so a
+    # fast chunk is kept between two replayed ones
+    def held_loads(seed):
+        spec = DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed)
+        return spec, AttackSpec.none()
+
+    plant = default_plant(**ALL_SWITCHES)
+    runs = [held_loads(21), held_loads(22)]
+    simulate_nonlinear(plant, RunBatch(runs))
+    kept = [kept for kept, _, _ in fast_chunks]
+    replayed = [i for i, k in enumerate(kept) if not k]
+    assert len(replayed) >= 2
+    assert any(kept[replayed[0] : replayed[-1]])
+    assert_chunks_change_no_bit(plant, runs)
+
+
+@pytest.mark.parametrize("t_s, dt", [(500.0, 5.0), (10.0, 1.0)])
+def test_diverging_run_with_limits_blows_up_as_when_checked(t_s, dt):
+    # RK4 is unstable at these steps: the run overflows to NaN within the
+    # first interval (dt = 5) or grows past the norm cap by t = 20 s (dt = 1).
+    # Only the warnings the checked integration raises are silenced; the
+    # test configuration turns any other RuntimeWarning into an error.
+    plant = default_plant(t_s=t_s, dt=dt, agc_limits=(-0.02, 0.02))
+    diverging, calm = step_run(0.05, horizon=4 * t_s), step_run(0.0, horizon=4 * t_s)
+
+    def blowup(simulate, runs) -> SimulationBlowUp:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUp) as err:
+            simulate(plant, runs)
+        return err.value
+
+    checked = blowup(checked_integration, [diverging])
+    alone = blowup(lambda plant, runs: simulate_nonlinear(plant, RunBatch(runs)), [diverging])
+    batch = blowup(lambda plant, runs: simulate_nonlinear(plant, RunBatch(runs)), [calm, diverging])
+    assert (alone.run, batch.run) == (0, 1)
+    for err in (alone, batch):
+        assert err.time == checked.time
+        assert np.array_equal(err.norm, checked.norm, equal_nan=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = simulate_nonlinear_loop(plant, *RunBatch([diverging]).runs[0])
+    finite = np.isfinite(reference).all(axis=0)
+    if np.isnan(checked.norm):
+        # the loop's outputs stop being finite at the sample the engine reports
+        assert checked.time == (np.flatnonzero(~finite)[0] + 1) * t_s
+    else:
+        assert checked.time == 2 * t_s and checked.norm > plant.blowup_norm
+        assert finite.all()
+
+
+def test_limits_never_reached_leave_the_outputs_bitwise_unlimited(fast_chunks):
+    def simulate(limits):
+        plant = default_plant(**{**ALL_SWITCHES, "agc_limits": limits})
+        return simulate_nonlinear(plant, RunBatch(mixed_runs()))
+
+    far = simulate((-1e3, 1e3))
+    assert fast_chunks and all(kept for kept, _, _ in fast_chunks)
+    for limited, unlimited in zip(far, simulate(None)):
+        assert np.array_equal(limited.Y, unlimited.Y)
 
 
 def test_plant_config_validation():
