@@ -134,7 +134,6 @@ class ModelIndex:
     AGC states without re-deriving the layout.
     """
 
-    n_x: int
     area_ids: list[int]
     omega_row: dict[int, int]
     agc_row: dict[int, int]
@@ -292,7 +291,6 @@ def assemble_multiarea(
             d_f[oy + area.n_states, k] = 1.0
 
     index = ModelIndex(
-        n_x=n_x,
         area_ids=ids,
         omega_row=omega_row,
         agc_row=agc_row,

@@ -73,12 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    cfg = pipeline.ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.mode is not None:
-        cfg.mode = _MODE_NAMES[args.mode]
-    cfg.validate()
+    overrides = {"seed": args.seed, "mode": _MODE_NAMES.get(args.mode)}
+    cfg = pipeline.ExperimentConfig.from_file(
+        args.config, {key: value for key, value in overrides.items() if value is not None}
+    )
     if args.dump_matrices:
         pipeline.dump_model_matrices(pipeline.build_context(cfg), args.out)
         print(f"wrote model matrices under {args.out}/model_matrices")

@@ -30,7 +30,9 @@ out-of-sample by construction.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("a configuration is a JSON object")
         raw = dict(raw)
         base = Path(base_dir)
         for section in ("model", "plant"):
@@ -160,6 +164,9 @@ class ExperimentConfig:
         missing = [k for k in ("model", "attack") if k not in raw]
         if missing:
             raise ConfigError(f"configuration missing section(s): {', '.join(missing)}")
+        for section in ("plant", "filter", "train", "test", "attack"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"configuration section {section} must be a JSON object")
         cfg = ExperimentConfig(
             model=raw["model"],
             plant={**defaults["plant"], **raw.get("plant", {})},
@@ -172,14 +179,17 @@ class ExperimentConfig:
             train={**defaults["train"], **raw.get("train", {})},
             test={**defaults["test"], **raw.get("test", {})},
             attack=raw["attack"],
-            seed=int(raw.get("seed", defaults["seed"])),
+            seed=raw.get("seed", defaults["seed"]),
             mode=str(raw.get("mode", defaults["mode"])),
         )
         cfg.validate()
+        cfg.seed = int(cfg.seed)
         return cfg
 
     @staticmethod
-    def from_file(path: str | Path) -> "ExperimentConfig":
+    def from_file(path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
+        """Load a JSON configuration; ``overrides`` replaces top-level fields
+        (the CLI's ``--seed`` and ``--mode``) before it is validated."""
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"configuration file not found: {path}")
@@ -187,6 +197,8 @@ class ExperimentConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        if isinstance(raw, dict) and overrides:
+            raw = {**raw, **overrides}
         return ExperimentConfig.from_dict(raw, base_dir=path.parent)
 
     def to_dict(self) -> dict:
@@ -202,37 +214,109 @@ class ExperimentConfig:
         }
 
     def validate(self):
+        """Reject, before anything is simulated or written, what no phase can run.
+
+        Values are checked, never rewritten.  Checks that need the assembled
+        model (plant step, disturbance channels, attack set) run in
+        :func:`build_context`, which every phase calls before it writes.
+        """
         if self.mode not in ("data_assisted", "pure_model"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if int(self.train["m"]) < 1:
-            raise ConfigError("train.m must be >= 1")
-        if int(self.test["runs"]) < 1:
-            raise ConfigError("test.runs must be >= 1")
-        if float(self.filter["margin"]) < 0:
-            raise ConfigError("filter.margin must be nonnegative")
-        if int(self.filter["d_n"]) < 1:
-            raise ConfigError("filter.d_n must be >= 1")
-        if not -1.0 < float(self.filter["pole"]) < 1.0:
-            raise ConfigError("filter.pole must lie in (-1, 1)")
-        t_s = float(self.plant["t_s"])
-        for name, horizon in (
-            ("train.horizon_seconds", float(self.train["horizon_seconds"])),
-            ("test.horizon_seconds", float(self.test["horizon_seconds"])),
-            ("filter.window_seconds", float(self.filter["window_seconds"])),
+        plant, filt, train, test = self.plant, self.filter, self.train, self.test
+        attack = self.attack
+        for name, value, least in (
+            ("seed", self.seed, 0),
+            ("train.m", train["m"], 1),
+            ("test.runs", test["runs"], 1),
+            ("filter.d_n", filt["d_n"], 1),
         ):
-            if horizon <= 0 or abs(round(horizon / t_s) - horizon / t_s) > 1e-9:
+            if _number(name, value, whole=True) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        for section, keys in (
+            ("plant", ("t_s", "dt", "deadband")),
+            ("filter", ("pole", "margin", "window_seconds")),
+            ("train", ("horizon_seconds", "sigma", "hold_seconds")),
+            ("test", ("horizon_seconds", "onset_seconds")),
+        ):
+            for key in keys:
+                _number(f"{section}.{key}", getattr(self, section)[key])
+        if plant["rate_limit"] is not None:
+            _number("plant.rate_limit", plant["rate_limit"])
+        limits = plant["agc_limits"]
+        if limits is not None and len(_numbers("plant.agc_limits", limits)) != 2:
+            raise ConfigError("plant.agc_limits must be null or a pair [lo, hi]")
+        if train["channels"] is not None:
+            _numbers("train.channels", train["channels"], whole=True)
+        for name, flag in (
+            ("plant.sine_ties", plant["sine_ties"]),
+            ("filter.track_steady_state", filt["track_steady_state"]),
+        ):
+            if not isinstance(flag, bool):
+                raise ConfigError(f"{name} must be true or false, got {flag!r}")
+        if filt["margin"] < 0:
+            raise ConfigError("filter.margin must be nonnegative")
+        if not -1.0 < filt["pole"] < 1.0:
+            raise ConfigError("filter.pole must lie in (-1, 1)")
+        t_s = plant["t_s"]
+        if t_s <= 0:
+            raise ConfigError("plant.t_s must be positive")
+        for name, horizon in (
+            ("train.horizon_seconds", train["horizon_seconds"]),
+            ("test.horizon_seconds", test["horizon_seconds"]),
+            ("filter.window_seconds", filt["window_seconds"]),
+        ):
+            samples = horizon / t_s
+            if horizon <= 0 or samples == inf or abs(round(samples) - samples) > 1e-9:
                 raise ConfigError(f"{name} must be a positive multiple of t_s")
-        onset = float(self.test["onset_seconds"])
-        if not 0 <= onset < float(self.test["horizon_seconds"]):
+        if not 0 <= test["onset_seconds"] < test["horizon_seconds"]:
             raise ConfigError("test.onset_seconds must fall inside the test horizon")
-        kind = self.attack.get("kind")
-        if kind not in ("univariate", "multivariate"):
+        samples = round(train["horizon_seconds"] / t_s)
+        if self.mode == "data_assisted" and samples < filt["d_n"]:
+            raise ConfigError(
+                f"filter.d_n {filt['d_n']} needs as many training samples; "
+                f"train.horizon_seconds gives {samples}"
+            )
+        kind = attack.get("kind")
+        if kind == "univariate":
+            _number("attack.channel", attack.get("channel", 0), whole=True)
+            _number("attack.magnitude", attack.get("magnitude", 0.1))
+        elif kind == "multivariate":
+            for key in ("basis", "polytope_a", "polytope_b"):
+                if key in attack:
+                    _numbers(f"attack.{key}", attack[key], rows=True)
+        else:
             raise ConfigError(f"unknown attack kind {kind!r}")
-        if kind == "multivariate" and bool(self.filter["track_steady_state"]):
+        if kind == "multivariate" and filt["track_steady_state"]:
             raise ConfigError(
                 "filter.track_steady_state applies to univariate attacks only; "
                 "the multivariate design has no DC normalisation"
             )
+
+
+def _number(name: str, value, whole: bool = False):
+    """``value`` itself; raises ConfigError unless it is a finite number (a
+    bool is not one), and with ``whole`` unless it is integral."""
+    # a chained comparison rejects NaN and takes integers of any size
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -inf < value < inf:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if whole and value != int(value):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
+def _numbers(name: str, value, whole: bool = False, rows: bool = False):
+    """``value`` itself; raises ConfigError unless it is a list of numbers, as
+    :func:`_number` checks each, or with ``rows`` also a list of equally long
+    such lists (a matrix by rows)."""
+    listed = (list, tuple)
+    matrix = rows and isinstance(value, listed) and value and all(isinstance(r, listed) for r in value)
+    for row in value if matrix else [value]:
+        if not isinstance(row, listed) or matrix and len(row) != len(value[0]):
+            shape = "a list of numbers" + (" or of equally long lists" if rows else "")
+            raise ConfigError(f"{name} must be {shape}, got {value!r}")
+        for entry in row:
+            _number(name, entry, whole)
+    return value
 
 
 # --- derived context ----------------------------------------------------------
@@ -281,15 +365,16 @@ class PipelineContext:
 def build_context(cfg: ExperimentConfig) -> PipelineContext:
     areas, topology = areas_from_dict(cfg.model)
     plant_cfg = cfg.plant
+    limits = plant_cfg["agc_limits"]
     plant = PlantConfig(
         areas=areas,
         attacks=topology,
         t_s=float(plant_cfg["t_s"]),
         dt=float(plant_cfg["dt"]),
-        agc_limits=tuple(plant_cfg["agc_limits"]) if plant_cfg.get("agc_limits") else None,
-        deadband=float(plant_cfg.get("deadband", 0.0)),
-        sine_ties=bool(plant_cfg.get("sine_ties", False)),
-        rate_limit=plant_cfg.get("rate_limit"),
+        agc_limits=None if limits is None else tuple(limits),
+        deadband=float(plant_cfg["deadband"]),
+        sine_ties=plant_cfg["sine_ties"],
+        rate_limit=plant_cfg["rate_limit"],
     )
     plant.validate()
     model_c, _ = plant.assemble()
@@ -300,6 +385,9 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     atk = cfg.attack
     if atk["kind"] == "univariate":
         attack_model = AttackModel(kind="univariate")
+        channel = atk.get("channel", 0)
+        if not 0 <= channel < model_c.n_f:
+            raise ConfigError(f"attack.channel {channel} outside 0..{model_c.n_f - 1}")
     else:
         attack_model = AttackModel(
             kind="multivariate",
@@ -308,7 +396,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
             polytope_b=np.asarray(atk["polytope_b"], dtype=float),
         )
     attack_model.validate_against(model_c.n_f)
-    return PipelineContext(
+    ctx = PipelineContext(
         cfg=cfg,
         model_c=model_c,
         model_d=model_d,
@@ -319,6 +407,10 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
         a_coeffs=pole_polynomial(float(cfg.filter["pole"]), d_n),
         model_hash=matio.model_config_hash(cfg.model),
     )
+    # the load disturbances against the model: a phase that would fail on
+    # them fails here, before it writes anything
+    ctx.disturbance_spec(cfg.seed, float(cfg.train["horizon_seconds"])).validate()
+    return ctx
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -674,7 +766,12 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     batch = RunBatch(
         [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec.none(), attack)]
     )
-    trajs = iter(simulate_nonlinear(ctx.plant, batch))
+    try:
+        trajs = iter(simulate_nonlinear(ctx.plant, batch))
+    except SimulationBlowUp as exc:
+        j, attacked = divmod(exc.run, 2)
+        detail = f"held-out run {j}, seed {seeds[j]}, {'attacked' if attacked else 'clean'} copy"
+        raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
     per_run = []
     false_alarms = 0
@@ -733,9 +830,9 @@ def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> di
 
     ``jobs`` has no effect; it is accepted so callers that pass it keep working.
     """
+    ctx = build_context(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = build_context(cfg)
     _write_json(out / "config.json", cfg.to_dict())
     dump_model_matrices(ctx, out)
     summary: dict = {}

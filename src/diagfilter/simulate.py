@@ -17,43 +17,49 @@ which pins down the alignment of sampling instants, held inputs and attack
 onset used throughout the package: sample k lives at t = k*t_s for
 k = 1..T, and inputs are held constant on [k*t_s, (k+1)*t_s).
 
-Each RK4 stage of the engine is one product plus a few elementwise
-operations.  A work array, one column per run, holds the permuted state,
-the held inputs and the deadband feature (:class:`_StageLayout`); one matrix
-built per call maps it to the whole derivative, and the sine-tie factor
-and the AGC limits act on contiguous blocks of the result.  The product
-is the ``np.matvec`` gufunc, one BLAS gemv per run: each run's sums are
-formed by the same kernel in the same order whatever the batch width,
-where one matrix-matrix product over the batch would pick its kernel and
-blocking by width and move a run's last bits with its batch.
+One stepper, built once per batch by :func:`_rk4_stepper`, owns the RK4
+work array and advances it over any range of steps; the simulator is its
+sample loop.  Each RK4 stage is one product plus a few elementwise
+operations.  The work array, one column per run, holds the permuted state,
+the held inputs and the deadband feature; one matrix maps it to the whole
+derivative, and the sine-tie factor and the AGC limits act on contiguous
+blocks of the result.  The product is the ``np.matvec`` gufunc, one BLAS
+gemv per run: each run's sums are formed by the same kernel in the same
+order whatever the batch width, where one matrix-matrix product over the
+batch would pick its kernel and blocking by width and move a run's last
+bits with its batch.
 
 At the step counts of a training set the interpreter's fixed cost per numpy
 call, not the flops, sets the simulator's speed, so the step loop keeps to
 one call per arithmetic operation.  Each stage has its own work array, the
 four stacked as one ``(4, n_work, runs)`` array; the state lives at the
 head of stage 0's, where it is differentiated in place.  Every switch and
-every view a stage reads or writes is resolved once per call, and outputs
+every view a stage reads or writes is resolved once per stepper, and outputs
 are passed to the ufuncs positionally (keyword parsing costs more than some
 of the operations), except to ``np.minimum``/``np.maximum``, which numpy 2
 deprecates a positional ``out`` for.
 
-The AGC limits cost nothing until a run reaches one.  A sample interval is
-integrated in chunks of ``_CHUNK_STEPS`` steps, each either checked (every
-stage tests the AGC entries against the limits, every step clamps the AGC
-state) or fast (neither; it only tracks the running extremes of all four
-stages' AGC entries, one strided view of the stacked work arrays).  A fast
-chunk whose stage values all stayed strictly inside the limits and whose
-final AGC state lies within them performed exactly a checked chunk's
-operations, since no test would have fired and no clamp would have moved
-anything, and stands.  Any other fast chunk, a non-finite one included, is
-restored from a snapshot of the work arrays taken at its start (held inputs
-and all) and integrated again, checked.  The chunk after a checked chunk
-that met a limit is checked too, so a saturated run pays one replay per
-onset, not one per interval.
+The AGC limits cost nothing until a run reaches one.  A stepper call
+integrates its steps in chunks of ``_CHUNK_STEPS``, each either checked
+(every stage tests the AGC entries against the limits, every step clamps
+the AGC state) or fast (neither; it only tracks the running extremes of
+all four stages' AGC entries, one strided view of the stacked work
+arrays).  A fast chunk whose stage values all stayed strictly inside the
+limits and whose final AGC state lies within them performed exactly a
+checked chunk's operations, since no test would have fired and no clamp
+would have moved anything, and stands.  Any other fast chunk, a non-finite
+one included, is restored from a snapshot of the work arrays taken at its
+start (held inputs and all) and integrated again, checked.  The chunk
+after a checked chunk that met a limit is checked too, so a saturated run
+pays one replay per onset, not one per interval.  Whether a chunk runs
+fast or checked changes no bit, so neither do the chunk boundaries: any
+partition of the steps into stepper calls leaves the work array bitwise
+the same.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,7 +300,7 @@ class PlantConfig:
         if self.t_s <= 0 or self.dt <= 0:
             raise ConfigError("t_s and dt must be positive")
         steps = self.t_s / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
             raise ConfigError("dt must divide t_s")
         if self.agc_limits is not None and not self.agc_limits[0] < self.agc_limits[1]:
             raise ConfigError("agc_limits must satisfy lo < hi")
@@ -330,68 +336,6 @@ class RunBatch:
     def run_steps(self, plant: PlantConfig) -> int:
         """RK4 steps :func:`simulate_nonlinear` takes on this batch, summed over its runs."""
         return len(self.runs) * _sample_count(self.horizon, plant.t_s) * round(plant.t_s / plant.dt)
-
-
-@dataclass
-class _StageLayout:
-    """Layout of the RK4 work array and the matrix that differentiates it.
-
-    The work array holds, one column per run, ``[state | u | band]``:
-
-    * the state, permuted so that the tie flows, the area frequencies and
-      the AGC commands form contiguous blocks (``tie``, ``omega``, ``agc``),
-      followed by the internal tie angles (``theta``) when ``sine_ties`` is on;
-    * the held inputs ``u = (d, f)``;
-    * with a deadband, ``clip(omega, +-deadband/2)`` per area (``band``):
-      the dead-banded governor input is ``omega - clip(omega)``, so the
-      governor rows take ``-droop * clip(omega)`` on top of their linear part.
-
-    ``matrix`` maps the work array to the state derivative: ``A``,
-    ``[B_d B_f]``, the droop coefficients of the band block and the
-    frequency difference that drives each tie angle, as one ``matvec``
-    per run (see the module docstring).  The sine-tie factor and the AGC
-    limits then act elementwise on the derivative's blocks.
-    """
-
-    order: np.ndarray  # original index of each permuted plant state
-    matrix: np.ndarray  # (n_state, n_work)
-    tie: slice
-    omega: slice
-    agc: slice
-    theta: slice
-    u: slice
-    band: slice
-
-
-def _stage_layout(plant: PlantConfig, model: LinearModel, index: ModelIndex) -> _StageLayout:
-    n_x, n_tie, n_area = model.n_x, index.tie_rows.size, len(index.area_ids)
-    omega_rows = [index.omega_row[a] for a in index.area_ids]
-    head = [*index.tie_rows.tolist(), *omega_rows, *(index.agc_row[a] for a in index.area_ids)]
-    order = np.array(head + sorted(set(range(n_x)) - set(head)))
-    pos = np.argsort(order)  # permuted position of each original state
-    n_state = n_x + (n_tie if plant.sine_ties else 0)
-    n_u = model.n_d + model.n_f
-    n_band = n_area if plant.deadband > 0.0 else 0
-    matrix = np.zeros((n_state, n_state + n_u + n_band))
-    matrix[:n_x, :n_x] = model.A[np.ix_(order, order)]
-    matrix[:n_x, n_state : n_state + n_u] = np.hstack([model.B_d, model.B_f])[order]
-    if plant.sine_ties:
-        angles = np.arange(n_x, n_state)
-        matrix[angles, pos[index.tie_omega_own]] = 1.0
-        matrix[angles, pos[index.tie_omega_other]] = -1.0
-    if n_band:
-        band_col = [n_state + n_u + omega_rows.index(w) for w in index.gov_omega]
-        matrix[pos[index.gov_rows], band_col] = -index.gov_droop_coef
-    return _StageLayout(
-        order=order,
-        matrix=matrix,
-        tie=slice(0, n_tie),
-        omega=slice(n_tie, n_tie + n_area),
-        agc=slice(n_tie + n_area, n_tie + 2 * n_area),
-        theta=slice(n_x, n_state),
-        u=slice(n_state, n_state + n_u),
-        band=slice(n_state + n_u, n_state + n_u + n_band),
-    )
 
 
 def _input_switches(
@@ -436,66 +380,77 @@ def _clear_of_limits(agc_max, agc_min, agc_state, lo: float, hi: float) -> bool:
     )
 
 
-def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
-    """Integrate the nonlinear plant for every run of a batch at once.
+def _rk4_stepper(
+    plant: PlantConfig, model: LinearModel, index: ModelIndex, batch: RunBatch
+) -> tuple[Callable[[int, int], None], np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 work array of a batch and the stepper that advances it.
 
-    Fixed-step RK4 from a zero initial state.  Each stage evaluates the
-    derivative of every run with one ``np.matvec`` of a work array, a gemv
-    per run so that a run's bits do not depend on its batch (see
-    :class:`_StageLayout`), plus a few elementwise operations on contiguous
-    blocks.  Stage 0 reads the state in place, at the head of its work
-    array; stages 1-3 write their stage states into theirs.  Each step holds
-    the inputs sampled at its start; they are written into the four work
-    arrays only at the steps where they switch (hold boundaries and onsets,
-    see :func:`_input_switches`).  The AGC-limit tests and clamps run only
-    in the chunks of steps where a run reaches a limit; elsewhere a chunk
-    runs without them and is replayed with them if it reached one, so the
-    outputs are bitwise those of a loop that checks every step (see the
-    module docstring).  The attack bias reaches the AGC integrator through
-    the assembled B_f and is added to the measured outputs through D_f,
-    matching the corrupted-ACE routing of the abstract model.  A single run
-    is a batch of one.
+    The work array holds, one column per run, ``[state | u | band]``:
+
+    * the state, permuted so that the tie flows, the area frequencies and
+      the AGC commands form contiguous blocks (``tie``, ``omega``, ``agc``),
+      followed by the internal tie angles (``theta``) when ``sine_ties`` is on;
+    * the held inputs ``u = (d, f)``;
+    * with a deadband, ``clip(omega, +-deadband/2)`` per area (``band``):
+      the dead-banded governor input is ``omega - clip(omega)``, so the
+      governor rows take ``-droop * clip(omega)`` on top of their linear part.
+
+    One matrix maps the work array to the state derivative: ``A``,
+    ``[B_d B_f]``, the droop coefficients of the band block and the
+    frequency difference that drives each tie angle, as one ``matvec``
+    per run (see the module docstring).  The sine-tie factor and the AGC
+    limits then act elementwise on the derivative's blocks.  Each stage has
+    its own work array, the four stacked as ``work``, ``(4, n_work, runs)``.
 
     Returns:
-        one sampled trajectory per run, in batch order.
-
-    Raises:
-        SimulationBlowUp: if a run's state infinity norm exceeds the config
-            cap or is not finite at a sample; the error names the first such
-            run (its ``run`` index).
+        ``(advance, work, state, order)``.  ``advance(start, stop)``
+        integrates steps ``start .. stop - 1`` in place, step ``j`` holding
+        the inputs sampled at ``j * dt``; steps are advanced in order, each
+        once, and any partition of them into calls leaves ``work`` bitwise
+        the same.  ``state`` is the head of stage 0's work array, zero at
+        first, and ``order`` the original index of each permuted plant state.
     """
-    plant.validate()
-    model, index = plant.assemble()
-    t_s, dt = plant.t_s, plant.dt
-    n_samples = _sample_count(batch.horizon, t_s)
-    per_sample = int(round(t_s / dt))
-    n_steps = n_samples * per_sample
+    n_x, n_tie, n_area = model.n_x, index.tie_rows.size, len(index.area_ids)
+    omega_rows = [index.omega_row[a] for a in index.area_ids]
+    head = [*index.tie_rows.tolist(), *omega_rows, *(index.agc_row[a] for a in index.area_ids)]
+    order = np.array(head + sorted(set(range(n_x)) - set(head)))
+    pos = np.argsort(order)  # permuted position of each original state
+    n_state = n_x + (n_tie if plant.sine_ties else 0)
+    n_u = model.n_d + model.n_f
+    n_band = n_area if plant.deadband > 0.0 else 0
+    n_work = n_state + n_u + n_band
+    tie, omega = slice(0, n_tie), slice(n_tie, n_tie + n_area)
+    agc, theta = slice(n_tie + n_area, n_tie + 2 * n_area), slice(n_x, n_state)
+    u, band = slice(n_state, n_state + n_u), slice(n_state + n_u, n_work)
+    matrix = np.zeros((n_state, n_work))
+    matrix[:n_x, :n_x] = model.A[np.ix_(order, order)]
+    matrix[:n_x, u] = np.hstack([model.B_d, model.B_f])[order]
+    if plant.sine_ties:
+        angles = np.arange(n_x, n_state)
+        matrix[angles, pos[index.tie_omega_own]] = 1.0
+        matrix[angles, pos[index.tie_omega_other]] = -1.0
+    if n_band:
+        band_col = [n_state + n_u + omega_rows.index(w) for w in index.gov_omega]
+        matrix[pos[index.gov_rows], band_col] = -index.gov_droop_coef
 
-    layout = _stage_layout(plant, model, index)
+    dt = plant.dt
+    n_steps = _sample_count(batch.horizon, plant.t_s) * round(plant.t_s / dt)
     switches = _input_switches(batch, model.n_f, dt, n_steps)
-    sample_times = np.arange(1, n_samples + 1) * t_s
-    f_at_samples = np.stack(
-        [atk.sample(sample_times, model.n_f).T for _, atk in batch.runs], axis=1
-    )
-    c_state = model.C[:, layout.order]
-
     n_runs = len(batch.runs)
-    matrix = layout.matrix
-    n_state, n_work = matrix.shape
     # one work array per stage: stage 0 differentiates the state in place at
     # the head of the first, stages 1-3 build their stage states in the others
     work = np.zeros((4, n_work, n_runs))
     state = work[0, :n_state]
-    helds = work[:, layout.u]
-    agc_state = state[layout.agc]
+    helds = work[:, u]
+    agc_state = state[agc]
     # every stage's AGC entries, one strided view, and their running extremes
-    agc_stages = work[:, layout.agc]
+    agc_stages = work[:, agc]
     agc_max, agc_min = np.empty_like(agc_stages), np.empty_like(agc_stages)
     snapshot = np.empty_like(work)
     k = np.empty((4, n_state, n_runs))
     k1, k2, k3, k4 = k
     acc = np.empty_like(state)
-    cos_theta = np.empty_like(state[layout.theta])
+    cos_theta = np.empty_like(state[theta])
     # rows: AGC state at or above its upper limit, at or below its lower one
     at_limit = np.empty((2, *agc_state.shape), dtype=bool)
     at_hi, at_lo = at_limit
@@ -503,7 +458,7 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     limits, rate = plant.agc_limits, plant.rate_limit
     # Every constant operand of the loop is an array of its operand's shape:
     # a Python float would cost each ufunc call a scalar conversion.
-    band_hi = np.full(work[0, layout.band].shape, 0.5 * plant.deadband)
+    band_hi = np.full(work[0, band].shape, 0.5 * plant.deadband)
     band_lo = -band_hi
     lo, hi = limits if limits is not None else (-np.inf, np.inf)
     agc_lo, agc_hi, agc_zero = (np.full(agc_state.shape, v) for v in (lo, hi, 0.0))
@@ -519,50 +474,49 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
             work[i, :n_state],
             work[i].T,
             k[i].T,
-            work[i, layout.omega],
-            work[i, layout.band],
-            work[i, layout.theta],
-            work[i, layout.agc],
-            k[i][layout.tie],
-            k[i][layout.agc],
+            work[i, omega],
+            work[i, band],
+            work[i, theta],
+            work[i, agc],
+            k[i][tie],
+            k[i][agc],
         )
         for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt))
     ]
-
-    # the D_f feedthrough of every sample up front; C x joins it per sample
-    Y = np.matvec(model.D_f, f_at_samples)
-    # chunks, fast or checked: see the module docstring
+    # chunks, fast or checked, and the replay: see the module docstring
     checking = touched = False
-    for sample in range(n_samples):
-        start, end = sample * per_sample, (sample + 1) * per_sample
-        while start < end:
-            stop = min(start + _CHUNK_STEPS, end)
+
+    def advance(start: int, stop: int) -> None:
+        nonlocal checking, touched
+        while start < stop:
+            end = min(start + _CHUNK_STEPS, stop)
             fast = limits is not None and not checking
             if fast:
                 np.copyto(snapshot, work)
                 agc_max.fill(-np.inf)
                 agc_min.fill(np.inf)
-            for step in range(start, stop):
+            for step in range(start, end):
                 switch = switches.get(step)
                 if switch is not None:
                     runs, values = switch
                     helds[:, :, runs] = values
-                for prev, h, stage_x, work_t, k_t, omega, band, theta, agc, k_tie, k_agc in stages:
+                for (prev, h, stage_x, work_t, k_t, omega_x, band_x, theta_x, agc_x,
+                     k_tie, k_agc) in stages:
                     if prev is not None:
                         np.multiply(prev, h, stage_x)
                         np.add(stage_x, state, stage_x)
                     if has_band:
-                        np.minimum(omega, band_hi, out=band)
-                        np.maximum(band, band_lo, out=band)
+                        np.minimum(omega_x, band_hi, out=band_x)
+                        np.maximum(band_x, band_lo, out=band_x)
                     np.matvec(matrix, work_t, k_t)
                     if sine_ties:
                         # each tie row of A holds only the linear coupling tie_coef *
                         # (omega difference), which the sine law scales by cos(theta)
-                        np.cos(theta, cos_theta)
+                        np.cos(theta_x, cos_theta)
                         np.multiply(k_tie, cos_theta, k_tie)
                     if checking:
-                        np.greater_equal(agc, agc_hi, at_hi)
-                        np.less_equal(agc, agc_lo, at_lo)
+                        np.greater_equal(agc_x, agc_hi, at_hi)
+                        np.less_equal(agc_x, agc_lo, at_lo)
                         # skip both clamps while no AGC state sits at a limit
                         if np.count_nonzero(at_limit):
                             touched = True
@@ -591,13 +545,54 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
             # a checked chunk that met a limit has the next one checked too
             if checking:
                 checking, touched = touched, False
-            start = stop
+            start = end
+
+    return advance, work, state, order
+
+
+def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
+    """Integrate the nonlinear plant for every run of a batch at once.
+
+    Fixed-step RK4 from a zero initial state: the sample loop around the
+    batch's stepper (:func:`_rk4_stepper`), advanced one sample interval at
+    a time, with the blow-up check and the outputs at each sample.  Each
+    stage evaluates every run's derivative with one gemv per run, so a
+    run's bits do not depend on its batch, and the AGC-limit tests run only
+    in the chunks of steps where a run reaches a limit, bitwise as if every
+    step were checked (see the module docstring).  The attack bias reaches
+    the AGC integrator through the assembled B_f and is added to the
+    measured outputs through D_f, matching the corrupted-ACE routing of the
+    abstract model.  A single run is a batch of one.
+
+    Returns:
+        one sampled trajectory per run, in batch order.
+
+    Raises:
+        SimulationBlowUp: if a run's state infinity norm exceeds the config
+            cap or is not finite at a sample; the error names the first such
+            run (its ``run`` index).
+    """
+    plant.validate()
+    model, index = plant.assemble()
+    n_samples = _sample_count(batch.horizon, plant.t_s)
+    per_sample = int(round(plant.t_s / plant.dt))
+    advance, _, state, order = _rk4_stepper(plant, model, index, batch)
+    sample_times = np.arange(1, n_samples + 1) * plant.t_s
+    f_at_samples = np.stack(
+        [atk.sample(sample_times, model.n_f).T for _, atk in batch.runs], axis=1
+    )
+    c_state = model.C[:, order]
+    # the D_f feedthrough of every sample up front; C x joins it per sample
+    Y = np.matvec(model.D_f, f_at_samples)
+    for sample in range(n_samples):
+        end = (sample + 1) * per_sample
+        advance(end - per_sample, end)
         norms = np.abs(state).max(axis=0)
         # a NaN norm (an overflow within the interval) counts as a blow-up
         over = np.flatnonzero(~(norms <= plant.blowup_norm))
         if over.size:
             run = int(over[0])
-            raise SimulationBlowUp(end * dt, norms[run], f"run {run}", run=run)
+            raise SimulationBlowUp(end * plant.dt, norms[run], f"run {run}", run=run)
         Y[sample] += np.matvec(c_state, state[: model.n_x].T)
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy()) for i in range(len(batch.runs))

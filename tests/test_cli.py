@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import diagfilter.pipeline as pipeline
 from diagfilter.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -14,6 +19,7 @@ from diagfilter.cli import (
     build_parser,
     main,
 )
+from diagfilter.errors import SimulationBlowUp
 from diagfilter.pipeline import default_config
 
 
@@ -74,6 +80,18 @@ def test_mode_and_seed_overrides(tmp_path):
     assert not (out / "train").exists()
 
 
+def test_filter_order_above_the_training_samples_designs_only_without_training(tmp_path):
+    # 5 s of training at t_s = 0.5 s give 10 samples; a model-only design
+    # reads none, and --mode applies before the configuration is checked
+    cfg = tiny_config()
+    cfg["filter"]["d_n"] = 11
+    cfg_path = write_config(tmp_path, cfg)
+    assisted, pure = tmp_path / "assisted", tmp_path / "pure"
+    assert main(["train", "--config", cfg_path, "--out", str(assisted)]) == EXIT_CONFIG
+    assert not assisted.exists()
+    assert main(["design", "--config", cfg_path, "--out", str(pure), "--mode", "pure"]) == EXIT_OK
+
+
 def test_dump_matrices_flag(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = tmp_path / "dump"
@@ -118,8 +136,6 @@ def test_test_without_artefact_exits_config_code(tmp_path):
 
 def test_simulation_blowup_exits_simulation_code(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, tiny_config())
-    import diagfilter.pipeline as pipeline
-    from diagfilter.errors import SimulationBlowUp
 
     def exploding(plant, batch):
         raise SimulationBlowUp(1.25, 1e7, "run 1", run=1)
@@ -132,11 +148,33 @@ def test_simulation_blowup_exits_simulation_code(tmp_path, capsys, monkeypatch):
     assert "training instance 1, seed 2025" in err
 
 
+def test_test_phase_blowup_names_the_held_out_run(tmp_path, capsys, monkeypatch):
+    # the test batch interleaves [clean_0, attack_0, clean_1, attack_1], so
+    # its run 3 is the attacked copy of held-out run 1
+    cfg = tiny_config()
+    cfg["test"]["runs"] = 2
+    cfg_path = write_config(tmp_path, cfg)
+    out = str(tmp_path / "o")
+    for phase in ("train", "design"):
+        assert main([phase, "--config", cfg_path, "--out", out]) == EXIT_OK
+
+    def exploding(plant, batch):
+        raise SimulationBlowUp(1.25, 1e7, "run 3", run=3)
+
+    monkeypatch.setattr(pipeline, "simulate_nonlinear", exploding)
+    assert main(["test", "--config", cfg_path, "--out", out]) == EXIT_SIMULATION
+    assert "held-out run 1, seed 102025, attacked copy" in capsys.readouterr().err
+    with pytest.raises(SimulationBlowUp) as err:
+        pipeline.cmd_test(pipeline.ExperimentConfig.from_file(cfg_path), out)
+    assert (err.value.run, err.value.time, err.value.norm) == (3, 1.25, 1e7)
+
+
 def test_diverging_plant_exits_simulation_code(tmp_path, capsys):
-    # an integration step far beyond the plant's RK4 stability limit
+    # an integration step far beyond the plant's RK4 stability limit; three
+    # training samples, as the filter order d_n 3 needs
     cfg = tiny_config()
     cfg["plant"].update(t_s=500.0, dt=5.0)
-    cfg["train"].update(horizon_seconds=500.0)
+    cfg["train"].update(horizon_seconds=1500.0)
     cfg["filter"].update(window_seconds=500.0)
     cfg["test"].update(horizon_seconds=1000.0, onset_seconds=500.0)
     cfg_path = write_config(tmp_path, cfg)
@@ -225,3 +263,76 @@ def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
     # the margin table is still written for post-mortem inspection
     report = json.loads((out / "pretrain_report.json").read_text())
     assert not report["feasible"]
+
+
+# One field of a tiny run-all at a time: values at each field's limits, and
+# types, signs, zero, null and non-finite values tried in every field.
+FIELD_EDGES = {
+    ("seed",): [0, 1],
+    ("mode",): ["pure_model", "hybrid"],
+    ("plant", "t_s"): [0.25, 0.0, 2.5],
+    ("plant", "dt"): [0.5, 0.25, 0.0],
+    ("plant", "deadband"): [0.0, -0.001],
+    ("plant", "agc_limits"): [None, [-1e-30, 1e-30], [0.0, 0.0], [0.02, -0.02], [[-0.02, 0.02]]],
+    ("plant", "sine_ties"): [False, "false"],
+    ("plant", "rate_limit"): [None, 0.004, 0.0],
+    ("filter", "d_n"): [5, 6],
+    ("filter", "pole"): [0.999, -0.999, 1.0, -1.0],
+    ("filter", "margin"): [0.0],
+    ("filter", "window_seconds"): [0.5, 100.0],
+    ("filter", "track_steady_state"): [False],
+    ("train", "m"): [1, 3],
+    ("train", "horizon_seconds"): [1.5, 1.0, 5.0],
+    ("train", "sigma"): [0.0, -0.02],
+    ("train", "hold_seconds"): [0.3, 0.0],
+    ("train", "channels"): [[0, 2], [2, 3], [0.5], [True]],
+    ("test", "runs"): [2],
+    ("test", "horizon_seconds"): [2.5, 2.0],
+    ("test", "onset_seconds"): [3.5, 4.0, 2.7],
+    ("attack", "channel"): [1],
+    ("attack", "magnitude"): [-0.1],
+}
+ANY_FIELD = [None, True, "abc", "1", [], {}, 0, -1, 1, 2.7, float("nan"), float("inf")]
+EXIT_CODES = {EXIT_OK, EXIT_INFEASIBLE, EXIT_SIMULATION, EXIT_CONFIG, EXIT_SOLVER}
+
+
+def tiny_run_all_config() -> dict:
+    cfg = default_config()
+    cfg["train"].update({"m": 2, "horizon_seconds": 2.5})
+    cfg["test"].update({"runs": 1, "horizon_seconds": 4.0, "onset_seconds": 2.0})
+    return cfg
+
+
+EDITS = st.sampled_from(list(FIELD_EDGES)).flatmap(
+    lambda field: st.tuples(st.just(field), st.sampled_from(FIELD_EDGES[field] + ANY_FIELD))
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(edit=EDITS)
+@example(edit=(("filter", "d_n"), 6))
+@example(edit=(("plant", "t_s"), 0))
+@example(edit=(("train", "m"), "abc"))
+@example(edit=(("filter", "pole"), "x"))
+@example(edit=(("plant", "deadband"), None))
+@example(edit=(("plant", "dt"), None))
+@example(edit=(("filter", "margin"), None))
+@example(edit=(("test", "onset_seconds"), None))
+@example(edit=(("train", "m"), 2.7))
+@example(edit=(("test", "runs"), 1.5))
+@example(edit=(("seed",), -1))
+def test_one_field_edit_is_rejected_up_front_or_runs(edit):
+    (*section, key), value = edit
+    cfg = tiny_run_all_config()
+    (cfg[section[0]] if section else cfg)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        # a plant step beyond RK4's stability limit overflows before it is stopped
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run-all", "--config", write_config(Path(tmp), cfg), "--out", str(out)])
+        assert code in EXIT_CODES
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+        if code == EXIT_OK:
+            stored = json.loads((out / "config.json").read_text())
+            assert (stored[section[0]] if section else stored)[key] == value

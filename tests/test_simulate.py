@@ -478,3 +478,51 @@ def test_plant_config_validation():
         default_plant(deadband=-0.1).validate()
     with pytest.raises(ConfigError):
         default_plant(rate_limit=0.0).validate()
+
+
+def test_sampling_period_far_below_the_step_is_rejected():
+    # 1e-13 / 1e-3 is within 1e-9 of 0 steps per sample, which integrate nothing
+    with pytest.raises(ConfigError, match="dt must divide t_s"):
+        default_plant(t_s=1e-13).validate()
+
+
+PARTITION_STEPS = 3000  # a 3 s horizon at dt = 1e-3
+
+
+@pytest.fixture(scope="module")
+def partition_case():
+    """A batch with inputs switching off the sample grid and an attacked run
+    that reaches the AGC limits, and its work array after the last step,
+    advanced one sample interval at a time as :func:`simulate_nonlinear` does."""
+    plant = default_plant(**ALL_SWITCHES)
+    runs = [
+        (
+            DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed),
+            atk,
+        )
+        for seed, atk in (
+            (21, AttackSpec.none()),
+            (21, AttackSpec.univariate(0.1, start=1.2345)),
+            (22, AttackSpec.univariate(-0.05, start=0.7)),
+        )
+    ]
+    attacked = simulate_nonlinear(plant, RunBatch(runs))[1]
+    assert np.abs(attacked.Y[AGC_OUTPUT_ROWS]).max() == ALL_SWITCHES["agc_limits"][1]
+    per_sample = round(plant.t_s / plant.dt)
+    advance, work, _, _ = simulate_module._rk4_stepper(plant, *plant.assemble(), RunBatch(runs))
+    for start in range(0, PARTITION_STEPS, per_sample):
+        advance(start, start + per_sample)
+    return plant, runs, work.copy()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(cuts=st.lists(st.integers(1, PARTITION_STEPS - 1), max_size=25, unique=True))
+@example(cuts=[]).via("one call for all the steps")
+@example(cuts=[49, 50, 51, 499, 500, 1234, 1235]).via("cuts beside chunk and sample edges")
+def test_any_partition_of_the_steps_integrates_bit_for_bit(partition_case, cuts):
+    plant, runs, reference = partition_case
+    advance, work, _, _ = simulate_module._rk4_stepper(plant, *plant.assemble(), RunBatch(runs))
+    edges = [0, *sorted(cuts), PARTITION_STEPS]
+    for start, stop in zip(edges, edges[1:]):
+        advance(start, stop)
+    assert np.array_equal(work, reference)
