@@ -52,14 +52,14 @@ def main():
     print("\n=== clean run: disturbance only ===")
     spec = DisturbanceSpec(n_d=model.n_d, horizon=20.0, sigma=0.02, hold=1.0,
                            channels=(0, 1, 2), seed=42)
-    clean = simulate_linear(model_d, spec, AttackSpec.none())
+    clean = simulate_linear(model_d, spec, AttackSpec())
     r = filt.run(clean.Y)
     print(f"max |r| over {r.size} samples: {np.max(np.abs(r)):.3e}  "
           "(the filter is blind to the load)")
 
     print("\n=== biased telemetry: +0.10 on the tie reading from t = 10 s ===")
     bias = 0.10
-    attacked = simulate_linear(model_d, spec, AttackSpec.univariate(bias, start=10.0))
+    attacked = simulate_linear(model_d, spec, AttackSpec([bias], start=10.0))
     r = filt.run(attacked.Y)
     for t_probe in (9.5, 10.0, 10.5, 11.0, 12.0, 15.0, 20.0):
         k = int(round(t_probe / T_S)) - 1

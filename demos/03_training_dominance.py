@@ -46,13 +46,13 @@ def main():
     print(f"=== training: {M_TRAIN} healthy plant runs of {horizon:.0f} s ===")
     t0 = time.perf_counter()
     batch = RunBatch(
-        [(ctx.disturbance_spec(ctx.cfg.seed + i, horizon), AttackSpec.none())
+        [(ctx.disturbance_spec(ctx.cfg.seed + i, horizon), AttackSpec())
          for i in range(M_TRAIN)]
     )
     plant_runs = simulate_nonlinear(ctx.plant, batch)
     q_list, sigs = [], []
-    for i, ((signal, _), plant_run) in enumerate(zip(batch.runs, plant_runs)):
-        model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
+    for i, ((dist, _), plant_run) in enumerate(zip(batch.runs, plant_runs)):
+        model_run = simulate_linear(ctx.model_d, dist, AttackSpec())
         sig = mismatch_signature(plant_run.Y, model_run.Y)
         sigs.append(sig)
         q_list.append(q_matrix(ctx.stacked, sig, gram))

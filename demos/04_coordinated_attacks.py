@@ -59,12 +59,12 @@ def main():
     train_h = float(ctx.cfg.train["horizon_seconds"])
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
     batch = RunBatch(
-        [(ctx.disturbance_spec(ctx.cfg.seed + i, train_h), AttackSpec.none())
+        [(ctx.disturbance_spec(ctx.cfg.seed + i, train_h), AttackSpec())
          for i in range(M_TRAIN)]
     )
     q_list = []
-    for (signal, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch)):
-        model_run = simulate_linear(ctx.model_d, signal, AttackSpec.none())
+    for (dist, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch)):
+        model_run = simulate_linear(ctx.model_d, dist, AttackSpec())
         q_list.append(
             q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram)
         )
@@ -90,7 +90,7 @@ def main():
     print(f"injected channel biases: {f_vec}")
     spec = ctx.disturbance_spec(ctx.cfg.seed + 1234, HORIZON)
     [traj] = simulate_nonlinear(
-        ctx.plant, RunBatch([(spec, AttackSpec.multivariate(f_vec, ONSET))])
+        ctx.plant, RunBatch([(spec, AttackSpec(f_vec, ONSET))])
     )
     detector = calibrate_threshold(
         design, q_list, float(ctx.cfg.filter["margin"]), ctx.window_samples

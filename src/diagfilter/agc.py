@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .lti import LinearModel, split_decay_rates
 
 
@@ -139,7 +139,6 @@ class ModelIndex:
     agc_row: dict[int, int]
     # one entry per tie state, in global state order
     tie_rows: np.ndarray
-    tie_coef: np.ndarray
     tie_omega_own: np.ndarray
     tie_omega_other: np.ndarray
     # one entry per generator state
@@ -240,7 +239,7 @@ def assemble_multiarea(
     b_d = np.zeros((n_x, n_area))
     c = np.zeros((n_y, n_x))
     omega_row, agc_row = {}, {}
-    tie_rows, tie_coef, tie_own, tie_other = [], [], [], []
+    tie_rows, tie_own, tie_other = [], [], []
     gov_rows, gov_omega, gov_droop = [], [], []
 
     for col, a in enumerate(areas):
@@ -258,7 +257,6 @@ def assemble_multiarea(
             stiff = a.neighbors[j]
             a_mat[ox + t, omega_row[j]] = -stiff
             tie_rows.append(ox + t)
-            tie_coef.append(stiff)
             tie_own.append(omega_row[a.area_id])
             tie_other.append(omega_row[j])
         for g, gen in enumerate(a.generators):
@@ -295,7 +293,6 @@ def assemble_multiarea(
         omega_row=omega_row,
         agc_row=agc_row,
         tie_rows=np.array(tie_rows, dtype=int),
-        tie_coef=np.array(tie_coef, dtype=float),
         tie_omega_own=np.array(tie_own, dtype=int),
         tie_omega_other=np.array(tie_other, dtype=int),
         gov_rows=np.array(gov_rows, dtype=int),
@@ -429,50 +426,77 @@ def areas_to_dict(areas: list[AreaParams], attacks: AttackTopology) -> dict:
     }
 
 
+def _field(entry: dict, key: str, at: str, whole: bool = False):
+    """``entry[key]`` under the configuration's number rule (see
+    :func:`~diagfilter.errors.check_number`), as an int if ``whole``."""
+    value = check_number(f"{at}.{key}", entry[key], whole)
+    return int(value) if whole else float(value)
+
+
+def _neighbor_id(key, at: str) -> int:
+    # JSON object keys are strings; int() rejects any but a whole number's
+    return int(key) if isinstance(key, str) else int(check_number(at, key, whole=True))
+
+
 def areas_from_dict(cfg: dict) -> tuple[list[AreaParams], AttackTopology]:
     """Parse a model configuration dict; raises ConfigError on any defect.
 
-    Also asserts that the assembled closed loop is Hurwitz, so a bad
-    parameter set is rejected at load time rather than mid-experiment.
+    Every parameter is a finite number and not a bool, and every area and
+    neighbour id a whole one.  Also asserts that the assembled closed loop
+    is Hurwitz (with a finite spectrum), so a bad parameter set is rejected
+    at load time rather than mid-experiment.
     """
+    gen_keys = ("t_ch", "droop", "participation")
     try:
-        areas = [
-            AreaParams(
-                area_id=int(ad["id"]),
-                inertia=float(ad["inertia"]),
-                damping=float(ad["damping"]),
-                bias=float(ad["bias"]),
-                agc_gain=float(ad["agc_gain"]),
-                ace_attack_gain=(
-                    float(ad["ace_attack_gain"]) if "ace_attack_gain" in ad else None
-                ),
-                generators=[
-                    GeneratorParams(
-                        t_ch=float(g["t_ch"]),
-                        droop=float(g["droop"]),
-                        participation=float(g["participation"]),
-                    )
-                    for g in ad["generators"]
-                ],
-                neighbors={int(j): float(t) for j, t in ad.get("neighbors", {}).items()},
+        areas = []
+        for i, ad in enumerate(cfg["areas"]):
+            at = f"model.areas[{i}]"
+            ties = f"{at}.neighbors"
+            areas.append(
+                AreaParams(
+                    area_id=_field(ad, "id", at, whole=True),
+                    inertia=_field(ad, "inertia", at),
+                    damping=_field(ad, "damping", at),
+                    bias=_field(ad, "bias", at),
+                    agc_gain=_field(ad, "agc_gain", at),
+                    ace_attack_gain=(
+                        _field(ad, "ace_attack_gain", at) if "ace_attack_gain" in ad else None
+                    ),
+                    generators=[
+                        GeneratorParams(*(_field(g, k, f"{at}.generators[{n}]") for k in gen_keys))
+                        for n, g in enumerate(ad["generators"])
+                    ],
+                    neighbors={
+                        _neighbor_id(j, ties): _field(ad["neighbors"], j, ties)
+                        for j in ad.get("neighbors", {})
+                    },
+                )
             )
-            for ad in cfg["areas"]
-        ]
         attacks = AttackTopology(
             [
                 AttackChannel(
-                    area=int(ch["area"]),
+                    area=_field(ch, "area", f"model.attacks[{k}]", whole=True),
                     target=str(ch["target"]),
-                    neighbor=int(ch["neighbor"]) if "neighbor" in ch else None,
+                    neighbor=(
+                        _field(ch, "neighbor", f"model.attacks[{k}]", whole=True)
+                        if "neighbor" in ch
+                        else None
+                    ),
                 )
-                for ch in cfg.get("attacks", [])
+                for k, ch in enumerate(cfg.get("attacks", []))
             ]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model configuration: {exc}") from exc
     model, _ = assemble_multiarea(areas, attacks)
-    reachable_max, overall_max = split_decay_rates(model)
-    if reachable_max >= 0.0 or overall_max > 1e-7:
+    # parameters at the ends of the float range overflow the matrices or the
+    # spectrum; a NaN rate fails the test below like a growing mode
+    with np.errstate(all="ignore"):
+        try:
+            reachable_max, overall_max = split_decay_rates(model)
+        except np.linalg.LinAlgError:
+            reachable_max = overall_max = np.nan
+    if not (reachable_max < 0.0 and overall_max <= 1e-7):
         raise ConfigError(
             "assembled closed-loop dynamics must damp every input-driven mode "
             f"(reachable max Re {reachable_max:.3e}, overall max Re {overall_max:.3e})"

@@ -30,7 +30,7 @@ out-of-sample by construction.
 from __future__ import annotations
 
 import json
-import numbers
+import os
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
@@ -54,7 +54,13 @@ from .design import (
     steady_state_margin,
     worst_case_alpha,
 )
-from .errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
+from .errors import (
+    ConfigError,
+    DetectorInfeasibleError,
+    SimulationBlowUp,
+    check_number,
+    check_numbers,
+)
 from .lti import DaeSystem, LinearModel, StackedSystem, assemble_dae, build_stacked, zoh_discretize
 from .runtime import Detector, ResidualFilter, calibrate_threshold
 from .shiftpoly import pole_polynomial
@@ -230,7 +236,7 @@ class ExperimentConfig:
             ("test.runs", test["runs"], 1),
             ("filter.d_n", filt["d_n"], 1),
         ):
-            if _number(name, value, whole=True) < least:
+            if check_number(name, value, whole=True) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         for section, keys in (
             ("plant", ("t_s", "dt", "deadband")),
@@ -239,14 +245,14 @@ class ExperimentConfig:
             ("test", ("horizon_seconds", "onset_seconds")),
         ):
             for key in keys:
-                _number(f"{section}.{key}", getattr(self, section)[key])
+                check_number(f"{section}.{key}", getattr(self, section)[key])
         if plant["rate_limit"] is not None:
-            _number("plant.rate_limit", plant["rate_limit"])
+            check_number("plant.rate_limit", plant["rate_limit"])
         limits = plant["agc_limits"]
-        if limits is not None and len(_numbers("plant.agc_limits", limits)) != 2:
+        if limits is not None and len(check_numbers("plant.agc_limits", limits)) != 2:
             raise ConfigError("plant.agc_limits must be null or a pair [lo, hi]")
         if train["channels"] is not None:
-            _numbers("train.channels", train["channels"], whole=True)
+            check_numbers("train.channels", train["channels"], whole=True)
         for name, flag in (
             ("plant.sine_ties", plant["sine_ties"]),
             ("filter.track_steady_state", filt["track_steady_state"]),
@@ -278,12 +284,12 @@ class ExperimentConfig:
             )
         kind = attack.get("kind")
         if kind == "univariate":
-            _number("attack.channel", attack.get("channel", 0), whole=True)
-            _number("attack.magnitude", attack.get("magnitude", 0.1))
+            check_number("attack.channel", attack.get("channel", 0), whole=True)
+            check_number("attack.magnitude", attack.get("magnitude", 0.1))
         elif kind == "multivariate":
             for key in ("basis", "polytope_a", "polytope_b"):
                 if key in attack:
-                    _numbers(f"attack.{key}", attack[key], rows=True)
+                    check_numbers(f"attack.{key}", attack[key], rows=True)
         else:
             raise ConfigError(f"unknown attack kind {kind!r}")
         if kind == "multivariate" and filt["track_steady_state"]:
@@ -291,32 +297,6 @@ class ExperimentConfig:
                 "filter.track_steady_state applies to univariate attacks only; "
                 "the multivariate design has no DC normalisation"
             )
-
-
-def _number(name: str, value, whole: bool = False):
-    """``value`` itself; raises ConfigError unless it is a finite number (a
-    bool is not one), and with ``whole`` unless it is integral."""
-    # a chained comparison rejects NaN and takes integers of any size
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -inf < value < inf:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if whole and value != int(value):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return value
-
-
-def _numbers(name: str, value, whole: bool = False, rows: bool = False):
-    """``value`` itself; raises ConfigError unless it is a list of numbers, as
-    :func:`_number` checks each, or with ``rows`` also a list of equally long
-    such lists (a matrix by rows)."""
-    listed = (list, tuple)
-    matrix = rows and isinstance(value, listed) and value and all(isinstance(r, listed) for r in value)
-    for row in value if matrix else [value]:
-        if not isinstance(row, listed) or matrix and len(row) != len(value[0]):
-            shape = "a list of numbers" + (" or of equally long lists" if rows else "")
-            raise ConfigError(f"{name} must be {shape}, got {value!r}")
-        for entry in row:
-            _number(name, entry, whole)
-    return value
 
 
 # --- derived context ----------------------------------------------------------
@@ -362,6 +342,39 @@ class PipelineContext:
         )
 
 
+def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
+    """Reject counts whose arrays cannot fit in physical memory, before any is made.
+
+    ``filter.d_n`` sizes every quadratic form over the filter coefficients,
+    ``((d_n + 1) (n_x + n_y))^2`` floats, the largest of the stacked
+    arrays.  ``train.m`` and the training horizon size the output record,
+    one form per run and the ``T x T`` Gram matrix; ``test.runs`` and the
+    test horizon the test output record, a clean and an attacked copy of
+    each run.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    t_s = float(cfg.plant["t_s"])
+    form = ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
+    train_samples = round(cfg.train["horizon_seconds"] / t_s)
+    test_samples = round(cfg.test["horizon_seconds"] / t_s)
+    for names, floats in (
+        ("filter.d_n", form),
+        (
+            "train.m and train.horizon_seconds",
+            int(cfg.train["m"]) * (model.n_y * train_samples + form) + train_samples**2,
+        ),
+        (
+            "test.runs and test.horizon_seconds",
+            2 * int(cfg.test["runs"]) * model.n_y * test_samples,
+        ),
+    ):
+        if 8 * floats > memory:
+            raise ConfigError(
+                f"the arrays sized by {names} need more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory"
+            )
+
+
 def build_context(cfg: ExperimentConfig) -> PipelineContext:
     areas, topology = areas_from_dict(cfg.model)
     plant_cfg = cfg.plant
@@ -378,6 +391,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     )
     plant.validate()
     model_c, _ = plant.assemble()
+    _check_array_sizes(cfg, model_c)
     model_d = zoh_discretize(model_c, plant.t_s)
     dae = assemble_dae(model_d)
     d_n = int(cfg.filter["d_n"])
@@ -409,7 +423,7 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     )
     # the load disturbances against the model: a phase that would fail on
     # them fails here, before it writes anything
-    ctx.disturbance_spec(cfg.seed, float(cfg.train["horizon_seconds"])).validate()
+    ctx.disturbance_spec(cfg.seed, float(cfg.train["horizon_seconds"]))
     return ctx
 
 
@@ -495,7 +509,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict
     m = int(cfg.train["m"])
     horizon = float(cfg.train["horizon_seconds"])
     seeds = [cfg.seed + i for i in range(m)]
-    batch = RunBatch([(ctx.disturbance_spec(s, horizon), AttackSpec.none()) for s in seeds])
+    batch = RunBatch([(ctx.disturbance_spec(s, horizon), AttackSpec()) for s in seeds])
     try:
         results = simulate_nonlinear(ctx.plant, batch)
     except SimulationBlowUp as exc:
@@ -551,7 +565,7 @@ def _training_bundle(
     signatures, q_list = [], []
     for seed, y_plant in zip(seeds, outputs):
         spec = ctx.disturbance_spec(seed, horizon)
-        reference = simulate_linear(ctx.model_d, spec, AttackSpec.none())
+        reference = simulate_linear(ctx.model_d, spec, AttackSpec())
         sig = mismatch_signature(y_plant, reference.Y)
         signatures.append(sig)
         q_list.append(q_matrix(ctx.stacked, sig, gram))
@@ -563,7 +577,8 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 
     Re-runs the abstract model from each trajectory's recorded seed, forms
     the signatures and quadratic forms, and cross-checks the persisted
-    average -- a stale or hand-edited training directory fails here.
+    average to 1e-9 of its largest entry -- a stale or hand-edited training
+    directory fails here.
     """
     train_dir = Path(out_dir) / "train"
     files = sorted(train_dir.glob("traj_*.csv"))
@@ -585,11 +600,15 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
             f"persisted average mismatch form has shape {stored.shape}, the configured "
             f"filter needs {bundle.qbar.shape}; re-run the training phase"
         )
+    # relative: the forms' entries are of order 1e-5 and below, and an
+    # untouched directory reproduces them bit for bit
     drift = float(np.max(np.abs(stored - bundle.qbar)))
-    if drift > 1e-9:
+    largest = float(np.max(np.abs(bundle.qbar)))
+    if drift > 1e-9 * largest:
         raise ConfigError(
             f"persisted average mismatch form disagrees with the trajectories "
-            f"(max deviation {drift:.3e}); re-run the training phase"
+            f"(max deviation {drift:.3e}, largest entry {largest:.3e}); "
+            "re-run the training phase"
         )
     return bundle
 
@@ -712,9 +731,10 @@ def _test_attack(ctx: PipelineContext, design: FilterDesign) -> tuple[AttackSpec
     if ctx.attack_model.kind == "univariate":
         channel = int(ctx.cfg.attack.get("channel", 0))
         magnitude = float(ctx.cfg.attack.get("magnitude", 0.1))
-        spec = AttackSpec.univariate(magnitude, onset, channel=channel)
+        bias = np.zeros(ctx.model_c.n_f)
+        bias[channel] = magnitude
         info = {"kind": "univariate", "channel": channel, "magnitude": magnitude}
-        return spec, info
+        return AttackSpec(bias, onset), info
     alpha, value, status = worst_case_alpha(ctx.stacked, design, ctx.attack_model)
     if alpha is None:
         raise DetectorInfeasibleError(
@@ -730,7 +750,7 @@ def _test_attack(ctx: PipelineContext, design: FilterDesign) -> tuple[AttackSpec
         "visibility_at_alpha": float(value),
         "steady_state_margin": float(mu),
     }
-    return AttackSpec.multivariate(f_vec, onset), info
+    return AttackSpec(f_vec, onset), info
 
 
 def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -764,7 +784,7 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     # one batch: a clean then an attacked copy of each held-out run
     seeds = [cfg.seed + TEST_SEED_OFFSET + j for j in range(runs)]
     batch = RunBatch(
-        [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec.none(), attack)]
+        [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec(), attack)]
     )
     try:
         trajs = iter(simulate_nonlinear(ctx.plant, batch))

@@ -1,4 +1,10 @@
-"""Disturbance generation and linear / nonlinear plant simulation.
+"""Plant inputs and the linear / nonlinear plant simulators.
+
+A run has two piecewise-constant inputs, one type each: a
+:class:`DisturbanceSpec` is a load disturbance, drawn from its seed when the
+spec is made, and an :class:`AttackSpec` is a bias vector on the attack
+channels from an onset.  Both answer :meth:`sample` and :meth:`switch_times`,
+which is all a simulator reads of them.
 
 Two simulators share one input convention so their sampled outputs can be
 subtracted channel by channel:
@@ -60,7 +66,7 @@ the same.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,13 +85,15 @@ _CHUNK_STEPS = 50
 
 @dataclass
 class DisturbanceSpec:
-    """Recipe for an exogenous load-disturbance signal.
+    """An exogenous load-disturbance signal, drawn when the spec is made.
 
     ``kind="gaussian"`` draws zero-mean normal values with standard deviation
     ``sigma``, redrawn every ``hold`` seconds and held constant in between
-    (piecewise-constant load fluctuation).  ``kind="step"`` applies a single
-    deterministic step of ``step_value`` at ``step_time``.  Only the listed
-    ``channels`` (load inputs) are driven; the rest stay zero.
+    (piecewise-constant load fluctuation); identical seeds give identical
+    draws.  ``kind="step"`` applies a single deterministic step of
+    ``step_value`` at ``step_time``.  Only the listed ``channels`` (load
+    inputs) are driven; the rest stay zero.  Construction raises ConfigError
+    on an invalid spec.
     """
 
     n_d: int
@@ -97,8 +105,10 @@ class DisturbanceSpec:
     seed: int = 0
     step_value: float = 0.0
     step_time: float = 0.0
+    # (n_holds, n_d) held values of the gaussian kind, one row of zeros for a step
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("gaussian", "step"):
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         if self.horizon <= 0:
@@ -110,112 +120,62 @@ class DisturbanceSpec:
         for ch in self.channels:
             if not 0 <= ch < self.n_d:
                 raise ConfigError(f"disturbance channel {ch} outside 0..{self.n_d - 1}")
-
-
-@dataclass
-class DisturbanceSignal:
-    """Realised disturbance; piecewise constant, queryable at arbitrary times."""
-
-    spec: DisturbanceSpec
-    values: np.ndarray  # (n_holds, n_d) held values for the gaussian kind
+        if self.kind == "step":
+            self.values = np.zeros((1, self.n_d))
+            return
+        n_holds = int(np.ceil(self.horizon / self.hold)) + 1
+        rng = np.random.default_rng(self.seed)
+        draws = rng.normal(0.0, self.sigma, size=(n_holds, len(self.channels)))
+        self.values = np.zeros((n_holds, self.n_d))
+        for k, ch in enumerate(self.channels):
+            self.values[:, ch] = draws[:, k]
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Evaluate at the given times; returns (n_d, len(times))."""
         times = np.asarray(times, dtype=float)
-        spec = self.spec
-        if spec.kind == "gaussian":
-            j = np.floor(times / spec.hold + _HOLD_EDGE).astype(int)
-            j = np.clip(j, 0, self.values.shape[0] - 1)
-            return self.values[j].T
-        out = np.zeros((spec.n_d, times.size))
-        on = times >= spec.step_time - _ONSET_EDGE
-        for ch in spec.channels:
-            out[ch, on] = spec.step_value
+        if self.kind == "gaussian":
+            j = np.floor(times / self.hold + _HOLD_EDGE).astype(int)
+            return self.values[np.clip(j, 0, self.values.shape[0] - 1)].T
+        out = np.zeros((self.n_d, times.size))
+        on = times >= self.step_time - _ONSET_EDGE
+        for ch in self.channels:
+            out[ch, on] = self.step_value
         return out
 
     def switch_times(self) -> np.ndarray:
         """The instants at which :meth:`sample` may change value."""
-        spec = self.spec
-        if spec.kind == "gaussian":
-            return (np.arange(1, self.values.shape[0]) - _HOLD_EDGE) * spec.hold
-        return np.array([spec.step_time - _ONSET_EDGE])
-
-    def held_samples(self, t_s: float, n_samples: int) -> np.ndarray:
-        """Values held over [k*t_s, (k+1)*t_s) for k = 0..n_samples-1."""
-        return self.sample(np.arange(n_samples) * t_s)
-
-
-def gen_disturbance(spec: DisturbanceSpec) -> DisturbanceSignal:
-    """Draw a disturbance realisation; identical seeds give identical signals."""
-    spec.validate()
-    if spec.kind == "gaussian":
-        n_holds = int(np.ceil(spec.horizon / spec.hold)) + 1
-        rng = np.random.default_rng(spec.seed)
-        draws = rng.normal(0.0, spec.sigma, size=(n_holds, len(spec.channels)))
-        values = np.zeros((n_holds, spec.n_d))
-        for k, ch in enumerate(spec.channels):
-            values[:, ch] = draws[:, k]
-    else:
-        values = np.zeros((1, spec.n_d))
-    return DisturbanceSignal(spec=spec, values=values)
+        if self.kind == "gaussian":
+            return (np.arange(1, self.values.shape[0]) - _HOLD_EDGE) * self.hold
+        return np.array([self.step_time - _ONSET_EDGE])
 
 
 @dataclass
 class AttackSpec:
-    """Constant-bias telemetry attack switched on at ``start`` seconds.
+    """Constant false-data bias on the attack channels from ``start`` seconds on.
 
-    ``kind="none"`` keeps every channel clean.  ``kind="univariate"`` biases
-    one channel by ``value``; ``kind="multivariate"`` applies the full bias
-    vector ``values``.
+    ``bias`` holds one entry per attack channel of the model; ``None`` keeps
+    every channel clean.  Whether the vector stems from a univariate or a
+    multivariate hypothesis is the design's business, not the simulator's.
     """
 
-    kind: str = "none"
-    value: float = 0.0
-    channel: int = 0
-    values: np.ndarray | None = None
+    bias: np.ndarray | None = None
     start: float = 0.0
-
-    @staticmethod
-    def none() -> "AttackSpec":
-        return AttackSpec(kind="none")
-
-    @staticmethod
-    def univariate(value: float, start: float, channel: int = 0) -> "AttackSpec":
-        return AttackSpec(kind="univariate", value=value, channel=channel, start=start)
-
-    @staticmethod
-    def multivariate(values: np.ndarray, start: float) -> "AttackSpec":
-        return AttackSpec(
-            kind="multivariate", values=np.asarray(values, dtype=float), start=start
-        )
-
-    def bias_vector(self, n_f: int) -> np.ndarray:
-        if self.kind == "none":
-            return np.zeros(n_f)
-        if self.kind == "univariate":
-            if not 0 <= self.channel < n_f:
-                raise ConfigError(f"attack channel {self.channel} outside 0..{n_f - 1}")
-            vec = np.zeros(n_f)
-            vec[self.channel] = self.value
-            return vec
-        vec = np.asarray(self.values, dtype=float).ravel()
-        if vec.size != n_f:
-            raise ConfigError(f"attack vector has {vec.size} entries, model has {n_f}")
-        return vec
 
     def sample(self, times: np.ndarray, n_f: int) -> np.ndarray:
         """Attack vector at the given times; returns (n_f, len(times))."""
         times = np.asarray(times, dtype=float)
         out = np.zeros((n_f, times.size))
-        if self.kind == "none":
+        if self.bias is None:
             return out
-        on = times >= self.start - _ONSET_EDGE
-        out[:, on] = self.bias_vector(n_f)[:, None]
+        bias = np.asarray(self.bias, dtype=float).ravel()
+        if bias.size != n_f:
+            raise ConfigError(f"attack vector has {bias.size} entries, model has {n_f}")
+        out[:, times >= self.start - _ONSET_EDGE] = bias[:, None]
         return out
 
     def switch_times(self) -> np.ndarray:
         """The instants at which :meth:`sample` may change value."""
-        return np.empty(0) if self.kind == "none" else np.array([self.start - _ONSET_EDGE])
+        return np.empty(0) if self.bias is None else np.array([self.start - _ONSET_EDGE])
 
 
 @dataclass
@@ -234,14 +194,8 @@ def _sample_count(horizon: float, t_s: float) -> int:
     return n_samples
 
 
-def _resolve_signal(dist) -> DisturbanceSignal:
-    if isinstance(dist, DisturbanceSpec):
-        return gen_disturbance(dist)
-    return dist
-
-
 def simulate_linear(
-    model: LinearModel, dist: DisturbanceSignal | DisturbanceSpec, atk: AttackSpec
+    model: LinearModel, dist: DisturbanceSpec, atk: AttackSpec
 ) -> SampledTrajectory:
     """Run the exact discrete recursion from a zero initial state.
 
@@ -251,12 +205,12 @@ def simulate_linear(
     """
     if model.dt is None:
         raise ConfigError("simulate_linear expects a discrete-time model")
-    signal = _resolve_signal(dist)
     t_s = model.dt
-    n_samples = _sample_count(signal.spec.horizon, t_s)
-    d_held = signal.held_samples(t_s, n_samples)
+    n_samples = _sample_count(dist.horizon, t_s)
+    held_times = np.arange(n_samples) * t_s
+    d_held = dist.sample(held_times)
     t_grid = np.arange(1, n_samples + 1) * t_s
-    f_held = atk.sample(np.arange(n_samples) * t_s, model.n_f)
+    f_held = atk.sample(held_times, model.n_f)
     f_at_sample = atk.sample(t_grid, model.n_f)
 
     x = np.zeros(model.n_x)
@@ -317,18 +271,14 @@ class PlantConfig:
 class RunBatch:
     """Plant runs integrated side by side, one (disturbance, attack) pair each.
 
-    Disturbance specs are realised on construction; :attr:`horizon` checks
-    that the batch holds runs of one shared horizon.
+    :attr:`horizon` checks that the batch holds runs of one shared horizon.
     """
 
-    runs: list[tuple[DisturbanceSignal, AttackSpec]]
-
-    def __post_init__(self):
-        self.runs = [(_resolve_signal(dist), atk) for dist, atk in self.runs]
+    runs: list[tuple[DisturbanceSpec, AttackSpec]]
 
     @property
     def horizon(self) -> float:
-        horizons = {signal.spec.horizon for signal, _ in self.runs}
+        horizons = {dist.horizon for dist, _ in self.runs}
         if len(horizons) != 1:
             raise ConfigError(f"a batch needs runs of one shared horizon, got {sorted(horizons)}")
         return horizons.pop()
@@ -350,12 +300,12 @@ def _input_switches(
     enters only where a value changes.
     """
     changes: dict[int, list] = {}
-    for run, (signal, atk) in enumerate(batch.runs):
-        near = np.ceil(np.concatenate([signal.switch_times(), atk.switch_times()]) / dt)
+    for run, (dist, atk) in enumerate(batch.runs):
+        near = np.ceil(np.concatenate([dist.switch_times(), atk.switch_times()]) / dt)
         candidates = np.concatenate([[0.0], near - 1.0, near, near + 1.0])
         steps = np.unique(np.clip(candidates, 0, n_steps - 1)).astype(int)
         times = steps * dt
-        u = np.vstack([signal.sample(times), atk.sample(times, n_f)])
+        u = np.vstack([dist.sample(times), atk.sample(times, n_f)])
         new = np.concatenate([[True], np.any(u[:, 1:] != u[:, :-1], axis=0)])
         for step, value in zip(steps[new], u[:, new].T):
             changes.setdefault(int(step), []).append((run, value))
@@ -510,7 +460,7 @@ def _rk4_stepper(
                         np.maximum(band_x, band_lo, out=band_x)
                     np.matvec(matrix, work_t, k_t)
                     if sine_ties:
-                        # each tie row of A holds only the linear coupling tie_coef *
+                        # each tie row of A holds only the linear coupling stiffness *
                         # (omega difference), which the sine law scales by cos(theta)
                         np.cos(theta_x, cos_theta)
                         np.multiply(k_tie, cos_theta, k_tie)

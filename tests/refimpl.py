@@ -148,7 +148,7 @@ def zoh_bruteforce(a: np.ndarray, b: np.ndarray, t_s: float, terms: int = 60):
     return ad, integral @ b
 
 
-def simulate_nonlinear_loop(plant, signal, atk) -> np.ndarray:
+def simulate_nonlinear_loop(plant, dist, atk) -> np.ndarray:
     """Sampled outputs of one nonlinear plant run, integrated on its own.
 
     The per-run fixed-step RK4 loop: matrix-vector products on one state
@@ -159,15 +159,17 @@ def simulate_nonlinear_loop(plant, signal, atk) -> np.ndarray:
     a_mat, b_d, b_f = model.A, model.B_d, model.B_f
     n_x, n_f = model.n_x, model.n_f
     t_s, dt = plant.t_s, plant.dt
-    n_samples = int(round(signal.spec.horizon / t_s))
+    n_samples = int(round(dist.horizon / t_s))
     per_sample = int(round(t_s / dt))
     n_steps = n_samples * per_sample
     step_times = np.arange(n_steps) * dt
-    d_steps = signal.sample(step_times)
+    d_steps = dist.sample(step_times)
     f_steps = atk.sample(step_times, n_f)
     f_at_samples = atk.sample(np.arange(1, n_samples + 1) * t_s, n_f)
     agc_rows = np.array([index.agc_row[a] for a in index.area_ids], dtype=int)
     n_theta = index.tie_rows.size if plant.sine_ties else 0
+    # each tie row of A couples the tie flow to its own area's frequency by the stiffness
+    tie_coef = a_mat[index.tie_rows, index.tie_omega_own]
 
     def rhs(state, u_d, u_f):
         x = state[:n_x]
@@ -181,7 +183,7 @@ def simulate_nonlinear_loop(plant, signal, atk) -> np.ndarray:
         if plant.sine_ties:
             theta = state[n_x:]
             dtheta = x[index.tie_omega_own] - x[index.tie_omega_other]
-            dx[index.tie_rows] += index.tie_coef * (np.cos(theta) - 1.0) * dtheta
+            dx[index.tie_rows] += tie_coef * (np.cos(theta) - 1.0) * dtheta
             out[n_x:] = dtheta
         if plant.agc_limits is not None:
             lo, hi = plant.agc_limits

@@ -101,16 +101,16 @@ def held_out(ctx):
     runs = int(ctx.cfg.test["runs"])
     horizon = float(ctx.cfg.test["horizon_seconds"])
     onset = float(ctx.cfg.test["onset_seconds"])
-    attack = AttackSpec.univariate(
-        float(ctx.cfg.attack["magnitude"]), onset, channel=int(ctx.cfg.attack["channel"])
-    )
+    bias = np.zeros(ctx.model_c.n_f)
+    bias[int(ctx.cfg.attack["channel"])] = float(ctx.cfg.attack["magnitude"])
+    attack = AttackSpec(bias, onset)
     start = time.perf_counter()
     # the batch cmd_test integrates: a clean and an attacked copy of each run
     batch = RunBatch(
         [
             (ctx.disturbance_spec(ctx.cfg.seed + TEST_SEED_OFFSET + j, horizon), atk)
             for j in range(runs)
-            for atk in (AttackSpec.none(), attack)
+            for atk in (AttackSpec(), attack)
         ]
     )
     trajs = simulate_nonlinear(ctx.plant, batch)
@@ -178,7 +178,7 @@ def test_2_designed_filter_is_silent_on_the_abstract_model(ctx, bundle, designs)
     worst = 0.0
     for seed in range(50):
         spec = ctx.disturbance_spec(7000 + seed, 20.0)
-        traj = simulate_linear(ctx.model_d, spec, AttackSpec.none())
+        traj = simulate_linear(ctx.model_d, spec, AttackSpec())
         worst = max(worst, float(np.max(np.abs(filt.run(traj.Y)))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -198,7 +198,7 @@ def test_3_steady_state_residual_tracks_constant_bias(ctx, designs):
         spec = DisturbanceSpec(
             n_d=ctx.model_c.n_d, horizon=40.0, kind="step", step_value=0.0
         )
-        traj = simulate_linear(ctx.model_d, spec, AttackSpec.univariate(bias, start=0.0))
+        traj = simulate_linear(ctx.model_d, spec, AttackSpec([bias], start=0.0))
         r = ResidualFilter(design, ctx.dae.L).run(traj.Y)
         settled = r[traj.t > 30.0]
         worst_rel = max(worst_rel, float(np.max(np.abs(settled - bias)) / abs(bias)))
@@ -340,7 +340,7 @@ def test_9_coordinated_attacks_hide_at_dc_but_not_in_transient(
     assert status == "optimal"
     f_vec = attack_model.basis @ alpha
     onset = float(mv_ctx.cfg.test["onset_seconds"])
-    attack = AttackSpec.multivariate(f_vec, onset)
+    attack = AttackSpec(f_vec, onset)
     horizon = float(mv_ctx.cfg.test["horizon_seconds"])
 
     filt = ResidualFilter(design, mv_ctx.dae.L)

@@ -203,3 +203,41 @@ def test_config_loader_rejects_undamped_loop():
 def test_config_loader_reports_malformed_input():
     with pytest.raises(ConfigError, match="malformed"):
         areas_from_dict({"areas": [{"id": 1}]})
+
+
+# (path into the model section, value): each defect the loader must reject
+MODEL_NUMBER_DEFECTS = [
+    *[
+        (path, value)
+        for path in (
+            ("areas", 0, "inertia"),
+            ("areas", 0, "damping"),
+            ("areas", 0, "bias"),
+            ("areas", 0, "agc_gain"),
+            ("areas", 0, "generators", 0, "droop"),
+            ("areas", 0, "generators", 0, "participation"),
+            ("areas", 0, "neighbors", "2"),
+        )
+        for value in (float("nan"), float("inf"), "5.0", True)
+    ],
+    (("areas", 0, "id"), 1.5),
+    (("attacks", 0, "area"), 1.5),
+    (("attacks", 0, "neighbor"), 2.7),
+    (("areas", 0, "neighbors", 2.5), 0.545),
+    # finite, but the assembled matrices or their spectrum overflow
+    (("areas", 0, "inertia"), 1e-320),
+    (("areas", 0, "agc_gain"), 1e308),
+    (("areas", 0, "neighbors", "2"), 1e308),
+]
+
+
+@pytest.mark.parametrize("path, value", MODEL_NUMBER_DEFECTS)
+def test_config_loader_applies_the_number_rule(path, value):
+    cfg = areas_to_dict(three_area_default(), univariate_topology())
+    *parents, key = path
+    holder = cfg
+    for name in parents:
+        holder = holder[name]
+    holder[key] = value
+    with pytest.raises(ConfigError):
+        areas_from_dict(cfg)

@@ -265,8 +265,9 @@ def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
     assert not report["feasible"]
 
 
-# One field of a tiny run-all at a time: values at each field's limits, and
-# types, signs, zero, null and non-finite values tried in every field.
+# One field of a tiny run-all at a time, addressed by its path through the
+# config: values at each field's limits, and types, signs, zero, null and
+# non-finite values tried in every field.
 FIELD_EDGES = {
     ("seed",): [0, 1],
     ("mode",): ["pure_model", "hybrid"],
@@ -291,6 +292,17 @@ FIELD_EDGES = {
     ("test", "onset_seconds"): [3.5, 4.0, 2.7],
     ("attack", "channel"): [1],
     ("attack", "magnitude"): [-0.1],
+    ("model", "areas", 0, "id"): [4, 1.5],
+    ("model", "areas", 0, "inertia"): [2.5, 1e-320],
+    ("model", "areas", 0, "damping"): [0.0, -1.0],
+    ("model", "areas", 0, "bias"): [0.0],
+    ("model", "areas", 0, "agc_gain"): [0.0, 1e308],
+    ("model", "areas", 0, "ace_attack_gain"): [0.6],
+    ("model", "areas", 0, "generators", 0, "droop"): [0.1, 0.0],
+    ("model", "areas", 0, "generators", 0, "participation"): [0.5],
+    ("model", "areas", 0, "neighbors", "2"): [0.6, 0.0],
+    ("model", "attacks", 0, "area"): [2, 1.5],
+    ("model", "attacks", 0, "neighbor"): [3, 2.7],
 }
 ANY_FIELD = [None, True, "abc", "1", [], {}, 0, -1, 1, 2.7, float("nan"), float("inf")]
 EXIT_CODES = {EXIT_OK, EXIT_INFEASIBLE, EXIT_SIMULATION, EXIT_CONFIG, EXIT_SOLVER}
@@ -321,10 +333,18 @@ EDITS = st.sampled_from(list(FIELD_EDGES)).flatmap(
 @example(edit=(("train", "m"), 2.7))
 @example(edit=(("test", "runs"), 1.5))
 @example(edit=(("seed",), -1))
+@example(edit=(("model", "areas", 0, "inertia"), float("nan")))
+@example(edit=(("model", "attacks", 0, "neighbor"), 2.7))
 def test_one_field_edit_is_rejected_up_front_or_runs(edit):
-    (*section, key), value = edit
+    (*parents, key), value = edit
+
+    def holder(cfg):
+        for name in parents:
+            cfg = cfg[name]
+        return cfg
+
     cfg = tiny_run_all_config()
-    (cfg[section[0]] if section else cfg)[key] = value
+    holder(cfg)[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
         # a plant step beyond RK4's stability limit overflows before it is stopped
@@ -335,4 +355,4 @@ def test_one_field_edit_is_rejected_up_front_or_runs(edit):
             assert not out.exists()
         if code == EXIT_OK:
             stored = json.loads((out / "config.json").read_text())
-            assert (stored[section[0]] if section else stored)[key] == value
+            assert holder(stored)[key] == value

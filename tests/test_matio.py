@@ -143,6 +143,17 @@ def test_filter_artefact_round_trip(tmp_path, reference_design):
     assert loaded.diagnostics["calibration"] == calibration
 
 
+def test_filter_artefact_round_trip_with_a_pole_near_one(tmp_path, reference_design):
+    # at pole 0.999 the denominator's coefficients reach 3e9 and sum to one
+    # only to round-off (6e-7 off)
+    stacked, _ = reference_design
+    design = design_univariate(stacked, None, pole=0.999)
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, "abc123")
+    loaded, _ = load_filter(path, stacked=stacked)
+    assert np.array_equal(loaded.a_coeffs, design.a_coeffs)
+
+
 def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
     stacked, design = reference_design
     path = tmp_path / "filter.txt"

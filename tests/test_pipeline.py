@@ -17,7 +17,7 @@ import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
 from diagfilter.design import design_multivariate, design_univariate
 from diagfilter.errors import ConfigError, DetectorInfeasibleError
-from diagfilter.matio import load_matrix, load_trajectory
+from diagfilter.matio import load_matrix, load_trajectory, save_matrix
 from diagfilter.pipeline import (
     TEST_SEED_OFFSET,
     ExperimentConfig,
@@ -66,6 +66,40 @@ def test_config_validation_rejects_defects():
             ExperimentConfig.from_dict(cfg)
     with pytest.raises(ConfigError, match="missing section"):
         ExperimentConfig.from_dict({"seed": 1})
+
+
+@pytest.mark.parametrize(
+    "mode, section, key",
+    [
+        ("data_assisted", "train", "m"),
+        ("data_assisted", "test", "runs"),
+        # data-assisted, d_n beyond the training samples is rejected first
+        ("pure_model", "filter", "d_n"),
+    ],
+)
+def test_count_whose_arrays_cannot_fit_is_rejected_before_any_is_made(mode, section, key):
+    # never run such a config: only the checks up front are exercised
+    cfg = default_config()
+    cfg["mode"] = mode
+    cfg[section][key] = 10**400
+    with pytest.raises(ConfigError, match=f"arrays sized by {section}.{key}"):
+        build_context(ExperimentConfig.from_dict(cfg))
+
+
+def test_count_bound_is_the_physical_memory(monkeypatch):
+    # default config: a run's output record is 25 x 20 floats and its form
+    # 176 x 176, 251,808 bytes together (the 20 x 20 Gram matrix adds 3,200
+    # bytes once); 4,000 runs fit in 1 GiB, 5,000 do not
+    page = 4096
+    monkeypatch.setattr(
+        pipeline_module.os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**30 // page}.get
+    )
+    cfg = default_config()
+    cfg["train"]["m"] = 4000
+    build_context(ExperimentConfig.from_dict(cfg))
+    cfg["train"]["m"] = 5000
+    with pytest.raises(ConfigError, match="1.0 GiB of physical memory"):
+        build_context(ExperimentConfig.from_dict(cfg))
 
 
 def test_partial_config_inherits_defaults():
@@ -211,11 +245,24 @@ def test_design_rejects_tampered_training_average(completed_run, tmp_path):
     qbar_path = clone / "train/qbar.csv"
     mat = load_matrix(qbar_path)
     mat[0, 0] += 1e-6
-    from diagfilter.matio import save_matrix
-
     save_matrix(qbar_path, mat)
     with pytest.raises(ConfigError, match="disagrees"):
         cmd_design(cfg, clone)
+
+
+def test_design_rejects_a_rescaled_training_average(completed_run, tmp_path):
+    # the form's entries are far below 1, so a relative change of 1e-6
+    # moves none of them by 1e-9
+    cfg, out, _ = completed_run
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    shutil.copytree(out / "train", clone / "train")
+    qbar_path = clone / "train/qbar.csv"
+    mat = load_matrix(qbar_path)
+    assert np.max(np.abs(mat)) < 1e-3
+    save_matrix(qbar_path, mat * (1.0 + 1e-6))
+    with pytest.raises(ConfigError, match="disagrees"):
+        load_training_bundle(build_context(cfg), clone)
 
 
 def test_test_phase_needs_only_the_artefact(completed_run, tmp_path):

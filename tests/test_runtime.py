@@ -67,7 +67,7 @@ def test_residual_vanishes_on_model_trajectories():
         spec = DisturbanceSpec(
             n_d=3, horizon=20.0, sigma=0.02, channels=(0, 1, 2), seed=seed
         )
-        traj = simulate_linear(disc, spec, AttackSpec.none())
+        traj = simulate_linear(disc, spec, AttackSpec())
         r = filt.run(traj.Y)
         assert np.max(np.abs(r)) < 1e-8
 
@@ -76,7 +76,7 @@ def test_residual_responds_to_attack():
     disc, dae, stacked, design = reference_setup()
     filt = ResidualFilter(design, dae.L)
     spec = DisturbanceSpec(n_d=3, horizon=20.0, sigma=0.02, channels=(0, 1, 2), seed=0)
-    traj = simulate_linear(disc, spec, AttackSpec.univariate(0.1, start=10.0))
+    traj = simulate_linear(disc, spec, AttackSpec([0.1], start=10.0))
     r = filt.run(traj.Y)
     # samples sit at t = (k+1) t_s, so the first attacked sample is index 19
     onset = int(round(10.0 / 0.5)) - 1

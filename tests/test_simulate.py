@@ -16,7 +16,6 @@ from diagfilter.simulate import (
     DisturbanceSpec,
     PlantConfig,
     RunBatch,
-    gen_disturbance,
     simulate_linear,
     simulate_nonlinear,
 )
@@ -71,9 +70,9 @@ COMBINED_CASES = {
 
 def mixed_runs(width: int = 3, n_f: int = 1) -> list:
     attacks = (
-        AttackSpec.none(),
-        AttackSpec.univariate(0.1, start=1.0),
-        AttackSpec.multivariate(np.linspace(-0.05, 0.05, n_f), start=2.2),
+        AttackSpec(),
+        AttackSpec(0.1 * np.eye(n_f)[0], start=1.0),
+        AttackSpec(np.linspace(-0.05, 0.05, n_f), start=2.2),
     )
     return [
         (
@@ -91,24 +90,26 @@ def switch_case(case: str, width: int) -> tuple[PlantConfig, list]:
 
 def assert_matches_the_loop(plant, runs):
     trajs = simulate_nonlinear(plant, RunBatch(runs))
-    for (signal, atk), traj in zip(RunBatch(runs).runs, trajs):
-        reference = simulate_nonlinear_loop(plant, signal, atk)
+    for (dist, atk), traj in zip(runs, trajs):
+        reference = simulate_nonlinear_loop(plant, dist, atk)
         assert traj.Y.shape == reference.shape == (25, 6)
         assert np.max(np.abs(traj.Y - reference)) <= 1e-15
 
 
 def test_gaussian_disturbance_is_seeded_and_held():
     spec = DisturbanceSpec(n_d=3, horizon=5.0, sigma=0.02, hold=1.0, channels=(0, 2), seed=9)
-    sig_a = gen_disturbance(spec)
-    sig_b = gen_disturbance(spec)
-    assert np.array_equal(sig_a.values, sig_b.values)
+    again = DisturbanceSpec(n_d=3, horizon=5.0, sigma=0.02, hold=1.0, channels=(0, 2), seed=9)
+    assert np.array_equal(spec.values, again.values)
+    # the draw is one normal call on the seed's generator, in channel order
+    draws = np.random.default_rng(9).normal(0.0, 0.02, size=(6, 2))
+    assert np.array_equal(spec.values[:, [0, 2]], draws)
     # undriven channel stays zero, driven channels vary
-    assert np.all(sig_a.values[:, 1] == 0.0)
-    assert np.std(sig_a.values[:, 0]) > 0.0
+    assert np.all(spec.values[:, 1] == 0.0)
+    assert np.std(spec.values[:, 0]) > 0.0
     # held over each interval: t=0.25 and t=0.75 read the same draw
-    v1 = sig_a.sample(np.array([0.25]))
-    v2 = sig_a.sample(np.array([0.75]))
-    v3 = sig_a.sample(np.array([1.25]))
+    v1 = spec.sample(np.array([0.25]))
+    v2 = spec.sample(np.array([0.75]))
+    v3 = spec.sample(np.array([1.25]))
     assert np.array_equal(v1, v2)
     assert not np.array_equal(v1, v3)
 
@@ -117,36 +118,34 @@ def test_step_disturbance_switches_on_exactly():
     spec = DisturbanceSpec(
         n_d=2, horizon=4.0, kind="step", step_value=0.3, step_time=1.5, channels=(1,)
     )
-    sig = gen_disturbance(spec)
-    vals = sig.sample(np.array([0.0, 1.4999, 1.5, 3.0]))
+    vals = spec.sample(np.array([0.0, 1.4999, 1.5, 3.0]))
     assert np.array_equal(vals[0], [0, 0, 0, 0])
     assert np.allclose(vals[1], [0, 0, 0.3, 0.3])
 
 
 def test_disturbance_spec_validation():
     with pytest.raises(ConfigError):
-        gen_disturbance(DisturbanceSpec(n_d=1, horizon=1.0, kind="ramp"))
+        DisturbanceSpec(n_d=1, horizon=1.0, kind="ramp")
     with pytest.raises(ConfigError):
-        gen_disturbance(DisturbanceSpec(n_d=1, horizon=-1.0))
+        DisturbanceSpec(n_d=1, horizon=-1.0)
     with pytest.raises(ConfigError):
-        gen_disturbance(DisturbanceSpec(n_d=1, horizon=1.0, channels=(3,)))
+        DisturbanceSpec(n_d=1, horizon=1.0, channels=(3,))
     with pytest.raises(ConfigError):
-        gen_disturbance(DisturbanceSpec(n_d=1, horizon=1.0, hold=0.0))
+        DisturbanceSpec(n_d=1, horizon=1.0, hold=0.0)
 
 
 def test_attack_vector_layouts():
-    assert np.array_equal(AttackSpec.none().bias_vector(3), np.zeros(3))
-    uni = AttackSpec.univariate(0.1, start=2.0, channel=1)
-    assert np.array_equal(uni.bias_vector(3), [0, 0.1, 0])
-    with pytest.raises(ConfigError):
-        uni.bias_vector(1)
-    multi = AttackSpec.multivariate([0.1, -0.2], start=0.0)
-    assert np.array_equal(multi.bias_vector(2), [0.1, -0.2])
-    with pytest.raises(ConfigError):
-        multi.bias_vector(3)
+    times = np.array([1.9, 2.0, 2.5])
+    assert np.array_equal(AttackSpec().sample(times, 3), np.zeros((3, 3)))
+    assert AttackSpec().switch_times().size == 0
+    attack = AttackSpec([0.0, 0.1, 0.0], start=2.0)
+    with pytest.raises(ConfigError, match="attack vector has 3 entries, model has 1"):
+        attack.sample(times, 1)
     # onset boundary: sample at exactly t=start is attacked
-    vals = uni.sample(np.array([1.9, 2.0, 2.5]), 3)
+    vals = attack.sample(times, 3)
     assert np.array_equal(vals[1], [0.0, 0.1, 0.1])
+    assert np.array_equal(vals[[0, 2]], np.zeros((2, 3)))
+    assert attack.switch_times().tolist() == [2.0 - 1e-12]
 
 
 def test_linear_step_response_matches_geometric_series():
@@ -155,7 +154,7 @@ def test_linear_step_response_matches_geometric_series():
     spec = DisturbanceSpec(
         n_d=1, horizon=8.0, kind="step", step_value=1.0, step_time=0.0
     )
-    traj = simulate_linear(model, spec, AttackSpec.none())
+    traj = simulate_linear(model, spec, AttackSpec())
     k = np.arange(1, 9)
     assert np.array_equal(traj.t, k.astype(float))
     expected = 2.0 * (1.0 - 0.5**k)
@@ -166,7 +165,7 @@ def test_linear_attack_feedthrough_alignment():
     # pure feedthrough: output jumps exactly at the onset sample
     model = scalar_model(0.0)
     spec = DisturbanceSpec(n_d=1, horizon=6.0, kind="step", step_value=0.0)
-    traj = simulate_linear(model, spec, AttackSpec.univariate(0.25, start=3.0))
+    traj = simulate_linear(model, spec, AttackSpec([0.25], start=3.0))
     assert np.array_equal(traj.Y[0], [0, 0, 0.25, 0.25, 0.25, 0.25])
 
 
@@ -180,18 +179,18 @@ def test_linear_requires_discrete_model_and_aligned_horizon():
     )
     spec = DisturbanceSpec(n_d=1, horizon=1.0)
     with pytest.raises(ConfigError):
-        simulate_linear(cont, spec, AttackSpec.none())
+        simulate_linear(cont, spec, AttackSpec())
     model = scalar_model(0.5)
     with pytest.raises(ConfigError):
         simulate_linear(
-            model, DisturbanceSpec(n_d=1, horizon=1.3), AttackSpec.none()
+            model, DisturbanceSpec(n_d=1, horizon=1.3), AttackSpec()
         )
 
 
 def test_nonlinear_reduces_to_linear_when_switches_off():
     plant = default_plant()
     spec = DisturbanceSpec(n_d=3, horizon=8.0, sigma=0.02, channels=(0, 1, 2), seed=7)
-    atk = AttackSpec.univariate(0.1, start=4.0)
+    atk = AttackSpec([0.1], start=4.0)
     lin = simulate_linear(zoh_discretize(plant.assemble()[0], plant.t_s), spec, atk)
     nl = simulate_one(plant, spec, atk)
     assert lin.Y.shape == nl.Y.shape == (25, 16)
@@ -202,9 +201,9 @@ def test_agc_saturation_clamps_command_state():
     step = DisturbanceSpec(
         n_d=3, horizon=8.0, kind="step", step_value=0.05, step_time=0.0
     )
-    free = simulate_one(default_plant(), step, AttackSpec.none())
+    free = simulate_one(default_plant(), step, AttackSpec())
     clamped = simulate_one(
-        default_plant(agc_limits=(-0.001, 0.001)), step, AttackSpec.none()
+        default_plant(agc_limits=(-0.001, 0.001)), step, AttackSpec()
     )
     # output row 5 is area 1's AGC command
     assert np.abs(free.Y[5]).max() > 0.01
@@ -213,15 +212,15 @@ def test_agc_saturation_clamps_command_state():
 
 def test_deadband_changes_governor_response():
     spec = DisturbanceSpec(n_d=3, horizon=6.0, sigma=0.02, channels=(0, 1, 2), seed=3)
-    plain = simulate_one(default_plant(), spec, AttackSpec.none())
-    banded = simulate_one(default_plant(deadband=0.01), spec, AttackSpec.none())
+    plain = simulate_one(default_plant(), spec, AttackSpec())
+    banded = simulate_one(default_plant(deadband=0.01), spec, AttackSpec())
     assert np.max(np.abs(plain.Y - banded.Y)) > 1e-6
 
 
 def test_sine_tie_coupling_stays_near_linear_for_small_angles():
     spec = DisturbanceSpec(n_d=3, horizon=6.0, sigma=0.02, channels=(0, 1, 2), seed=3)
-    plain = simulate_one(default_plant(), spec, AttackSpec.none())
-    sine = simulate_one(default_plant(sine_ties=True), spec, AttackSpec.none())
+    plain = simulate_one(default_plant(), spec, AttackSpec())
+    sine = simulate_one(default_plant(sine_ties=True), spec, AttackSpec())
     gap = np.max(np.abs(plain.Y - sine.Y))
     assert 0.0 < gap < 1e-3
 
@@ -231,7 +230,7 @@ def test_blowup_guard_raises_with_time():
         n_d=3, horizon=8.0, kind="step", step_value=0.05, step_time=0.0
     )
     with pytest.raises(SimulationBlowUp) as err:
-        simulate_one(default_plant(blowup_norm=1e-4), step, AttackSpec.none())
+        simulate_one(default_plant(blowup_norm=1e-4), step, AttackSpec())
     assert err.value.time > 0.0
     assert err.value.norm > 1e-4
 
@@ -243,7 +242,7 @@ def test_diverging_run_raises_instead_of_returning_nan(t_s, dt):
     # false against any cap
     step = DisturbanceSpec(n_d=3, horizon=t_s, kind="step", step_value=0.05, step_time=0.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowUp) as err:
-        simulate_one(default_plant(t_s=t_s, dt=dt), step, AttackSpec.none())
+        simulate_one(default_plant(t_s=t_s, dt=dt), step, AttackSpec())
     assert err.value.run == 0
     assert err.value.time == t_s
     assert np.isnan(err.value.norm)
@@ -255,7 +254,7 @@ def test_diverging_run_raises_instead_of_returning_nan(t_s, dt):
 def test_blowup_inside_a_batch_names_the_run():
     def step(value):
         spec = DisturbanceSpec(n_d=3, horizon=8.0, kind="step", step_value=value, step_time=0.0)
-        return spec, AttackSpec.none()
+        return spec, AttackSpec()
 
     plant = default_plant(blowup_norm=5e-3)
     runs = [step(0.0005), step(0.05), step(0.0005)]
@@ -272,7 +271,7 @@ def test_blowup_inside_a_batch_names_the_run():
 def test_run_batch_needs_one_shared_horizon():
     with pytest.raises(ConfigError):
         RunBatch([]).horizon
-    runs = [(DisturbanceSpec(n_d=3, horizon=h), AttackSpec.none()) for h in (4.0, 5.0)]
+    runs = [(DisturbanceSpec(n_d=3, horizon=h), AttackSpec()) for h in (4.0, 5.0)]
     with pytest.raises(ConfigError):
         simulate_nonlinear(default_plant(), RunBatch(runs))
 
@@ -298,8 +297,8 @@ def test_inputs_switching_off_the_sample_grid_match_the_loop():
             atk,
         )
         for seed, atk in (
-            (21, AttackSpec.univariate(0.1, start=1.2345)),
-            (22, AttackSpec.univariate(-0.05, start=0.7)),
+            (21, AttackSpec([0.1], start=1.2345)),
+            (22, AttackSpec([-0.05], start=0.7)),
         )
     ]
     assert_matches_the_loop(plant, runs)
@@ -379,7 +378,7 @@ def step_run(step_value: float, step_time: float = 0.0, horizon: float = 3.0) ->
         step_time=step_time,
         channels=(0, 1, 2),
     )
-    return spec, AttackSpec.none()
+    return spec, AttackSpec()
 
 
 def test_limits_first_reached_anywhere_in_a_chunk_match_the_loop(fast_chunks):
@@ -414,7 +413,7 @@ def test_limits_touched_on_and_off_across_chunks_match_the_loop(fast_chunks):
     # fast chunk is kept between two replayed ones
     def held_loads(seed):
         spec = DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed)
-        return spec, AttackSpec.none()
+        return spec, AttackSpec()
 
     plant = default_plant(**ALL_SWITCHES)
     runs = [held_loads(21), held_loads(22)]
@@ -448,7 +447,7 @@ def test_diverging_run_with_limits_blows_up_as_when_checked(t_s, dt):
         assert err.time == checked.time
         assert np.array_equal(err.norm, checked.norm, equal_nan=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = simulate_nonlinear_loop(plant, *RunBatch([diverging]).runs[0])
+        reference = simulate_nonlinear_loop(plant, *diverging)
     finite = np.isfinite(reference).all(axis=0)
     if np.isnan(checked.norm):
         # the loop's outputs stop being finite at the sample the engine reports
@@ -501,9 +500,9 @@ def partition_case():
             atk,
         )
         for seed, atk in (
-            (21, AttackSpec.none()),
-            (21, AttackSpec.univariate(0.1, start=1.2345)),
-            (22, AttackSpec.univariate(-0.05, start=0.7)),
+            (21, AttackSpec()),
+            (21, AttackSpec([0.1], start=1.2345)),
+            (22, AttackSpec([-0.05], start=0.7)),
         )
     ]
     attacked = simulate_nonlinear(plant, RunBatch(runs))[1]
