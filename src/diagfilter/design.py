@@ -589,6 +589,7 @@ def design_multivariate(
             "gamma": gamma,
             "support_value": float(attack.polytope_b @ lam),
             "polytope_dual": lam,
+            "qp": {"iterations": int(sol.iterations), "kkt_residuals": dict(sol.residuals)},
         },
         constraints=problem,
     )

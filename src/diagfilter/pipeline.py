@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from math import inf
+from math import ceil, inf
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +304,11 @@ class ExperimentConfig:
 
 @dataclass
 class PipelineContext:
-    """Everything derivable from the configuration, built once per phase."""
+    """Everything derivable from the configuration.
+
+    Each phase command takes a configuration or a context built from one;
+    ``cmd_run_all`` builds it once and hands it to every phase.
+    """
 
     cfg: ExperimentConfig
     model_c: LinearModel
@@ -350,22 +354,36 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     arrays.  ``train.m`` and the training horizon size the output record,
     one form per run and the ``T x T`` Gram matrix; ``test.runs`` and the
     test horizon the test output record, a clean and an attacked copy of
-    each run.
+    each run.  ``train.hold_seconds`` sizes each run's disturbance draw,
+    ``ceil(horizon / hold) + 1`` rows of ``n_d`` values and of one draw per
+    channel.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     t_s = float(cfg.plant["t_s"])
     form = ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
-    train_samples = round(cfg.train["horizon_seconds"] / t_s)
-    test_samples = round(cfg.test["horizon_seconds"] / t_s)
+    train_horizon = float(cfg.train["horizon_seconds"])
+    test_horizon = float(cfg.test["horizon_seconds"])
+    train_samples = round(train_horizon / t_s)
+    test_samples = round(test_horizon / t_s)
+    hold = float(cfg.train["hold_seconds"])
+    channels = cfg.train["channels"]
+    row = model.n_d + (model.n_d if channels is None else len(channels))
+
+    def draw(horizon: float) -> int:
+        # a nonpositive hold is rejected with the disturbance spec; the row
+        # count is capped at a size that fails anyway, so it stays finite
+        return (ceil(min(horizon / hold, memory)) + 1) * row if hold > 0 else 0
+
     for names, floats in (
         ("filter.d_n", form),
         (
-            "train.m and train.horizon_seconds",
-            int(cfg.train["m"]) * (model.n_y * train_samples + form) + train_samples**2,
+            "train.m, train.horizon_seconds and train.hold_seconds",
+            int(cfg.train["m"]) * (model.n_y * train_samples + form + draw(train_horizon))
+            + train_samples**2,
         ),
         (
-            "test.runs and test.horizon_seconds",
-            2 * int(cfg.test["runs"]) * model.n_y * test_samples,
+            "test.runs, test.horizon_seconds and train.hold_seconds",
+            2 * int(cfg.test["runs"]) * (model.n_y * test_samples + draw(test_horizon)),
         ),
     ):
         if 8 * floats > memory:
@@ -427,6 +445,15 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     return ctx
 
 
+def _context(cfg: ExperimentConfig | PipelineContext) -> PipelineContext:
+    """The context a phase was given, or one built from its configuration.
+
+    A phase reads the context and never changes it, so one built context
+    serves every phase of a run.
+    """
+    return cfg if isinstance(cfg, PipelineContext) else build_context(cfg)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -448,14 +475,14 @@ def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
 # --- pretrain -----------------------------------------------------------------
 
 
-def cmd_pretrain(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> dict:
     """Solve the visibility programs and persist the margin table.
 
     Raises:
         ConfigError: for univariate attack hypotheses (nothing to pretrain).
         DetectorInfeasibleError: when no program certifies positive margin.
     """
-    ctx = build_context(cfg)
+    ctx = _context(cfg)
     if ctx.attack_model.kind != "multivariate":
         raise ConfigError("pretraining applies to multivariate attack models only")
     out = Path(out_dir)
@@ -496,13 +523,16 @@ def _instance_meta(ctx: PipelineContext, seed: int) -> dict:
     }
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
+def cmd_train(
+    cfg: ExperimentConfig | PipelineContext, out_dir: str | Path, jobs: int = 1
+) -> dict:
     """Run the paired healthy simulations and persist the mismatch statistics.
 
     All ``m`` plant runs are integrated as one batch.  ``jobs`` has no
     effect; it is accepted so callers that pass it keep working.
     """
-    ctx = build_context(cfg)
+    ctx = _context(cfg)
+    cfg = ctx.cfg
     out = Path(out_dir)
     train_dir = out / "train"
     train_dir.mkdir(parents=True, exist_ok=True)
@@ -623,7 +653,7 @@ def _load_pretrain(out: Path) -> dict | None:
     return json.loads(path.read_text())
 
 
-def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
+def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
     """Synthesise the filter, calibrate the detector, write the artefact.
 
     ``pose(form, constraints)`` is the one design call of the configured
@@ -637,7 +667,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     Both are compared on the ridged form the design programs minimise
     (:func:`~diagfilter.design.regularised_value`).
     """
-    ctx = build_context(cfg)
+    ctx = _context(cfg)
+    cfg = ctx.cfg
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -662,7 +693,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     else:
         report = _load_pretrain(out)
         if report is None:
-            report = cmd_pretrain(cfg, out)
+            report = cmd_pretrain(ctx, out)
         j_star = int(report["j_star"])
 
         def pose(form, constraints=None):
@@ -673,7 +704,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
         pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}
 
     design = pose(qbar)
-    dominance = None
+    dominance = baseline = None
     if qbar is not None:
         baseline = pose(None, design.constraints)
         # the assisted design minimises the ridged form over a set that holds
@@ -719,6 +750,12 @@ def cmd_design(cfg: ExperimentConfig, out_dir: str | Path) -> FilterDesign:
     }
     if "gamma" in design.diagnostics:
         report["gamma"] = float(design.diagnostics["gamma"])
+    if "qp" in design.diagnostics:
+        # the multivariate designs' QPs: iterations and KKT residuals
+        report["qp"] = {
+            "assisted": design.diagnostics["qp"],
+            "baseline": None if baseline is None else baseline.diagnostics["qp"],
+        }
     _write_json(out / "design_report.json", report)
     return design
 
@@ -753,9 +790,10 @@ def _test_attack(ctx: PipelineContext, design: FilterDesign) -> tuple[AttackSpec
     return AttackSpec(f_vec, onset), info
 
 
-def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> dict:
     """Held-out evaluation: clean and attacked runs through the detector."""
-    ctx = build_context(cfg)
+    ctx = _context(cfg)
+    cfg = ctx.cfg
     out = Path(out_dir)
     artefact = out / "filter.txt"
     if not artefact.exists():
@@ -848,7 +886,8 @@ def cmd_test(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute every phase in order into one experiment directory.
 
-    ``jobs`` has no effect; it is accepted so callers that pass it keep working.
+    The context is built once and handed to every phase.  ``jobs`` has no
+    effect; it is accepted so callers that pass it keep working.
     """
     ctx = build_context(cfg)
     out = Path(out_dir)
@@ -857,11 +896,11 @@ def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> di
     dump_model_matrices(ctx, out)
     summary: dict = {}
     if ctx.attack_model.kind == "multivariate":
-        summary["pretrain"] = cmd_pretrain(cfg, out)
+        summary["pretrain"] = cmd_pretrain(ctx, out)
     if cfg.mode == "data_assisted":
-        summary["train"] = cmd_train(cfg, out)
-    design = cmd_design(cfg, out)
+        summary["train"] = cmd_train(ctx, out)
+    design = cmd_design(ctx, out)
     summary["design"] = {"objective": float(design.objective), "branch": design.branch}
-    summary["test"] = cmd_test(cfg, out)
+    summary["test"] = cmd_test(ctx, out)
     _write_json(out / "summary.json", summary)
     return summary

@@ -42,8 +42,15 @@ four stacked as one ``(4, n_work, runs)`` array; the state lives at the
 head of stage 0's, where it is differentiated in place.  Every switch and
 every view a stage reads or writes is resolved once per stepper, and outputs
 are passed to the ufuncs positionally (keyword parsing costs more than some
-of the operations), except to ``np.minimum``/``np.maximum``, which numpy 2
-deprecates a positional ``out`` for.
+of the operations).  Each two-sided clamp (the deadband feature, the rate
+limit, the checked AGC state) is one call of numpy's ``clip`` ufunc, which
+numpy exposes under no public name, so it is imported from its private
+module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level argument
+handling that costs more than the two-call clamp.  The running extremes
+and the masked clamps of the AGC slope keep ``np.maximum``/``np.minimum``
+with a keyword ``out``, which numpy 2 requires of them.  At the package's
+default switches a step makes 30 numpy calls in a fast chunk, 41 in a
+checked one and 49 while saturated.
 
 The AGC limits cost nothing until a run reaches one.  A stepper call
 integrates its steps in chunks of ``_CHUNK_STEPS``, each either checked
@@ -61,14 +68,26 @@ pays one replay per onset, not one per interval.  Whether a chunk runs
 fast or checked changes no bit, so neither do the chunk boundaries: any
 partition of the steps into stepper calls leaves the work array bitwise
 the same.
+
+That partition invariance lets twins share steps.  Runs with equal
+disturbance specs, such as a held-out run and its attacked copy, hold equal
+work columns until their inputs first differ; :func:`simulate_nonlinear`
+integrates that shared prefix once per twin group and copies the columns
+into the whole batch's stepper at the fork.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+# numpy gives its clip ufunc no public name.  One positional call clamps
+# bitwise as max(min(x, hi), lo) for lo < hi (a test guards this); np.clip
+# and ndarray.clip wrap it in argument handling that costs about as much as
+# the two-call clamp it replaces.
+from numpy._core.umath import clip
 
 from .agc import AreaParams, AttackTopology, ModelIndex, assemble_multiarea
 from .errors import ConfigError, SimulationBlowUp
@@ -109,6 +128,7 @@ class DisturbanceSpec:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.channels = tuple(self.channels)
         if self.kind not in ("gaussian", "step"):
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
         if self.horizon <= 0:
@@ -284,8 +304,14 @@ class RunBatch:
         return horizons.pop()
 
     def run_steps(self, plant: PlantConfig) -> int:
-        """RK4 steps :func:`simulate_nonlinear` takes on this batch, summed over its runs."""
-        return len(self.runs) * _sample_count(self.horizon, plant.t_s) * round(plant.t_s / plant.dt)
+        """Run-steps :func:`simulate_nonlinear` integrates on this batch.
+
+        A step counts once per run it advances: the twins' shared prefix
+        once per leader, then every run from the fork on.
+        """
+        n_steps = _sample_count(self.horizon, plant.t_s) * round(plant.t_s / plant.dt)
+        leaders, _, fork = _shared_prefix(self, plant.attacks.n_f, plant.dt, n_steps)
+        return len(leaders) * fork + len(self.runs) * (n_steps - fork)
 
 
 def _input_switches(
@@ -313,6 +339,43 @@ def _input_switches(
         step: (np.array([run for run, _ in change]), np.array([value for _, value in change]).T)
         for step, change in changes.items()
     }
+
+
+def _shared_prefix(
+    batch: RunBatch, n_f: int, dt: float, n_steps: int
+) -> tuple[list[int], np.ndarray, int]:
+    """The twins of a batch and the steps they share.
+
+    Runs whose disturbance specs are equal are twins: the draw is a function
+    of the compared fields.  The first run of each group leads it.  The fork
+    is the first step at which some run's held inputs differ from its
+    leader's, read off :func:`_input_switches`; before it every twin's work
+    column is bitwise its leader's.
+
+    Returns:
+        ``(leaders, column, fork)``: the leaders' batch indices in batch
+        order, each run's leader as an index into them, and the fork step,
+        0 for a batch without twins and ``n_steps`` for twins whose inputs
+        never differ.
+    """
+    group: dict[tuple, int] = {}
+    leaders, column = [], []
+    for run, (dist, _) in enumerate(batch.runs):
+        key = tuple(getattr(dist, f.name) for f in fields(dist) if f.compare)
+        if key not in group:
+            group[key] = len(leaders)
+            leaders.append(run)
+        column.append(group[key])
+    column = np.array(column)
+    if len(leaders) == len(batch.runs):
+        return leaders, column, 0
+    lead = np.array(leaders)[column]
+    held = np.empty((batch.runs[0][0].n_d + n_f, len(batch.runs)))
+    for step, (runs, values) in sorted(_input_switches(batch, n_f, dt, n_steps).items()):
+        held[:, runs] = values  # step 0 sets every run's inputs
+        if np.any(held != held[:, lead]):
+            return leaders, column, step
+    return leaders, column, n_steps
 
 
 def _clear_of_limits(agc_max, agc_min, agc_state, lo: float, hi: float) -> bool:
@@ -456,8 +519,7 @@ def _rk4_stepper(
                         np.multiply(prev, h, stage_x)
                         np.add(stage_x, state, stage_x)
                     if has_band:
-                        np.minimum(omega_x, band_hi, out=band_x)
-                        np.maximum(band_x, band_lo, out=band_x)
+                        clip(omega_x, band_lo, band_hi, band_x)
                     np.matvec(matrix, work_t, k_t)
                     if sine_ties:
                         # each tie row of A holds only the linear coupling stiffness *
@@ -473,8 +535,7 @@ def _rk4_stepper(
                             np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
                             np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
                     if rate is not None:
-                        np.minimum(k_agc, rate_hi, out=k_agc)
-                        np.maximum(k_agc, rate_lo, out=k_agc)
+                        clip(k_agc, rate_lo, rate_hi, k_agc)
                 if fast:
                     np.maximum(agc_max, agc_stages, out=agc_max)
                     np.minimum(agc_min, agc_stages, out=agc_min)
@@ -486,8 +547,7 @@ def _rk4_stepper(
                 np.multiply(acc, sixth, acc)
                 np.add(state, acc, state)
                 if checking:
-                    np.maximum(agc_state, agc_lo, out=agc_state)
-                    np.minimum(agc_state, agc_hi, out=agc_state)
+                    clip(agc_state, agc_lo, agc_hi, agc_state)
             if fast and not _clear_of_limits(agc_max, agc_min, agc_state, lo, hi):
                 np.copyto(work, snapshot)
                 checking = True
@@ -503,16 +563,24 @@ def _rk4_stepper(
 def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTrajectory]:
     """Integrate the nonlinear plant for every run of a batch at once.
 
-    Fixed-step RK4 from a zero initial state: the sample loop around the
-    batch's stepper (:func:`_rk4_stepper`), advanced one sample interval at
-    a time, with the blow-up check and the outputs at each sample.  Each
-    stage evaluates every run's derivative with one gemv per run, so a
-    run's bits do not depend on its batch, and the AGC-limit tests run only
-    in the chunks of steps where a run reaches a limit, bitwise as if every
-    step were checked (see the module docstring).  The attack bias reaches
-    the AGC integrator through the assembled B_f and is added to the
-    measured outputs through D_f, matching the corrupted-ACE routing of the
-    abstract model.  A single run is a batch of one.
+    Fixed-step RK4 from a zero initial state: the sample loop around a
+    stepper (:func:`_rk4_stepper`), advanced one sample interval at a time,
+    with the blow-up check and the outputs at each sample.  Each stage
+    evaluates every run's derivative with one gemv per run, so a run's bits
+    do not depend on its batch, and the AGC-limit tests run only in the
+    chunks of steps where a run reaches a limit, bitwise as if every step
+    were checked (see the module docstring).  The attack bias reaches the
+    AGC integrator through the assembled B_f and is added to the measured
+    outputs through D_f, matching the corrupted-ACE routing of the abstract
+    model.  A single run is a batch of one.
+
+    Twins, runs with equal disturbances such as a held-out run and its
+    attacked copy, share their steps up to the first step at which their
+    inputs differ (:func:`_shared_prefix`).  That prefix is integrated once,
+    by a stepper over one leader per twin group; at the fork every run's work
+    columns (all four stages, held inputs included) are copied from its
+    leader's into the whole batch's stepper, which goes on from there.  By
+    batch invariance and partition invariance this changes no bit.
 
     Returns:
         one sampled trajectory per run, in batch order.
@@ -526,24 +594,39 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     model, index = plant.assemble()
     n_samples = _sample_count(batch.horizon, plant.t_s)
     per_sample = int(round(plant.t_s / plant.dt))
-    advance, _, state, order = _rk4_stepper(plant, model, index, batch)
+    n_steps = n_samples * per_sample
+    leaders, column, fork = _shared_prefix(batch, model.n_f, plant.dt, n_steps)
     sample_times = np.arange(1, n_samples + 1) * plant.t_s
     f_at_samples = np.stack(
         [atk.sample(sample_times, model.n_f).T for _, atk in batch.runs], axis=1
     )
-    c_state = model.C[:, order]
     # the D_f feedthrough of every sample up front; C x joins it per sample
     Y = np.matvec(model.D_f, f_at_samples)
-    for sample in range(n_samples):
-        end = (sample + 1) * per_sample
-        advance(end - per_sample, end)
-        norms = np.abs(state).max(axis=0)
-        # a NaN norm (an overflow within the interval) counts as a blow-up
-        over = np.flatnonzero(~(norms <= plant.blowup_norm))
-        if over.size:
-            run = int(over[0])
-            raise SimulationBlowUp(end * plant.dt, norms[run], f"run {run}", run=run)
-        Y[sample] += np.matvec(c_state, state[: model.n_x].T)
+    # (stepper runs, their batch indices, each run's stepper column, last step)
+    segments = []
+    if fork:
+        segments.append((RunBatch([batch.runs[i] for i in leaders]), leaders, column, fork))
+    if fork < n_steps:
+        segments.append((batch, range(len(batch.runs)), slice(None), n_steps))
+    start, work = 0, None
+    for runs, run_ids, columns, stop in segments:
+        advance, stepper_work, state, order = _rk4_stepper(plant, model, index, runs)
+        if work is not None:  # the fork: each run continues from its leader
+            stepper_work[...] = work[..., column]
+        work, c_state = stepper_work, model.C[:, order]
+        for sample in range(start // per_sample, -(-stop // per_sample)):
+            end = (sample + 1) * per_sample
+            advance(max(end - per_sample, start), min(end, stop))
+            if end > stop:  # a fork inside the interval
+                break
+            norms = np.abs(state).max(axis=0)
+            # a NaN norm (an overflow within the interval) counts as a blow-up
+            over = np.flatnonzero(~(norms <= plant.blowup_norm))
+            if over.size:
+                run = int(run_ids[over[0]])
+                raise SimulationBlowUp(end * plant.dt, norms[over[0]], f"run {run}", run=run)
+            Y[sample] += np.matvec(c_state, state[: model.n_x].T)[columns]
+        start = stop
     return [
         SampledTrajectory(sample_times.copy(), Y[:, i].T.copy()) for i in range(len(batch.runs))
     ]

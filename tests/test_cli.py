@@ -335,6 +335,8 @@ EDITS = st.sampled_from(list(FIELD_EDGES)).flatmap(
 @example(edit=(("seed",), -1))
 @example(edit=(("model", "areas", 0, "inertia"), float("nan")))
 @example(edit=(("model", "attacks", 0, "neighbor"), 2.7))
+@example(edit=(("train", "hold_seconds"), 1e-15))
+@example(edit=(("train", "hold_seconds"), 1e-300))
 def test_one_field_edit_is_rejected_up_front_or_runs(edit):
     (*parents, key), value = edit
 
@@ -356,3 +358,17 @@ def test_one_field_edit_is_rejected_up_front_or_runs(edit):
         if code == EXIT_OK:
             stored = json.loads((out / "config.json").read_text())
             assert holder(stored)[key] == value
+
+
+@pytest.mark.parametrize("hold", [1e-15, 1e-300, 5e-324])
+def test_hold_whose_draws_cannot_fit_exits_config_code(tmp_path, capsys, hold):
+    # each run's draw holds ceil(horizon / hold) + 1 rows: one 2.5 s training
+    # draw takes 53 PiB at 1e-15, its row count passes numpy's dimension
+    # limit at 1e-300, and horizon / hold is infinite at 5e-324
+    cfg = tiny_run_all_config()
+    cfg["train"]["hold_seconds"] = hold
+    out = tmp_path / "o"
+    code = main(["run-all", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "train.hold_seconds" in capsys.readouterr().err
+    assert not out.exists()

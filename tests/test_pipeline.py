@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -87,9 +88,10 @@ def test_count_whose_arrays_cannot_fit_is_rejected_before_any_is_made(mode, sect
 
 
 def test_count_bound_is_the_physical_memory(monkeypatch):
-    # default config: a run's output record is 25 x 20 floats and its form
-    # 176 x 176, 251,808 bytes together (the 20 x 20 Gram matrix adds 3,200
-    # bytes once); 4,000 runs fit in 1 GiB, 5,000 do not
+    # default config: a run's output record is 25 x 20 floats, its form
+    # 176 x 176 and its disturbance draw 11 x (3 + 3), 252,336 bytes together
+    # (the 20 x 20 Gram matrix adds 3,200 bytes once); 4,000 runs fit in
+    # 1 GiB, 5,000 do not
     page = 4096
     monkeypatch.setattr(
         pipeline_module.os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**30 // page}.get
@@ -222,8 +224,9 @@ def test_test_report_structure_and_seed_policy(completed_run):
     report = summary["test"]
     assert report["runs"] == 2
     assert len(report["per_run"]) == 2
-    # a clean and an attacked copy of each run, 40 samples of 500 steps
-    assert report["rk4_run_steps"] == 2 * 2 * 40 * 500
+    # a clean and an attacked copy of each run, 40 samples of 500 steps; the
+    # copies share the 20 samples before the onset, integrated once
+    assert report["rk4_run_steps"] == 2 * 20 * 500 + 2 * 2 * 20 * 500
     seeds = [run["seed"] for run in report["per_run"]]
     assert seeds == [cfg.seed + TEST_SEED_OFFSET + j for j in range(2)]
     # the injected bias is orders of magnitude above any healthy energy here
@@ -478,6 +481,73 @@ def test_multivariate_design_certificates_read_the_stopping_multipliers(
         assert sol.status == "optimal"
         assert sol.residuals["stationarity"] <= 1e-12
         assert sol.residuals["dual_sign"] <= 1e-6
+
+
+def test_multivariate_design_report_gives_both_qps_certificates(
+    mv_trained, tmp_path, monkeypatch
+):
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    solved = record_qps(monkeypatch)
+    cmd_design(cfg, tmp_path)
+    report = json.loads((tmp_path / "design_report.json").read_text())
+    # the assisted design's QP, then its baseline's
+    for name, (_, sol) in zip(("assisted", "baseline"), solved, strict=True):
+        assert report["qp"][name] == {
+            "iterations": sol.iterations,
+            "kkt_residuals": sol.residuals,
+        }
+        assert sol.iterations > 0
+        assert set(sol.residuals) == {
+            "primal_eq", "primal_ineq", "stationarity", "complementarity", "dual_sign"
+        }
+
+
+def test_univariate_design_report_has_no_qp_entry(completed_run):
+    _, out, _ = completed_run
+    assert "qp" not in json.loads((out / "design_report.json").read_text())
+
+
+def test_run_all_builds_one_context_and_writes_the_phases_bytes(tmp_path, monkeypatch):
+    raw = multivariate_default_config()
+    raw["train"].update(m=2, horizon_seconds=2.5)
+    raw["test"].update(runs=1, horizon_seconds=5.0, onset_seconds=2.5)
+    cfg = ExperimentConfig.from_dict(raw)
+    build = pipeline_module.build_context
+    built = []
+
+    def recorded(config):
+        ctx = build(config)
+        built.append((ctx, pickle.dumps(ctx)))
+        return ctx
+
+    monkeypatch.setattr(pipeline_module, "build_context", recorded)
+    cmd_run_all(cfg, tmp_path / "all")
+    assert len(built) == 1
+    # the phases read the context they are given and leave it as it was
+    ctx, before = built[0]
+    assert pickle.dumps(ctx) == before
+    monkeypatch.undo()
+
+    phases = tmp_path / "phases"
+    phases.mkdir()
+    (phases / "config.json").write_text((tmp_path / "all" / "config.json").read_text())
+    pipeline_module.dump_model_matrices(build_context(cfg), phases)
+    cmd_pretrain(cfg, phases)
+    cmd_train(cfg, phases)
+    cmd_design(cfg, phases)
+    cmd_test(cfg, phases)
+    files = sorted(
+        p.relative_to(tmp_path / "all") for p in (tmp_path / "all").rglob("*") if p.is_file()
+    )
+    files.remove(Path("summary.json"))
+    assert files == sorted(
+        p.relative_to(phases) for p in phases.rglob("*") if p.is_file()
+    )
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "all", phases, [str(f) for f in files], shallow=False
+    )
+    assert not mismatch and not errors
 
 
 def test_design_that_loses_to_its_baseline_is_rejected(completed_run, tmp_path, monkeypatch):

@@ -525,3 +525,186 @@ def test_any_partition_of_the_steps_integrates_bit_for_bit(partition_case, cuts)
     for start, stop in zip(edges, edges[1:]):
         advance(start, stop)
     assert np.array_equal(work, reference)
+
+
+def test_clip_ufunc_is_the_two_call_clamp():
+    # The stepper clamps with numpy's private clip ufunc; a numpy that moves
+    # it or changes its semantics fails here rather than in a trajectory.
+    clip = simulate_module.clip
+    assert isinstance(clip, np.ufunc) and (clip.nin, clip.nout) == (3, 1)
+    tiny = np.nextafter(0.0, 1.0)
+    specials = [np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0]
+    bounds = [
+        (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-tiny, tiny), (tiny, 1e-300),
+        (-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf), (-0.0005, 0.0005),
+    ]
+    for lo, hi in bounds:
+        edges = [lo, hi, *np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf, -np.inf, np.inf])]
+        values = np.array(specials + edges)
+        # the stepper's operands: strided views of a stacked work array
+        stacked = np.zeros((4, values.size, 3))
+        stacked[:, :, 1] = values
+        x = stacked[:, :, 1]
+        lo_x, hi_x = np.full(x.shape, lo), np.full(x.shape, hi)
+        expected = np.maximum(np.minimum(x, hi_x), lo_x)
+        out = np.empty_like(x)
+        clip(x, lo_x, hi_x, out)
+        assert out.tobytes() == expected.tobytes(), (lo, hi)
+        clip(x, lo_x, hi_x, x)  # in place, as the rate and AGC-state clamps run
+        assert np.ascontiguousarray(x).tobytes() == expected.tobytes(), (lo, hi)
+
+
+def twin_batch(groups, order: int = 0) -> list:
+    """Runs of the twin groups ``(seed, attacks)``, each attack ``None``
+    (clean) or ``(onset, bias)``, in an order drawn from ``order``."""
+    runs = [
+        (
+            DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed),
+            AttackSpec() if atk is None else AttackSpec([atk[1]], start=atk[0]),
+        )
+        for seed, attacks in groups
+        for atk in attacks
+    ]
+    return [runs[i] for i in np.random.default_rng(order).permutation(len(runs))]
+
+
+def first_differing_step(plant, runs) -> int:
+    """The first step at which a run's attack input differs from that of the
+    first run with its disturbance, from the inputs sampled at every step."""
+    n_steps = round(runs[0][0].horizon / plant.dt)
+    times = np.arange(n_steps) * plant.dt
+    fork = n_steps
+    for dist, atk in runs:
+        leader = next(a for d, a in runs if d == dist)
+        differ = np.flatnonzero(np.any(atk.sample(times, 1) != leader.sample(times, 1), axis=0))
+        if differ.size:
+            fork = min(fork, int(differ[0]))
+    return fork
+
+
+@pytest.fixture(scope="module")
+def twin_plant():
+    """The plant of the twin batches, and each of their runs integrated
+    alone, kept for the examples that draw the same run again."""
+    plant = default_plant(**ALL_SWITCHES)
+    alone = {}
+
+    def integrated_alone(run) -> np.ndarray:
+        dist, atk = run
+        key = (dist.seed, atk.start, None if atk.bias is None else float(atk.bias[0]))
+        if key not in alone:
+            alone[key] = simulate_one(plant, dist, atk).Y
+        return alone[key]
+
+    return plant, integrated_alone
+
+
+ONSETS = st.one_of(
+    st.integers(0, 5).map(lambda k: 0.5 * k),  # on the sample grid, 0 included
+    st.integers(0, 2999).map(lambda k: k * 1e-3),  # on the step grid
+    st.floats(0.0, 2.999),  # off both grids
+)
+TWIN_GROUPS = st.lists(
+    st.tuples(
+        st.integers(21, 23),
+        st.lists(
+            st.one_of(st.none(), st.tuples(ONSETS, st.sampled_from([0.1, -0.05]))),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(groups=TWIN_GROUPS, order=st.integers(0, 2**16))
+@example(groups=[(21, [None, (1.2345, 0.1)])], order=0).via("off both grids, clean first")
+@example(groups=[(21, [(1.5, 0.1), None])], order=0).via("on the sample grid, attacked first")
+@example(groups=[(21, [None, (0.0, 0.1)])], order=0).via("an onset at 0: no prefix")
+@example(groups=[(21, [None, (2.2, -0.05), (0.7, 0.1)])], order=0).via("fork at the earliest")
+@example(groups=[(21, [None, None]), (22, [None])], order=1).via("duplicated clean runs")
+@example(groups=[(21, [None, (0.123, 0.1)]), (22, [None, (0.6, -0.05)])], order=2).via(
+    "two twin pairs"
+)
+def test_a_forked_twin_batch_integrates_every_run_as_alone(twin_plant, groups, order):
+    plant, integrated_alone = twin_plant
+    runs = twin_batch(groups, order)
+    batch = RunBatch(runs)
+    leaders, _, fork = simulate_module._shared_prefix(batch, 1, plant.dt, 3000)
+    assert fork == (first_differing_step(plant, runs) if len(leaders) < len(runs) else 0)
+    assert batch.run_steps(plant) == len(leaders) * fork + len(runs) * (3000 - fork)
+    for run, traj in zip(runs, simulate_nonlinear(plant, batch)):
+        assert np.array_equal(traj.Y, integrated_alone(run))
+
+
+def test_twins_share_the_steps_before_the_onset():
+    # a held-out run and its attacked copy: the prefix is integrated once
+    plant = default_plant(**ALL_SWITCHES)
+    pair = twin_batch([(21, [None, (1.5, 0.1)])])
+    assert RunBatch(pair).run_steps(plant) == 1500 + 2 * 1500
+    assert RunBatch(twin_batch([(21, [None, (0.0, 0.1)])])).run_steps(plant) == 2 * 3000
+    assert RunBatch(twin_batch([(21, [None]), (22, [None])])).run_steps(plant) == 2 * 3000
+    assert RunBatch(twin_batch([(21, [None, None])])).run_steps(plant) == 3000
+    # channels given as a list make the same spec, and so a twin
+    listed = DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=[0, 1, 2], seed=21)
+    clean = twin_batch([(21, [None])])
+    assert RunBatch([*clean, (listed, AttackSpec())]).run_steps(plant) == 3000
+
+
+def test_limits_met_in_the_chunk_after_the_fork_match_the_loop(monkeypatch):
+    # the twins' state is exactly zero until the attack switches on at step
+    # 123; limits of +-1e-30 then catch the attacked AGC command within that
+    # step, in the first chunk the whole batch's stepper integrates
+    plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (-1e-30, 1e-30)})
+    quiet = step_run(0.0)[0]
+    runs = [(quiet, AttackSpec()), (quiet, AttackSpec([0.1], start=123 * plant.dt))]
+    assert simulate_module._shared_prefix(RunBatch(runs), 1, plant.dt, 3000)[2] == 123
+    chunks = []
+    clear_of_limits = simulate_module._clear_of_limits
+
+    def recorded(agc_max, agc_min, agc_state, lo, hi):
+        kept = clear_of_limits(agc_max, agc_min, agc_state, lo, hi)
+        chunks.append((agc_state.shape[1], kept))
+        return kept
+
+    monkeypatch.setattr(simulate_module, "_clear_of_limits", recorded)
+    trajs = simulate_nonlinear(plant, RunBatch(runs))
+    assert chunks[:3] == [(1, True)] * 3  # steps 0-49, 50-99, 100-122
+    assert chunks[3] == (2, False)  # steps 123-172, replayed
+    assert np.abs(trajs[1].Y[AGC_OUTPUT_ROWS]).max() == 1e-30
+    monkeypatch.undo()
+    assert_chunks_change_no_bit(plant, runs)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_blowup_inside_the_shared_prefix_raises_as_unforked(monkeypatch, reverse):
+    # the diverging twins pass the norm cap at the first sample, before
+    # their onset at 2 s
+    def step(value, atk=AttackSpec()):
+        spec = DisturbanceSpec(n_d=3, horizon=8.0, kind="step", step_value=value, step_time=0.0)
+        return spec, atk
+
+    plant = default_plant(blowup_norm=5e-3)
+    onset = AttackSpec([0.1], start=2.0)
+    runs = [step(0.0005), step(0.0005, onset), step(0.05, onset), step(0.05)]
+    runs = runs[::-1] if reverse else runs
+    assert simulate_module._shared_prefix(RunBatch(runs), 1, plant.dt, 8000)[2] == 2000
+
+    def blowup() -> SimulationBlowUp:
+        with pytest.raises(SimulationBlowUp) as err:
+            simulate_nonlinear(plant, RunBatch(runs))
+        return err.value
+
+    forked = blowup()
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            simulate_module, "_shared_prefix", lambda batch, *_: (range(4), np.arange(4), 0)
+        )
+        unforked = blowup()
+    # the diverging leader is the prefix stepper's second column
+    assert forked.run == unforked.run == (0 if reverse else 2)
+    assert forked.time == unforked.time == 0.5
+    assert forked.norm == unforked.norm
+    assert str(forked) == str(unforked)
