@@ -504,6 +504,21 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
     return report
 
 
+def _remove_stale(directory: Path, patterns: tuple[str, ...], written: list[Path]) -> None:
+    """Delete the files of a phase, and their sidecars, that this run did not write.
+
+    A phase re-run with fewer runs into the same directory would otherwise
+    leave the earlier run's extra files beside its own, and the design
+    phase reads every trajectory it finds.
+    """
+    kept = {path.name for path in written}
+    for pattern in patterns:
+        for path in directory.glob(pattern):
+            if path.name not in kept:
+                path.unlink()
+                matio.sidecar_path(path).unlink(missing_ok=True)
+
+
 # --- train --------------------------------------------------------------------
 
 
@@ -546,10 +561,10 @@ def cmd_train(
         detail = f"training instance {exc.run}, seed {seeds[exc.run]}"
         raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
-    for i, (seed, traj) in enumerate(zip(seeds, results)):
-        matio.save_trajectory(
-            train_dir / f"traj_{i:03d}.csv", traj.t, traj.Y, _instance_meta(ctx, seed)
-        )
+    paths = [train_dir / f"traj_{i:03d}.csv" for i in range(m)]
+    for path, seed, traj in zip(paths, seeds, results):
+        matio.save_trajectory(path, traj.t, traj.Y, _instance_meta(ctx, seed))
+    _remove_stale(train_dir, ("traj_*.csv",), paths)
     bundle = _training_bundle(ctx, seeds, [traj.Y for traj in results])
     matio.save_matrix(train_dir / "qbar.csv", bundle.qbar)
     summary = {
@@ -831,7 +846,7 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
         detail = f"held-out run {j}, seed {seeds[j]}, {'attacked' if attacked else 'clean'} copy"
         raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
-    per_run = []
+    per_run, written = [], []
     false_alarms = 0
     detections = 0
     for j, seed in enumerate(seeds):
@@ -843,8 +858,10 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
             alarm_time = (
                 float(traj.t[verdict.first_index]) if verdict.first_index is not None else None
             )
+            trace = test_dir / f"{label}_{j:02d}.csv"
+            written.append(trace)
             matio.save_residual_trace(
-                test_dir / f"{label}_{j:02d}.csv",
+                trace,
                 traj.t,
                 residuals,
                 verdict.energies,
@@ -862,6 +879,7 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
             detections += 1
             entry["attack"]["latency"] = float(atk_time - onset)
         per_run.append(entry)
+    _remove_stale(test_dir, ("clean_*.csv", "attack_*.csv"), written)
 
     report = {
         "runs": runs,

@@ -49,25 +49,32 @@ module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level argument
 handling that costs more than the two-call clamp.  The running extremes
 and the masked clamps of the AGC slope keep ``np.maximum``/``np.minimum``
 with a keyword ``out``, which numpy 2 requires of them.  At the package's
-default switches a step makes 30 numpy calls in a fast chunk, 41 in a
-checked one and 49 while saturated.
+default switches a step makes 30 numpy calls in a fast chunk, 34 in a fast
+chunk with an AGC entry pinned at a limit, 41 in a checked chunk and 49 in
+a checked chunk at a limit.
 
-The AGC limits cost nothing until a run reaches one.  A stepper call
-integrates its steps in chunks of ``_CHUNK_STEPS``, each either checked
-(every stage tests the AGC entries against the limits, every step clamps
-the AGC state) or fast (neither; it only tracks the running extremes of
-all four stages' AGC entries, one strided view of the stacked work
-arrays).  A fast chunk whose stage values all stayed strictly inside the
-limits and whose final AGC state lies within them performed exactly a
-checked chunk's operations, since no test would have fired and no clamp
-would have moved anything, and stands.  Any other fast chunk, a non-finite
-one included, is restored from a snapshot of the work arrays taken at its
-start (held inputs and all) and integrated again, checked.  The chunk
-after a checked chunk that met a limit is checked too, so a saturated run
-pays one replay per onset, not one per interval.  Whether a chunk runs
-fast or checked changes no bit, so neither do the chunk boundaries: any
-partition of the steps into stepper calls leaves the work array bitwise
-the same.
+The AGC limits cost little while a run's commands stay inside them or stay
+at one.  A stepper call integrates its steps in chunks of
+``_CHUNK_STEPS``, each either checked (every stage tests the AGC entries
+against the limits, every step clamps the AGC state) or fast (neither; it
+only tracks the running extremes of all four stages' AGC entries, one
+strided view of the stacked work arrays).  A fast chunk pins the AGC
+entries that sit exactly at a limit at its start: each stage clamps the
+AGC slope with one ``clip`` against per-entry bounds, 0 on a pinned
+entry's limit side and infinite elsewhere, where a checked stage clamps an
+entry at a limit.  A fast chunk stands if every free entry's stage values
+stayed strictly inside the limits, every pinned entry's stayed exactly at
+its limit and the final AGC state lies within the limits: every stage
+test would then have fired just where a pin clamped, and no clamp of the
+state would have moved anything, so it performed exactly a checked chunk's
+operations.  Any other fast chunk, a non-finite one included, is restored
+from a snapshot of the work arrays taken at its start (held inputs and
+all) and integrated again, checked; the next chunk tries fast again and
+pins what the replay left at a limit.  A saturated run thus pays one
+replay where a command meets or leaves a limit, and the pinned price in
+between.  Whether a chunk runs fast or checked changes no bit, so neither
+do the chunk boundaries: any partition of the steps into stepper calls
+leaves the work array bitwise the same.
 
 That partition invariance lets twins share steps.  Runs with equal
 disturbance specs, such as a held-out run and its attacked copy, hold equal
@@ -378,16 +385,19 @@ def _shared_prefix(
     return leaders, column, n_steps
 
 
-def _clear_of_limits(agc_max, agc_min, agc_state, lo: float, hi: float) -> bool:
+def _clear_of_limits(agc_max, agc_min, agc_state, below, above, lo: float, hi: float) -> bool:
     """Whether a chunk integrated without the AGC-limit tests stands as it is.
 
-    Every stage's AGC value stayed strictly inside ``(lo, hi)``, so no
-    stage test would have fired, and the chunk's final AGC state lies in
-    ``[lo, hi]``, so no clamp would have moved it.  A NaN fails both.
+    Every stage's AGC value stayed strictly between its entry's bounds
+    ``below`` and ``above``: inside ``(lo, hi)`` for a free entry, so no
+    stage test would have fired, and exactly at the limit for an entry
+    pinned there, so every test would have fired and clamped the slope as
+    the pin did.  The chunk's final AGC state lies in ``[lo, hi]``, so no
+    clamp would have moved it.  A NaN fails every test.
     """
     return (
-        lo < agc_min.min()
-        and agc_max.max() < hi
+        (below < agc_min).all()
+        and (agc_max < above).all()
         and lo <= agc_state.min()
         and agc_state.max() <= hi
     )
@@ -496,11 +506,9 @@ def _rk4_stepper(
         )
         for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt))
     ]
-    # chunks, fast or checked, and the replay: see the module docstring
-    checking = touched = False
-
+    # chunks, fast or checked, pins and the replay: see the module docstring
     def advance(start: int, stop: int) -> None:
-        nonlocal checking, touched
+        checking = pinning = False
         while start < stop:
             end = min(start + _CHUNK_STEPS, stop)
             fast = limits is not None and not checking
@@ -508,6 +516,18 @@ def _rk4_stepper(
                 np.copyto(snapshot, work)
                 agc_max.fill(-np.inf)
                 agc_min.fill(np.inf)
+                np.equal(agc_state, agc_hi, at_hi)
+                np.equal(agc_state, agc_lo, at_lo)
+                below, above = agc_lo, agc_hi
+                pinning = np.count_nonzero(at_limit)
+                if pinning:
+                    # a pinned slope may only leave its limit; its stage
+                    # values must stay exactly there
+                    slope_lo = np.where(at_lo, 0.0, -np.inf)
+                    slope_hi = np.where(at_hi, 0.0, np.inf)
+                    pinned = at_hi | at_lo
+                    below = np.where(pinned, np.nextafter(agc_state, -np.inf), agc_lo)
+                    above = np.where(pinned, np.nextafter(agc_state, np.inf), agc_hi)
             for step in range(start, end):
                 switch = switches.get(step)
                 if switch is not None:
@@ -531,9 +551,10 @@ def _rk4_stepper(
                         np.less_equal(agc_x, agc_lo, at_lo)
                         # skip both clamps while no AGC state sits at a limit
                         if np.count_nonzero(at_limit):
-                            touched = True
                             np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
                             np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
+                    elif pinning:
+                        clip(k_agc, slope_lo, slope_hi, k_agc)
                     if rate is not None:
                         clip(k_agc, rate_lo, rate_hi, k_agc)
                 if fast:
@@ -548,13 +569,11 @@ def _rk4_stepper(
                 np.add(state, acc, state)
                 if checking:
                     clip(agc_state, agc_lo, agc_hi, agc_state)
-            if fast and not _clear_of_limits(agc_max, agc_min, agc_state, lo, hi):
+            if fast and not _clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi):
                 np.copyto(work, snapshot)
                 checking = True
                 continue
-            # a checked chunk that met a limit has the next one checked too
-            if checking:
-                checking, touched = touched, False
+            checking = False
             start = end
 
     return advance, work, state, order
@@ -568,11 +587,11 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     with the blow-up check and the outputs at each sample.  Each stage
     evaluates every run's derivative with one gemv per run, so a run's bits
     do not depend on its batch, and the AGC-limit tests run only in the
-    chunks of steps where a run reaches a limit, bitwise as if every step
-    were checked (see the module docstring).  The attack bias reaches the
-    AGC integrator through the assembled B_f and is added to the measured
-    outputs through D_f, matching the corrupted-ACE routing of the abstract
-    model.  A single run is a batch of one.
+    chunks of steps where a run's AGC command meets or leaves a limit,
+    bitwise as if every step were checked (see the module docstring).  The
+    attack bias reaches the AGC integrator through the assembled B_f and is
+    added to the measured outputs through D_f, matching the corrupted-ACE
+    routing of the abstract model.  A single run is a batch of one.
 
     Twins, runs with equal disturbances such as a held-out run and its
     attacked copy, share their steps up to the first step at which their

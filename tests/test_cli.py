@@ -67,6 +67,36 @@ def test_phase_sequence_matches_run_all(tmp_path, capsys):
     assert "false alarm" in capsys.readouterr().out
 
 
+def tree(directory: Path) -> dict:
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("earlier_horizon", [2.5, 5.0])
+def test_a_rerun_with_fewer_runs_leaves_no_files_of_the_earlier_run(tmp_path, earlier_horizon):
+    # a directory trained on four runs and tested on two, then re-run on two
+    # and one into the same --out, designs and reads as a fresh one
+    def config(name, m, horizon, runs):
+        cfg = default_config()
+        cfg["train"].update(m=m, horizon_seconds=horizon)
+        cfg["test"].update(runs=runs, horizon_seconds=4.0, onset_seconds=2.0)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    earlier, later = config("earlier", 4, earlier_horizon, 2), config("later", 2, 2.5, 1)
+    reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+    assert main(["run-all", "--config", earlier, "--out", reused]) == EXIT_OK
+    assert main(["run-all", "--config", later, "--out", reused]) == EXIT_OK
+    assert main(["train", "--config", later, "--out", reused]) == EXIT_OK
+    assert main(["design", "--config", later, "--out", reused]) == EXIT_OK
+    assert main(["run-all", "--config", later, "--out", fresh]) == EXIT_OK
+    assert tree(Path(reused)) == tree(Path(fresh))
+
+
 def test_mode_and_seed_overrides(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config())
     out = tmp_path / "pure"

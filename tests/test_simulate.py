@@ -332,13 +332,16 @@ def test_any_run_of_any_batch_width_is_bitwise_its_run_alone(case, width, pick):
 @pytest.fixture
 def fast_chunks(monkeypatch):
     """Each chunk integrated without the AGC-limit tests, as ``(kept, highest
-    AGC stage value, highest final AGC state)``."""
+    AGC stage value, highest final AGC state, pins)``: ``pins`` lists the
+    limit of each AGC entry pinned at the chunk's start."""
     chunks = []
     clear_of_limits = simulate_module._clear_of_limits
 
-    def recorded(agc_max, agc_min, agc_state, lo, hi):
-        kept = clear_of_limits(agc_max, agc_min, agc_state, lo, hi)
-        chunks.append((kept, agc_max.max(), agc_state.max()))
+    def recorded(agc_max, agc_min, agc_state, below, above, lo, hi):
+        kept = clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi)
+        # a pinned entry's lower bound is the float below its limit
+        pins = np.nextafter(below[below != lo], np.inf).tolist()
+        chunks.append((kept, agc_max.max(), agc_state.max(), pins))
         return kept
 
     monkeypatch.setattr(simulate_module, "_clear_of_limits", recorded)
@@ -390,7 +393,7 @@ def test_limits_first_reached_anywhere_in_a_chunk_match_the_loop(fast_chunks):
     runs = [step_run(0.05, step_time=step * plant.dt) for step in (50, 123, 499)]
     for traj in simulate_nonlinear(plant, RunBatch(runs)):
         assert np.abs(traj.Y[AGC_OUTPUT_ROWS]).max() == 1e-30
-    assert not all(kept for kept, _, _ in fast_chunks)
+    assert not all(kept for kept, *_ in fast_chunks)
     assert_chunks_change_no_bit(plant, runs)
 
 
@@ -403,7 +406,7 @@ def test_limit_first_met_by_the_clamp_ending_a_chunk_matches_the_loop(fast_chunk
     plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (-1.0, hi)})
     runs = [step_run(0.05), step_run(0.0)]
     simulate_nonlinear(plant, RunBatch(runs))
-    kept, stage_max, final_max = fast_chunks[0]
+    kept, stage_max, final_max, _ = fast_chunks[0]
     assert not kept and stage_max < hi < final_max
     assert_chunks_change_no_bit(plant, runs)
 
@@ -418,7 +421,7 @@ def test_limits_touched_on_and_off_across_chunks_match_the_loop(fast_chunks):
     plant = default_plant(**ALL_SWITCHES)
     runs = [held_loads(21), held_loads(22)]
     simulate_nonlinear(plant, RunBatch(runs))
-    kept = [kept for kept, _, _ in fast_chunks]
+    kept = [kept for kept, *_ in fast_chunks]
     replayed = [i for i, k in enumerate(kept) if not k]
     assert len(replayed) >= 2
     assert any(kept[replayed[0] : replayed[-1]])
@@ -463,9 +466,114 @@ def test_limits_never_reached_leave_the_outputs_bitwise_unlimited(fast_chunks):
         return simulate_nonlinear(plant, RunBatch(mixed_runs()))
 
     far = simulate((-1e3, 1e3))
-    assert fast_chunks and all(kept for kept, _, _ in fast_chunks)
+    assert fast_chunks and all(kept for kept, *_ in fast_chunks)
     for limited, unlimited in zip(far, simulate(None)):
         assert np.array_equal(limited.Y, unlimited.Y)
+
+
+@pytest.mark.parametrize("load", [0.05, -0.05])
+def test_commands_pinned_at_either_limit_keep_their_chunks_fast(fast_chunks, load):
+    # A 0.05 step on every load drives all three AGC commands to the upper
+    # limit within 0.6 s (a -0.05 step: to the lower one), and they stay
+    # there: every chunk after the one that meets the limit stands fast with
+    # the three commands pinned at its start.
+    lo, hi = -0.0015, 0.002
+    plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (lo, hi)})
+    runs = [step_run(load)]
+    simulate_nonlinear(plant, RunBatch(runs))
+    met = next(i for i, (kept, *_) in enumerate(fast_chunks) if not kept)
+    limit = hi if load > 0 else lo
+    assert 0 < met < 12 and len(fast_chunks) == 60
+    assert all(kept and pins == [limit] * 3 for kept, _, _, pins in fast_chunks[met + 1 :])
+    assert_chunks_change_no_bit(plant, runs)
+
+
+@pytest.mark.parametrize(
+    "bias, onset_step, released_at, chunk_kept",
+    [
+        pytest.param(0.1, 723, 1, False, id="inside the chunk, from the first stage"),
+        pytest.param(0.04441577, 749, 3, False, id="at the last stage of the chunk's last step"),
+        pytest.param(0.0444152, 749, 4, True, id="by the combination ending the chunk"),
+    ],
+)
+def test_a_pin_released_in_a_chunk_matches_the_loop(
+    fast_chunks, bias, onset_step, released_at, chunk_kept
+):
+    # Under a 0.05 step on every load, the three AGC commands sit at the
+    # upper limit from chunk 12 on.  An attack switched on at `onset_step`
+    # of chunk 14 (steps 700-749) pulls area 1's command off the limit: its
+    # value at stages 1-3 of that step leaves it from stage `released_at` on
+    # (4: only the state the step ends in does).  The biases of step 749 sit
+    # inside windows of relative width 7e-7 and 2.4e-5 found by bisection.
+    plant = default_plant(**ALL_SWITCHES)
+    hi = plant.agc_limits[1]
+    run = (step_run(0.05)[0], AttackSpec([bias], start=onset_step * plant.dt))
+    model, index = plant.assemble()
+    advance, work, state, _ = simulate_module._rk4_stepper(plant, model, index, RunBatch([run]))
+    area_1 = index.tie_rows.size + len(index.area_ids)  # its AGC row in the stepper's state
+    advance(0, onset_step)
+    assert state[area_1, 0] == hi
+    advance(onset_step, onset_step + 1)
+    assert [v == hi for v in work[1:, area_1, 0]] == [s < released_at for s in (1, 2, 3)]
+    assert state[area_1, 0] < hi
+
+    fast_chunks.clear()  # the stepper's chunks above
+    simulate_nonlinear(plant, RunBatch([run]))
+    assert [kept for kept, *_ in fast_chunks[12:16]] == [True, True, chunk_kept, True]
+    assert [pins for *_, pins in fast_chunks[12:16]] == [[hi] * 3] * 3 + [[hi] * 2]
+    assert_chunks_change_no_bit(plant, [run])
+
+
+PINNING_CASES = sorted(
+    name
+    for name, switches in {**SWITCH_CASES, **COMBINED_CASES}.items()
+    if "agc_limits" in switches
+)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(PINNING_CASES),
+    lo=st.floats(0.0005, 0.004),
+    hi=st.floats(0.0005, 0.004),
+    attacks=st.lists(
+        st.tuples(st.floats(0.0, 2.9), st.floats(0.02, 0.2), st.sampled_from([1.0, -1.0])),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(21, 23),
+)
+@example(case="all-switches", lo=0.002, hi=0.002, attacks=[(0.7, 0.1, 1.0)], seed=21).via(
+    "pinned at both limits in turn"
+)
+def test_runs_pinned_at_any_limits_integrate_bit_for_bit_as_checked(case, lo, hi, attacks, seed):
+    # a clean run and its attacked twins, each pinned at a limit for a while
+    plant = default_plant(**{**{**SWITCH_CASES, **COMBINED_CASES}[case], "agc_limits": (-lo, hi)})
+    dist = DisturbanceSpec(n_d=3, horizon=3.0, sigma=0.05, hold=0.3, channels=(0, 1, 2), seed=seed)
+    direction = np.eye(plant.attacks.n_f)[0]
+    runs = [(dist, AttackSpec())] + [
+        (dist, AttackSpec(sign * size * direction, start=onset)) for onset, size, sign in attacks
+    ]
+    trajs = simulate_nonlinear(plant, RunBatch(runs))
+    for run, traj, checked in zip(runs, trajs, checked_integration(plant, runs)):
+        assert traj.Y.tobytes() == checked.Y.tobytes()
+        assert np.max(np.abs(traj.Y - simulate_nonlinear_loop(plant, *run))) <= 1e-15
+
+
+def test_a_saturated_held_out_twin_keeps_its_chunks_fast(fast_chunks):
+    # The package's default plant and first held-out disturbance, as a
+    # 20 s twin attacked from 10 s: the attacked AGC command meets its limit
+    # after the onset and stays there, and at least 90% of the 200 chunks
+    # after the fork stand fast.
+    plant = default_plant(deadband=0.001, agc_limits=(-0.02, 0.02), sine_ties=True)
+    dist = DisturbanceSpec(n_d=3, horizon=20.0, sigma=0.02, channels=(0, 1, 2), seed=102024)
+    runs = [(dist, AttackSpec()), (dist, AttackSpec([0.1], start=10.0))]
+    assert simulate_module._shared_prefix(RunBatch(runs), 1, plant.dt, 20000)[2] == 10000
+    twins = simulate_nonlinear(plant, RunBatch(runs))
+    assert np.abs(twins[1].Y[AGC_OUTPUT_ROWS]).max() == 0.02
+    # one record per chunk: 200 before the fork, on the leader, and 200 after
+    assert len(fast_chunks) == 400
+    assert sum(kept for kept, *_ in fast_chunks[200:]) >= 180
 
 
 def test_plant_config_validation():
@@ -664,8 +772,8 @@ def test_limits_met_in_the_chunk_after_the_fork_match_the_loop(monkeypatch):
     chunks = []
     clear_of_limits = simulate_module._clear_of_limits
 
-    def recorded(agc_max, agc_min, agc_state, lo, hi):
-        kept = clear_of_limits(agc_max, agc_min, agc_state, lo, hi)
+    def recorded(agc_max, agc_min, agc_state, below, above, lo, hi):
+        kept = clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi)
         chunks.append((agc_state.shape[1], kept))
         return kept
 
