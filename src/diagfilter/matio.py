@@ -5,8 +5,9 @@ figures from them:
 
 * matrices: CSV with a ``# rows cols`` header line (debugging dumps);
 * sampled trajectories: CSV with header ``t, y_1, ..., y_{n_y}`` plus a JSON
-  sidecar holding the provenance (seed, sampling time, disturbance and attack
-  settings) -- the contract between the training and design stages;
+  sidecar holding the provenance the caller gives -- the plant runs of the
+  training phase, which the design phase reads, and of the test phase,
+  which a re-test reads back;
 * residual traces: CSV with header ``t, r, energy, alarm``;
 * filter artefacts: a small key/value text file carrying the filter
   coefficients at 17 significant digits together with a hash of the model

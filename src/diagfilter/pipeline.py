@@ -14,13 +14,18 @@ its outputs into the experiment directory:
       train/training_summary.json
       filter.txt             the designed filter artefact (+ calibration)
       design_report.json
+      test/plant_clean_XX.csv, test/plant_attack_XX.csv   held-out plant runs
       test/clean_XX.csv, test/attack_XX.csv   residual traces
       test/report.json
 
-The trajectory files are the contract between training and design: the
-design phase re-derives the mismatch signatures from them (re-running the
-abstract model from the recorded seeds) and cross-checks the persisted
-average.  The test phase reads only the artefact and fresh simulations.
+Every plant run is stored as a trajectory whose sidecar records each input
+the simulator reads for it and a digest of its outputs.  The training runs
+are the contract between training and design: the design phase re-derives
+the mismatch signatures from them (re-running the abstract model from the
+recorded seeds) and cross-checks the persisted average.  The test phase
+reads the artefact and integrates the held-out runs, except those whose
+stored sidecar records the inputs it would integrate them from and whose
+outputs still match their digest: these it reads back, bit for bit.
 
 Seed policy: training instance ``i`` uses ``seed + i``; held-out test run
 ``j`` uses ``seed + 100000 + j``, a disjoint range so test disturbances are
@@ -29,6 +34,7 @@ out-of-sample by construction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -69,6 +75,7 @@ from .simulate import (
     DisturbanceSpec,
     PlantConfig,
     RunBatch,
+    SampledTrajectory,
     simulate_linear,
     simulate_nonlinear,
 )
@@ -504,38 +511,77 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
     return report
 
 
-def _remove_stale(directory: Path, patterns: tuple[str, ...], written: list[Path]) -> None:
-    """Delete the files of a phase, and their sidecars, that this run did not write.
+def _remove_stale(directory: Path, patterns: tuple[str, ...], kept: list[Path]) -> None:
+    """Delete the files of a phase, and their sidecars, that this run does not keep.
 
     A phase re-run with fewer runs into the same directory would otherwise
     leave the earlier run's extra files beside its own, and the design
     phase reads every trajectory it finds.
     """
-    kept = {path.name for path in written}
+    names = {path.name for path in kept}
     for pattern in patterns:
         for path in directory.glob(pattern):
-            if path.name not in kept:
+            if path.name not in names:
                 path.unlink()
                 matio.sidecar_path(path).unlink(missing_ok=True)
 
 
-# --- train --------------------------------------------------------------------
+# --- plant runs ---------------------------------------------------------------
 
 
-def _instance_meta(ctx: PipelineContext, seed: int) -> dict:
-    spec = ctx.disturbance_spec(seed, float(ctx.cfg.train["horizon_seconds"]))
+def _run_meta(ctx: PipelineContext, dist: DisturbanceSpec, atk: AttackSpec) -> dict:
+    """The sidecar of a plant run: every input :func:`simulate_nonlinear` reads for it.
+
+    The model enters by its hash; the plant by the built configuration's
+    fields.  Values are JSON types, so the dict equals its stored copy.
+    """
+    plant = ctx.plant
     return {
-        "seed": int(seed),
-        "t_s": ctx.t_s,
-        "attack": {"kind": "none"},
+        "seed": dist.seed,
+        "model_hash": ctx.model_hash,
+        "plant": {
+            "t_s": plant.t_s,
+            "dt": plant.dt,
+            "agc_limits": None if plant.agc_limits is None else list(plant.agc_limits),
+            "deadband": plant.deadband,
+            "sine_ties": plant.sine_ties,
+            "rate_limit": plant.rate_limit,
+            "blowup_norm": plant.blowup_norm,
+        },
         "disturbance": {
-            "kind": "gaussian",
-            "sigma": spec.sigma,
-            "hold_seconds": spec.hold,
-            "channels": list(spec.channels),
-            "horizon_seconds": spec.horizon,
+            "kind": dist.kind,
+            "sigma": dist.sigma,
+            "hold_seconds": dist.hold,
+            "channels": list(dist.channels),
+            "horizon_seconds": dist.horizon,
+        },
+        "attack": {
+            "bias": None if atk.bias is None else [float(v) for v in atk.bias],
+            "onset_seconds": atk.start,
         },
     }
+
+
+def _digest(t: np.ndarray, y: np.ndarray) -> str:
+    """SHA-256 of a run's sample times and outputs, as float64 bytes."""
+    return hashlib.sha256(np.vstack([t, y]).tobytes()).hexdigest()
+
+
+def _save_run(path: Path, traj: SampledTrajectory, meta: dict) -> None:
+    matio.save_trajectory(path, traj.t, traj.Y, {**meta, "digest": _digest(traj.t, traj.Y)})
+
+
+def _stored_run(path: Path, meta: dict) -> SampledTrajectory | None:
+    """The run stored at ``path`` if its sidecar records ``meta`` and the
+    digest of the outputs read back; None for any other file or none."""
+    try:
+        t, y, stored = matio.load_trajectory(path)
+    except (OSError, ValueError):
+        return None
+    return SampledTrajectory(t, y) if stored == {**meta, "digest": _digest(t, y)} else None
+
+
+# --- train --------------------------------------------------------------------
 
 
 def cmd_train(
@@ -562,10 +608,10 @@ def cmd_train(
         raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
 
     paths = [train_dir / f"traj_{i:03d}.csv" for i in range(m)]
-    for path, seed, traj in zip(paths, seeds, results):
-        matio.save_trajectory(path, traj.t, traj.Y, _instance_meta(ctx, seed))
+    for path, run, traj in zip(paths, batch.runs, results):
+        _save_run(path, traj, _run_meta(ctx, *run))
     _remove_stale(train_dir, ("traj_*.csv",), paths)
-    bundle = _training_bundle(ctx, seeds, [traj.Y for traj in results])
+    bundle = _training_bundle(ctx, [dist for dist, _ in batch.runs], [traj.Y for traj in results])
     matio.save_matrix(train_dir / "qbar.csv", bundle.qbar)
     summary = {
         "m": m,
@@ -597,19 +643,17 @@ class TrainingBundle:
 
 
 def _training_bundle(
-    ctx: PipelineContext, seeds: list[int], outputs: list[np.ndarray]
+    ctx: PipelineContext, specs: list[DisturbanceSpec], outputs: list[np.ndarray]
 ) -> TrainingBundle:
     """Signatures, quadratic forms and their average for recorded plant runs.
 
-    Run ``i`` is replayed on the abstract model from the disturbance drawn
-    with ``seeds[i]``; its signature is the plant's ``outputs[i]`` less that
-    replay.
+    Run ``i`` is replayed on the abstract model from the disturbance
+    ``specs[i]``; its signature is the plant's ``outputs[i]`` less that
+    replay.  The forms are averaged in the order given.
     """
-    horizon = float(ctx.cfg.train["horizon_seconds"])
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
     signatures, q_list = [], []
-    for seed, y_plant in zip(seeds, outputs):
-        spec = ctx.disturbance_spec(seed, horizon)
+    for spec, y_plant in zip(specs, outputs):
         reference = simulate_linear(ctx.model_d, spec, AttackSpec())
         sig = mismatch_signature(y_plant, reference.Y)
         signatures.append(sig)
@@ -626,19 +670,22 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
     directory fails here.
     """
     train_dir = Path(out_dir) / "train"
-    files = sorted(train_dir.glob("traj_*.csv"))
+    # in run order, the order cmd_train averaged them in: names carry the run
+    # index zero-padded to three digits, so a longer name is a later run
+    files = sorted(train_dir.glob("traj_*.csv"), key=lambda f: (len(f.name), f.name))
     if not files:
         raise ConfigError(f"no training trajectories under {train_dir}")
-    seeds, outputs = [], []
+    horizon = float(ctx.cfg.train["horizon_seconds"])
+    specs, outputs = [], []
     for f in files:
         _, y_plant, meta = matio.load_trajectory(f)
         if "seed" not in meta:
             raise ConfigError(f"{f}: missing seed in trajectory sidecar")
         if y_plant.shape != (ctx.model_d.n_y, ctx.train_samples):
             raise ConfigError(f"{f}: trajectory shape does not match the configuration")
-        seeds.append(int(meta["seed"]))
+        specs.append(ctx.disturbance_spec(int(meta["seed"]), horizon))
         outputs.append(y_plant)
-    bundle = _training_bundle(ctx, seeds, outputs)
+    bundle = _training_bundle(ctx, specs, outputs)
     stored = matio.load_matrix(train_dir / "qbar.csv")
     if stored.shape != bundle.qbar.shape:
         raise ConfigError(
@@ -806,7 +853,15 @@ def _test_attack(ctx: PipelineContext, design: FilterDesign) -> tuple[AttackSpec
 
 
 def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> dict:
-    """Held-out evaluation: clean and attacked runs through the detector."""
+    """Held-out evaluation: clean and attacked runs through the detector.
+
+    Each plant run is stored as ``test/plant_{clean,attack}_XX.csv``.  A
+    re-test reads a stored run back when its sidecar records the inputs the
+    run would be integrated from and its outputs match their digest, and
+    integrates the rest; when none is left the simulator is not called.  The
+    report does not depend on which runs were read back: ``rk4_run_steps``
+    counts the whole held-out batch, as a fresh call integrates it.
+    """
     ctx = _context(cfg)
     cfg = ctx.cfg
     out = Path(out_dir)
@@ -836,23 +891,37 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
 
     # one batch: a clean then an attacked copy of each held-out run
     seeds = [cfg.seed + TEST_SEED_OFFSET + j for j in range(runs)]
+    labels = ("clean", "attack")
     batch = RunBatch(
         [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec(), attack)]
     )
-    try:
-        trajs = iter(simulate_nonlinear(ctx.plant, batch))
-    except SimulationBlowUp as exc:
-        j, attacked = divmod(exc.run, 2)
-        detail = f"held-out run {j}, seed {seeds[j]}, {'attacked' if attacked else 'clean'} copy"
-        raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
+    plant_runs = [
+        test_dir / f"plant_{label}_{j:02d}.csv" for j in range(runs) for label in labels
+    ]
+    metas = [_run_meta(ctx, *run) for run in batch.runs]
+    # a run stored from the inputs it would be integrated from is read back;
+    # the others are integrated as one batch, whose bits do not depend on it
+    trajs = [_stored_run(path, meta) for path, meta in zip(plant_runs, metas)]
+    fresh = [i for i, traj in enumerate(trajs) if traj is None]
+    if fresh:
+        try:
+            results = simulate_nonlinear(ctx.plant, RunBatch([batch.runs[i] for i in fresh]))
+        except SimulationBlowUp as exc:
+            run = fresh[exc.run]
+            j, attacked = divmod(run, 2)
+            copy = "attacked" if attacked else "clean"
+            detail = f"held-out run {j}, seed {seeds[j]}, {copy} copy"
+            raise SimulationBlowUp(exc.time, exc.norm, detail, run=run) from exc
+        for i, traj in zip(fresh, results):
+            _save_run(plant_runs[i], traj, metas[i])
+            trajs[i] = traj
 
     per_run, written = [], []
     false_alarms = 0
     detections = 0
     for j, seed in enumerate(seeds):
         entry: dict = {"seed": int(seed)}
-        for label in ("clean", "attack"):
-            traj = next(trajs)
+        for label, traj in zip(labels, trajs[2 * j : 2 * j + 2]):
             residuals = filt.run(traj.Y)
             verdict = detector.evaluate(residuals)
             alarm_time = (
@@ -879,7 +948,7 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
             detections += 1
             entry["attack"]["latency"] = float(atk_time - onset)
         per_run.append(entry)
-    _remove_stale(test_dir, ("clean_*.csv", "attack_*.csv"), written)
+    _remove_stale(test_dir, ("clean_*.csv", "attack_*.csv", "plant_*.csv"), written + plant_runs)
 
     report = {
         "runs": runs,

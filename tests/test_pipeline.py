@@ -17,8 +17,8 @@ import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
 from diagfilter.design import design_multivariate, design_univariate
-from diagfilter.errors import ConfigError, DetectorInfeasibleError
-from diagfilter.matio import load_matrix, load_trajectory, save_matrix
+from diagfilter.errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
+from diagfilter.matio import load_matrix, load_trajectory, save_matrix, save_trajectory
 from diagfilter.pipeline import (
     TEST_SEED_OFFSET,
     ExperimentConfig,
@@ -622,3 +622,273 @@ def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_pat
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "filter.txt").exists()
     assert done.stdout.strip() == "False"
+
+
+# --- held-out plant runs read back --------------------------------------------
+
+
+def reuse_config() -> dict:
+    cfg = default_config()
+    cfg["train"].update(m=2, horizon_seconds=2.5)
+    cfg["test"].update(runs=1, horizon_seconds=4.0, onset_seconds=2.0)
+    return cfg
+
+
+def tree(directory: Path) -> dict:
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def record_simulations(monkeypatch) -> list:
+    """The runs of each call of ``pipeline.simulate_nonlinear``, one list per call."""
+    simulate = pipeline_module.simulate_nonlinear
+    calls = []
+
+    def recorded(plant, batch):
+        calls.append(list(batch.runs))
+        return simulate(plant, batch)
+
+    monkeypatch.setattr(pipeline_module, "simulate_nonlinear", recorded)
+    return calls
+
+
+def edited(raw: dict, field: tuple, value) -> dict:
+    raw = json.loads(json.dumps(raw))
+    *parents, key = field
+    holder = raw
+    for name in parents:
+        holder = holder[name]
+    holder[key] = value
+    return raw
+
+
+@pytest.fixture(scope="module")
+def reuse_base(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reuse_base")
+    cmd_run_all(ExperimentConfig.from_dict(reuse_config()), out)
+    return out
+
+
+def test_a_second_test_reads_every_run_back_and_rewrites_test_byte_for_byte(
+    reuse_base, tmp_path, monkeypatch
+):
+    shutil.copytree(reuse_base, tmp_path / "run")
+    names = sorted(p.name for p in (tmp_path / "run/test").iterdir())
+    assert names == [
+        "attack_00.csv",
+        "clean_00.csv",
+        "plant_attack_00.csv",
+        "plant_attack_00.meta.json",
+        "plant_clean_00.csv",
+        "plant_clean_00.meta.json",
+        "report.json",
+    ]
+    calls = record_simulations(monkeypatch)
+    report = cmd_test(ExperimentConfig.from_dict(reuse_config()), tmp_path / "run")
+    assert calls == []
+    assert tree(tmp_path / "run") == tree(reuse_base)
+    # counted as a fresh call integrates the batch: the copies share 4 samples
+    assert report["rk4_run_steps"] == 4 * 500 + 2 * 4 * 500
+
+
+def test_plant_run_sidecar_records_every_simulator_input(reuse_base):
+    _, _, meta = load_trajectory(reuse_base / "test/plant_attack_00.csv")
+    assert set(meta) == {"seed", "model_hash", "plant", "disturbance", "attack", "digest"}
+    assert meta["seed"] == default_config()["seed"] + TEST_SEED_OFFSET
+    assert meta["plant"] == {
+        "t_s": 0.5,
+        "dt": 0.001,
+        "agc_limits": [-0.02, 0.02],
+        "deadband": 0.001,
+        "sine_ties": True,
+        "rate_limit": None,
+        "blowup_norm": 1e6,
+    }
+    assert meta["disturbance"] == {
+        "kind": "gaussian",
+        "sigma": 0.02,
+        "hold_seconds": 1.0,
+        "channels": [0, 1, 2],
+        "horizon_seconds": 4.0,
+    }
+    assert meta["attack"] == {"bias": [0.1], "onset_seconds": 2.0}
+    _, _, clean = load_trajectory(reuse_base / "test/plant_clean_00.csv")
+    assert clean["attack"] == {"bias": None, "onset_seconds": 0.0}
+    # a training run's sidecar comes from the same builder
+    _, _, train = load_trajectory(reuse_base / "train/traj_001.csv")
+    assert set(train) == set(meta)
+    assert train["seed"] == default_config()["seed"] + 1
+    assert train["attack"] == clean["attack"]
+
+
+# (field, value, held-out runs the edit integrates again): the attack and its
+# onset reach only the attacked copy; the filter, training size and margin
+# reach no plant run.  A univariate attack has one channel, so its channel
+# has no other value; the multivariate test below moves the bias vector.
+REUSE_EDITS = [
+    (("seed",), 7, 2),
+    (("plant", "t_s"), 0.25, 2),
+    (("plant", "dt"), 0.0005, 2),
+    (("plant", "deadband"), 0.0, 2),
+    (("plant", "agc_limits"), [-0.03, 0.03], 2),
+    (("plant", "sine_ties"), False, 2),
+    (("plant", "rate_limit"), 0.004, 2),
+    (("train", "sigma"), 0.01, 2),
+    (("train", "hold_seconds"), 0.5, 2),
+    (("train", "channels"), [0, 2], 2),
+    (("test", "horizon_seconds"), 5.0, 2),
+    (("test", "onset_seconds"), 3.0, 1),
+    (("attack", "magnitude"), -0.1, 1),
+    (("model", "areas", 0, "inertia"), 2.5, 2),
+    (("filter", "margin"), 0.001, 0),
+    (("filter", "pole"), 0.3, 0),
+    (("filter", "d_n"), 2, 0),
+    (("filter", "window_seconds"), 5.0, 0),
+    (("train", "m"), 3, 0),
+]
+
+
+@pytest.mark.parametrize("field, value, integrated", REUSE_EDITS)
+def test_a_retest_over_the_base_runs_writes_what_a_fresh_directory_writes(
+    reuse_base, tmp_path, monkeypatch, field, value, integrated
+):
+    cfg = ExperimentConfig.from_dict(edited(reuse_config(), field, value))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_run_all(cfg, fresh)
+    # the edited run's phases up to the design, then the base run's test/
+    shutil.copytree(fresh, reused, ignore=shutil.ignore_patterns("test"))
+    shutil.copytree(reuse_base / "test", reused / "test")
+    calls = record_simulations(monkeypatch)
+    cmd_test(cfg, reused)
+    assert sum(len(runs) for runs in calls) == integrated
+    assert len(calls) == (1 if integrated else 0)
+    assert tree(reused) == tree(fresh)
+
+
+@pytest.mark.parametrize("damage", ["digit", "truncated", "no sidecar"])
+def test_a_damaged_plant_run_is_integrated_again_never_read(
+    reuse_base, tmp_path, monkeypatch, damage
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    path = run / "test/plant_attack_00.csv"
+    text = path.read_text()
+    if damage == "digit":
+        lines = text.splitlines(keepends=True)
+        fields = lines[3].split(",")
+        i = next(i for i, c in enumerate(fields[1]) if c.isdigit())
+        fields[1] = fields[1][:i] + str((int(fields[1][i]) + 1) % 10) + fields[1][i + 1:]
+        lines[3] = ",".join(fields)
+        path.write_text("".join(lines))
+    elif damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    else:
+        (run / "test/plant_attack_00.meta.json").unlink()
+    calls = record_simulations(monkeypatch)
+    cmd_test(ExperimentConfig.from_dict(reuse_config()), run)
+    assert [len(runs) for runs in calls] == [1]
+    assert calls[0][0][1].bias is not None
+    assert tree(run) == tree(reuse_base)
+
+
+def test_raising_the_test_runs_integrates_only_the_new_runs(reuse_base, tmp_path, monkeypatch):
+    raw = edited(reuse_config(), ("test", "runs"), 3)
+    cfg = ExperimentConfig.from_dict(raw)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_run_all(cfg, fresh)
+    shutil.copytree(reuse_base, reused)
+    calls = record_simulations(monkeypatch)
+    report = cmd_test(cfg, reused)
+    assert len(calls) == 1
+    first = cfg.seed + TEST_SEED_OFFSET
+    assert [dist.seed for dist, _ in calls[0]] == [first + 1, first + 1, first + 2, first + 2]
+    # every held-out run counts, the reused one included
+    assert report["rk4_run_steps"] == 3 * (4 * 500 + 2 * 4 * 500)
+    assert tree(reused / "test") == tree(fresh / "test")
+
+
+def test_a_blowup_among_the_runs_integrated_again_names_its_held_out_run(
+    reuse_base, tmp_path, monkeypatch
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    raw = edited(reuse_config(), ("test", "runs"), 2)
+    cmd_test(ExperimentConfig.from_dict(raw), run)
+    # a new magnitude leaves both clean copies stored: the batch integrated
+    # is [attack_0, attack_1], and its run 1 is the attacked copy of run 1
+    cfg = ExperimentConfig.from_dict(edited(raw, ("attack", "magnitude"), 0.2))
+    batches = []
+
+    def exploding(plant, batch):
+        batches.append(len(batch.runs))
+        raise SimulationBlowUp(1.25, 1e7, "run 1", run=1)
+
+    monkeypatch.setattr(pipeline_module, "simulate_nonlinear", exploding)
+    detail = "held-out run 1, seed 102025, attacked copy"
+    with pytest.raises(SimulationBlowUp, match=detail) as err:
+        cmd_test(cfg, run)
+    assert batches == [2]
+    assert (err.value.run, err.value.time, err.value.norm) == (3, 1.25, 1e7)
+
+
+def test_multivariate_retest_reintegrates_only_what_its_design_moves(tmp_path, monkeypatch):
+    raw = multivariate_default_config()
+    raw["train"].update(m=2, horizon_seconds=2.5)
+    raw["test"].update(runs=1, horizon_seconds=5.0, onset_seconds=2.5)
+    base = tmp_path / "base"
+    cmd_run_all(ExperimentConfig.from_dict(raw), base)
+    bias = json.loads((base / "test/report.json").read_text())["attack"]["bias_vector"]
+
+    # a margin-only redesign keeps the least-visible bias: every run is read back
+    margin = ExperimentConfig.from_dict(edited(raw, ("filter", "margin"), 0.001))
+    cmd_run_all(margin, tmp_path / "margin_fresh")
+    shutil.copytree(base, tmp_path / "margin")
+    cmd_design(margin, tmp_path / "margin")
+    calls = record_simulations(monkeypatch)
+    cmd_test(margin, tmp_path / "margin")
+    assert calls == []
+    assert tree(tmp_path / "margin/test") == tree(tmp_path / "margin_fresh/test")
+    monkeypatch.undo()
+
+    # a wider attack polytope moves it: only the attacked copy is integrated
+    wider = ExperimentConfig.from_dict(edited(raw, ("attack", "polytope_b"), [2.0]))
+    cmd_run_all(wider, tmp_path / "wider_fresh")
+    moved = json.loads((tmp_path / "wider_fresh/test/report.json").read_text())
+    assert moved["attack"]["bias_vector"] != bias
+    shutil.copytree(
+        tmp_path / "wider_fresh", tmp_path / "wider", ignore=shutil.ignore_patterns("test")
+    )
+    shutil.copytree(base / "test", tmp_path / "wider/test")
+    calls = record_simulations(monkeypatch)
+    cmd_test(wider, tmp_path / "wider")
+    assert [len(runs) for runs in calls] == [1]
+    assert list(calls[0][0][1].bias) == moved["attack"]["bias_vector"]
+    assert tree(tmp_path / "wider") == tree(tmp_path / "wider_fresh")
+
+
+def test_training_runs_are_read_in_run_order(tmp_path, monkeypatch):
+    # from run 1,000 on, name order would read traj_1000 between traj_100
+    # and traj_101 and average the forms in another order than cmd_train
+    ctx = build_context(ExperimentConfig.from_dict(reuse_config()))
+    train_dir = tmp_path / "train"
+    train_dir.mkdir()
+    t = np.arange(1, ctx.train_samples + 1) * ctx.t_s
+    y = np.zeros((ctx.model_d.n_y, ctx.train_samples))
+    for i in range(1001):
+        save_trajectory(train_dir / f"traj_{i:03d}.csv", t, y, {"seed": ctx.cfg.seed + i})
+    read = []
+
+    class Recorded(Exception):
+        pass
+
+    def recorded(ctx, specs, outputs):
+        read.extend(spec.seed for spec in specs)
+        raise Recorded
+
+    monkeypatch.setattr(pipeline_module, "_training_bundle", recorded)
+    with pytest.raises(Recorded):
+        load_training_bundle(ctx, tmp_path)
+    assert read == [ctx.cfg.seed + i for i in range(1001)]
