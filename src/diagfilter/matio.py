@@ -6,8 +6,8 @@ figures from them:
 * matrices: CSV with a ``# rows cols`` header line (debugging dumps);
 * sampled trajectories: CSV with header ``t, y_1, ..., y_{n_y}`` plus a JSON
   sidecar holding the provenance the caller gives -- the plant runs of the
-  training phase, which the design phase reads, and of the test phase,
-  which a re-test reads back;
+  training and test phases, which every phase reads back only when that
+  provenance is what it would write;
 * residual traces: CSV with header ``t, r, energy, alarm``;
 * filter artefacts: a small key/value text file carrying the filter
   coefficients at 17 significant digits together with a hash of the model

@@ -10,7 +10,7 @@ its outputs into the experiment directory:
       model_matrices/        continuous-time A, B_d, B_f, C, D_f as CSV
       pretrain_report.json   visibility margins (multivariate attacks only)
       train/traj_XXX.csv     sampled plant outputs, one file per instance
-      train/qbar.csv         averaged mismatch quadratic form
+      train/qbar.csv         averaged mismatch quadratic form (+ digest sidecar)
       train/training_summary.json
       filter.txt             the designed filter artefact (+ calibration)
       design_report.json
@@ -18,14 +18,14 @@ its outputs into the experiment directory:
       test/clean_XX.csv, test/attack_XX.csv   residual traces
       test/report.json
 
-Every plant run is stored as a trajectory whose sidecar records each input
-the simulator reads for it and a digest of its outputs.  The training runs
-are the contract between training and design: the design phase re-derives
-the mismatch signatures from them (re-running the abstract model from the
-recorded seeds) and cross-checks the persisted average.  The test phase
-reads the artefact and integrates the held-out runs, except those whose
-stored sidecar records the inputs it would integrate them from and whose
-outputs still match their digest: these it reads back, bit for bit.
+Every plant run is stored with a sidecar recording each input the
+simulator reads for it and a digest of its outputs.  Every phase reads a
+stored run back, bit for bit, only when its sidecar records the inputs the
+run would be integrated from; training and test integrate the rest, and
+the design phase, which integrates nothing, fails on them.  The design
+re-derives the mismatch signatures from the training runs and checks the
+persisted average by its sidecar's digests, and re-runs the pretrain when
+its report was solved for another model, filter order or attack set.
 
 Seed policy: training instance ``i`` uses ``seed + i``; held-out test run
 ``j`` uses ``seed + 100000 + j``, a disjoint range so test disturbances are
@@ -245,6 +245,8 @@ class ExperimentConfig:
         ):
             if check_number(name, value, whole=True) < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        if train["m"] > TEST_SEED_OFFSET:
+            raise ConfigError(f"train.m must be <= {TEST_SEED_OFFSET}, the held-out seeds' offset")
         for section, keys in (
             ("plant", ("t_s", "dt", "deadband")),
             ("filter", ("pole", "margin", "window_seconds")),
@@ -482,6 +484,19 @@ def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
 # --- pretrain -----------------------------------------------------------------
 
 
+def _pretrain_inputs(ctx: PipelineContext) -> dict:
+    """What the visibility programs are posed from: the stacked system and the attack set."""
+    atk = ctx.attack_model
+    return {
+        "model_hash": ctx.model_hash,
+        "t_s": ctx.t_s,
+        "d_n": ctx.stacked.d_n,
+        "basis": atk.basis.tolist(),
+        "polytope_a": atk.polytope_a.tolist(),
+        "polytope_b": atk.polytope_b.tolist(),
+    }
+
+
 def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> dict:
     """Solve the visibility programs and persist the margin table.
 
@@ -501,6 +516,7 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
         "gamma_star": float(result.gamma_star),
         "statuses": list(result.statuses),
         "feasible": bool(result.feasible),
+        **_pretrain_inputs(ctx),
     }
     _write_json(out / "pretrain_report.json", report)
     if not result.feasible:
@@ -512,12 +528,8 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
 
 
 def _remove_stale(directory: Path, patterns: tuple[str, ...], kept: list[Path]) -> None:
-    """Delete the files of a phase, and their sidecars, that this run does not keep.
-
-    A phase re-run with fewer runs into the same directory would otherwise
-    leave the earlier run's extra files beside its own, and the design
-    phase reads every trajectory it finds.
-    """
+    """Delete the files of a phase, and their sidecars, that this run does not
+    keep, so that a directory re-run with fewer runs equals a fresh one."""
     names = {path.name for path in kept}
     for pattern in patterns:
         for path in directory.glob(pattern):
@@ -567,10 +579,6 @@ def _digest(t: np.ndarray, y: np.ndarray) -> str:
     return hashlib.sha256(np.vstack([t, y]).tobytes()).hexdigest()
 
 
-def _save_run(path: Path, traj: SampledTrajectory, meta: dict) -> None:
-    matio.save_trajectory(path, traj.t, traj.Y, {**meta, "digest": _digest(traj.t, traj.Y)})
-
-
 def _stored_run(path: Path, meta: dict) -> SampledTrajectory | None:
     """The run stored at ``path`` if its sidecar records ``meta`` and the
     digest of the outputs read back; None for any other file or none."""
@@ -581,6 +589,55 @@ def _stored_run(path: Path, meta: dict) -> SampledTrajectory | None:
     return SampledTrajectory(t, y) if stored == {**meta, "digest": _digest(t, y)} else None
 
 
+def _plant_runs(
+    ctx: PipelineContext, paths: list[Path], runs: list, labels: list[str] | None = None
+) -> list[SampledTrajectory]:
+    """The plant run of each ``(disturbance, attack)`` pair, stored at its path.
+
+    A run stored from the inputs it would be integrated from is read back;
+    the others are integrated as one batch, whose bits do not depend on it,
+    and stored.  ``labels`` name the runs for a blow-up; without them a run
+    not read back raises :class:`ConfigError`.
+    """
+    metas = [_run_meta(ctx, *run) for run in runs]
+    trajs = [_stored_run(path, meta) for path, meta in zip(paths, metas)]
+    fresh = [i for i, traj in enumerate(trajs) if traj is None]
+    if fresh and labels is None:
+        raise ConfigError(
+            f"{paths[fresh[0]]}: missing or not run from this configuration ({len(fresh)} "
+            f"of {len(paths)} runs); re-run the training phase"
+        )
+    if fresh:
+        try:
+            results = simulate_nonlinear(ctx.plant, RunBatch([runs[i] for i in fresh]))
+        except SimulationBlowUp as exc:
+            run = fresh[exc.run]
+            raise SimulationBlowUp(exc.time, exc.norm, labels[run], run=run) from exc
+        for i, traj in zip(fresh, results):
+            meta = {**metas[i], "digest": _digest(traj.t, traj.Y)}
+            matio.save_trajectory(paths[i], traj.t, traj.Y, meta)
+            trajs[i] = traj
+    return trajs
+
+
+def _training_runs(ctx: PipelineContext, train_dir: Path) -> tuple[list[Path], list]:
+    """The stored path and the inputs of each of the ``train.m`` training runs."""
+    horizon = float(ctx.cfg.train["horizon_seconds"])
+    seeds = [ctx.cfg.seed + i for i in range(int(ctx.cfg.train["m"]))]
+    paths = [train_dir / f"traj_{i:03d}.csv" for i in range(len(seeds))]
+    return paths, [(ctx.disturbance_spec(s, horizon), AttackSpec()) for s in seeds]
+
+
+def _qbar_meta(ctx: PipelineContext, qbar: bytes, trajs: list[SampledTrajectory]) -> dict:
+    """The sidecar of ``train/qbar.csv``: the digest of its bytes, those of the
+    runs averaged into it, and the filter fields its forms are built for."""
+    return {
+        "digest": hashlib.sha256(qbar).hexdigest(),
+        "runs": [_digest(traj.t, traj.Y) for traj in trajs],
+        "filter": {"d_n": ctx.stacked.d_n, "pole": float(ctx.cfg.filter["pole"])},
+    }
+
+
 # --- train --------------------------------------------------------------------
 
 
@@ -589,45 +646,37 @@ def cmd_train(
 ) -> dict:
     """Run the paired healthy simulations and persist the mismatch statistics.
 
-    All ``m`` plant runs are integrated as one batch.  ``jobs`` has no
-    effect; it is accepted so callers that pass it keep working.
+    Stored runs whose inputs are unchanged are read back; the rest are
+    integrated as one batch.  ``rk4_run_steps`` counts all ``m`` runs, as a
+    fresh directory integrates them.  ``jobs`` has no effect; it is
+    accepted so callers that pass it keep working.
     """
     ctx = _context(cfg)
-    cfg = ctx.cfg
-    out = Path(out_dir)
-    train_dir = out / "train"
+    train_dir = Path(out_dir) / "train"
     train_dir.mkdir(parents=True, exist_ok=True)
-    m = int(cfg.train["m"])
-    horizon = float(cfg.train["horizon_seconds"])
-    seeds = [cfg.seed + i for i in range(m)]
-    batch = RunBatch([(ctx.disturbance_spec(s, horizon), AttackSpec()) for s in seeds])
-    try:
-        results = simulate_nonlinear(ctx.plant, batch)
-    except SimulationBlowUp as exc:
-        detail = f"training instance {exc.run}, seed {seeds[exc.run]}"
-        raise SimulationBlowUp(exc.time, exc.norm, detail, run=exc.run) from exc
-
-    paths = [train_dir / f"traj_{i:03d}.csv" for i in range(m)]
-    for path, run, traj in zip(paths, batch.runs, results):
-        _save_run(path, traj, _run_meta(ctx, *run))
+    paths, runs = _training_runs(ctx, train_dir)
+    labels = [f"training instance {i}, seed {dist.seed}" for i, (dist, _) in enumerate(runs)]
+    trajs = _plant_runs(ctx, paths, runs, labels)
     _remove_stale(train_dir, ("traj_*.csv",), paths)
-    bundle = _training_bundle(ctx, [dist for dist, _ in batch.runs], [traj.Y for traj in results])
-    matio.save_matrix(train_dir / "qbar.csv", bundle.qbar)
+    bundle = _training_bundle(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
+    qbar = train_dir / "qbar.csv"
+    matio.save_matrix(qbar, bundle.qbar)
+    _write_json(matio.sidecar_path(qbar), _qbar_meta(ctx, qbar.read_bytes(), trajs))
     summary = {
-        "m": m,
+        "m": len(runs),
         "horizon_samples": ctx.train_samples,
         "t_s": ctx.t_s,
         "model_hash": ctx.model_hash,
         "instances": [
             {
-                "seed": int(seed),
+                "seed": int(dist.seed),
                 "max_abs_mismatch": float(np.max(np.abs(sig))),
                 "q_trace": float(np.trace(q)),
             }
-            for seed, sig, q in zip(seeds, bundle.signatures, bundle.q_list)
+            for (dist, _), sig, q in zip(runs, bundle.signatures, bundle.q_list)
         ],
         "qbar_trace": float(np.trace(bundle.qbar)),
-        "rk4_run_steps": batch.run_steps(ctx.plant),
+        "rk4_run_steps": RunBatch(runs).run_steps(ctx.plant),
     }
     _write_json(train_dir / "training_summary.json", summary)
     return summary
@@ -662,45 +711,26 @@ def _training_bundle(
 
 
 def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingBundle:
-    """Rebuild the mismatch statistics from the persisted trajectories.
+    """Rebuild the mismatch statistics from the stored training runs.
 
-    Re-runs the abstract model from each trajectory's recorded seed, forms
-    the signatures and quadratic forms, and cross-checks the persisted
-    average to 1e-9 of its largest entry -- a stale or hand-edited training
-    directory fails here.
+    Reads back exactly the runs ``traj_000`` .. ``traj_{m-1}`` that
+    :func:`cmd_train` stores from this configuration, and checks that the
+    persisted average was formed from them for this filter: a stale,
+    incomplete or hand-edited training directory fails here.
     """
     train_dir = Path(out_dir) / "train"
-    # in run order, the order cmd_train averaged them in: names carry the run
-    # index zero-padded to three digits, so a longer name is a later run
-    files = sorted(train_dir.glob("traj_*.csv"), key=lambda f: (len(f.name), f.name))
-    if not files:
-        raise ConfigError(f"no training trajectories under {train_dir}")
-    horizon = float(ctx.cfg.train["horizon_seconds"])
-    specs, outputs = [], []
-    for f in files:
-        _, y_plant, meta = matio.load_trajectory(f)
-        if "seed" not in meta:
-            raise ConfigError(f"{f}: missing seed in trajectory sidecar")
-        if y_plant.shape != (ctx.model_d.n_y, ctx.train_samples):
-            raise ConfigError(f"{f}: trajectory shape does not match the configuration")
-        specs.append(ctx.disturbance_spec(int(meta["seed"]), horizon))
-        outputs.append(y_plant)
-    bundle = _training_bundle(ctx, specs, outputs)
-    stored = matio.load_matrix(train_dir / "qbar.csv")
-    if stored.shape != bundle.qbar.shape:
+    paths, runs = _training_runs(ctx, train_dir)
+    trajs = _plant_runs(ctx, paths, runs)
+    bundle = _training_bundle(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
+    qbar = train_dir / "qbar.csv"
+    try:
+        stored, written = json.loads(matio.sidecar_path(qbar).read_text()), qbar.read_bytes()
+    except (OSError, ValueError):
+        stored = written = None
+    if written is None or stored != _qbar_meta(ctx, written, trajs):
         raise ConfigError(
-            f"persisted average mismatch form has shape {stored.shape}, the configured "
-            f"filter needs {bundle.qbar.shape}; re-run the training phase"
-        )
-    # relative: the forms' entries are of order 1e-5 and below, and an
-    # untouched directory reproduces them bit for bit
-    drift = float(np.max(np.abs(stored - bundle.qbar)))
-    largest = float(np.max(np.abs(bundle.qbar)))
-    if drift > 1e-9 * largest:
-        raise ConfigError(
-            f"persisted average mismatch form disagrees with the trajectories "
-            f"(max deviation {drift:.3e}, largest entry {largest:.3e}); "
-            "re-run the training phase"
+            f"{qbar}: persisted average mismatch form disagrees with the trajectories "
+            "and the filter it would be averaged for; re-run the training phase"
         )
     return bundle
 
@@ -708,11 +738,11 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 # --- design -------------------------------------------------------------------
 
 
-def _load_pretrain(out: Path) -> dict | None:
+def _load_pretrain(ctx: PipelineContext, out: Path) -> dict | None:
+    """The stored pretrain report if it was solved for this context, else None."""
     path = out / "pretrain_report.json"
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+    report = json.loads(path.read_text()) if path.exists() else {}
+    return report if _pretrain_inputs(ctx).items() <= report.items() else None
 
 
 def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
@@ -734,13 +764,8 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.mode == "data_assisted":
-        bundle = load_training_bundle(ctx, out)
-        qbar = bundle.qbar
-        q_list = bundle.q_list
-    else:
-        qbar = None
-        q_list = []
+    bundle = load_training_bundle(ctx, out) if cfg.mode == "data_assisted" else None
+    qbar, q_list = (bundle.qbar, bundle.q_list) if bundle else (None, [])
 
     pole = float(cfg.filter["pole"])
     if ctx.attack_model.kind == "univariate":
@@ -753,9 +778,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
 
         pretrain_used = None
     else:
-        report = _load_pretrain(out)
-        if report is None:
-            report = cmd_pretrain(ctx, out)
+        report = _load_pretrain(ctx, out) or cmd_pretrain(ctx, out)
         j_star = int(report["j_star"])
 
         def pose(form, constraints=None):
@@ -788,9 +811,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
             "ridged_ratio": float(assisted_ridged / pure_ridged),
         }
 
-    detector = calibrate_threshold(
-        design, q_list, float(cfg.filter["margin"]), ctx.window_samples
-    )
+    detector = calibrate_threshold(design, q_list, float(cfg.filter["margin"]), ctx.window_samples)
     calibration = {
         "tau_star": float(detector.tau_star),
         "margin": float(detector.margin),
@@ -868,9 +889,7 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     artefact = out / "filter.txt"
     if not artefact.exists():
         raise ConfigError(f"no filter artefact at {artefact}; run the design phase first")
-    design, _ = matio.load_filter(
-        artefact, expected_hash=ctx.model_hash, stacked=ctx.stacked
-    )
+    design, _ = matio.load_filter(artefact, expected_hash=ctx.model_hash, stacked=ctx.stacked)
     cal = design.diagnostics.get("calibration") or {}
     if not cal:
         raise ConfigError(f"{artefact}: artefact carries no detector calibration")
@@ -889,32 +908,16 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     onset = float(cfg.test["onset_seconds"])
     filt = ResidualFilter(design, ctx.dae.L)
 
-    # one batch: a clean then an attacked copy of each held-out run
+    # a clean then an attacked copy of each held-out run
     seeds = [cfg.seed + TEST_SEED_OFFSET + j for j in range(runs)]
     labels = ("clean", "attack")
     batch = RunBatch(
         [(ctx.disturbance_spec(s, horizon), a) for s in seeds for a in (AttackSpec(), attack)]
     )
-    plant_runs = [
-        test_dir / f"plant_{label}_{j:02d}.csv" for j in range(runs) for label in labels
-    ]
-    metas = [_run_meta(ctx, *run) for run in batch.runs]
-    # a run stored from the inputs it would be integrated from is read back;
-    # the others are integrated as one batch, whose bits do not depend on it
-    trajs = [_stored_run(path, meta) for path, meta in zip(plant_runs, metas)]
-    fresh = [i for i, traj in enumerate(trajs) if traj is None]
-    if fresh:
-        try:
-            results = simulate_nonlinear(ctx.plant, RunBatch([batch.runs[i] for i in fresh]))
-        except SimulationBlowUp as exc:
-            run = fresh[exc.run]
-            j, attacked = divmod(run, 2)
-            copy = "attacked" if attacked else "clean"
-            detail = f"held-out run {j}, seed {seeds[j]}, {copy} copy"
-            raise SimulationBlowUp(exc.time, exc.norm, detail, run=run) from exc
-        for i, traj in zip(fresh, results):
-            _save_run(plant_runs[i], traj, metas[i])
-            trajs[i] = traj
+    plant_runs = [test_dir / f"plant_{label}_{j:02d}.csv" for j in range(runs) for label in labels]
+    names = [f"held-out run {j}, seed {s}" for j, s in enumerate(seeds)]
+    copies = [f"{name}, {copy} copy" for name in names for copy in ("clean", "attacked")]
+    trajs = _plant_runs(ctx, plant_runs, batch.runs, copies)
 
     per_run, written = [], []
     false_alarms = 0
@@ -929,13 +932,7 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
             )
             trace = test_dir / f"{label}_{j:02d}.csv"
             written.append(trace)
-            matio.save_residual_trace(
-                trace,
-                traj.t,
-                residuals,
-                verdict.energies,
-                verdict.above,
-            )
+            matio.save_residual_trace(trace, traj.t, residuals, verdict.energies, verdict.above)
             entry[label] = {
                 "alarm": bool(verdict.alarm),
                 "alarm_time": alarm_time,

@@ -83,6 +83,10 @@ def test_count_whose_arrays_cannot_fit_is_rejected_before_any_is_made(mode, sect
     cfg = default_config()
     cfg["mode"] = mode
     cfg[section][key] = 10**400
+    if key == "m":
+        # the held-out seeds bound train.m; at that bound a long horizon
+        # sizes each run's output record past any memory
+        cfg["train"].update(m=TEST_SEED_OFFSET, horizon_seconds=1e6)
     with pytest.raises(ConfigError, match=f"arrays sized by {section}.{key}"):
         build_context(ExperimentConfig.from_dict(cfg))
 
@@ -872,23 +876,176 @@ def test_multivariate_retest_reintegrates_only_what_its_design_moves(tmp_path, m
 def test_training_runs_are_read_in_run_order(tmp_path, monkeypatch):
     # from run 1,000 on, name order would read traj_1000 between traj_100
     # and traj_101 and average the forms in another order than cmd_train
-    ctx = build_context(ExperimentConfig.from_dict(reuse_config()))
-    train_dir = tmp_path / "train"
-    train_dir.mkdir()
+    raw = edited(reuse_config(), ("train", "m"), 1001)
+    ctx = build_context(ExperimentConfig.from_dict(raw))
     t = np.arange(1, ctx.train_samples + 1) * ctx.t_s
-    y = np.zeros((ctx.model_d.n_y, ctx.train_samples))
-    for i in range(1001):
-        save_trajectory(train_dir / f"traj_{i:03d}.csv", t, y, {"seed": ctx.cfg.seed + i})
+    paths, runs = pipeline_module._training_runs(ctx, tmp_path / "train")
+    paths[0].parent.mkdir()
+    for i, (path, run) in enumerate(zip(paths, runs)):
+        y = np.full((ctx.model_d.n_y, ctx.train_samples), float(i))
+        meta = {**pipeline_module._run_meta(ctx, *run), "digest": pipeline_module._digest(t, y)}
+        save_trajectory(path, t, y, meta)
     read = []
 
     class Recorded(Exception):
         pass
 
     def recorded(ctx, specs, outputs):
-        read.extend(spec.seed for spec in specs)
+        read.extend((spec.seed, y[0, 0]) for spec, y in zip(specs, outputs))
         raise Recorded
 
     monkeypatch.setattr(pipeline_module, "_training_bundle", recorded)
     with pytest.raises(Recorded):
         load_training_bundle(ctx, tmp_path)
-    assert read == [ctx.cfg.seed + i for i in range(1001)]
+    assert read == [(ctx.cfg.seed + i, i) for i in range(1001)]
+
+
+# --- training runs and the pretrain report read back --------------------------
+
+
+def test_training_seeds_stay_below_the_held_out_seeds():
+    # run i draws seed + i and held-out run j seed + TEST_SEED_OFFSET + j
+    raw = edited(default_config(), ("train", "m"), TEST_SEED_OFFSET + 1)
+    with pytest.raises(ConfigError, match=f"train.m must be <= {TEST_SEED_OFFSET}"):
+        ExperimentConfig.from_dict(raw)
+    ExperimentConfig.from_dict(edited(raw, ("train", "m"), TEST_SEED_OFFSET))
+
+
+# single-field edits that change every training run's inputs
+STALE_TRAINING_EDITS = [
+    (("plant", "deadband"), 0.5),
+    (("plant", "agc_limits"), [-0.01, 0.01]),
+    (("plant", "sine_ties"), False),
+    (("plant", "dt"), 0.0005),
+    (("train", "m"), 3),
+    (("seed",), 2031),
+]
+
+
+@pytest.mark.parametrize("field, value", STALE_TRAINING_EDITS)
+def test_design_over_stale_training_runs_is_rejected_and_writes_nothing(
+    reuse_base, tmp_path, monkeypatch, field, value
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    calls = record_simulations(monkeypatch)
+    cfg = ExperimentConfig.from_dict(edited(reuse_config(), field, value))
+    with pytest.raises(ConfigError, match="re-run the training phase$"):
+        cmd_design(cfg, run)
+    assert calls == []
+    assert tree(run) == tree(reuse_base)
+
+
+@pytest.mark.parametrize("damage", ["no qbar sidecar", "run digest"])
+def test_design_rejects_a_training_average_not_formed_from_its_runs(
+    reuse_base, tmp_path, damage
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    sidecar = run / "train/qbar.meta.json"
+    if damage == "no qbar sidecar":
+        sidecar.unlink()
+    else:
+        meta = json.loads(sidecar.read_text())
+        meta["runs"].reverse()
+        sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="disagrees with the trajectories"):
+        cmd_design(ExperimentConfig.from_dict(reuse_config()), run)
+
+
+# (field, value, training runs the edit integrates again): a filter edit
+# needs a new average but reads every run back
+RETRAIN_EDITS = [
+    (("plant", "deadband"), 0.5, 2),
+    (("plant", "agc_limits"), [-0.01, 0.01], 2),
+    (("plant", "sine_ties"), False, 2),
+    (("plant", "dt"), 0.0005, 2),
+    (("seed",), 2031, 2),
+    (("train", "sigma"), 0.01, 2),
+    (("model", "areas", 0, "inertia"), 2.5, 2),
+    (("filter", "pole"), 0.3, 0),
+    (("filter", "d_n"), 2, 0),
+    (("filter", "margin"), 0.001, 0),
+]
+
+
+@pytest.mark.parametrize("field, value, integrated", RETRAIN_EDITS)
+def test_a_retrain_over_the_base_runs_writes_what_a_fresh_directory_writes(
+    reuse_base, tmp_path, monkeypatch, field, value, integrated
+):
+    cfg = ExperimentConfig.from_dict(edited(reuse_config(), field, value))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_train(cfg, fresh)
+    shutil.copytree(reuse_base / "train", reused / "train")
+    calls = record_simulations(monkeypatch)
+    cmd_train(cfg, reused)
+    assert [len(runs) for runs in calls] == ([integrated] if integrated else [])
+    assert tree(reused) == tree(fresh)
+
+
+def test_an_unchanged_retrain_reads_every_run_back(reuse_base, tmp_path, monkeypatch):
+    shutil.copytree(reuse_base, tmp_path / "run")
+    calls = record_simulations(monkeypatch)
+    summary = cmd_train(ExperimentConfig.from_dict(reuse_config()), tmp_path / "run")
+    assert calls == []
+    assert tree(tmp_path / "run") == tree(reuse_base)
+    # counted as a fresh directory integrates both runs
+    assert summary["rk4_run_steps"] == 2 * 5 * 500
+
+
+def test_raising_train_m_integrates_only_the_new_runs(reuse_base, tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict(edited(reuse_config(), ("train", "m"), 4))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_train(cfg, fresh)
+    shutil.copytree(reuse_base / "train", reused / "train")
+    calls = record_simulations(monkeypatch)
+    summary = cmd_train(cfg, reused)
+    assert [[dist.seed for dist, _ in runs] for runs in calls] == [[cfg.seed + 2, cfg.seed + 3]]
+    assert summary["rk4_run_steps"] == 4 * 5 * 500
+    assert tree(reused) == tree(fresh)
+
+
+def test_a_training_blowup_names_its_instance_and_seed(reuse_base, tmp_path, monkeypatch):
+    # runs 0-1 are read back, so the integrated batch is [run 2, run 3]
+    shutil.copytree(reuse_base / "train", tmp_path / "train")
+    cfg = ExperimentConfig.from_dict(edited(reuse_config(), ("train", "m"), 4))
+
+    def exploding(plant, batch):
+        raise SimulationBlowUp(0.75, 1e7, "run 1", run=1)
+
+    monkeypatch.setattr(pipeline_module, "simulate_nonlinear", exploding)
+    with pytest.raises(SimulationBlowUp, match=f"training instance 3, seed {cfg.seed + 3}") as err:
+        cmd_train(cfg, tmp_path)
+    assert (err.value.run, err.value.time, err.value.norm) == (3, 0.75, 1e7)
+
+
+def test_design_re_runs_a_pretrain_solved_for_another_attack_set(
+    mv_trained, tmp_path, monkeypatch
+):
+    cfg, out = mv_trained
+    base = tmp_path / "base"
+    shutil.copytree(out, base)
+    cmd_design(cfg, base)
+    pretrain = pipeline_module.pretrain_multivariate
+    solved = []
+
+    def recorded(stacked, attack):
+        solved.append(attack.polytope_b.tolist())
+        return pretrain(stacked, attack)
+
+    monkeypatch.setattr(pipeline_module, "pretrain_multivariate", recorded)
+    # a report solved for this configuration is read back
+    cmd_design(cfg, base)
+    assert solved == []
+    # a wider polytope raises the certified margin: the report is solved again
+    wider = ExperimentConfig.from_dict(edited(cfg.to_dict(), ("attack", "polytope_b"), [3.0]))
+    fresh = tmp_path / "fresh"
+    shutil.copytree(out, fresh)
+    cmd_pretrain(wider, fresh)
+    cmd_design(wider, fresh)
+    solved.clear()
+    cmd_design(wider, base)
+    assert solved == [[3.0]]
+    report = json.loads((base / "design_report.json").read_text())
+    assert report["pretrain"]["gamma_star"] == pytest.approx(0.6, abs=1e-6)
+    assert tree(base) == tree(fresh)
