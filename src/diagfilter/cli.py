@@ -11,9 +11,10 @@ configuration and writes into one experiment directory:
 
 ``--seed`` and ``--mode`` override the corresponding configuration fields,
 which keeps A/B comparisons (pure vs. data-assisted, different seeds) to a
-single flag.  Each phase integrates all of its plant runs as one batch in
-one process.  Exit codes: 0 success, 2 infeasible design, 3 simulation
-blow-up, 4 configuration error, 5 solver failure.
+single flag; the design reads both, so ``test`` takes the values its filter
+was designed with.  Each phase integrates all of its plant runs as one
+batch in one process.  Exit codes: 0 success, 2 infeasible design, 3
+simulation blow-up, 4 configuration error, 5 solver failure.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number rule of a configuration."""
 
 import numbers
+import sys
 from math import inf, isfinite
 
 
@@ -48,27 +49,13 @@ class SolverError(RuntimeError):
 
 def check_number(name: str, value, whole: bool = False):
     """``value`` itself; raises ConfigError unless it is a finite number (a
-    bool is not one), and with ``whole`` unless it is integral."""
+    bool is not one), with ``whole`` an integral one, else one in float range."""
     # a chained comparison rejects NaN and takes integers of any size
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -inf < value < inf:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if whole and value != int(value):
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    if not whole and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float")
     return value
 
-
-def check_numbers(name: str, value, whole: bool = False, rows: bool = False):
-    """``value`` itself; raises ConfigError unless it is a list of numbers, as
-    :func:`check_number` checks each, or with ``rows`` also a list of equally
-    long such lists (a matrix by rows)."""
-    listed = (list, tuple)
-    matrix = (
-        rows and isinstance(value, listed) and value and all(isinstance(r, listed) for r in value)
-    )
-    for row in value if matrix else [value]:
-        if not isinstance(row, listed) or matrix and len(row) != len(value[0]):
-            shape = "a list of numbers" + (" or of equally long lists" if rows else "")
-            raise ConfigError(f"{name} must be {shape}, got {value!r}")
-        for entry in row:
-            check_number(name, entry, whole)
-    return value

@@ -10,10 +10,10 @@ figures from them:
   provenance is what it would write;
 * residual traces: CSV with header ``t, r, energy, alarm``;
 * filter artefacts: a small key/value text file carrying the filter
-  coefficients at 17 significant digits together with a hash of the model
-  configuration it was designed against.  Loading re-verifies the hash and
-  the structural invariants, so a stale artefact fails loudly instead of
-  producing silently wrong residuals.
+  coefficients at 17 significant digits, a hash of the model configuration
+  it was designed against and the configuration values the design read.
+  Loading re-verifies the hash and the structural invariants, so a stale
+  artefact fails loudly instead of producing silently wrong residuals.
 
 The three CSV kinds are written by ``np.savetxt`` and read by ``np.loadtxt``;
 each loader parses and checks its own header line.  Floats are written with
@@ -150,12 +150,14 @@ def save_filter(
     design: FilterDesign,
     model_hash: str,
     calibration: dict | None = None,
+    config: dict | None = None,
 ) -> None:
     """Persist a design plus the detector calibration that travels with it.
 
     Carrying ``calibration`` (tau_star, margin, window, warmup) inside the
     artefact keeps the test phase honest: it needs the artefact and fresh
-    simulations, never the raw training data.
+    simulations, never the raw training data.  ``config`` holds the
+    configuration values the design read.
     """
     lines = [
         FILTER_FORMAT_TAG,
@@ -168,6 +170,7 @@ def save_filter(
         f"model_hash: {model_hash}",
         "branch: " + json.dumps(design.branch, sort_keys=True),
         "calibration: " + json.dumps(calibration or {}, sort_keys=True),
+        "config: " + json.dumps(config or {}, sort_keys=True),
         "a_coeffs: " + " ".join(_fmt(v) for v in design.a_coeffs),
         "nbar: " + " ".join(_fmt(v) for v in design.nbar),
     ]
@@ -204,6 +207,7 @@ def load_filter(
         model_hash = fields["model_hash"]
         branch = json.loads(fields["branch"])
         calibration = json.loads(fields.get("calibration", "{}"))
+        config = json.loads(fields.get("config", "{}"))
         a_coeffs = np.array([float(v) for v in fields["a_coeffs"].split()])
         nbar = np.array([float(v) for v in fields["nbar"].split()])
     except (KeyError, ValueError) as exc:
@@ -228,15 +232,6 @@ def load_filter(
             f"{path}: artefact was designed against a different model "
             f"configuration (hash {model_hash[:12]}.. != {expected_hash[:12]}..)"
         )
-    if stacked is not None:
-        if stacked.n_vars != nbar.size or stacked.d_n != d_n:
-            raise ConfigError(f"{path}: artefact does not match the stacked system shape")
-        null_resid = float(np.max(np.abs(nbar @ stacked.barH)))
-        if null_resid > NULL_RESIDUAL_TOL:
-            raise ConfigError(
-                f"{path}: coefficients violate unknown-input decoupling "
-                f"(residual {null_resid:.3e})"
-            )
     design = FilterDesign(
         nbar=nbar,
         d_n=d_n,
@@ -247,6 +242,20 @@ def load_filter(
         objective=objective,
         branch=branch,
         track_steady_state=track,
-        diagnostics={"calibration": calibration},
+        diagnostics={"calibration": calibration, "config": config},
     )
+    if stacked is not None:
+        check_decoupling(path, design, stacked)
     return design, model_hash
+
+
+def check_decoupling(path: str | Path, design: FilterDesign, stacked: StackedSystem) -> None:
+    """Raise ConfigError unless ``design`` fits ``stacked`` and decouples its unknown inputs."""
+    if stacked.n_vars != design.nbar.size or stacked.d_n != design.d_n:
+        raise ConfigError(f"{path}: artefact does not match the stacked system shape")
+    null_resid = float(np.max(np.abs(design.nbar @ stacked.barH)))
+    if null_resid > NULL_RESIDUAL_TOL:
+        raise ConfigError(
+            f"{path}: coefficients violate unknown-input decoupling "
+            f"(residual {null_resid:.3e})"
+        )

@@ -34,6 +34,7 @@ out-of-sample by construction.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -44,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from . import matio
-from .agc import areas_from_dict, areas_to_dict
+from .agc import areas_from_dict, areas_to_dict, multivariate_topology
+from .agc import three_area_default, univariate_topology
 from .design import (
     AttackModel,
     FilterDesign,
@@ -60,13 +62,7 @@ from .design import (
     steady_state_margin,
     worst_case_alpha,
 )
-from .errors import (
-    ConfigError,
-    DetectorInfeasibleError,
-    SimulationBlowUp,
-    check_number,
-    check_numbers,
-)
+from .errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp, check_number
 from .lti import DaeSystem, LinearModel, StackedSystem, assemble_dae, build_stacked, zoh_discretize
 from .runtime import Detector, ResidualFilter, calibrate_threshold
 from .shiftpoly import pole_polynomial
@@ -86,53 +82,111 @@ TEST_SEED_OFFSET = 100_000
 # --- configuration ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Field:
+    """One configuration field: its path, default, rule, and whether the design reads it.
+
+    A default of ``...`` marks a field a configuration must give.  ``rule``
+    is ``real``, ``whole``, ``flag``, ``pair`` (two reals), ``list`` (whole
+    numbers), ``rows`` (reals, or equally long lists of them) or ``name``
+    (checked as code); a number lies in the interval ``bounds``, ``null``
+    admits null, and an attack field belongs to the attack ``kind`` it names.
+    """
+
+    name: str
+    default: object
+    rule: str = "real"
+    bounds: str = "(-inf, inf)"
+    null: bool = False
+    design: bool = True
+    kind: str | None = None
+    # what a value of each list rule must be
+    SHAPES = {
+        "pair": "null or a pair [lo, hi]",
+        "list": "null or a list of whole numbers",
+        "rows": "a list of numbers or of equally long lists",
+    }
+
+    def check(self, value) -> None:
+        """Raise ConfigError unless ``value`` meets this field's rule."""
+        name, rule = self.name, self.rule
+        if value is None and self.null or rule == "name":
+            return
+        if rule == "flag" and not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif rule in self.SHAPES:
+            listed = (list, tuple)
+            # a matrix by rows; any other value is checked as a single row
+            matrix = rule == "rows" and isinstance(value, listed) and value and all(
+                isinstance(row, listed) for row in value
+            )
+            rows = value if matrix else [value]
+            for row in rows:
+                wrong = not isinstance(row, listed) or len(row) != len(rows[0])
+                if wrong or rule == "pair" and len(row) != 2:
+                    raise ConfigError(f"{name} must be {self.SHAPES[rule]}, got {value!r}")
+                for entry in row:
+                    check_number(name, entry, whole=rule == "list")
+        elif rule in ("real", "whole"):
+            check_number(name, value, whole=rule == "whole")
+            low, high = (float(end) for end in self.bounds[1:-1].split(","))
+            above = low < value if self.bounds[0] == "(" else low <= value
+            if not (above and (value < high if self.bounds[-1] == ")" else value <= high)):
+                raise ConfigError(f"{name} must lie in {self.bounds}")
+
+
+FIELDS = (
+    Field("seed", 2024, "whole", "[0, inf)"),
+    Field("mode", "data_assisted", "name"),
+    Field("plant.t_s", 0.5, bounds="(0, inf)"),
+    Field("plant.dt", 0.001, bounds="(0, inf)"),
+    Field("plant.deadband", 0.001, bounds="[0, inf)"),
+    Field("plant.agc_limits", [-0.02, 0.02], "pair", null=True),
+    Field("plant.sine_ties", True, "flag"),
+    Field("plant.rate_limit", None, bounds="(0, inf)", null=True),
+    Field("filter.d_n", 3, "whole", "[1, inf)"),
+    Field("filter.pole", 0.5, bounds="(-1, 1)"),
+    # margin sits between the healthy energy spread of the training-aware
+    # filter (~2e-5 at this scale) and the healthy energies of the model-only
+    # baseline (~4e-4 .. 9e-4), so the two modes separate on held-out runs
+    Field("filter.margin", 0.0005, bounds="[0, inf)"),
+    Field("filter.window_seconds", 10.0),
+    # DC tracking is a univariate option: its default follows the attack
+    Field("filter.track_steady_state", lambda kind: kind == "univariate", "flag"),
+    # training seeds stay below the held-out seeds
+    Field("train.m", 100, "whole", f"[1, {TEST_SEED_OFFSET}]"),
+    Field("train.horizon_seconds", 10.0),
+    Field("train.sigma", 0.02, bounds="[0, inf)"),
+    Field("train.hold_seconds", 1.0, bounds="(0, inf)"),
+    Field("train.channels", None, "list", null=True),
+    Field("test.runs", 10, "whole", "[1, inf)", design=False),
+    Field("test.horizon_seconds", 60.0, design=False),
+    Field("test.onset_seconds", 30.0, design=False),
+    Field("attack.channel", 0, "whole", design=False, kind="univariate"),
+    Field("attack.magnitude", 0.1, design=False, kind="univariate"),
+    Field("attack.basis", ..., "rows", kind="multivariate"),
+    Field("attack.polytope_a", ..., "rows", kind="multivariate"),
+    Field("attack.polytope_b", ..., "rows", kind="multivariate"),
+)
+SECTIONS = ("model", "plant", "filter", "train", "test", "attack")
+
+
+def _fields_of(kind) -> list[Field]:
+    """The fields of a configuration whose attack is of ``kind``."""
+    if kind not in ("univariate", "multivariate"):
+        raise ConfigError(f"unknown attack kind {kind!r}")
+    return [field for field in FIELDS if field.kind in (None, kind)]
+
+
 def default_config() -> dict:
     """The canonical three-area experiment with a single corrupted tie reading."""
-    from .agc import three_area_default, univariate_topology
-
-    return {
-        "seed": 2024,
-        "mode": "data_assisted",
-        "model": areas_to_dict(three_area_default(), univariate_topology()),
-        "plant": {
-            "t_s": 0.5,
-            "dt": 0.001,
-            "deadband": 0.001,
-            "agc_limits": [-0.02, 0.02],
-            "sine_ties": True,
-            "rate_limit": None,
-        },
-        "filter": {
-            # margin sits between the healthy energy spread of the
-            # training-aware filter (~2e-5 at this scale) and the healthy
-            # energies of the model-only baseline (~4e-4 .. 9e-4), so the
-            # two modes separate on held-out runs
-            "d_n": 3,
-            "pole": 0.5,
-            "margin": 0.0005,
-            "window_seconds": 10.0,
-            "track_steady_state": True,
-        },
-        "train": {
-            "m": 100,
-            "horizon_seconds": 10.0,
-            "sigma": 0.02,
-            "hold_seconds": 1.0,
-            "channels": None,
-        },
-        "test": {"runs": 10, "horizon_seconds": 60.0, "onset_seconds": 30.0},
-        "attack": {"kind": "univariate", "channel": 0, "magnitude": 0.1},
-    }
+    model = areas_to_dict(three_area_default(), univariate_topology())
+    return ExperimentConfig.from_dict({"model": model, "attack": {"kind": "univariate"}}).to_dict()
 
 
 def multivariate_default_config() -> dict:
     """Coordinated-bias variant: three basis attacks on five tie readings."""
-    from .agc import multivariate_topology, three_area_default
-
-    cfg = default_config()
-    cfg["model"] = areas_to_dict(three_area_default(), multivariate_topology())
-    cfg["filter"]["track_steady_state"] = False
-    cfg["attack"] = {
+    attack = {
         "kind": "multivariate",
         "basis": [
             [0.1, 0.1, 0.0],
@@ -144,7 +198,8 @@ def multivariate_default_config() -> dict:
         "polytope_a": [[1.0, 1.0, 1.0]],
         "polytope_b": [1.5],
     }
-    return cfg
+    model = areas_to_dict(three_area_default(), multivariate_topology())
+    return ExperimentConfig.from_dict({"model": model, "attack": attack}).to_dict()
 
 
 @dataclass
@@ -162,39 +217,39 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
+        """Fill in each default :data:`FIELDS` gives and validate; a key it
+        does not list and a required field left out are rejected."""
         if not isinstance(raw, dict):
             raise ConfigError("a configuration is a JSON object")
         raw = dict(raw)
         base = Path(base_dir)
         for section in ("model", "plant"):
-            key = f"{section}_path"
-            if section not in raw and key in raw:
-                path = base / raw.pop(key)
+            # a referenced file is ignored where its section is given
+            key = raw.pop(f"{section}_path", None)
+            if section not in raw and key is not None:
+                path = base / key
                 if not path.exists():
                     raise ConfigError(f"referenced {section} file not found: {path}")
                 raw[section] = json.loads(path.read_text())
-        defaults = default_config()
         missing = [k for k in ("model", "attack") if k not in raw]
         if missing:
             raise ConfigError(f"configuration missing section(s): {', '.join(missing)}")
-        for section in ("plant", "filter", "train", "test", "attack"):
+        for section in SECTIONS[1:]:
             if not isinstance(raw.get(section, {}), dict):
                 raise ConfigError(f"configuration section {section} must be a JSON object")
-        cfg = ExperimentConfig(
-            model=raw["model"],
-            plant={**defaults["plant"], **raw.get("plant", {})},
-            # DC tracking is a univariate option: its default follows the attack
-            filter={
-                **defaults["filter"],
-                "track_steady_state": raw["attack"].get("kind") != "multivariate",
-                **raw.get("filter", {}),
-            },
-            train={**defaults["train"], **raw.get("train", {})},
-            test={**defaults["test"], **raw.get("test", {})},
-            attack=raw["attack"],
-            seed=raw.get("seed", defaults["seed"]),
-            mode=str(raw.get("mode", defaults["mode"])),
-        )
+        kind = raw["attack"].get("kind")
+        fields = _fields_of(kind)
+        given = {*raw, *(f"{s}.{key}" for s in SECTIONS[1:] for key in raw.get(s, {}))}
+        if unknown := sorted(given - {f.name for f in fields} - {*SECTIONS, "attack.kind"}):
+            raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
+        values = {**raw, **{section: dict(raw.get(section, {})) for section in SECTIONS[1:]}}
+        for field in fields:
+            if field.default is ... and field.name not in given:
+                raise ConfigError(f"configuration missing {field.name}")
+            section, _, key = field.name.rpartition(".")
+            default = field.default(kind) if callable(field.default) else field.default
+            (values[section] if section else values).setdefault(key, copy.deepcopy(default))
+        cfg = ExperimentConfig(**values)
         cfg.validate()
         cfg.seed = int(cfg.seed)
         return cfg
@@ -208,73 +263,35 @@ class ExperimentConfig:
             raise ConfigError(f"configuration file not found: {path}")
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if isinstance(raw, dict) and overrides:
             raw = {**raw, **overrides}
         return ExperimentConfig.from_dict(raw, base_dir=path.parent)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mode": self.mode,
-            "model": self.model,
-            "plant": self.plant,
-            "filter": self.filter,
-            "train": self.train,
-            "test": self.test,
-            "attack": self.attack,
-        }
+        return dict(vars(self))
+
+    def value(self, name: str):
+        """The value of the field ``name``, such as ``plant.t_s``."""
+        section, _, key = name.rpartition(".")
+        return getattr(self, section)[key] if section else getattr(self, key)
 
     def validate(self):
         """Reject, before anything is simulated or written, what no phase can run.
 
-        Values are checked, never rewritten.  Checks that need the assembled
-        model (plant step, disturbance channels, attack set) run in
-        :func:`build_context`, which every phase calls before it writes.
+        Each field is checked by its rule in :data:`FIELDS`, then the rules
+        between fields; values are never rewritten.  Checks that need the
+        assembled model (plant step, disturbance channels, attack set) run
+        in :func:`build_context`, which every phase calls before it writes.
         """
         if self.mode not in ("data_assisted", "pure_model"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for field in _fields_of(self.attack.get("kind")):
+            field.check(self.value(field.name))
         plant, filt, train, test = self.plant, self.filter, self.train, self.test
-        attack = self.attack
-        for name, value, least in (
-            ("seed", self.seed, 0),
-            ("train.m", train["m"], 1),
-            ("test.runs", test["runs"], 1),
-            ("filter.d_n", filt["d_n"], 1),
-        ):
-            if check_number(name, value, whole=True) < least:
-                raise ConfigError(f"{name} must be >= {least}")
-        if train["m"] > TEST_SEED_OFFSET:
-            raise ConfigError(f"train.m must be <= {TEST_SEED_OFFSET}, the held-out seeds' offset")
-        for section, keys in (
-            ("plant", ("t_s", "dt", "deadband")),
-            ("filter", ("pole", "margin", "window_seconds")),
-            ("train", ("horizon_seconds", "sigma", "hold_seconds")),
-            ("test", ("horizon_seconds", "onset_seconds")),
-        ):
-            for key in keys:
-                check_number(f"{section}.{key}", getattr(self, section)[key])
-        if plant["rate_limit"] is not None:
-            check_number("plant.rate_limit", plant["rate_limit"])
-        limits = plant["agc_limits"]
-        if limits is not None and len(check_numbers("plant.agc_limits", limits)) != 2:
-            raise ConfigError("plant.agc_limits must be null or a pair [lo, hi]")
-        if train["channels"] is not None:
-            check_numbers("train.channels", train["channels"], whole=True)
-        for name, flag in (
-            ("plant.sine_ties", plant["sine_ties"]),
-            ("filter.track_steady_state", filt["track_steady_state"]),
-        ):
-            if not isinstance(flag, bool):
-                raise ConfigError(f"{name} must be true or false, got {flag!r}")
-        if filt["margin"] < 0:
-            raise ConfigError("filter.margin must be nonnegative")
-        if not -1.0 < filt["pole"] < 1.0:
-            raise ConfigError("filter.pole must lie in (-1, 1)")
         t_s = plant["t_s"]
-        if t_s <= 0:
-            raise ConfigError("plant.t_s must be positive")
         for name, horizon in (
             ("train.horizon_seconds", train["horizon_seconds"]),
             ("test.horizon_seconds", test["horizon_seconds"]),
@@ -291,21 +308,16 @@ class ExperimentConfig:
                 f"filter.d_n {filt['d_n']} needs as many training samples; "
                 f"train.horizon_seconds gives {samples}"
             )
-        kind = attack.get("kind")
-        if kind == "univariate":
-            check_number("attack.channel", attack.get("channel", 0), whole=True)
-            check_number("attack.magnitude", attack.get("magnitude", 0.1))
-        elif kind == "multivariate":
-            for key in ("basis", "polytope_a", "polytope_b"):
-                if key in attack:
-                    check_numbers(f"attack.{key}", attack[key], rows=True)
-        else:
-            raise ConfigError(f"unknown attack kind {kind!r}")
-        if kind == "multivariate" and filt["track_steady_state"]:
+        if self.attack["kind"] == "multivariate" and filt["track_steady_state"]:
             raise ConfigError(
                 "filter.track_steady_state applies to univariate attacks only; "
                 "the multivariate design has no DC normalisation"
             )
+
+    def design_record(self) -> dict:
+        """The value of each field the design reads, by name, as JSON holds it."""
+        fields = _fields_of(self.attack["kind"])
+        return json.loads(json.dumps({f.name: self.value(f.name) for f in fields if f.design}))
 
 
 # --- derived context ----------------------------------------------------------
@@ -379,9 +391,8 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     row = model.n_d + (model.n_d if channels is None else len(channels))
 
     def draw(horizon: float) -> int:
-        # a nonpositive hold is rejected with the disturbance spec; the row
-        # count is capped at a size that fails anyway, so it stays finite
-        return (ceil(min(horizon / hold, memory)) + 1) * row if hold > 0 else 0
+        # the row count is capped at a size that fails anyway, so it stays finite
+        return (ceil(min(horizon / hold, memory)) + 1) * row
 
     for names, floats in (
         ("filter.d_n", form),
@@ -404,18 +415,15 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
 
 def build_context(cfg: ExperimentConfig) -> PipelineContext:
     areas, topology = areas_from_dict(cfg.model)
-    plant_cfg = cfg.plant
-    limits = plant_cfg["agc_limits"]
-    plant = PlantConfig(
-        areas=areas,
-        attacks=topology,
-        t_s=float(plant_cfg["t_s"]),
-        dt=float(plant_cfg["dt"]),
-        agc_limits=None if limits is None else tuple(limits),
-        deadband=float(plant_cfg["deadband"]),
-        sine_ties=plant_cfg["sine_ties"],
-        rate_limit=plant_cfg["rate_limit"],
-    )
+    plant = PlantConfig(areas=areas, attacks=topology)
+    for field in FIELDS:
+        section, _, key = field.name.partition(".")
+        if section == "plant":
+            # the reals as floats and the limits as a pair, as run sidecars record them
+            value = cfg.plant[key]
+            if value is not None and field.rule in ("real", "pair"):
+                value = float(value) if field.rule == "real" else tuple(value)
+            setattr(plant, key, value)
     plant.validate()
     model_c, _ = plant.assemble()
     _check_array_sizes(cfg, model_c)
@@ -426,16 +434,12 @@ def build_context(cfg: ExperimentConfig) -> PipelineContext:
     atk = cfg.attack
     if atk["kind"] == "univariate":
         attack_model = AttackModel(kind="univariate")
-        channel = atk.get("channel", 0)
+        channel = atk["channel"]
         if not 0 <= channel < model_c.n_f:
             raise ConfigError(f"attack.channel {channel} outside 0..{model_c.n_f - 1}")
     else:
-        attack_model = AttackModel(
-            kind="multivariate",
-            basis=np.asarray(atk["basis"], dtype=float),
-            polytope_a=np.asarray(atk["polytope_a"], dtype=float),
-            polytope_b=np.asarray(atk["polytope_b"], dtype=float),
-        )
+        # a multivariate attack's fields are the attack model's
+        attack_model = AttackModel(**atk)
     attack_model.validate_against(model_c.n_f)
     ctx = PipelineContext(
         cfg=cfg,
@@ -544,27 +548,19 @@ def _remove_stale(directory: Path, patterns: tuple[str, ...], kept: list[Path]) 
 def _run_meta(ctx: PipelineContext, dist: DisturbanceSpec, atk: AttackSpec) -> dict:
     """The sidecar of a plant run: every input :func:`simulate_nonlinear` reads for it.
 
-    The model enters by its hash; the plant by the built configuration's
-    fields.  Values are JSON types, so the dict equals its stored copy.
+    The model enters by its hash, the plant by every other field of the
+    built configuration.  Values are as JSON holds them, so the dict equals
+    its stored copy.
     """
-    plant = ctx.plant
-    return {
+    meta = {
         "seed": dist.seed,
         "model_hash": ctx.model_hash,
-        "plant": {
-            "t_s": plant.t_s,
-            "dt": plant.dt,
-            "agc_limits": None if plant.agc_limits is None else list(plant.agc_limits),
-            "deadband": plant.deadband,
-            "sine_ties": plant.sine_ties,
-            "rate_limit": plant.rate_limit,
-            "blowup_norm": plant.blowup_norm,
-        },
+        "plant": {k: v for k, v in vars(ctx.plant).items() if k not in ("areas", "attacks")},
         "disturbance": {
             "kind": dist.kind,
             "sigma": dist.sigma,
             "hold_seconds": dist.hold,
-            "channels": list(dist.channels),
+            "channels": dist.channels,
             "horizon_seconds": dist.horizon,
         },
         "attack": {
@@ -572,6 +568,7 @@ def _run_meta(ctx: PipelineContext, dist: DisturbanceSpec, atk: AttackSpec) -> d
             "onset_seconds": atk.start,
         },
     }
+    return json.loads(json.dumps(meta))
 
 
 def _digest(t: np.ndarray, y: np.ndarray) -> str:
@@ -819,7 +816,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         "warmup": int(detector.warmup),
         "threshold": float(detector.threshold),
     }
-    matio.save_filter(out / "filter.txt", design, ctx.model_hash, calibration)
+    matio.save_filter(out / "filter.txt", design, ctx.model_hash, calibration, cfg.design_record())
     report = {
         "mode": design.mode,
         "objective": float(design.objective),
@@ -849,8 +846,8 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
 def _test_attack(ctx: PipelineContext, design: FilterDesign) -> tuple[AttackSpec, dict]:
     onset = float(ctx.cfg.test["onset_seconds"])
     if ctx.attack_model.kind == "univariate":
-        channel = int(ctx.cfg.attack.get("channel", 0))
-        magnitude = float(ctx.cfg.attack.get("magnitude", 0.1))
+        channel = int(ctx.cfg.attack["channel"])
+        magnitude = float(ctx.cfg.attack["magnitude"])
         bias = np.zeros(ctx.model_c.n_f)
         bias[channel] = magnitude
         info = {"kind": "univariate", "channel": channel, "magnitude": magnitude}
@@ -881,7 +878,8 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     run would be integrated from and its outputs match their digest, and
     integrates the rest; when none is left the simulator is not called.  The
     report does not depend on which runs were read back: ``rk4_run_steps``
-    counts the whole held-out batch, as a fresh call integrates it.
+    counts the whole held-out batch, as a fresh call integrates it.  The
+    filter is tested only under the model and field values it was designed for.
     """
     ctx = _context(cfg)
     cfg = ctx.cfg
@@ -889,16 +887,20 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     artefact = out / "filter.txt"
     if not artefact.exists():
         raise ConfigError(f"no filter artefact at {artefact}; run the design phase first")
-    design, _ = matio.load_filter(artefact, expected_hash=ctx.model_hash, stacked=ctx.stacked)
-    cal = design.diagnostics.get("calibration") or {}
+    design, _ = matio.load_filter(artefact, expected_hash=ctx.model_hash)
+    current, recorded = cfg.design_record(), design.diagnostics["config"]
+    for name in {**current, **recorded}:
+        if current.get(name, ...) != recorded.get(name, ...):
+            was = json.dumps(recorded[name]) if name in recorded else "(not recorded)"
+            raise ConfigError(
+                f"{artefact}: the filter was designed with {name} = {was}, the configuration "
+                f"gives {json.dumps(current.get(name))}; re-run the design phase"
+            )
+    matio.check_decoupling(artefact, design, ctx.stacked)
+    cal = design.diagnostics["calibration"]
     if not cal:
         raise ConfigError(f"{artefact}: artefact carries no detector calibration")
-    detector = Detector(
-        tau_star=float(cal["tau_star"]),
-        margin=float(cal["margin"]),
-        window=int(cal["window"]),
-        warmup=int(cal["warmup"]),
-    )
+    detector = Detector(**{key: cal[key] for key in ("tau_star", "margin", "window", "warmup")})
     test_dir = out / "test"
     test_dir.mkdir(parents=True, exist_ok=True)
 

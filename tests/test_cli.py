@@ -20,7 +20,7 @@ from diagfilter.cli import (
     main,
 )
 from diagfilter.errors import SimulationBlowUp
-from diagfilter.pipeline import default_config
+from diagfilter.pipeline import default_config, multivariate_default_config
 
 
 def tiny_config() -> dict:
@@ -295,33 +295,39 @@ def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
     assert not report["feasible"]
 
 
-# One field of a tiny run-all at a time, addressed by its path through the
-# config: values at each field's limits, and types, signs, zero, null and
-# non-finite values tried in every field.
+# One field of a tiny run-all at a time, under either attack kind, addressed
+# by its path through the config: every field of pipeline.FIELDS and a set
+# of model fields.  Values at each field's limits are tried, and in every
+# field types, signs, zero, null, non-finite values and an integer too large
+# for a float, as well as the key left out and an unknown key beside it.
+LIMITS = {
+    "seed": [0, 1],
+    "mode": ["pure_model", "hybrid"],
+    "plant.t_s": [0.25, 0.0, 2.5],
+    "plant.dt": [0.5, 0.25, 0.0],
+    "plant.deadband": [0.0, -0.001],
+    "plant.agc_limits": [None, [-1e-30, 1e-30], [0.0, 0.0], [0.02, -0.02], [[-0.02, 0.02]]],
+    "plant.sine_ties": [False, "false"],
+    "plant.rate_limit": [None, 0.004, 0.0],
+    "filter.d_n": [5, 6],
+    "filter.pole": [0.999, -0.999, 1.0, -1.0],
+    "filter.margin": [0.0],
+    "filter.window_seconds": [0.5, 100.0],
+    "filter.track_steady_state": [False],
+    "train.m": [1, 3],
+    "train.horizon_seconds": [1.5, 1.0, 5.0],
+    "train.sigma": [0.0, -0.02],
+    "train.hold_seconds": [0.3, 0.0],
+    "train.channels": [[0, 2], [2, 3], [0.5], [True]],
+    "test.runs": [2],
+    "test.horizon_seconds": [2.5, 2.0],
+    "test.onset_seconds": [3.5, 4.0, 2.7],
+    "attack.channel": [1],
+    "attack.magnitude": [-0.1],
+    "attack.polytope_b": [[2.0], [1.5, 1.5]],
+}
 FIELD_EDGES = {
-    ("seed",): [0, 1],
-    ("mode",): ["pure_model", "hybrid"],
-    ("plant", "t_s"): [0.25, 0.0, 2.5],
-    ("plant", "dt"): [0.5, 0.25, 0.0],
-    ("plant", "deadband"): [0.0, -0.001],
-    ("plant", "agc_limits"): [None, [-1e-30, 1e-30], [0.0, 0.0], [0.02, -0.02], [[-0.02, 0.02]]],
-    ("plant", "sine_ties"): [False, "false"],
-    ("plant", "rate_limit"): [None, 0.004, 0.0],
-    ("filter", "d_n"): [5, 6],
-    ("filter", "pole"): [0.999, -0.999, 1.0, -1.0],
-    ("filter", "margin"): [0.0],
-    ("filter", "window_seconds"): [0.5, 100.0],
-    ("filter", "track_steady_state"): [False],
-    ("train", "m"): [1, 3],
-    ("train", "horizon_seconds"): [1.5, 1.0, 5.0],
-    ("train", "sigma"): [0.0, -0.02],
-    ("train", "hold_seconds"): [0.3, 0.0],
-    ("train", "channels"): [[0, 2], [2, 3], [0.5], [True]],
-    ("test", "runs"): [2],
-    ("test", "horizon_seconds"): [2.5, 2.0],
-    ("test", "onset_seconds"): [3.5, 4.0, 2.7],
-    ("attack", "channel"): [1],
-    ("attack", "magnitude"): [-0.1],
+    **{tuple(f.name.split(".")): LIMITS.get(f.name, []) for f in pipeline.FIELDS},
     ("model", "areas", 0, "id"): [4, 1.5],
     ("model", "areas", 0, "inertia"): [2.5, 1e-320],
     ("model", "areas", 0, "damping"): [0.0, -1.0],
@@ -334,12 +340,14 @@ FIELD_EDGES = {
     ("model", "attacks", 0, "area"): [2, 1.5],
     ("model", "attacks", 0, "neighbor"): [3, 2.7],
 }
-ANY_FIELD = [None, True, "abc", "1", [], {}, 0, -1, 1, 2.7, float("nan"), float("inf")]
+HUGE, LEFT_OUT, BESIDE = 10**400, "<key left out>", "<unknown key beside it>"
+ANY_FIELD = [None, True, "abc", "1", [], {}, 0, -1, 1, 2.7, float("nan"), float("inf"), HUGE]
+ANY_FIELD += [LEFT_OUT, BESIDE]
 EXIT_CODES = {EXIT_OK, EXIT_INFEASIBLE, EXIT_SIMULATION, EXIT_CONFIG, EXIT_SOLVER}
 
 
-def tiny_run_all_config() -> dict:
-    cfg = default_config()
+def tiny_run_all_config(kind: str = "univariate") -> dict:
+    cfg = default_config() if kind == "univariate" else multivariate_default_config()
     cfg["train"].update({"m": 2, "horizon_seconds": 2.5})
     cfg["test"].update({"runs": 1, "horizon_seconds": 4.0, "onset_seconds": 2.0})
     return cfg
@@ -351,23 +359,27 @@ EDITS = st.sampled_from(list(FIELD_EDGES)).flatmap(
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(edit=EDITS)
-@example(edit=(("filter", "d_n"), 6))
-@example(edit=(("plant", "t_s"), 0))
-@example(edit=(("train", "m"), "abc"))
-@example(edit=(("filter", "pole"), "x"))
-@example(edit=(("plant", "deadband"), None))
-@example(edit=(("plant", "dt"), None))
-@example(edit=(("filter", "margin"), None))
-@example(edit=(("test", "onset_seconds"), None))
-@example(edit=(("train", "m"), 2.7))
-@example(edit=(("test", "runs"), 1.5))
-@example(edit=(("seed",), -1))
-@example(edit=(("model", "areas", 0, "inertia"), float("nan")))
-@example(edit=(("model", "attacks", 0, "neighbor"), 2.7))
-@example(edit=(("train", "hold_seconds"), 1e-15))
-@example(edit=(("train", "hold_seconds"), 1e-300))
-def test_one_field_edit_is_rejected_up_front_or_runs(edit):
+@given(kind=st.sampled_from(["univariate", "multivariate"]), edit=EDITS)
+@example(kind="univariate", edit=(("filter", "d_n"), 6))
+@example(kind="univariate", edit=(("plant", "t_s"), 0))
+@example(kind="univariate", edit=(("train", "m"), "abc"))
+@example(kind="univariate", edit=(("filter", "pole"), "x"))
+@example(kind="univariate", edit=(("plant", "deadband"), None))
+@example(kind="univariate", edit=(("plant", "dt"), None))
+@example(kind="univariate", edit=(("filter", "margin"), None))
+@example(kind="univariate", edit=(("test", "onset_seconds"), None))
+@example(kind="univariate", edit=(("train", "m"), 2.7))
+@example(kind="univariate", edit=(("test", "runs"), 1.5))
+@example(kind="univariate", edit=(("seed",), -1))
+@example(kind="univariate", edit=(("model", "areas", 0, "inertia"), float("nan")))
+@example(kind="univariate", edit=(("model", "attacks", 0, "neighbor"), 2.7))
+@example(kind="univariate", edit=(("train", "hold_seconds"), 1e-15))
+@example(kind="univariate", edit=(("train", "hold_seconds"), 1e-300))
+@example(kind="univariate", edit=(("plant", "deadbnad"), 0.5))
+@example(kind="multivariate", edit=(("attack", "polytope_b"), LEFT_OUT))
+@example(kind="univariate", edit=(("plant", "t_s"), HUGE))
+@example(kind="univariate", edit=(("attack", "magnitude"), HUGE))
+def test_one_field_edit_is_rejected_up_front_or_runs(kind, edit):
     (*parents, key), value = edit
 
     def holder(cfg):
@@ -375,8 +387,13 @@ def test_one_field_edit_is_rejected_up_front_or_runs(edit):
             cfg = cfg[name]
         return cfg
 
-    cfg = tiny_run_all_config()
-    holder(cfg)[key] = value
+    cfg = tiny_run_all_config(kind)
+    if value == LEFT_OUT:
+        holder(cfg).pop(key, None)
+    elif value == BESIDE:
+        holder(cfg)[f"{key}x"] = holder(cfg).get(key)
+    else:
+        holder(cfg)[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
         # a plant step beyond RK4's stability limit overflows before it is stopped
@@ -386,8 +403,21 @@ def test_one_field_edit_is_rejected_up_front_or_runs(edit):
         if code == EXIT_CONFIG:
             assert not out.exists()
         if code == EXIT_OK:
+            # values stay as given; a field left out holds its default
             stored = json.loads((out / "config.json").read_text())
-            assert holder(stored)[key] == value
+            assert holder(stored).items() >= holder(cfg).items()
+    # outside the model: an unknown key (an attack field of the other kind
+    # included), a required field left out, and an integer too large for a
+    # float in any but a whole-number field
+    fields = {f.name: f for f in pipeline.FIELDS if f.kind in (None, kind)}
+    field = fields.get(".".join(map(str, edit[0])))
+    malformed = value == BESIDE or (
+        value != LEFT_OUT
+        if field is None
+        else value == LEFT_OUT and field.default is ... or value == HUGE and field.rule != "whole"
+    )
+    if parents[:1] != ["model"] and malformed:
+        assert code == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("hold", [1e-15, 1e-300, 5e-324])
