@@ -149,15 +149,15 @@ def save_filter(
     path: str | Path,
     design: FilterDesign,
     model_hash: str,
+    config: dict,
     calibration: dict | None = None,
-    config: dict | None = None,
 ) -> None:
     """Persist a design plus the detector calibration that travels with it.
 
     Carrying ``calibration`` (tau_star, margin, window, warmup) inside the
     artefact keeps the test phase honest: it needs the artefact and fresh
     simulations, never the raw training data.  ``config`` holds the
-    configuration values the design read.
+    configuration values the design read, which a test must match.
     """
     lines = [
         FILTER_FORMAT_TAG,
@@ -170,7 +170,7 @@ def save_filter(
         f"model_hash: {model_hash}",
         "branch: " + json.dumps(design.branch, sort_keys=True),
         "calibration: " + json.dumps(calibration or {}, sort_keys=True),
-        "config: " + json.dumps(config or {}, sort_keys=True),
+        "config: " + json.dumps(config, sort_keys=True),
         "a_coeffs: " + " ".join(_fmt(v) for v in design.a_coeffs),
         "nbar: " + " ".join(_fmt(v) for v in design.nbar),
     ]
@@ -181,11 +181,13 @@ def load_filter(
     path: str | Path,
     expected_hash: str | None = None,
     stacked: StackedSystem | None = None,
+    expected_config: dict | None = None,
 ) -> tuple[FilterDesign, str]:
     """Read a filter artefact back and re-verify everything checkable.
 
     ``expected_hash`` guards against applying a filter to a model it was not
-    designed for; ``stacked`` additionally re-checks the unknown-input
+    designed for and ``expected_config`` against other values of the fields
+    its design read; ``stacked`` additionally re-checks the unknown-input
     decoupling (the left-null-space membership of the coefficients).
     """
     lines = Path(path).read_text().strip().splitlines()
@@ -232,6 +234,23 @@ def load_filter(
             f"{path}: artefact was designed against a different model "
             f"configuration (hash {model_hash[:12]}.. != {expected_hash[:12]}..)"
         )
+    if expected_config is not None:
+        for name in {**expected_config, **config}:
+            if expected_config.get(name, ...) != config.get(name, ...):
+                was = json.dumps(config[name]) if name in config else "(not recorded)"
+                raise ConfigError(
+                    f"{path}: the filter was designed with {name} = {was}, the configuration "
+                    f"gives {json.dumps(expected_config.get(name))}; re-run the design phase"
+                )
+    if stacked is not None:
+        if stacked.n_vars != nbar.size or stacked.d_n != d_n:
+            raise ConfigError(f"{path}: artefact does not match the stacked system shape")
+        null_resid = float(np.max(np.abs(nbar @ stacked.barH)))
+        if null_resid > NULL_RESIDUAL_TOL:
+            raise ConfigError(
+                f"{path}: coefficients violate unknown-input decoupling "
+                f"(residual {null_resid:.3e})"
+            )
     design = FilterDesign(
         nbar=nbar,
         d_n=d_n,
@@ -242,20 +261,6 @@ def load_filter(
         objective=objective,
         branch=branch,
         track_steady_state=track,
-        diagnostics={"calibration": calibration, "config": config},
+        diagnostics={"calibration": calibration},
     )
-    if stacked is not None:
-        check_decoupling(path, design, stacked)
     return design, model_hash
-
-
-def check_decoupling(path: str | Path, design: FilterDesign, stacked: StackedSystem) -> None:
-    """Raise ConfigError unless ``design`` fits ``stacked`` and decouples its unknown inputs."""
-    if stacked.n_vars != design.nbar.size or stacked.d_n != design.d_n:
-        raise ConfigError(f"{path}: artefact does not match the stacked system shape")
-    null_resid = float(np.max(np.abs(design.nbar @ stacked.barH)))
-    if null_resid > NULL_RESIDUAL_TOL:
-        raise ConfigError(
-            f"{path}: coefficients violate unknown-input decoupling "
-            f"(residual {null_resid:.3e})"
-        )

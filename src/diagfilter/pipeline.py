@@ -816,7 +816,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         "warmup": int(detector.warmup),
         "threshold": float(detector.threshold),
     }
-    matio.save_filter(out / "filter.txt", design, ctx.model_hash, calibration, cfg.design_record())
+    matio.save_filter(out / "filter.txt", design, ctx.model_hash, cfg.design_record(), calibration)
     report = {
         "mode": design.mode,
         "objective": float(design.objective),
@@ -887,20 +887,19 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     artefact = out / "filter.txt"
     if not artefact.exists():
         raise ConfigError(f"no filter artefact at {artefact}; run the design phase first")
-    design, _ = matio.load_filter(artefact, expected_hash=ctx.model_hash)
-    current, recorded = cfg.design_record(), design.diagnostics["config"]
-    for name in {**current, **recorded}:
-        if current.get(name, ...) != recorded.get(name, ...):
-            was = json.dumps(recorded[name]) if name in recorded else "(not recorded)"
-            raise ConfigError(
-                f"{artefact}: the filter was designed with {name} = {was}, the configuration "
-                f"gives {json.dumps(current.get(name))}; re-run the design phase"
-            )
-    matio.check_decoupling(artefact, design, ctx.stacked)
+    record = cfg.design_record()
+    design, _ = matio.load_filter(
+        artefact, expected_hash=ctx.model_hash, stacked=ctx.stacked, expected_config=record
+    )
     cal = design.diagnostics["calibration"]
     if not cal:
         raise ConfigError(f"{artefact}: artefact carries no detector calibration")
-    detector = Detector(**{key: cal[key] for key in ("tau_star", "margin", "window", "warmup")})
+    detector = Detector(
+        tau_star=float(cal["tau_star"]),
+        margin=float(cal["margin"]),
+        window=int(cal["window"]),
+        warmup=int(cal["warmup"]),
+    )
     test_dir = out / "test"
     test_dir.mkdir(parents=True, exist_ok=True)
 

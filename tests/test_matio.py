@@ -19,6 +19,9 @@ from diagfilter.matio import (
     sidecar_path,
 )
 
+# the configuration values a design read, which save_filter records
+RECORD = {"filter.d_n": 3, "filter.pole": 0.5}
+
 
 @pytest.fixture(scope="module")
 def reference_design():
@@ -130,8 +133,10 @@ def test_filter_artefact_round_trip(tmp_path, reference_design):
     stacked, design = reference_design
     path = tmp_path / "filter.txt"
     calibration = {"tau_star": 2.5e-6, "margin": 5e-4, "window": 20, "warmup": 3}
-    save_filter(path, design, "abc123", calibration=calibration)
-    loaded, model_hash = load_filter(path, expected_hash="abc123", stacked=stacked)
+    save_filter(path, design, "abc123", RECORD, calibration=calibration)
+    loaded, model_hash = load_filter(
+        path, expected_hash="abc123", stacked=stacked, expected_config=RECORD
+    )
     assert model_hash == "abc123"
     assert np.array_equal(loaded.nbar, design.nbar)
     assert np.array_equal(loaded.a_coeffs, design.a_coeffs)
@@ -149,7 +154,7 @@ def test_filter_artefact_round_trip_with_a_pole_near_one(tmp_path, reference_des
     stacked, _ = reference_design
     design = design_univariate(stacked, None, pole=0.999)
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123")
+    save_filter(path, design, "abc123", RECORD)
     loaded, _ = load_filter(path, stacked=stacked)
     assert np.array_equal(loaded.a_coeffs, design.a_coeffs)
 
@@ -157,7 +162,7 @@ def test_filter_artefact_round_trip_with_a_pole_near_one(tmp_path, reference_des
 def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
     stacked, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123")
+    save_filter(path, design, "abc123", RECORD)
 
     # wrong format tag
     other = tmp_path / "other.txt"
@@ -187,7 +192,7 @@ def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
 def test_filter_artefact_rejects_inconsistent_denominator(tmp_path, reference_design):
     _, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123")
+    save_filter(path, design, "abc123", RECORD)
     lines = path.read_text().splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("pole:"):
@@ -200,7 +205,7 @@ def test_filter_artefact_rejects_inconsistent_denominator(tmp_path, reference_de
 def test_filter_artefact_rejects_truncated_coefficients(tmp_path, reference_design):
     _, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123")
+    save_filter(path, design, "abc123", RECORD)
     lines = path.read_text().splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("nbar:"):

@@ -1064,18 +1064,16 @@ def test_a_retrain_over_the_base_runs_writes_what_a_fresh_directory_writes(
 ):
     raw, base = base_of(request, field)
     cfg = ExperimentConfig.from_dict(edited(raw, field, value))
-    reused = tmp_path / "reused"
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_train(cfg, fresh)
     shutil.copytree(base / "train", reused / "train")
     calls = record_simulations(monkeypatch)
     cmd_train(cfg, reused)
     assert [len(runs) for runs in calls] == ([integrated] if integrated else [])
-    monkeypatch.undo()
-    # a fresh directory's files, which are the base run's when the edit
-    # leaves its training runs and their average valid
-    if integrated or EDITS.get(".".join(map(str, field)), MODEL_EDIT[1]).stale_training:
-        cmd_train(cfg, tmp_path / "fresh")
-        base = tmp_path / "fresh"
-    assert tree(reused / "train") == tree(base / "train")
+    assert tree(reused) == tree(fresh)
+    # the training files change exactly where a design over the base runs is rejected
+    stale = {path: stale for path, _, stale in edit_rows("stale_training")}[field]
+    assert (tree(fresh / "train") != tree(base / "train")) == stale
 
 
 def test_an_unchanged_retrain_reads_every_run_back(reuse_base, tmp_path, monkeypatch):
