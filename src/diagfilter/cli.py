@@ -90,9 +90,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         )
     elif args.command == "train":
         summary = pipeline.cmd_train(cfg, args.out)
+        largest = max(run["max_abs_mismatch"] for run in summary["instances"])
         print(
             f"train: {summary['m']} instances, {summary['horizon_samples']} samples each; "
-            f"avg form trace {summary['qbar_trace']:.6g}"
+            f"largest mismatch {largest:.6g}"
         )
     elif args.command == "design":
         design = pipeline.cmd_design(cfg, args.out)

@@ -10,7 +10,6 @@ its outputs into the experiment directory:
       model_matrices/        continuous-time A, B_d, B_f, C, D_f as CSV
       pretrain_report.json   visibility margins (multivariate attacks only)
       train/traj_XXX.csv     sampled plant outputs, one file per instance
-      train/qbar.csv         averaged mismatch quadratic form (+ digest sidecar)
       train/training_summary.json
       filter.txt             the designed filter artefact (+ calibration)
       design_report.json
@@ -22,10 +21,11 @@ Every plant run is stored with a sidecar recording each input the
 simulator reads for it and a digest of its outputs.  Every phase reads a
 stored run back, bit for bit, only when its sidecar records the inputs the
 run would be integrated from; training and test integrate the rest, and
-the design phase, which integrates nothing, fails on them.  The design
-re-derives the mismatch signatures from the training runs and checks the
-persisted average by its sidecar's digests, and re-runs the pretrain when
-its report was solved for another model, filter order or attack set.
+the design phase, which integrates nothing, fails on them.  Training
+stores only plant runs, so no training file depends on the filter: the
+design forms the mismatch signatures and their average from the training
+runs, and re-runs the pretrain when its report was solved for another
+model, filter order or attack set.
 
 Seed policy: training instance ``i`` uses ``seed + i``; held-out test run
 ``j`` uses ``seed + 100000 + j``, a disjoint range so test disturbances are
@@ -625,23 +625,13 @@ def _training_runs(ctx: PipelineContext, train_dir: Path) -> tuple[list[Path], l
     return paths, [(ctx.disturbance_spec(s, horizon), AttackSpec()) for s in seeds]
 
 
-def _qbar_meta(ctx: PipelineContext, qbar: bytes, trajs: list[SampledTrajectory]) -> dict:
-    """The sidecar of ``train/qbar.csv``: the digest of its bytes, those of the
-    runs averaged into it, and the filter fields its forms are built for."""
-    return {
-        "digest": hashlib.sha256(qbar).hexdigest(),
-        "runs": [_digest(traj.t, traj.Y) for traj in trajs],
-        "filter": {"d_n": ctx.stacked.d_n, "pole": float(ctx.cfg.filter["pole"])},
-    }
-
-
 # --- train --------------------------------------------------------------------
 
 
 def cmd_train(
     cfg: ExperimentConfig | PipelineContext, out_dir: str | Path, jobs: int = 1
 ) -> dict:
-    """Run the paired healthy simulations and persist the mismatch statistics.
+    """Run the healthy plant simulations and persist them with their mismatch sizes.
 
     Stored runs whose inputs are unchanged are read back; the rest are
     integrated as one batch.  ``rk4_run_steps`` counts all ``m`` runs, as a
@@ -654,25 +644,18 @@ def cmd_train(
     paths, runs = _training_runs(ctx, train_dir)
     labels = [f"training instance {i}, seed {dist.seed}" for i, (dist, _) in enumerate(runs)]
     trajs = _plant_runs(ctx, paths, runs, labels)
-    _remove_stale(train_dir, ("traj_*.csv",), paths)
-    bundle = _training_bundle(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
-    qbar = train_dir / "qbar.csv"
-    matio.save_matrix(qbar, bundle.qbar)
-    _write_json(matio.sidecar_path(qbar), _qbar_meta(ctx, qbar.read_bytes(), trajs))
+    # qbar.csv: the average form training once stored, now formed by the design
+    _remove_stale(train_dir, ("traj_*.csv", "qbar.csv"), paths)
+    signatures = _signatures(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
     summary = {
         "m": len(runs),
         "horizon_samples": ctx.train_samples,
         "t_s": ctx.t_s,
         "model_hash": ctx.model_hash,
         "instances": [
-            {
-                "seed": int(dist.seed),
-                "max_abs_mismatch": float(np.max(np.abs(sig))),
-                "q_trace": float(np.trace(q)),
-            }
-            for (dist, _), sig, q in zip(runs, bundle.signatures, bundle.q_list)
+            {"seed": int(dist.seed), "max_abs_mismatch": float(np.max(np.abs(sig)))}
+            for (dist, _), sig in zip(runs, signatures)
         ],
-        "qbar_trace": float(np.trace(bundle.qbar)),
         "rk4_run_steps": RunBatch(runs).run_steps(ctx.plant),
     }
     _write_json(train_dir / "training_summary.json", summary)
@@ -688,48 +671,38 @@ class TrainingBundle:
     signatures: list[np.ndarray]
 
 
+def _signatures(
+    ctx: PipelineContext, specs: list[DisturbanceSpec], outputs: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Each run's plant ``outputs[i]`` less its replay on the abstract model
+    from the disturbance ``specs[i]``, which depends on the model alone."""
+    return [
+        mismatch_signature(y_plant, simulate_linear(ctx.model_d, spec, AttackSpec()).Y)
+        for spec, y_plant in zip(specs, outputs)
+    ]
+
+
 def _training_bundle(
     ctx: PipelineContext, specs: list[DisturbanceSpec], outputs: list[np.ndarray]
 ) -> TrainingBundle:
-    """Signatures, quadratic forms and their average for recorded plant runs.
-
-    Run ``i`` is replayed on the abstract model from the disturbance
-    ``specs[i]``; its signature is the plant's ``outputs[i]`` less that
-    replay.  The forms are averaged in the order given.
-    """
+    """Signatures, quadratic forms and their average for recorded plant runs,
+    the forms averaged in the order given."""
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
-    signatures, q_list = [], []
-    for spec, y_plant in zip(specs, outputs):
-        reference = simulate_linear(ctx.model_d, spec, AttackSpec())
-        sig = mismatch_signature(y_plant, reference.Y)
-        signatures.append(sig)
-        q_list.append(q_matrix(ctx.stacked, sig, gram))
+    signatures = _signatures(ctx, specs, outputs)
+    q_list = [q_matrix(ctx.stacked, sig, gram) for sig in signatures]
     return TrainingBundle(q_list=q_list, qbar=average_q(q_list), signatures=signatures)
 
 
 def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingBundle:
-    """Rebuild the mismatch statistics from the stored training runs.
+    """Form the mismatch statistics from the stored training runs.
 
     Reads back exactly the runs ``traj_000`` .. ``traj_{m-1}`` that
-    :func:`cmd_train` stores from this configuration, and checks that the
-    persisted average was formed from them for this filter: a stale,
-    incomplete or hand-edited training directory fails here.
+    :func:`cmd_train` stores from this configuration: a missing, damaged or
+    stale run fails here, and none is integrated.
     """
-    train_dir = Path(out_dir) / "train"
-    paths, runs = _training_runs(ctx, train_dir)
+    paths, runs = _training_runs(ctx, Path(out_dir) / "train")
     trajs = _plant_runs(ctx, paths, runs)
-    bundle = _training_bundle(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
-    qbar = train_dir / "qbar.csv"
-    try:
-        stored, written = json.loads(matio.sidecar_path(qbar).read_text()), qbar.read_bytes()
-    except (OSError, ValueError):
-        stored = written = None
-    if written is None or stored != _qbar_meta(ctx, written, trajs):
-        raise ConfigError(
-            f"{qbar}: persisted average mismatch form disagrees with the trajectories "
-            "and the filter it would be averaged for; re-run the training phase"
-        )
-    return bundle
+    return _training_bundle(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
 
 
 # --- design -------------------------------------------------------------------
@@ -828,6 +801,10 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         "pretrain": pretrain_used,
         "model_hash": ctx.model_hash,
     }
+    if bundle:
+        # the training form the design minimised, and each run's share of it
+        report["qbar_trace"] = float(np.trace(qbar))
+        report["q_trace"] = [float(np.trace(q)) for q in q_list]
     if "gamma" in design.diagnostics:
         report["gamma"] = float(design.diagnostics["gamma"])
     if "qp" in design.diagnostics:

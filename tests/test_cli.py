@@ -233,16 +233,19 @@ def test_solver_failure_exits_solver_code(tmp_path, capsys, monkeypatch):
     assert "infeasible" not in err
 
 
-def test_design_under_another_filter_order_exits_config_code(tmp_path, capsys):
-    # the persisted average form was built for d_n 3; d_n 2 rebuilds smaller
-    # forms from the same trajectories, which must not reach the drift check
+def test_design_under_another_filter_order_needs_no_retrain(tmp_path, capsys):
+    # no training file depends on the filter: d_n 2 forms smaller forms from
+    # the runs trained under d_n 3 and designs what a fresh run-all designs
     cfg = tiny_config()
-    out = str(tmp_path / "o")
-    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", out]) == EXIT_OK
+    out = tmp_path / "o"
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    assert "largest mismatch" in capsys.readouterr().out
     cfg["filter"]["d_n"] = 2
-    code = main(["design", "--config", write_config(tmp_path, cfg), "--out", out])
-    assert code == EXIT_CONFIG
-    assert "re-run the training phase" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["design", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    assert main(["run-all", "--config", cfg_path, "--out", str(tmp_path / "fresh")]) == EXIT_OK
+    for name in ("filter.txt", "design_report.json"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def test_rank_deficient_training_form_designs(tmp_path):

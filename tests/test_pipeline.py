@@ -20,7 +20,7 @@ import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
 from diagfilter.design import design_multivariate, design_univariate
 from diagfilter.errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
-from diagfilter.matio import load_matrix, load_trajectory, save_matrix, save_trajectory
+from diagfilter.matio import load_matrix, load_trajectory, save_trajectory, sidecar_path
 from diagfilter.pipeline import (
     FIELDS,
     TEST_SEED_OFFSET,
@@ -183,7 +183,6 @@ def test_run_all_writes_every_artefact(completed_run):
         "model_matrices/B_f.csv",
         "model_matrices/C.csv",
         "model_matrices/D_f.csv",
-        "train/qbar.csv",
         "train/training_summary.json",
         "filter.txt",
         "design_report.json",
@@ -198,6 +197,8 @@ def test_run_all_writes_every_artefact(completed_run):
     for j in range(2):
         assert (out / f"test/clean_{j:02d}.csv").exists()
         assert (out / f"test/attack_{j:02d}.csv").exists()
+    # training stores its plant runs and their summary, nothing formed for a filter
+    assert not list((out / "train").glob("qbar*"))
     assert load_matrix(out / "model_matrices/A.csv").shape == (19, 19)
     assert set(summary) == {"train", "design", "test"}
 
@@ -215,9 +216,16 @@ def test_training_outputs_are_coherent(completed_run):
     assert meta["seed"] == cfg.seed + 1
     assert y.shape == (25, 10)
     assert np.allclose(t, np.arange(1, 11) * 0.5)
-    qbar = load_matrix(out / "train/qbar.csv")
-    assert qbar.shape == (176, 176)
-    assert np.min(np.linalg.eigvalsh(qbar)) > -1e-9
+    assert set(train) == {
+        "m", "horizon_samples", "t_s", "model_hash", "instances", "rk4_run_steps"
+    }
+    assert all(set(inst) == {"seed", "max_abs_mismatch"} for inst in train["instances"])
+    bundle = load_training_bundle(build_context(cfg), out)
+    assert [inst["max_abs_mismatch"] for inst in train["instances"]] == [
+        float(np.max(np.abs(sig))) for sig in bundle.signatures
+    ]
+    assert bundle.qbar.shape == (176, 176)
+    assert np.min(np.linalg.eigvalsh(bundle.qbar)) > -1e-9
 
 
 def test_design_report_and_artefact_agree(completed_run):
@@ -261,34 +269,6 @@ def test_test_report_structure_and_seed_policy(completed_run):
     trace = (out / "test/attack_00.csv").read_text().splitlines()
     assert trace[0] == "t,r,energy,alarm"
     assert len(trace) == 1 + 40
-
-
-def test_design_rejects_tampered_training_average(completed_run, tmp_path):
-    cfg, out, _ = completed_run
-    clone = tmp_path / "clone"
-    clone.mkdir()
-    shutil.copytree(out / "train", clone / "train")
-    qbar_path = clone / "train/qbar.csv"
-    mat = load_matrix(qbar_path)
-    mat[0, 0] += 1e-6
-    save_matrix(qbar_path, mat)
-    with pytest.raises(ConfigError, match="disagrees"):
-        cmd_design(cfg, clone)
-
-
-def test_design_rejects_a_rescaled_training_average(completed_run, tmp_path):
-    # the form's entries are far below 1, so a relative change of 1e-6
-    # moves none of them by 1e-9
-    cfg, out, _ = completed_run
-    clone = tmp_path / "clone"
-    clone.mkdir()
-    shutil.copytree(out / "train", clone / "train")
-    qbar_path = clone / "train/qbar.csv"
-    mat = load_matrix(qbar_path)
-    assert np.max(np.abs(mat)) < 1e-3
-    save_matrix(qbar_path, mat * (1.0 + 1e-6))
-    with pytest.raises(ConfigError, match="disagrees"):
-        load_training_bundle(build_context(cfg), clone)
 
 
 def test_test_phase_needs_only_the_artefact(completed_run, tmp_path):
@@ -620,13 +600,21 @@ def test_training_is_byte_deterministic(tmp_path):
 
 
 def test_training_bundle_round_trip(completed_run):
+    # the design forms the average from the stored runs, in run order, and
+    # reports the traces of what it designed on
     cfg, out, _ = completed_run
     ctx = build_context(cfg)
     bundle = load_training_bundle(ctx, out)
     assert len(bundle.q_list) == 3
     assert bundle.qbar.shape == (176, 176)
-    stored = load_matrix(out / "train/qbar.csv")
-    assert np.array_equal(bundle.qbar, stored)
+    assert np.array_equal(bundle.qbar, design_module.average_q(bundle.q_list))
+    paths, runs = pipeline_module._training_runs(ctx, out / "train")
+    outputs = [load_trajectory(path)[1] for path in paths]
+    again = pipeline_module._training_bundle(ctx, [dist for dist, _ in runs], outputs)
+    assert np.array_equal(again.qbar, bundle.qbar)
+    report = json.loads((out / "design_report.json").read_text())
+    assert report["qbar_trace"] == float(np.trace(bundle.qbar))
+    assert report["q_trace"] == [float(np.trace(q)) for q in bundle.q_list]
 
 
 def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_path):
@@ -733,11 +721,11 @@ class Edit(NamedTuple):
 # edit reaches the runs whose sidecars record it: the plant, the seed and
 # the load noise every run, the attack and its onset only the attacked
 # held-out copy, and the filter no run.  It makes a design over the base
-# training runs fail when it moves their inputs or the average's filter,
-# and a test over the base filter fail when the design reads it.  The
-# univariate model has one attack channel, so its channel has no other
-# value.  Rows run from the fields that reach held-out runs to those that
-# reach none, then the multivariate fields, edited on the multivariate base.
+# training runs fail when it moves their inputs, and a test over the base
+# filter fail when the design reads it.  The univariate model has one
+# attack channel, so its channel has no other value.  Rows run from the
+# fields that reach held-out runs to those that reach none, then the
+# multivariate fields, edited on the multivariate base.
 EDITS = {
     "seed": Edit(7, 2, True, 2, True),
     "plant.t_s": Edit(0.25, 2, True, 2, True),
@@ -754,8 +742,8 @@ EDITS = {
     "attack.magnitude": Edit(-0.1, 0, False, 1, False),
     "test.runs": Edit(2, 0, False, 2, False),
     "filter.margin": Edit(0.001, 0, False, 0, True),
-    "filter.pole": Edit(0.3, 0, True, 0, True),
-    "filter.d_n": Edit(2, 0, True, 0, True),
+    "filter.pole": Edit(0.3, 0, False, 0, True),
+    "filter.d_n": Edit(2, 0, False, 0, True),
     "filter.window_seconds": Edit(5.0, 0, False, 0, True),
     "train.m": Edit(3, 1, True, 0, True),
     "mode": Edit("pure_model", 0, False, 0, True),
@@ -869,13 +857,11 @@ def test_a_retest_over_the_base_runs_writes_what_a_fresh_directory_writes(
     assert tree(reused) == tree(fresh)
 
 
-@pytest.mark.parametrize("damage", ["digit", "truncated", "no sidecar"])
-def test_a_damaged_plant_run_is_integrated_again_never_read(
-    reuse_base, tmp_path, monkeypatch, damage
-):
-    run = tmp_path / "run"
-    shutil.copytree(reuse_base, run)
-    path = run / "test/plant_attack_00.csv"
+DAMAGES = ["digit", "truncated", "no sidecar"]
+
+
+def damage_run(path: Path, damage: str) -> None:
+    """Flip a digit of a stored plant run, cut it in half or delete its sidecar."""
     text = path.read_text()
     if damage == "digit":
         lines = text.splitlines(keepends=True)
@@ -887,7 +873,16 @@ def test_a_damaged_plant_run_is_integrated_again_never_read(
     elif damage == "truncated":
         path.write_text(text[: len(text) // 2])
     else:
-        (run / "test/plant_attack_00.meta.json").unlink()
+        sidecar_path(path).unlink()
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_a_damaged_plant_run_is_integrated_again_never_read(
+    reuse_base, tmp_path, monkeypatch, damage
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    damage_run(run / "test/plant_attack_00.csv", damage)
     calls = record_simulations(monkeypatch)
     cmd_test(ExperimentConfig.from_dict(reuse_config()), run)
     assert [len(runs) for runs in calls] == [1]
@@ -1015,11 +1010,32 @@ def test_design_over_stale_training_runs_is_rejected_and_writes_nothing(
 def test_design_over_training_runs_an_edit_leaves_valid_reads_them_back(
     request, tmp_path, monkeypatch, field, value
 ):
+    # a filter edit among them: no training file depends on the filter
     raw, base = base_of(request, field)
-    shutil.copytree(base / "train", tmp_path / "train")
+    cfg = ExperimentConfig.from_dict(edited(raw, field, value))
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    cmd_run_all(cfg, fresh)
+    shutil.copytree(base / "train", reused / "train")
     calls = record_simulations(monkeypatch)
-    cmd_design(ExperimentConfig.from_dict(edited(raw, field, value)), tmp_path)
+    cmd_design(cfg, reused)
     assert calls == []
+    for name in ("filter.txt", "design_report.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_design_over_a_damaged_training_run_is_rejected_and_writes_nothing(
+    reuse_base, tmp_path, monkeypatch, damage
+):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    damage_run(run / "train/traj_001.csv", damage)
+    damaged = tree(run)
+    calls = record_simulations(monkeypatch)
+    with pytest.raises(ConfigError, match="traj_001.csv: .*re-run the training phase$"):
+        cmd_design(ExperimentConfig.from_dict(reuse_config()), run)
+    assert calls == []
+    assert tree(run) == damaged
 
 
 @pytest.mark.parametrize("field, value, stale", edit_rows("stale_filter", model=False))
@@ -1041,23 +1057,6 @@ def test_a_test_over_the_base_filter_runs_only_under_the_fields_it_was_designed_
     assert tree(run) == tree(base)
 
 
-@pytest.mark.parametrize("damage", ["no qbar sidecar", "run digest"])
-def test_design_rejects_a_training_average_not_formed_from_its_runs(
-    reuse_base, tmp_path, damage
-):
-    run = tmp_path / "run"
-    shutil.copytree(reuse_base, run)
-    sidecar = run / "train/qbar.meta.json"
-    if damage == "no qbar sidecar":
-        sidecar.unlink()
-    else:
-        meta = json.loads(sidecar.read_text())
-        meta["runs"].reverse()
-        sidecar.write_text(json.dumps(meta))
-    with pytest.raises(ConfigError, match="disagrees with the trajectories"):
-        cmd_design(ExperimentConfig.from_dict(reuse_config()), run)
-
-
 @pytest.mark.parametrize("field, value, integrated", edit_rows("training"))
 def test_a_retrain_over_the_base_runs_writes_what_a_fresh_directory_writes(
     request, tmp_path, monkeypatch, field, value, integrated
@@ -1074,6 +1073,15 @@ def test_a_retrain_over_the_base_runs_writes_what_a_fresh_directory_writes(
     # the training files change exactly where a design over the base runs is rejected
     stale = {path: stale for path, _, stale in edit_rows("stale_training")}[field]
     assert (tree(fresh / "train") != tree(base / "train")) == stale
+
+
+def test_a_retrain_removes_the_average_form_training_once_stored(reuse_base, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(reuse_base, run)
+    (run / "train/qbar.csv").write_text("# 1 1\n0.5\n")
+    (run / "train/qbar.meta.json").write_text("{}\n")
+    cmd_train(ExperimentConfig.from_dict(reuse_config()), run)
+    assert tree(run) == tree(reuse_base)
 
 
 def test_an_unchanged_retrain_reads_every_run_back(reuse_base, tmp_path, monkeypatch):
