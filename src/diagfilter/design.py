@@ -386,8 +386,13 @@ def design_univariate(
 def program_branch(j: int) -> tuple[int, int]:
     """Map a 1-based program number to (coefficient index, sign).
 
-    Programs come in pairs: numbers 2k-1 and 2k probe coefficient k-1 with
-    negative and positive sign respectively.
+    Programs come in mirror pairs: numbers 2k-1 and 2k probe coefficient k-1
+    with negative and positive sign respectively.  ``(nbar, lambda)`` meets
+    program 2k-1's constraints iff ``(-nbar, lambda)`` meets program 2k's:
+    ``barH' nbar = 0`` and the norm cap are symmetric, and the coupling rows
+    ``sign * m_resp' nbar_sl - A' lambda = 0`` flip ``sign`` with ``nbar``.
+    The support objective ``b' lambda`` reads ``lambda`` alone, so both
+    programs of a pair have one support LP: one optimum, one status.
     """
     if j < 1:
         raise ValueError("program numbers are 1-based")
@@ -470,6 +475,19 @@ def _support_lp(stacked: StackedSystem, attack: AttackModel, j: int) -> Solution
     return solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
 
 
+def _support_floor(stacked: StackedSystem, attack: AttackModel, j: int) -> tuple[float, str]:
+    """Program ``j``'s visibility floor and status, from its pair's support LP.
+
+    Solves the LP of the pair's odd program, whose optimum and status the
+    even one shares (:func:`program_branch`).  The floor is the optimum,
+    ``inf`` when the LP is unbounded and 0 when it has no optimum.
+    """
+    sol = _support_lp(stacked, attack, j if j % 2 else j - 1)
+    if sol.status == "optimal":
+        return -sol.objective, sol.status
+    return (np.inf if sol.status == "unbounded" else 0.0), sol.status
+
+
 def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> PretrainResult:
     """Feasibility pretraining: largest certified visibility per program.
 
@@ -480,22 +498,20 @@ def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> Pretra
     every admissible attack is visible in that coefficient with at least the
     optimal margin.  The filter norm is capped at one (infinity norm) so the
     programs stay bounded; a program the solver still reports unbounded
-    gets the margin ``inf``.
+    gets the margin ``inf``.  Programs 2k-1 and 2k mirror each other
+    (:func:`program_branch`), so ``d_n + 1`` LPs are solved, one per pair,
+    and both programs of a pair get its margin and status.  ``j_star`` is
+    the first maximiser, so always an odd program.
     """
     attack.validate_against(stacked.n_f)
     n_programs = 2 * stacked.d_n + 2
 
     gammas = np.zeros(n_programs)
     statuses = []
-    for j in range(1, n_programs + 1):
-        sol = _support_lp(stacked, attack, j)
-        statuses.append(sol.status)
-        if sol.status == "optimal":
-            gammas[j - 1] = -sol.objective
-        elif sol.status == "unbounded":
-            gammas[j - 1] = np.inf
-        else:
-            gammas[j - 1] = 0.0
+    for j in range(1, n_programs + 1, 2):
+        gamma, status = _support_floor(stacked, attack, j)
+        gammas[j - 1 : j + 1] = gamma
+        statuses += [status, status]
     j_star = int(np.argmax(gammas)) + 1
     return PretrainResult(gammas=gammas, j_star=j_star, statuses=statuses)
 
@@ -508,6 +524,7 @@ def design_multivariate(
     *,
     pole: float,
     gamma: float | None = None,
+    pretrain: PretrainResult | None = None,
     constraints: QpProblem | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
@@ -516,9 +533,14 @@ def design_multivariate(
     ``b' lambda >= gamma`` and the coupling rows of program ``j``.  With
     ``gamma=None`` the floor is the largest feasible one: the optimum of
     program ``j``'s support LP, the margin pretraining reports, and one QP
-    is solved there.  Where the QP's phase-one LP rejects that optimum by
-    round-off, the floor is lowered once by ``FLOOR_BACKOFF`` (relative).
-    A number fixes the floor instead.  ``constraints``, the
+    is solved there.  ``pretrain``, the :func:`pretrain_multivariate`
+    result for this system and attack set, supplies that margin and its LP
+    status; without it the design solves the LP pretraining solves for
+    ``j``'s mirror pair, so either way the floor is ``pretrain.gammas[j - 1]``
+    bit for bit.  Where
+    the QP rejects that optimum by round-off, or its solver fails there,
+    the floor is lowered once by ``FLOOR_BACKOFF`` (relative).  A number
+    fixes the floor instead.  ``constraints``, the
     :attr:`FilterDesign.constraints` of an earlier design of program ``j``,
     fixes the floor at that design's: the QP is solved over the same
     constraints and reuses their factorisation and phase-one start.
@@ -526,8 +548,8 @@ def design_multivariate(
     Raises:
         NoFilterError: if the support LP is infeasible or unbounded, or a
             fixed floor is infeasible.
-        SolverError: if the QP rejects the support-LP floor and its back-off,
-            which the LP certifies feasible.
+        SolverError: if the QP rejects or fails at the support-LP floor and
+            at its back-off, which the LP certifies feasible.
     """
     attack.validate_against(stacked.n_f)
     qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
@@ -542,6 +564,14 @@ def design_multivariate(
         a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, floor)
         return QpProblem(P=p_full, c=c_full, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
 
+    def attempt(floor: float) -> tuple[QpProblem, Solution | None, str]:
+        problem = program(floor)
+        try:
+            sol = solve_qp(problem)
+        except SolverError as exc:
+            return problem, None, f"SolverError: {exc}"
+        return problem, sol, f"QP status {sol.status}"
+
     if constraints is not None:
         problem = constraints.with_objective(p_full, c_full)
         gamma = float(problem.b_ineq[n_b])
@@ -553,23 +583,24 @@ def design_multivariate(
         if sol.status != "optimal":
             raise NoFilterError(f"program {j} infeasible at gamma = {gamma}")
     else:
-        support = _support_lp(stacked, attack, j)
-        if support.status == "unbounded":
+        if pretrain is None:
+            gamma, status = _support_floor(stacked, attack, j)
+        else:
+            gamma, status = float(pretrain.gammas[j - 1]), pretrain.statuses[j - 1]
+        if status == "unbounded":
             raise NoFilterError("visibility floor appears unbounded under the norm cap")
-        if support.status != "optimal":
+        if status != "optimal":
             raise NoFilterError(f"program {j} infeasible even at gamma = 0")
-        gamma = -support.objective
-        problem = program(gamma)
-        sol = solve_qp(problem)
-        if sol.status != "optimal":
+        floor = gamma
+        problem, sol, first = attempt(floor)
+        if sol is None or sol.status != "optimal":
             gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))
-            problem = program(gamma)
-            sol = solve_qp(problem)
-        if sol.status != "optimal":
-            raise SolverError(
-                f"program {j}: the QP rejected the support-LP floor and its "
-                f"back-off to gamma = {gamma!r}"
-            )
+            problem, sol, second = attempt(gamma)
+            if sol is None or sol.status != "optimal":
+                raise SolverError(
+                    f"program {j}: the QP rejected the support-LP floor {floor!r} "
+                    f"({first}) and its back-off to gamma = {gamma!r} ({second})"
+                )
 
     nbar = sol.x[:n_vars].copy()
     lam = sol.x[n_vars:].copy()

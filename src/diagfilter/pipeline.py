@@ -50,6 +50,7 @@ from .agc import three_area_default, univariate_topology
 from .design import (
     AttackModel,
     FilterDesign,
+    PretrainResult,
     average_q,
     design_multivariate,
     design_univariate,
@@ -720,12 +721,14 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
 
     ``pose(form, constraints)`` is the one design call of the configured
     attack kind (a multivariate attack first loads or runs pretraining for
-    its program).  A data-assisted design is checked against the
-    model-only baseline: the same design without the training form.  The
-    model fixes the feasible set and the form only the objective, so the
-    baseline is posed over the assisted design's constraints (for a
-    multivariate attack, at its final floor) and reuses their reduction:
-    one factorisation of the equalities and one phase-one start per call.
+    its program, and starts from the floor the report holds instead of
+    solving the support LP again).  A data-assisted design is checked
+    against the model-only baseline: the same design without the training
+    form.  The model fixes the feasible set and the form only the
+    objective, so the baseline is posed over the assisted design's
+    constraints (for a multivariate attack, at its final floor) and reuses
+    their reduction: one factorisation of the equalities and one phase-one
+    start per call.
     Both are compared on the ridged form the design programs minimise
     (:func:`~diagfilter.design.regularised_value`).
     """
@@ -749,11 +752,21 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         pretrain_used = None
     else:
         report = _load_pretrain(ctx, out) or cmd_pretrain(ctx, out)
-        j_star = int(report["j_star"])
+        pretrain = PretrainResult(
+            gammas=np.array(report["gammas"]),
+            j_star=int(report["j_star"]),
+            statuses=report["statuses"],
+        )
 
         def pose(form, constraints=None):
             return design_multivariate(
-                ctx.stacked, form, ctx.attack_model, j=j_star, pole=pole, constraints=constraints
+                ctx.stacked,
+                form,
+                ctx.attack_model,
+                j=pretrain.j_star,
+                pole=pole,
+                pretrain=pretrain,
+                constraints=constraints,
             )
 
         pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from diagfilter.agc import three_area_default, univariate_topology
 from diagfilter.design import (
+    FLOOR_BACKOFF,
     REGULARIZATION,
     AttackModel,
     FilterDesign,
@@ -34,7 +35,14 @@ from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discret
 from diagfilter.shiftpoly import pole_polynomial
 import diagfilter.design as design_module
 import diagfilter.solvers as solvers_module
-from diagfilter.solvers import QpProblem, Solution, certify_point, solve_qp
+from diagfilter.solvers import (
+    FEAS_TOL,
+    STAT_TOL,
+    QpProblem,
+    Solution,
+    certify_point,
+    solve_qp,
+)
 from refimpl import (
     bisect_visibility_floor,
     direct_energy,
@@ -537,6 +545,41 @@ def test_pretrain_margins_on_reference_network():
     assert result.j_star == 3
     assert abs(result.gamma_star - 0.3) < 1e-6
     assert all(s == "optimal" for s in result.statuses)
+    # mirror programs share one support LP
+    assert np.array_equal(result.gammas[0::2], result.gammas[1::2])
+    assert result.statuses[0::2] == result.statuses[1::2]
+
+
+# a scaled row keeps its half-space, a duplicated one adds nothing; the
+# non-negativity rows make the drawn sets differ from the declared one
+POLYTOPE_ROWS = [(MV_POLY_A[0], MV_POLY_B[0])] + [(row, 0.0) for row in np.eye(3)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    picks=st.lists(st.integers(0, len(POLYTOPE_ROWS) - 1), min_size=0, max_size=5),
+    log_scales=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    order=st.permutations(range(6)),
+)
+def test_mirror_programs_share_their_support_lp(picks, log_scales, order):
+    # the tolerance was fixed before measuring: the two LPs are the same LP
+    # with nbar negated, so HiGHS may part them by round-off only
+    _, stacked = mv_stacked(d_n=2)
+    rows = [POLYTOPE_ROWS[0], *(POLYTOPE_ROWS[i] for i in picks)]
+    order = [i for i in order if i < len(rows)]
+    scales = [10.0**s for s in log_scales]
+    attack = AttackModel(
+        kind="multivariate",
+        basis=MV_BASIS,
+        polytope_a=np.array([scales[i] * rows[i][0] for i in order]),
+        polytope_b=np.array([scales[i] * rows[i][1] for i in order]),
+    )
+    for k in range(1, stacked.d_n + 2):
+        odd = design_module._support_lp(stacked, attack, 2 * k - 1)
+        even = design_module._support_lp(stacked, attack, 2 * k)
+        assert even.status == odd.status
+        if odd.status == "optimal":
+            assert abs(even.objective - odd.objective) <= 1e-9 * abs(odd.objective)
 
 
 def test_multivariate_design_certifies_visibility_floor():
@@ -587,6 +630,65 @@ def test_rejected_support_lp_floor_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(design_module, "solve_qp", lambda problem: Solution("infeasible"))
     with pytest.raises(SolverError, match="support-LP floor"):
         design_multivariate(stacked, None, attack, 3, pole=0.5)
+
+
+def test_a_solver_failure_at_the_support_lp_floor_takes_the_back_off(monkeypatch):
+    _, stacked = mv_stacked(d_n=2)
+    attack = mv_attack()
+    floors = []
+
+    def failing_once(problem):
+        floors.append(float(problem.b_ineq[attack.polytope_b.size]))
+        if len(floors) == 1:
+            raise SolverError("LP backend failed with status 4")
+        return solve_qp(problem)
+
+    monkeypatch.setattr(design_module, "solve_qp", failing_once)
+    design = design_multivariate(stacked, None, attack, 3, pole=0.5)
+    floor = pretrain_multivariate(stacked, attack).gammas[2]
+    assert floors == [floor, floor - FLOOR_BACKOFF * max(1.0, floor)]
+    assert design.diagnostics["gamma"] == floors[1]
+
+
+def test_a_solver_failure_at_the_floor_and_its_back_off_names_both(monkeypatch):
+    _, stacked = mv_stacked(d_n=2)
+    outcomes = iter([SolverError("LP backend failed with status 4"), Solution("infeasible")])
+
+    def failing(problem):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(design_module, "solve_qp", failing)
+    with pytest.raises(SolverError, match="support-LP floor") as info:
+        design_multivariate(stacked, None, mv_attack(), 3, pole=0.5)
+    assert "status 4" in str(info.value) and "QP status infeasible" in str(info.value)
+
+
+def test_design_whose_phase_one_fails_at_the_floor_completes_and_certifies():
+    # attack basis row 0 at [0.2, 0.1, 0.0]: at the support-LP floor of the
+    # best program the QP's phase-one LP ended in HiGHS status 4 (neither
+    # optimal nor infeasible) and the design died in the solver.  Phase one
+    # reads only the constraints, so no training form is needed.
+    _, stacked = mv_stacked()
+    basis = MV_BASIS.copy()
+    basis[0] = [0.2, 0.1, 0.0]
+    attack = AttackModel(
+        kind="multivariate", basis=basis, polytope_a=MV_POLY_A, polytope_b=MV_POLY_B
+    )
+    pretrain = pretrain_multivariate(stacked, attack)
+    design = design_multivariate(stacked, None, attack, pretrain.j_star, pole=0.5)
+    gamma = design.diagnostics["gamma"]
+    floor = pretrain.gamma_star
+    assert floor - FLOOR_BACKOFF * max(1.0, floor) <= gamma <= floor
+    residuals = design.diagnostics["qp"]["kkt_residuals"]
+    assert residuals["primal_eq"] <= FEAS_TOL and residuals["primal_ineq"] <= FEAS_TOL
+    assert residuals["stationarity"] <= STAT_TOL
+    assert design.diagnostics["support_value"] >= gamma - 1e-6
+    _, value, status = worst_case_alpha(stacked, design, attack)
+    assert status == "optimal"
+    assert value >= gamma - 1e-6
 
 
 def test_infeasible_support_lp_means_no_filter(monkeypatch):

@@ -19,7 +19,12 @@ import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
 from diagfilter.design import design_multivariate, design_univariate
-from diagfilter.errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
+from diagfilter.errors import (
+    ConfigError,
+    DetectorInfeasibleError,
+    NoFilterError,
+    SimulationBlowUp,
+)
 from diagfilter.matio import load_matrix, load_trajectory, save_trajectory, sidecar_path
 from diagfilter.pipeline import (
     FIELDS,
@@ -35,6 +40,7 @@ from diagfilter.pipeline import (
     load_training_bundle,
     multivariate_default_config,
 )
+from diagfilter.solvers import Solution
 
 
 def small_config() -> dict:
@@ -468,6 +474,53 @@ def record_qps(monkeypatch) -> list:
 
     monkeypatch.setattr(design_module, "solve_qp", recorded)
     return solved
+
+
+def record_lps(monkeypatch) -> list:
+    """Record the arguments of every LP: the design module's and the QP solver's."""
+    solved = []
+    for module in (design_module, solvers_module):
+
+        def recorded(*args, solve_lp=module.solve_lp, **kwargs):
+            solved.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_lp", recorded)
+    return solved
+
+
+def test_each_visibility_lp_is_solved_once(mv_trained, tmp_path, monkeypatch):
+    # pretraining solves one support LP per mirror pair of programs; a design
+    # over its stored report solves none of them again, only the phase-one
+    # LP that the assisted design and its baseline share
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    ctx = build_context(cfg)
+    solved = record_lps(monkeypatch)
+    cmd_pretrain(ctx, tmp_path)
+    assert len(solved) == ctx.stacked.d_n + 1
+    solved.clear()
+    cmd_design(ctx, tmp_path)
+    assert len(solved) == 1
+
+
+def test_a_stored_unbounded_floor_means_no_filter(mv_trained, tmp_path, monkeypatch):
+    # the best program's support LP unbounded: the stored report holds an
+    # infinite floor, and the design rejects it as when it solved the LP itself
+    cfg, out = mv_trained
+    shutil.copytree(out / "train", tmp_path / "train")
+    support_lp = design_module._support_lp
+
+    def unbounded_at_3(stacked, attack, j):
+        return Solution("unbounded") if j == 3 else support_lp(stacked, attack, j)
+
+    monkeypatch.setattr(design_module, "_support_lp", unbounded_at_3)
+    cmd_pretrain(cfg, tmp_path)
+    text = (tmp_path / "pretrain_report.json").read_text()
+    assert '"gamma_star": Infinity' in text and json.loads(text)["j_star"] == 3
+    with pytest.raises(NoFilterError, match="visibility floor appears unbounded"):
+        cmd_design(cfg, tmp_path)
+    assert not (tmp_path / "filter.txt").exists()
 
 
 def test_multivariate_design_solves_two_qps(mv_trained, tmp_path, monkeypatch):
