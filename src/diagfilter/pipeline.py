@@ -752,6 +752,12 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         pretrain_used = None
     else:
         report = _load_pretrain(ctx, out) or cmd_pretrain(ctx, out)
+        if not report["feasible"]:
+            raise DetectorInfeasibleError(
+                "the stored pretrain report certifies no detectable attack direction: "
+                "every visibility program is nonpositive",
+                gammas=report["gammas"],
+            )
         pretrain = PretrainResult(
             gammas=np.array(report["gammas"]),
             j_star=int(report["j_star"]),

@@ -37,44 +37,51 @@ bits with its batch.
 
 At the step counts of a training set the interpreter's fixed cost per numpy
 call, not the flops, sets the simulator's speed, so the step loop keeps to
-one call per arithmetic operation.  Each stage has its own work array, the
-four stacked as one ``(4, n_work, runs)`` array; the state lives at the
-head of stage 0's, where it is differentiated in place.  Every switch and
-every view a stage reads or writes is resolved once per stepper, and outputs
-are passed to the ufuncs positionally (keyword parsing costs more than some
-of the operations).  Each two-sided clamp (the deadband feature, the rate
-limit, the checked AGC state) is one call of numpy's ``clip`` ufunc, which
-numpy exposes under no public name, so it is imported from its private
-module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level argument
-handling that costs more than the two-call clamp.  The running extremes
-and the masked clamps of the AGC slope keep ``np.maximum``/``np.minimum``
-with a keyword ``out``, which numpy 2 requires of them.  At the package's
-default switches a step makes 30 numpy calls in a fast chunk, 34 in a fast
-chunk with an AGC entry pinned at a limit, 41 in a checked chunk and 49 in
-a checked chunk at a limit.
+one call per arithmetic operation and to little interpreter work around
+the calls.  Each stage has its own work array, the four stacked as one
+``(4, n_work, runs)`` array; the state lives at the head of stage 0's,
+where it is differentiated in place.  The stepper builds one program per
+chunk mode (free, pinned and checked, below): the ``(ufunc, operands)``
+calls of one step, with every switch resolved and every view bound, so a
+step runs its mode's program call by call.  Outputs are passed to the
+ufuncs positionally (keyword parsing costs more than some of the
+operations), but for the checked step's masked clamps, which need a
+``where``.  Each two-sided clamp (the deadband feature, the rate limit,
+a pin, the checked AGC state) and each running extreme is one call of
+numpy's ``clip`` ufunc, an extreme against an infinite bound:
+``clip(x, m, +inf)`` is bitwise ``np.maximum(x, m)``, NaN included.  numpy
+exposes that ufunc under no public name, so it is imported from its
+private module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level
+argument handling that costs more than the two-call clamp.  At the
+package's default switches a step makes 30 numpy calls in a free chunk,
+34 in a pinned one and 45 in a checked one.
 
 The AGC limits cost little while a run's commands stay inside them or stay
 at one.  A stepper call integrates its steps in chunks of
 ``_CHUNK_STEPS``, each either checked (every stage tests the AGC entries
-against the limits, every step clamps the AGC state) or fast (neither; it
-only tracks the running extremes of all four stages' AGC entries, one
-strided view of the stacked work arrays).  A fast chunk pins the AGC
-entries that sit exactly at a limit at its start: each stage clamps the
-AGC slope with one ``clip`` against per-entry bounds, 0 on a pinned
-entry's limit side and infinite elsewhere, where a checked stage clamps an
-entry at a limit.  A fast chunk stands if every free entry's stage values
-stayed strictly inside the limits, every pinned entry's stayed exactly at
-its limit and the final AGC state lies within the limits: every stage
-test would then have fired just where a pin clamped, and no clamp of the
-state would have moved anything, so it performed exactly a checked chunk's
-operations.  Any other fast chunk, a non-finite one included, is restored
-from a snapshot of the work arrays taken at its start (held inputs and
-all) and integrated again, checked; the next chunk tries fast again and
-pins what the replay left at a limit.  A saturated run thus pays one
-replay where a command meets or leaves a limit, and the pinned price in
-between.  Whether a chunk runs fast or checked changes no bit, so neither
-do the chunk boundaries: any partition of the steps into stepper calls
-leaves the work array bitwise the same.
+against the limits and clamps the slopes of those at a limit, through
+``where`` masks that change no bit while they are all false, and every
+step clamps the AGC state) or fast (neither; it only tracks the running
+extremes of all four stages' AGC entries, one strided view of the stacked
+work arrays, or in a narrow batch the contiguous span of them from stage
+0's first AGC entry to stage 3's last, a cheaper operand).  A fast chunk
+is free unless an AGC entry sits exactly at a limit at its start; then it
+is pinned: each stage clamps the AGC slope with one ``clip`` against
+per-entry bounds, 0 on a pinned entry's limit side and infinite
+elsewhere, where a checked stage clamps an entry at a limit.  A fast chunk
+stands if every free entry's stage values stayed strictly inside the
+limits, every pinned entry's stayed exactly at its limit and the final AGC
+state lies within the limits: every stage test would then have fired just
+where a pin clamped, and no clamp of the state would have moved anything,
+so it performed exactly a checked chunk's operations.  Any other fast
+chunk, a non-finite one included, is restored from a snapshot of the work
+arrays taken at its start (held inputs and all) and integrated again,
+checked; the next chunk tries fast again and pins what the replay left at
+a limit.  A saturated run thus pays one replay where a command meets or
+leaves a limit, and the pinned price in between.  Whether a chunk runs
+fast or checked changes no bit, so neither do the chunk boundaries: any
+partition of the steps into stepper calls leaves the work array bitwise
+the same.
 
 That partition invariance lets twins share steps.  Runs with equal
 disturbance specs, such as a held-out run and its attacked copy, hold equal
@@ -87,6 +94,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -107,6 +115,12 @@ _ONSET_EDGE = 1e-12  # in seconds
 
 # RK4 steps per chunk of a sample interval (see simulate_nonlinear)
 _CHUNK_STEPS = 50
+
+# Floats up to which the running extremes are tracked over a contiguous span
+# (see _rk4_stepper): a strided operand costs a clip call about as much as
+# 500 contiguous floats (numpy 2.4, 2-vCPU Xeon), so a span of up to half
+# that wins, and the strided view takes the wider batches
+_SPAN_FLOATS = 256
 
 
 @dataclass
@@ -425,6 +439,14 @@ def _rk4_stepper(
     limits then act elementwise on the derivative's blocks.  Each stage has
     its own work array, the four stacked as ``work``, ``(4, n_work, runs)``.
 
+    Once per stepper, each chunk mode's step is built as one program, the
+    tuple of ``(ufunc, operands)`` calls it makes in order: the free, the
+    pinned and the checked step, every switch (deadband, sine ties, rate
+    limit, pin clamp, limit tests, running extremes, state clamp) resolved
+    while the list is built.  A step sets the held inputs that switch there
+    and runs its chunk's program; the constant operands, the pin bounds
+    and the running extremes are arrays allocated here and filled in place.
+
     Returns:
         ``(advance, work, state, order)``.  ``advance(start, stop)``
         integrates steps ``start .. stop - 1`` in place, step ``j`` holding
@@ -466,9 +488,17 @@ def _rk4_stepper(
     state = work[0, :n_state]
     helds = work[:, u]
     agc_state = state[agc]
-    # every stage's AGC entries, one strided view, and their running extremes
-    agc_stages = work[:, agc]
-    agc_max, agc_min = np.empty_like(agc_stages), np.empty_like(agc_stages)
+    # the running extremes of every stage's AGC entries, one strided view of
+    # the stacked work arrays; a narrow batch tracks them over the contiguous
+    # span from stage 0's first AGC entry to stage 3's last instead
+    span = slice(agc.start * n_runs, (3 * n_work + agc.stop) * n_runs)
+    if span.stop - span.start <= _SPAN_FLOATS:
+        extremes = np.empty((2, *work.shape))
+        tracked, tracked_max, tracked_min = (a.reshape(-1)[span] for a in (work, *extremes))
+        agc_max, agc_min = extremes[:, :, agc]
+    else:
+        tracked = work[:, agc]
+        agc_max, agc_min = tracked_max, tracked_min = np.empty((2, *tracked.shape))
     snapshot = np.empty_like(work)
     k = np.empty((4, n_state, n_runs))
     k1, k2, k3, k4 = k
@@ -477,7 +507,8 @@ def _rk4_stepper(
     # rows: AGC state at or above its upper limit, at or below its lower one
     at_limit = np.empty((2, *agc_state.shape), dtype=bool)
     at_hi, at_lo = at_limit
-    has_band, sine_ties = plant.deadband > 0.0, plant.sine_ties
+    # a pinned chunk's slope bounds, filled at its start
+    slope_lo, slope_hi = np.empty((2, *agc_state.shape))
     limits, rate = plant.agc_limits, plant.rate_limit
     # Every constant operand of the loop is an array of its operand's shape:
     # a Python float would cost each ufunc call a scalar conversion.
@@ -487,88 +518,94 @@ def _rk4_stepper(
     agc_lo, agc_hi, agc_zero = (np.full(agc_state.shape, v) for v in (lo, hi, 0.0))
     rate_hi = np.full(agc_state.shape, np.inf if rate is None else rate)
     rate_lo = -rate_hi
+    tracked_hi = np.full(tracked.shape, np.inf)
+    tracked_lo = -tracked_hi
     two, sixth = np.full(state.shape, 2.0), np.full(state.shape, dt / 6.0)
-    # Per stage: the previous stage's slope and the step taken along it
-    # (None at stage 0), then the views of the stage's work array and slope.
-    stages = [
-        (
-            None if h is None else k[i - 1],
-            None if h is None else np.full(state.shape, h),
-            work[i, :n_state],
-            work[i].T,
-            k[i].T,
-            work[i, omega],
-            work[i, band],
-            work[i, theta],
-            work[i, agc],
-            k[i][tie],
-            k[i][agc],
-        )
-        for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt))
-    ]
+
+    def program(mode: str) -> tuple:
+        """The ``(ufunc, operands)`` calls of one step of a chunk mode."""
+        calls = []
+        for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt)):
+            stage_x, k_agc = work[i, :n_state], k[i][agc]
+            if h is not None:  # the stage state along the previous slope
+                calls += [
+                    (np.multiply, (k[i - 1], np.full(state.shape, h), stage_x)),
+                    (np.add, (stage_x, state, stage_x)),
+                ]
+            if n_band:
+                calls.append((clip, (work[i, omega], band_lo, band_hi, work[i, band])))
+            calls.append((np.matvec, (matrix, work[i].T, k[i].T)))
+            if plant.sine_ties:
+                # each tie row of A holds only the linear coupling stiffness *
+                # (omega difference), which the sine law scales by cos(theta)
+                calls += [
+                    (np.cos, (work[i, theta], cos_theta)),
+                    (np.multiply, (k[i][tie], cos_theta, k[i][tie])),
+                ]
+            if mode == "checked":
+                # a where= mask that is all false changes no bit
+                calls += [
+                    (np.greater_equal, (work[i, agc], agc_hi, at_hi)),
+                    (np.less_equal, (work[i, agc], agc_lo, at_lo)),
+                    (partial(np.minimum, out=k_agc, where=at_hi), (k_agc, agc_zero)),
+                    (partial(np.maximum, out=k_agc, where=at_lo), (k_agc, agc_zero)),
+                ]
+            elif mode == "pinned":
+                calls.append((clip, (k_agc, slope_lo, slope_hi, k_agc)))
+            if rate is not None:
+                calls.append((clip, (k_agc, rate_lo, rate_hi, k_agc)))
+        if limits is not None and mode != "checked":
+            # the running extremes: clip(x, m, +inf) is bitwise max(x, m)
+            calls += [
+                (clip, (tracked, tracked_max, tracked_hi, tracked_max)),
+                (clip, (tracked, tracked_lo, tracked_min, tracked_min)),
+            ]
+        # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
+        calls += [
+            (np.add, (k2, k3, acc)),
+            (np.multiply, (acc, two, acc)),
+            (np.add, (acc, k1, acc)),
+            (np.add, (acc, k4, acc)),
+            (np.multiply, (acc, sixth, acc)),
+            (np.add, (state, acc, state)),
+        ]
+        if mode == "checked":
+            calls.append((clip, (agc_state, agc_lo, agc_hi, agc_state)))
+        return tuple(calls)
+
+    free, pinned, checked = (program(mode) for mode in ("free", "pinned", "checked"))
+    switch_at = switches.get
+
     # chunks, fast or checked, pins and the replay: see the module docstring
     def advance(start: int, stop: int) -> None:
-        checking = pinning = False
+        checking = False
         while start < stop:
             end = min(start + _CHUNK_STEPS, stop)
             fast = limits is not None and not checking
+            calls = checked if checking else free
             if fast:
                 np.copyto(snapshot, work)
-                agc_max.fill(-np.inf)
-                agc_min.fill(np.inf)
+                tracked_max.fill(-np.inf)
+                tracked_min.fill(np.inf)
                 np.equal(agc_state, agc_hi, at_hi)
                 np.equal(agc_state, agc_lo, at_lo)
                 below, above = agc_lo, agc_hi
-                pinning = np.count_nonzero(at_limit)
-                if pinning:
+                if np.count_nonzero(at_limit):
                     # a pinned slope may only leave its limit; its stage
                     # values must stay exactly there
-                    slope_lo = np.where(at_lo, 0.0, -np.inf)
-                    slope_hi = np.where(at_hi, 0.0, np.inf)
-                    pinned = at_hi | at_lo
-                    below = np.where(pinned, np.nextafter(agc_state, -np.inf), agc_lo)
-                    above = np.where(pinned, np.nextafter(agc_state, np.inf), agc_hi)
+                    calls = pinned
+                    slope_lo[...] = np.where(at_lo, 0.0, -np.inf)
+                    slope_hi[...] = np.where(at_hi, 0.0, np.inf)
+                    pins = at_hi | at_lo
+                    below = np.where(pins, np.nextafter(agc_state, -np.inf), agc_lo)
+                    above = np.where(pins, np.nextafter(agc_state, np.inf), agc_hi)
             for step in range(start, end):
-                switch = switches.get(step)
+                switch = switch_at(step)
                 if switch is not None:
                     runs, values = switch
                     helds[:, :, runs] = values
-                for (prev, h, stage_x, work_t, k_t, omega_x, band_x, theta_x, agc_x,
-                     k_tie, k_agc) in stages:
-                    if prev is not None:
-                        np.multiply(prev, h, stage_x)
-                        np.add(stage_x, state, stage_x)
-                    if has_band:
-                        clip(omega_x, band_lo, band_hi, band_x)
-                    np.matvec(matrix, work_t, k_t)
-                    if sine_ties:
-                        # each tie row of A holds only the linear coupling stiffness *
-                        # (omega difference), which the sine law scales by cos(theta)
-                        np.cos(theta_x, cos_theta)
-                        np.multiply(k_tie, cos_theta, k_tie)
-                    if checking:
-                        np.greater_equal(agc_x, agc_hi, at_hi)
-                        np.less_equal(agc_x, agc_lo, at_lo)
-                        # skip both clamps while no AGC state sits at a limit
-                        if np.count_nonzero(at_limit):
-                            np.minimum(k_agc, agc_zero, out=k_agc, where=at_hi)
-                            np.maximum(k_agc, agc_zero, out=k_agc, where=at_lo)
-                    elif pinning:
-                        clip(k_agc, slope_lo, slope_hi, k_agc)
-                    if rate is not None:
-                        clip(k_agc, rate_lo, rate_hi, k_agc)
-                if fast:
-                    np.maximum(agc_max, agc_stages, out=agc_max)
-                    np.minimum(agc_min, agc_stages, out=agc_min)
-                # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
-                np.add(k2, k3, acc)
-                np.multiply(acc, two, acc)
-                np.add(acc, k1, acc)
-                np.add(acc, k4, acc)
-                np.multiply(acc, sixth, acc)
-                np.add(state, acc, state)
-                if checking:
-                    clip(agc_state, agc_lo, agc_hi, agc_state)
+                for f, args in calls:
+                    f(*args)
             if fast and not _clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi):
                 np.copyto(work, snapshot)
                 checking = True

@@ -523,6 +523,22 @@ def test_a_stored_unbounded_floor_means_no_filter(mv_trained, tmp_path, monkeypa
     assert not (tmp_path / "filter.txt").exists()
 
 
+def test_a_stored_infeasible_pretrain_means_no_design(tmp_path):
+    # an all-zero attack basis leaves no direction to detect: pretraining
+    # stores its report and fails, and a design over that report fails too
+    # before it writes a file, rather than shipping an all-zero filter
+    raw = multivariate_default_config()
+    raw["mode"] = "pure_model"
+    raw["attack"]["basis"] = np.zeros(np.shape(raw["attack"]["basis"])).tolist()
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(DetectorInfeasibleError, match="nonpositive"):
+        cmd_pretrain(cfg, tmp_path)
+    assert not json.loads((tmp_path / "pretrain_report.json").read_text())["feasible"]
+    with pytest.raises(DetectorInfeasibleError, match="stored pretrain report"):
+        cmd_design(cfg, tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pretrain_report.json"]
+
+
 def test_multivariate_design_solves_two_qps(mv_trained, tmp_path, monkeypatch):
     # the data-assisted design and its model-only baseline, one QP each
     cfg, out = mv_trained

@@ -1,6 +1,6 @@
 """Disturbance generation and the linear / nonlinear simulator pair."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -467,8 +467,13 @@ def test_limits_never_reached_leave_the_outputs_bitwise_unlimited(fast_chunks):
 
     far = simulate((-1e3, 1e3))
     assert fast_chunks and all(kept for kept, *_ in fast_chunks)
-    for limited, unlimited in zip(far, simulate(None)):
+    # checked steps run both masked clamps of the AGC slope; with masks that
+    # are never set they change no bit either
+    plant = default_plant(**{**ALL_SWITCHES, "agc_limits": (-1e3, 1e3)})
+    checked = checked_integration(plant, mixed_runs())
+    for limited, unlimited, always_checked in zip(far, simulate(None), checked):
         assert np.array_equal(limited.Y, unlimited.Y)
+        assert np.array_equal(always_checked.Y, unlimited.Y)
 
 
 @pytest.mark.parametrize("load", [0.05, -0.05])
@@ -660,6 +665,36 @@ def test_clip_ufunc_is_the_two_call_clamp():
         assert out.tobytes() == expected.tobytes(), (lo, hi)
         clip(x, lo_x, hi_x, x)  # in place, as the rate and AGC-state clamps run
         assert np.ascontiguousarray(x).tobytes() == expected.tobytes(), (lo, hi)
+
+
+def test_clip_ufunc_against_an_infinite_bound_is_max_or_min():
+    # A fast chunk tracks its running extremes as clip(x, m, +inf) and
+    # clip(x, -inf, m); each must be bitwise np.maximum(x, m) and
+    # np.minimum(x, m), NaN in either operand included, so that a
+    # non-finite chunk still fails its test.
+    clip = simulate_module.clip
+    tiny = np.nextafter(0.0, 1.0)
+    specials = [np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0]
+    x_values, m_values = (np.array(pair) for pair in zip(*product(specials, repeat=2)))
+    # the stepper's operands: every stage's AGC entries, a strided view of
+    # the stacked work arrays, (4, n_area, runs), or in a narrow batch a
+    # contiguous span of the stacked arrays
+    stacked = np.zeros((4, x_values.size // 12 + 7, 3))
+    strided = stacked[:, 5 : 5 + x_values.size // 12]
+    strided[...] = x_values.reshape(strided.shape)
+    span = np.concatenate([[1.0], x_values])[1:]
+    for x, m in [(strided, m_values.reshape(strided.shape)), (span, m_values)]:
+        inf = np.full(x.shape, np.inf)
+        highest, lowest = m.copy(), m.copy()
+        for expected, operands, extreme in [
+            (np.maximum(x, m), (x, highest, inf), highest),
+            (np.minimum(x, m), (x, -inf, lowest), lowest),
+        ]:
+            out = np.empty(x.shape)
+            clip(*operands, out)
+            assert out.tobytes() == expected.tobytes()
+            clip(*operands, extreme)  # in place, as the stepper tracks an extreme
+            assert extreme.tobytes() == expected.tobytes()
 
 
 def twin_batch(groups, order: int = 0) -> list:
