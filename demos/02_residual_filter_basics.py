@@ -20,7 +20,6 @@ from diagfilter import (
     build_stacked,
     design_univariate,
     simulate_linear,
-    steady_state_residual,
     three_area_default,
     univariate_topology,
     zoh_discretize,
@@ -64,7 +63,8 @@ def main():
     for t_probe in (9.5, 10.0, 10.5, 11.0, 12.0, 15.0, 20.0):
         k = int(round(t_probe / T_S)) - 1
         print(f"  r(t = {t_probe:5.1f} s) = {r[k]:+.6f}")
-    predicted = steady_state_residual(design, dae.F, np.array([bias]))
+    # the limit of r under a constant bias f: -N(1) F f / a(1)
+    predicted = float(-(design.coeff_sum() @ dae.F @ np.array([bias])) / design.a_at_one)
     print(f"closed-form steady-state residual: {predicted:+.6f} "
           f"(injected bias {bias:+.2f})")
 

@@ -12,6 +12,7 @@ Layers, bottom to top:
   denominator polynomial, ZOH sampling, and the stacked difference-algebraic
   form;
 * :mod:`~diagfilter.agc` -- the multi-area frequency-control model builder;
+* :mod:`~diagfilter.config` -- the configuration's fields, each with one rule;
 * :mod:`~diagfilter.simulate` -- linear and nonlinear plant simulation;
 * :mod:`~diagfilter.solvers` -- certified LP/QP solves;
 * :mod:`~diagfilter.design` -- filter synthesis (single and coordinated
@@ -43,9 +44,9 @@ from .design import (
     pretrain_multivariate,
     q_matrix,
     steady_state_margin,
-    steady_state_residual,
     worst_case_alpha,
 )
+from .config import ExperimentConfig, default_config, multivariate_default_config
 from .errors import (
     ConfigError,
     DetectorInfeasibleError,
@@ -61,7 +62,7 @@ from .lti import (
     build_stacked,
     zoh_discretize,
 )
-from .pipeline import ExperimentConfig, cmd_run_all, default_config, multivariate_default_config
+from .pipeline import cmd_run_all
 from .runtime import Detector, ResidualFilter, calibrate_threshold, residual_energy
 from .shiftpoly import pole_polynomial
 from .simulate import (
@@ -123,7 +124,6 @@ __all__ = [
     "solve_lp",
     "solve_qp",
     "steady_state_margin",
-    "steady_state_residual",
     "three_area_default",
     "univariate_topology",
     "worst_case_alpha",

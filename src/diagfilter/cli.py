@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import pipeline
+from . import config, pipeline
 from .errors import (
     ConfigError,
     DetectorInfeasibleError,
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> None:
     overrides = {"seed": args.seed, "mode": _MODE_NAMES.get(args.mode)}
-    cfg = pipeline.ExperimentConfig.from_file(
+    cfg = config.ExperimentConfig.from_file(
         args.config, {key: value for key, value in overrides.items() if value is not None}
     )
     if args.dump_matrices:

@@ -649,16 +649,6 @@ def worst_case_alpha(
     return None, float("-inf") if sol.status == "unbounded" else float("nan"), sol.status
 
 
-def steady_state_residual(design: FilterDesign, f_matrix: np.ndarray, f: np.ndarray) -> float:
-    """Residual limit under a constant attack ``f`` on the mismatch-free model.
-
-    Equals ``-a(1)^{-1} N(1) F f``; with the DC tracking constraint active
-    this is the injected bias itself.
-    """
-    f = np.asarray(f, dtype=float).ravel()
-    return float(-(design.coeff_sum() @ f_matrix @ f) / design.a_at_one)
-
-
 def steady_state_margin(
     design: FilterDesign, f_matrix: np.ndarray, attack: AttackModel
 ) -> tuple[float, np.ndarray | None]:

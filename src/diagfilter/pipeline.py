@@ -1,21 +1,10 @@
 """Experiment orchestration: pretrain, train, design and test from one config.
 
-One JSON configuration describes the whole experiment -- model, plant
-nonlinearities, filter order, attack hypothesis, training and test settings
--- and a single top-level seed pins every random draw.  Each phase writes
-its outputs into the experiment directory:
-
-    out/
-      config.json            canonical copy of the resolved configuration
-      model_matrices/        continuous-time A, B_d, B_f, C, D_f as CSV
-      pretrain_report.json   visibility margins (multivariate attacks only)
-      train/traj_XXX.csv     sampled plant outputs, one file per instance
-      train/training_summary.json
-      filter.txt             the designed filter artefact (+ calibration)
-      design_report.json
-      test/plant_clean_XX.csv, test/plant_attack_XX.csv   held-out plant runs
-      test/clean_XX.csv, test/attack_XX.csv   residual traces
-      test/report.json
+One configuration (:mod:`~diagfilter.config`) describes the whole
+experiment.  Each phase writes its outputs into one experiment directory,
+laid out in README's "Artefacts": the configuration and model matrices, the
+pretrain report, the training runs, the filter artefact and design report,
+and the held-out plant runs, residual traces and test report.
 
 Every plant run is stored with a sidecar recording each input the
 simulator reads for it and a digest of its outputs.  Every phase reads a
@@ -25,28 +14,25 @@ the design phase, which integrates nothing, fails on them.  Training
 stores only plant runs, so no training file depends on the filter: the
 design forms the mismatch signatures and their average from the training
 runs, and re-runs the pretrain when its report was solved for another
-model, filter order or attack set.
-
-Seed policy: training instance ``i`` uses ``seed + i``; held-out test run
-``j`` uses ``seed + 100000 + j``, a disjoint range so test disturbances are
-out-of-sample by construction.
+model, filter order or attack set.  Held-out runs draw their disturbances
+from seeds no training run uses (``config.TEST_SEED_OFFSET``).
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
-from .agc import areas_from_dict, areas_to_dict, multivariate_topology
-from .agc import three_area_default, univariate_topology
+from .agc import areas_from_dict
+from .config import TEST_SEED_OFFSET, ExperimentConfig
+from .config import default_config, multivariate_default_config  # noqa: F401 (re-exported)
 from .design import (
     AttackModel,
     FilterDesign,
@@ -63,7 +49,7 @@ from .design import (
     steady_state_margin,
     worst_case_alpha,
 )
-from .errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp, check_number
+from .errors import ConfigError, DetectorInfeasibleError, SimulationBlowUp
 from .lti import DaeSystem, LinearModel, StackedSystem, assemble_dae, build_stacked, zoh_discretize
 from .runtime import Detector, ResidualFilter, calibrate_threshold
 from .shiftpoly import pole_polynomial
@@ -76,250 +62,6 @@ from .simulate import (
     simulate_linear,
     simulate_nonlinear,
 )
-
-TEST_SEED_OFFSET = 100_000
-
-
-# --- configuration ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Field:
-    """One configuration field: its path, default, rule, and whether the design reads it.
-
-    A default of ``...`` marks a field a configuration must give.  ``rule``
-    is ``real``, ``whole``, ``flag``, ``pair`` (two reals), ``list`` (whole
-    numbers), ``rows`` (reals, or equally long lists of them) or ``name``
-    (checked as code); a number lies in the interval ``bounds``, ``null``
-    admits null, and an attack field belongs to the attack ``kind`` it names.
-    """
-
-    name: str
-    default: object
-    rule: str = "real"
-    bounds: str = "(-inf, inf)"
-    null: bool = False
-    design: bool = True
-    kind: str | None = None
-    # what a value of each list rule must be
-    SHAPES = {
-        "pair": "null or a pair [lo, hi]",
-        "list": "null or a list of whole numbers",
-        "rows": "a list of numbers or of equally long lists",
-    }
-
-    def check(self, value) -> None:
-        """Raise ConfigError unless ``value`` meets this field's rule."""
-        name, rule = self.name, self.rule
-        if value is None and self.null or rule == "name":
-            return
-        if rule == "flag" and not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-        elif rule in self.SHAPES:
-            listed = (list, tuple)
-            # a matrix by rows; any other value is checked as a single row
-            matrix = rule == "rows" and isinstance(value, listed) and value and all(
-                isinstance(row, listed) for row in value
-            )
-            rows = value if matrix else [value]
-            for row in rows:
-                wrong = not isinstance(row, listed) or len(row) != len(rows[0])
-                if wrong or rule == "pair" and len(row) != 2:
-                    raise ConfigError(f"{name} must be {self.SHAPES[rule]}, got {value!r}")
-                for entry in row:
-                    check_number(name, entry, whole=rule == "list")
-        elif rule in ("real", "whole"):
-            check_number(name, value, whole=rule == "whole")
-            low, high = (float(end) for end in self.bounds[1:-1].split(","))
-            above = low < value if self.bounds[0] == "(" else low <= value
-            if not (above and (value < high if self.bounds[-1] == ")" else value <= high)):
-                raise ConfigError(f"{name} must lie in {self.bounds}")
-
-
-FIELDS = (
-    Field("seed", 2024, "whole", "[0, inf)"),
-    Field("mode", "data_assisted", "name"),
-    Field("plant.t_s", 0.5, bounds="(0, inf)"),
-    Field("plant.dt", 0.001, bounds="(0, inf)"),
-    Field("plant.deadband", 0.001, bounds="[0, inf)"),
-    Field("plant.agc_limits", [-0.02, 0.02], "pair", null=True),
-    Field("plant.sine_ties", True, "flag"),
-    Field("plant.rate_limit", None, bounds="(0, inf)", null=True),
-    Field("filter.d_n", 3, "whole", "[1, inf)"),
-    Field("filter.pole", 0.5, bounds="(-1, 1)"),
-    # margin sits between the healthy energy spread of the training-aware
-    # filter (~2e-5 at this scale) and the healthy energies of the model-only
-    # baseline (~4e-4 .. 9e-4), so the two modes separate on held-out runs
-    Field("filter.margin", 0.0005, bounds="[0, inf)"),
-    Field("filter.window_seconds", 10.0),
-    # DC tracking is a univariate option: its default follows the attack
-    Field("filter.track_steady_state", lambda kind: kind == "univariate", "flag"),
-    # training seeds stay below the held-out seeds
-    Field("train.m", 100, "whole", f"[1, {TEST_SEED_OFFSET}]"),
-    Field("train.horizon_seconds", 10.0),
-    Field("train.sigma", 0.02, bounds="[0, inf)"),
-    Field("train.hold_seconds", 1.0, bounds="(0, inf)"),
-    Field("train.channels", None, "list", null=True),
-    Field("test.runs", 10, "whole", "[1, inf)", design=False),
-    Field("test.horizon_seconds", 60.0, design=False),
-    Field("test.onset_seconds", 30.0, design=False),
-    Field("attack.channel", 0, "whole", design=False, kind="univariate"),
-    Field("attack.magnitude", 0.1, design=False, kind="univariate"),
-    Field("attack.basis", ..., "rows", kind="multivariate"),
-    Field("attack.polytope_a", ..., "rows", kind="multivariate"),
-    Field("attack.polytope_b", ..., "rows", kind="multivariate"),
-)
-SECTIONS = ("model", "plant", "filter", "train", "test", "attack")
-
-
-def _fields_of(kind) -> list[Field]:
-    """The fields of a configuration whose attack is of ``kind``."""
-    if kind not in ("univariate", "multivariate"):
-        raise ConfigError(f"unknown attack kind {kind!r}")
-    return [field for field in FIELDS if field.kind in (None, kind)]
-
-
-def default_config() -> dict:
-    """The canonical three-area experiment with a single corrupted tie reading."""
-    model = areas_to_dict(three_area_default(), univariate_topology())
-    return ExperimentConfig.from_dict({"model": model, "attack": {"kind": "univariate"}}).to_dict()
-
-
-def multivariate_default_config() -> dict:
-    """Coordinated-bias variant: three basis attacks on five tie readings."""
-    attack = {
-        "kind": "multivariate",
-        "basis": [
-            [0.1, 0.1, 0.0],
-            [0.0, 0.15, 0.0],
-            [0.1, 0.25, 0.0],
-            [0.0, 0.0, 0.1],
-            [0.0, 0.0, 0.1],
-        ],
-        "polytope_a": [[1.0, 1.0, 1.0]],
-        "polytope_b": [1.5],
-    }
-    model = areas_to_dict(three_area_default(), multivariate_topology())
-    return ExperimentConfig.from_dict({"model": model, "attack": attack}).to_dict()
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated view of one experiment's JSON configuration."""
-
-    model: dict
-    plant: dict
-    filter: dict
-    train: dict
-    test: dict
-    attack: dict
-    seed: int
-    mode: str
-
-    @staticmethod
-    def from_dict(raw: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        """Fill in each default :data:`FIELDS` gives and validate; a key it
-        does not list and a required field left out are rejected."""
-        if not isinstance(raw, dict):
-            raise ConfigError("a configuration is a JSON object")
-        raw = dict(raw)
-        base = Path(base_dir)
-        for section in ("model", "plant"):
-            # a referenced file is ignored where its section is given
-            key = raw.pop(f"{section}_path", None)
-            if section not in raw and key is not None:
-                path = base / key
-                if not path.exists():
-                    raise ConfigError(f"referenced {section} file not found: {path}")
-                raw[section] = json.loads(path.read_text())
-        missing = [k for k in ("model", "attack") if k not in raw]
-        if missing:
-            raise ConfigError(f"configuration missing section(s): {', '.join(missing)}")
-        for section in SECTIONS[1:]:
-            if not isinstance(raw.get(section, {}), dict):
-                raise ConfigError(f"configuration section {section} must be a JSON object")
-        kind = raw["attack"].get("kind")
-        fields = _fields_of(kind)
-        given = {*raw, *(f"{s}.{key}" for s in SECTIONS[1:] for key in raw.get(s, {}))}
-        if unknown := sorted(given - {f.name for f in fields} - {*SECTIONS, "attack.kind"}):
-            raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
-        values = {**raw, **{section: dict(raw.get(section, {})) for section in SECTIONS[1:]}}
-        for field in fields:
-            if field.default is ... and field.name not in given:
-                raise ConfigError(f"configuration missing {field.name}")
-            section, _, key = field.name.rpartition(".")
-            default = field.default(kind) if callable(field.default) else field.default
-            (values[section] if section else values).setdefault(key, copy.deepcopy(default))
-        cfg = ExperimentConfig(**values)
-        cfg.validate()
-        cfg.seed = int(cfg.seed)
-        return cfg
-
-    @staticmethod
-    def from_file(path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
-        """Load a JSON configuration; ``overrides`` replaces top-level fields
-        (the CLI's ``--seed`` and ``--mode``) before it is validated."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"configuration file not found: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except ValueError as exc:
-            # a JSONDecodeError, or an integer past Python's digit limit
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if isinstance(raw, dict) and overrides:
-            raw = {**raw, **overrides}
-        return ExperimentConfig.from_dict(raw, base_dir=path.parent)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    def value(self, name: str):
-        """The value of the field ``name``, such as ``plant.t_s``."""
-        section, _, key = name.rpartition(".")
-        return getattr(self, section)[key] if section else getattr(self, key)
-
-    def validate(self):
-        """Reject, before anything is simulated or written, what no phase can run.
-
-        Each field is checked by its rule in :data:`FIELDS`, then the rules
-        between fields; values are never rewritten.  Checks that need the
-        assembled model (plant step, disturbance channels, attack set) run
-        in :func:`build_context`, which every phase calls before it writes.
-        """
-        if self.mode not in ("data_assisted", "pure_model"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        for field in _fields_of(self.attack.get("kind")):
-            field.check(self.value(field.name))
-        plant, filt, train, test = self.plant, self.filter, self.train, self.test
-        t_s = plant["t_s"]
-        for name, horizon in (
-            ("train.horizon_seconds", train["horizon_seconds"]),
-            ("test.horizon_seconds", test["horizon_seconds"]),
-            ("filter.window_seconds", filt["window_seconds"]),
-        ):
-            samples = horizon / t_s
-            if horizon <= 0 or samples == inf or abs(round(samples) - samples) > 1e-9:
-                raise ConfigError(f"{name} must be a positive multiple of t_s")
-        if not 0 <= test["onset_seconds"] < test["horizon_seconds"]:
-            raise ConfigError("test.onset_seconds must fall inside the test horizon")
-        samples = round(train["horizon_seconds"] / t_s)
-        if self.mode == "data_assisted" and samples < filt["d_n"]:
-            raise ConfigError(
-                f"filter.d_n {filt['d_n']} needs as many training samples; "
-                f"train.horizon_seconds gives {samples}"
-            )
-        if self.attack["kind"] == "multivariate" and filt["track_steady_state"]:
-            raise ConfigError(
-                "filter.track_steady_state applies to univariate attacks only; "
-                "the multivariate design has no DC normalisation"
-            )
-
-    def design_record(self) -> dict:
-        """The value of each field the design reads, by name, as JSON holds it."""
-        fields = _fields_of(self.attack["kind"])
-        return json.loads(json.dumps({f.name: self.value(f.name) for f in fields if f.design}))
-
 
 # --- derived context ----------------------------------------------------------
 
@@ -348,22 +90,19 @@ class PipelineContext:
 
     @property
     def train_samples(self) -> int:
-        return int(round(float(self.cfg.train["horizon_seconds"]) / self.t_s))
+        return self.cfg.samples("train.horizon_seconds")
 
     @property
     def window_samples(self) -> int:
-        return int(round(float(self.cfg.filter["window_seconds"]) / self.t_s))
+        return self.cfg.samples("filter.window_seconds")
 
     def disturbance_spec(self, seed: int, horizon: float) -> DisturbanceSpec:
-        channels = self.cfg.train["channels"]
-        if channels is None:
-            channels = tuple(range(self.model_c.n_d))
         return DisturbanceSpec(
             n_d=self.model_c.n_d,
             horizon=horizon,
             sigma=float(self.cfg.train["sigma"]),
             hold=float(self.cfg.train["hold_seconds"]),
-            channels=tuple(int(c) for c in channels),
+            channels=self.cfg.train["channels"],
             seed=int(seed),
         )
 
@@ -381,12 +120,11 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     channel.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    t_s = float(cfg.plant["t_s"])
     form = ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
     train_horizon = float(cfg.train["horizon_seconds"])
     test_horizon = float(cfg.test["horizon_seconds"])
-    train_samples = round(train_horizon / t_s)
-    test_samples = round(test_horizon / t_s)
+    train_samples = cfg.samples("train.horizon_seconds")
+    test_samples = cfg.samples("test.horizon_seconds")
     hold = float(cfg.train["hold_seconds"])
     channels = cfg.train["channels"]
     row = model.n_d + (model.n_d if channels is None else len(channels))
@@ -416,16 +154,7 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
 
 def build_context(cfg: ExperimentConfig) -> PipelineContext:
     areas, topology = areas_from_dict(cfg.model)
-    plant = PlantConfig(areas=areas, attacks=topology)
-    for field in FIELDS:
-        section, _, key = field.name.partition(".")
-        if section == "plant":
-            # the reals as floats and the limits as a pair, as run sidecars record them
-            value = cfg.plant[key]
-            if value is not None and field.rule in ("real", "pair"):
-                value = float(value) if field.rule == "real" else tuple(value)
-            setattr(plant, key, value)
-    plant.validate()
+    plant = PlantConfig(areas=areas, attacks=topology, **cfg.plant)
     model_c, _ = plant.assemble()
     _check_array_sizes(cfg, model_c)
     model_d = zoh_discretize(model_c, plant.t_s)

@@ -95,6 +95,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import partial
+from math import prod
 
 import numpy as np
 
@@ -105,6 +106,7 @@ import numpy as np
 from numpy._core.umath import clip
 
 from .agc import AreaParams, AttackTopology, ModelIndex, assemble_multiarea
+from .config import FIELDS, whole_count
 from .errors import ConfigError, SimulationBlowUp
 from .lti import LinearModel
 
@@ -122,6 +124,13 @@ _CHUNK_STEPS = 50
 # that wins, and the strided view takes the wider batches
 _SPAN_FLOATS = 256
 
+_SAMPLES_RULE = "horizon must be a multiple of the sampling time"
+
+# each checked attribute of a DisturbanceSpec and the configuration field whose rule it follows
+_RULES = {field.name: field for field in FIELDS}
+_SPEC_FIELDS = dict(horizon="train.horizon_seconds", sigma="train.sigma", hold="train.hold_seconds",
+                    channels="train.channels", seed="seed")
+
 
 @dataclass
 class DisturbanceSpec:
@@ -132,8 +141,8 @@ class DisturbanceSpec:
     (piecewise-constant load fluctuation); identical seeds give identical
     draws.  ``kind="step"`` applies a single deterministic step of
     ``step_value`` at ``step_time``.  Only the listed ``channels`` (load
-    inputs) are driven; the rest stay zero.  Construction raises ConfigError
-    on an invalid spec.
+    inputs) are driven, every one for ``None``; the rest stay zero.
+    Construction raises ConfigError on an invalid spec (see ``_SPEC_FIELDS``).
     """
 
     n_d: int
@@ -141,7 +150,7 @@ class DisturbanceSpec:
     kind: str = "gaussian"
     sigma: float = 0.02
     hold: float = 1.0
-    channels: tuple[int, ...] = (0,)
+    channels: tuple[int, ...] | None = (0,)
     seed: int = 0
     step_value: float = 0.0
     step_time: float = 0.0
@@ -149,15 +158,14 @@ class DisturbanceSpec:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.channels = tuple(self.channels)
         if self.kind not in ("gaussian", "step"):
             raise ConfigError(f"unknown disturbance kind {self.kind!r}")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.kind == "gaussian" and self.hold <= 0:
-            raise ConfigError("hold interval must be positive")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        for attr, name in _SPEC_FIELDS.items():
+            _RULES[name].check(getattr(self, attr))
+        # whole numbers as ints, and null as every load input
+        channels = range(self.n_d) if self.channels is None else self.channels
+        self.channels = tuple(int(ch) for ch in channels)
+        self.seed = int(self.seed)
         for ch in self.channels:
             if not 0 <= ch < self.n_d:
                 raise ConfigError(f"disturbance channel {ch} outside 0..{self.n_d - 1}")
@@ -166,7 +174,8 @@ class DisturbanceSpec:
             return
         n_holds = int(np.ceil(self.horizon / self.hold)) + 1
         rng = np.random.default_rng(self.seed)
-        draws = rng.normal(0.0, self.sigma, size=(n_holds, len(self.channels)))
+        # numpy refuses a scale of -0.0, which the rule of sigma admits
+        draws = rng.normal(0.0, abs(self.sigma), size=(n_holds, len(self.channels)))
         self.values = np.zeros((n_holds, self.n_d))
         for k, ch in enumerate(self.channels):
             self.values[:, ch] = draws[:, k]
@@ -227,14 +236,6 @@ class SampledTrajectory:
     Y: np.ndarray
 
 
-def _sample_count(horizon: float, t_s: float) -> int:
-    """Samples in a horizon; raises ConfigError unless ``t_s`` divides it."""
-    n_samples = int(round(horizon / t_s))
-    if abs(n_samples * t_s - horizon) > 1e-9:
-        raise ConfigError("horizon must be a multiple of the sampling time")
-    return n_samples
-
-
 def simulate_linear(
     model: LinearModel, dist: DisturbanceSpec, atk: AttackSpec
 ) -> SampledTrajectory:
@@ -247,7 +248,7 @@ def simulate_linear(
     if model.dt is None:
         raise ConfigError("simulate_linear expects a discrete-time model")
     t_s = model.dt
-    n_samples = _sample_count(dist.horizon, t_s)
+    n_samples = whole_count(dist.horizon, t_s, _SAMPLES_RULE)
     held_times = np.arange(n_samples) * t_s
     d_held = dist.sample(held_times)
     t_grid = np.arange(1, n_samples + 1) * t_s
@@ -267,6 +268,7 @@ class PlantConfig:
     """Continuous AGC plant with a menu of actuator nonlinearities.
 
     All switches off reproduces the linear model exactly (up to RK4 error).
+    Construction validates the plant.
 
     Args:
         areas, attacks: same building blocks as the abstract model.
@@ -291,18 +293,28 @@ class PlantConfig:
     rate_limit: float | None = None
     blowup_norm: float = 1e6
 
+    def __post_init__(self):
+        self.validate()
+        # the reals as floats and the limits as a pair, as run sidecars record them
+        self.t_s, self.dt, self.deadband = float(self.t_s), float(self.dt), float(self.deadband)
+        self.agc_limits = None if self.agc_limits is None else tuple(self.agc_limits)
+        self.rate_limit = None if self.rate_limit is None else float(self.rate_limit)
+
     def validate(self):
-        if self.t_s <= 0 or self.dt <= 0:
-            raise ConfigError("t_s and dt must be positive")
-        steps = self.t_s / self.dt
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("dt must divide t_s")
+        """Check each switch by the rule of its ``plant`` field in the
+        configuration table, then that ``lo < hi`` and that ``dt`` divides ``t_s``."""
+        for field in (f for f in FIELDS if f.name.startswith("plant.")):
+            field.check(getattr(self, field.name.removeprefix("plant.")))
         if self.agc_limits is not None and not self.agc_limits[0] < self.agc_limits[1]:
             raise ConfigError("agc_limits must satisfy lo < hi")
-        if self.deadband < 0:
-            raise ConfigError("deadband must be nonnegative")
-        if self.rate_limit is not None and self.rate_limit <= 0:
-            raise ConfigError("rate_limit must be positive")
+        self.counts(self.t_s)
+
+    def counts(self, horizon: float) -> tuple[int, int]:
+        """The samples in ``horizon`` and the RK4 steps in each, both whole or ConfigError."""
+        return (
+            whole_count(horizon, self.t_s, _SAMPLES_RULE),
+            whole_count(self.t_s, self.dt, "dt must divide t_s"),
+        )
 
     def assemble(self) -> tuple[LinearModel, ModelIndex]:
         return assemble_multiarea(self.areas, self.attacks)
@@ -330,7 +342,7 @@ class RunBatch:
         A step counts once per run it advances: the twins' shared prefix
         once per leader, then every run from the fork on.
         """
-        n_steps = _sample_count(self.horizon, plant.t_s) * round(plant.t_s / plant.dt)
+        n_steps = prod(plant.counts(self.horizon))
         leaders, _, fork = _shared_prefix(self, plant.attacks.n_f, plant.dt, n_steps)
         return len(leaders) * fork + len(self.runs) * (n_steps - fork)
 
@@ -479,7 +491,7 @@ def _rk4_stepper(
         matrix[pos[index.gov_rows], band_col] = -index.gov_droop_coef
 
     dt = plant.dt
-    n_steps = _sample_count(batch.horizon, plant.t_s) * round(plant.t_s / dt)
+    n_steps = prod(plant.counts(batch.horizon))
     switches = _input_switches(batch, model.n_f, dt, n_steps)
     n_runs = len(batch.runs)
     # one work array per stage: stage 0 differentiates the state in place at
@@ -648,8 +660,7 @@ def simulate_nonlinear(plant: PlantConfig, batch: RunBatch) -> list[SampledTraje
     """
     plant.validate()
     model, index = plant.assemble()
-    n_samples = _sample_count(batch.horizon, plant.t_s)
-    per_sample = int(round(plant.t_s / plant.dt))
+    n_samples, per_sample = plant.counts(batch.horizon)
     n_steps = n_samples * per_sample
     leaders, column, fork = _shared_prefix(batch, model.n_f, plant.dt, n_steps)
     sample_times = np.arange(1, n_samples + 1) * plant.t_s

@@ -148,6 +148,22 @@ def zoh_bruteforce(a: np.ndarray, b: np.ndarray, t_s: float, terms: int = 60):
     return ad, integral @ b
 
 
+def steady_state_residual(design, f_matrix: np.ndarray, f: np.ndarray) -> float:
+    """Residual limit under a constant attack ``f`` on the mismatch-free model.
+
+    The filter's numerator and denominator evaluated at q = 1, ``N(1)`` as
+    the sum of the coefficient blocks and ``a(1)`` as the sum of the
+    denominator coefficients, give ``-N(1) F f / a(1)``; with the DC
+    tracking constraint active this is the injected bias itself.
+    """
+    f = np.asarray(f, dtype=float).ravel()
+    n_r = design.nbar.size // (design.d_n + 1)
+    n_at_one = np.zeros(n_r)
+    for i in range(design.d_n + 1):
+        n_at_one += design.nbar[i * n_r : (i + 1) * n_r]
+    return float(-(n_at_one @ f_matrix @ f) / sum(design.a_coeffs))
+
+
 def simulate_nonlinear_loop(plant, dist, atk) -> np.ndarray:
     """Sampled outputs of one nonlinear plant run, integrated on its own.
 

@@ -26,18 +26,15 @@ from diagfilter.design import (
     q_matrix,
     quadratic_value,
     steady_state_margin,
-    steady_state_residual,
     worst_case_alpha,
 )
-from diagfilter.pipeline import (
+from diagfilter.config import (
     TEST_SEED_OFFSET,
     ExperimentConfig,
-    build_context,
-    cmd_train,
     default_config,
-    load_training_bundle,
     multivariate_default_config,
 )
+from diagfilter.pipeline import build_context, cmd_train, load_training_bundle
 from diagfilter.runtime import ResidualFilter, calibrate_threshold, residual_energy
 from diagfilter.shiftpoly import pole_polynomial
 from diagfilter.simulate import (
@@ -48,7 +45,12 @@ from diagfilter.simulate import (
     simulate_nonlinear,
 )
 from diagfilter.solvers import QpProblem, solve_lp, solve_qp
-from refimpl import direct_energy, gram_bruteforce, lp_by_vertex_enumeration
+from refimpl import (
+    direct_energy,
+    gram_bruteforce,
+    lp_by_vertex_enumeration,
+    steady_state_residual,
+)
 
 CERT_TOL = 1e-6
 

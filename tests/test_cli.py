@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diagfilter.config as config
 import diagfilter.pipeline as pipeline
 from diagfilter.cli import (
     EXIT_CONFIG,
@@ -20,7 +21,7 @@ from diagfilter.cli import (
     main,
 )
 from diagfilter.errors import SimulationBlowUp
-from diagfilter.pipeline import default_config, multivariate_default_config
+from diagfilter.config import default_config, multivariate_default_config
 
 
 def tiny_config() -> dict:
@@ -195,7 +196,7 @@ def test_test_phase_blowup_names_the_held_out_run(tmp_path, capsys, monkeypatch)
     assert main(["test", "--config", cfg_path, "--out", out]) == EXIT_SIMULATION
     assert "held-out run 1, seed 102025, attacked copy" in capsys.readouterr().err
     with pytest.raises(SimulationBlowUp) as err:
-        pipeline.cmd_test(pipeline.ExperimentConfig.from_file(cfg_path), out)
+        pipeline.cmd_test(config.ExperimentConfig.from_file(cfg_path), out)
     assert (err.value.run, err.value.time, err.value.norm) == (3, 1.25, 1e7)
 
 
@@ -260,7 +261,7 @@ def test_rank_deficient_training_form_designs(tmp_path):
 
 
 def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
-    from diagfilter.pipeline import multivariate_default_config
+    from diagfilter.config import multivariate_default_config
 
     cfg = multivariate_default_config()
     cfg["attack"]["polytope_a"] = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
@@ -272,7 +273,7 @@ def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
 
 
 def test_dc_tracking_under_multivariate_attack_exits_config_code(tmp_path, capsys):
-    from diagfilter.pipeline import multivariate_default_config
+    from diagfilter.config import multivariate_default_config
 
     cfg = multivariate_default_config()
     cfg["filter"]["track_steady_state"] = True
@@ -284,7 +285,7 @@ def test_dc_tracking_under_multivariate_attack_exits_config_code(tmp_path, capsy
 
 def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
     # a zero basis admits only the zero bias: nothing to detect
-    from diagfilter.pipeline import multivariate_default_config
+    from diagfilter.config import multivariate_default_config
 
     cfg = multivariate_default_config()
     cfg["attack"]["basis"] = [[0.0, 0.0, 0.0]] * 5
@@ -299,7 +300,7 @@ def test_invisible_attack_set_exits_infeasible_code(tmp_path, capsys):
 
 
 # One field of a tiny run-all at a time, under either attack kind, addressed
-# by its path through the config: every field of pipeline.FIELDS and a set
+# by its path through the config: every field of config.FIELDS and a set
 # of model fields.  Values at each field's limits are tried, and in every
 # field types, signs, zero, null, non-finite values and an integer too large
 # for a float, as well as the key left out and an unknown key beside it.
@@ -330,7 +331,7 @@ LIMITS = {
     "attack.polytope_b": [[2.0], [1.5, 1.5]],
 }
 FIELD_EDGES = {
-    **{tuple(f.name.split(".")): LIMITS.get(f.name, []) for f in pipeline.FIELDS},
+    **{tuple(f.name.split(".")): LIMITS.get(f.name, []) for f in config.FIELDS},
     ("model", "areas", 0, "id"): [4, 1.5],
     ("model", "areas", 0, "inertia"): [2.5, 1e-320],
     ("model", "areas", 0, "damping"): [0.0, -1.0],
@@ -412,7 +413,7 @@ def test_one_field_edit_is_rejected_up_front_or_runs(kind, edit):
     # outside the model: an unknown key (an attack field of the other kind
     # included), a required field left out, and an integer too large for a
     # float in any but a whole-number field
-    fields = {f.name: f for f in pipeline.FIELDS if f.kind in (None, kind)}
+    fields = {f.name: f for f in config.FIELDS if f.kind in (None, kind)}
     field = fields.get(".".join(map(str, edit[0])))
     malformed = value == BESIDE or (
         value != LEFT_OUT

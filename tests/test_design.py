@@ -26,7 +26,6 @@ from diagfilter.design import (
     quadratic_value,
     stack_shifted,
     steady_state_margin,
-    steady_state_residual,
     worst_case_alpha,
     worst_case_value,
 )
@@ -48,6 +47,7 @@ from refimpl import (
     direct_energy,
     gram_bruteforce,
     impulse_response_bruteforce,
+    steady_state_residual,
 )
 
 

@@ -26,19 +26,21 @@ from diagfilter.errors import (
     SimulationBlowUp,
 )
 from diagfilter.matio import load_matrix, load_trajectory, save_trajectory, sidecar_path
-from diagfilter.pipeline import (
+from diagfilter.config import (
     FIELDS,
     TEST_SEED_OFFSET,
     ExperimentConfig,
+    default_config,
+    multivariate_default_config,
+)
+from diagfilter.pipeline import (
     build_context,
     cmd_design,
     cmd_pretrain,
     cmd_run_all,
     cmd_test,
     cmd_train,
-    default_config,
     load_training_bundle,
-    multivariate_default_config,
 )
 from diagfilter.solvers import Solution
 
@@ -695,7 +697,8 @@ def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_pat
     cfg_file.write_text(json.dumps(cfg.to_dict()))
     script = (
         "import sys\n"
-        "from diagfilter.pipeline import ExperimentConfig, build_context, cmd_design\n"
+        "from diagfilter.config import ExperimentConfig\n"
+        "from diagfilter.pipeline import build_context, cmd_design\n"
         "cfg = ExperimentConfig.from_file(sys.argv[1])\n"
         "build_context(cfg)\n"
         "cmd_design(cfg, sys.argv[2])\n"
@@ -786,7 +789,7 @@ class Edit(NamedTuple):
     stale_filter: bool  # cmd_test over the base filter is rejected
 
 
-# One edit of every field of pipeline.FIELDS, keyed by its name.  A field's
+# One edit of every field of config.FIELDS, keyed by its name.  A field's
 # edit reaches the runs whose sidecars record it: the plant, the seed and
 # the load noise every run, the attack and its onset only the attacked
 # held-out copy, and the filter no run.  It makes a design over the base
