@@ -64,7 +64,7 @@ def main():
         k = int(round(t_probe / T_S)) - 1
         print(f"  r(t = {t_probe:5.1f} s) = {r[k]:+.6f}")
     # the limit of r under a constant bias f: -N(1) F f / a(1)
-    predicted = float(-(design.coeff_sum() @ dae.F @ np.array([bias])) / design.a_at_one)
+    predicted = float(-(design.coeff_sum() @ dae.F @ np.array([bias])) / np.sum(design.a_coeffs))
     print(f"closed-form steady-state residual: {predicted:+.6f} "
           f"(injected bias {bias:+.2f})")
 

@@ -4,7 +4,8 @@
 Runs the full orchestration at reduced scale into a scratch directory,
 then plays auditor: re-opens the persisted filter artefact, lets the
 loader re-verify the decoupling identity and the model hash, and reads
-the detection report the way a downstream consumer would.
+the calibration from the design report and the detection report the way
+a downstream consumer would.
 """
 
 import argparse
@@ -43,7 +44,7 @@ def main():
         out / "filter.txt", expected_hash=ctx.model_hash, stacked=ctx.stacked
     )
     print(f"loader re-verified decoupling + model hash {model_hash[:16]}...")
-    cal = design.diagnostics["calibration"]
+    cal = json.loads((out / "design_report.json").read_text())["calibration"]
     print(f"mode {design.mode}, branch {design.branch}")
     print(f"calibration: tau* = {cal['tau_star']:.3e}, "
           f"threshold = {cal['threshold']:.6f}, window = {cal['window']} samples")

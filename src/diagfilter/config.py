@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass
-from math import isfinite
+from math import ceil, isfinite
 from pathlib import Path
 
 from .agc import areas_to_dict, multivariate_topology, three_area_default, univariate_topology
@@ -30,6 +31,22 @@ def whole_count(span: float, unit: float, rule: str) -> int:
     if count < 1 or abs(ratio - count) > 1e-9:
         raise ConfigError(rule)
     return count
+
+
+def hold_rows(horizon: float, hold: float) -> int:
+    """Rows of a disturbance draw: one per ``hold`` begun in ``horizon``, plus one;
+    capped at ``2**62 + 1``, a count no memory holds, so that it stays finite."""
+    return ceil(min(horizon / hold, 2.0**62)) + 1
+
+
+def check_memory(floats: int, names: str) -> None:
+    """ConfigError unless ``floats`` doubles, sized by ``names``, fit in physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * floats > memory:
+        raise ConfigError(
+            f"the arrays sized by {names} need more than the "
+            f"{memory / 2**30:.1f} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)

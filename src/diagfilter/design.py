@@ -217,14 +217,22 @@ class FilterDesign:
     nbar: np.ndarray
     d_n: int
     pole: float
-    a_coeffs: np.ndarray
-    n_r: int
     mode: str
     objective: float
     branch: dict
     track_steady_state: bool = False
     diagnostics: dict = field(default_factory=dict)
     constraints: QpProblem | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def a_coeffs(self) -> np.ndarray:
+        """The denominator ``a(q)``, of degree ``d_n`` with every root at ``pole``."""
+        return pole_polynomial(self.pole, self.d_n)
+
+    @property
+    def n_r(self) -> int:
+        """Residual outputs: the rows of each of the ``d_n + 1`` coefficients."""
+        return self.nbar.size // (self.d_n + 1)
 
     def coeff(self, i: int) -> np.ndarray:
         if not 0 <= i <= self.d_n:
@@ -234,10 +242,6 @@ class FilterDesign:
     def coeff_sum(self) -> np.ndarray:
         """N(1): the coefficient sum governing the steady-state response."""
         return self.nbar.reshape(self.d_n + 1, self.n_r).sum(axis=0)
-
-    @property
-    def a_at_one(self) -> float:
-        return float(np.sum(self.a_coeffs))
 
 
 def _design_matrices(stacked: StackedSystem, qbar: np.ndarray | None):
@@ -304,11 +308,10 @@ def design_univariate(
     if stacked.n_f != 1:
         raise ConfigError("design_univariate expects exactly one attack channel")
     qbar_true, p_mat, a_eq, b_eq = _design_matrices(stacked, qbar)
-    a_coeffs = pole_polynomial(pole, stacked.d_n)
     signs = (1, -1) if track_steady_state else (1,)
     if constraints is None:
         if track_steady_state:
-            a_one = float(np.sum(a_coeffs))
+            a_one = float(np.sum(pole_polynomial(pole, stacked.d_n)))
             dc_row = -(1.0 / a_one) * stacked.barF.sum(axis=1)
             a_eq = np.vstack([a_eq, dc_row])
             b_eq = np.append(b_eq, 1.0)
@@ -368,8 +371,6 @@ def design_univariate(
         nbar=nbar,
         d_n=stacked.d_n,
         pole=pole,
-        a_coeffs=a_coeffs,
-        n_r=stacked.n_r,
         mode="pure_model" if qbar is None else "data_assisted",
         objective=value,
         branch={"coeff_index": j, "sign": sign},
@@ -553,7 +554,6 @@ def design_multivariate(
     """
     attack.validate_against(stacked.n_f)
     qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
-    a_coeffs = pole_polynomial(pole, stacked.d_n)
     n_vars = stacked.n_vars
     n_b = attack.polytope_b.size
     p_full = np.zeros((n_vars + n_b, n_vars + n_b))
@@ -610,8 +610,6 @@ def design_multivariate(
         nbar=nbar,
         d_n=stacked.d_n,
         pole=pole,
-        a_coeffs=a_coeffs,
-        n_r=stacked.n_r,
         mode="pure_model" if qbar is None else "data_assisted",
         objective=value,
         branch={"coeff_index": idx, "sign": sign, "program": j},
@@ -659,7 +657,7 @@ def steady_state_margin(
     admissible attack that is invisible in steady state.
     """
     attack.validate_against(f_matrix.shape[1])
-    cost = -(design.coeff_sum() @ f_matrix @ attack.basis) / design.a_at_one
+    cost = -(design.coeff_sum() @ f_matrix @ attack.basis) / float(np.sum(design.a_coeffs))
     best: tuple[float, np.ndarray | None] | None = None
     for sign in (1.0, -1.0):
         a_ineq = np.vstack([attack.polytope_a, sign * cost[None, :]])

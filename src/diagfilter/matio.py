@@ -9,10 +9,12 @@ figures from them:
   training and test phases, which every phase reads back only when that
   provenance is what it would write;
 * residual traces: CSV with header ``t, r, energy, alarm``;
-* filter artefacts: a small key/value text file carrying the filter
-  coefficients at 17 significant digits, a hash of the model configuration
-  it was designed against and the configuration values the design read.
-  Loading re-verifies the hash and the structural invariants, so a stale
+* filter artefacts: a small key/value text file holding each value once:
+  the hash of the model configuration the filter was designed against, its
+  objective and branch, the calibrated ``tau_star``, the configuration
+  values the design read (its record, which alone gives the order, pole,
+  mode and tracking flag) and the coefficients at 17 significant digits.
+  Loading re-verifies the hash, the record and the decoupling, so a stale
   artefact fails loudly instead of producing silently wrong residuals.
 
 The three CSV kinds are written by ``np.savetxt`` and read by ``np.loadtxt``;
@@ -33,9 +35,12 @@ import numpy as np
 from .design import FilterDesign
 from .errors import ConfigError
 from .lti import StackedSystem
-from .shiftpoly import pole_polynomial
 
-FILTER_FORMAT_TAG = "residual-filter-v1"
+FILTER_FORMAT_TAG = "residual-filter-v2"
+# the entries of a filter artefact after its tag, in the order they are written
+FILTER_ENTRIES = ("model_hash", "objective", "branch", "tau_star", "config", "nbar")
+# the record's fields that fix a design, each named as the design's attribute after its dot
+RECORDED = ("filter.d_n", "filter.pole", "mode", "filter.track_steady_state")
 NULL_RESIDUAL_TOL = 1e-6
 
 
@@ -146,32 +151,25 @@ def model_config_hash(cfg: dict) -> str:
 
 
 def save_filter(
-    path: str | Path,
-    design: FilterDesign,
-    model_hash: str,
-    config: dict,
-    calibration: dict | None = None,
+    path: str | Path, design: FilterDesign, model_hash: str, record: dict, tau_star: float
 ) -> None:
-    """Persist a design plus the detector calibration that travels with it.
-
-    Carrying ``calibration`` (tau_star, margin, window, warmup) inside the
-    artefact keeps the test phase honest: it needs the artefact and fresh
-    simulations, never the raw training data.  ``config`` holds the
-    configuration values the design read, which a test must match.
+    """Persist a design with its calibrated ``tau_star`` and its ``record``, the
+    values of the configuration fields it read, so that a test needs the
+    artefact and fresh simulations, never the training data.  The record is
+    the one copy of the order, pole, mode and tracking flag, and of the
+    detector's margin and window; ValueError if it disagrees with the design.
     """
+    for name in RECORDED:
+        value = getattr(design, name.rpartition(".")[2])
+        if record.get(name) != value:
+            raise ValueError(f"the record gives {name} = {record.get(name)!r}, the design {value}")
     lines = [
         FILTER_FORMAT_TAG,
-        f"d_n: {design.d_n}",
-        f"pole: {_fmt(design.pole)}",
-        f"n_r: {design.n_r}",
-        f"mode: {design.mode}",
-        f"track_steady_state: {int(design.track_steady_state)}",
-        f"objective: {_fmt(design.objective)}",
         f"model_hash: {model_hash}",
+        f"objective: {_fmt(design.objective)}",
         "branch: " + json.dumps(design.branch, sort_keys=True),
-        "calibration: " + json.dumps(calibration or {}, sort_keys=True),
-        "config: " + json.dumps(config, sort_keys=True),
-        "a_coeffs: " + " ".join(_fmt(v) for v in design.a_coeffs),
+        f"tau_star: {_fmt(tau_star)}",
+        "config: " + json.dumps(record, sort_keys=True),
         "nbar: " + " ".join(_fmt(v) for v in design.nbar),
     ]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -188,60 +186,59 @@ def load_filter(
     ``expected_hash`` guards against applying a filter to a model it was not
     designed for and ``expected_config`` against other values of the fields
     its design read; ``stacked`` additionally re-checks the unknown-input
-    decoupling (the left-null-space membership of the coefficients).
+    decoupling (the left-null-space membership of the coefficients).  The
+    checks run in that order.  The order, pole, mode and tracking flag come
+    from the record, ``n_r`` from the size of ``nbar``; the calibrated
+    ``tau_star`` is returned in the design's ``diagnostics``.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != FILTER_FORMAT_TAG:
         raise ConfigError(f"{path}: not a {FILTER_FORMAT_TAG} artefact")
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        key, _, val = ln.partition(":")
-        fields[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in ln.partition(":"))
+        if key in entries or key not in FILTER_ENTRIES:
+            kind = "duplicated" if key in entries else "unknown"
+            raise ConfigError(f"{path}: malformed filter artefact: {kind} entry {key!r}")
+        entries[key] = val
+    # without its record the artefact reads as an empty one, which the
+    # record check refuses by its first field
+    entries.setdefault("config", "{}")
+    if missing := [key for key in FILTER_ENTRIES if key not in entries]:
+        raise ConfigError(f"{path}: malformed filter artefact: no {', '.join(missing)} entry")
     try:
-        d_n = int(fields["d_n"])
-        pole = float(fields["pole"])
-        n_r = int(fields["n_r"])
-        mode = fields["mode"]
-        track = bool(int(fields["track_steady_state"]))
-        objective = float(fields["objective"])
-        model_hash = fields["model_hash"]
-        branch = json.loads(fields["branch"])
-        calibration = json.loads(fields.get("calibration", "{}"))
-        config = json.loads(fields.get("config", "{}"))
-        a_coeffs = np.array([float(v) for v in fields["a_coeffs"].split()])
-        nbar = np.array([float(v) for v in fields["nbar"].split()])
-    except (KeyError, ValueError) as exc:
+        model_hash = entries["model_hash"]
+        objective = float(entries["objective"])
+        branch = json.loads(entries["branch"])
+        tau_star = float(entries["tau_star"])
+        record = dict(json.loads(entries["config"]))
+        nbar = np.array([float(v) for v in entries["nbar"].split()])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed filter artefact: {exc}") from exc
 
-    if nbar.size != (d_n + 1) * n_r:
-        raise ConfigError(
-            f"{path}: coefficient vector has {nbar.size} entries, "
-            f"expected {(d_n + 1) * n_r}"
-        )
-    expected_a = pole_polynomial(pole, d_n)
-    if a_coeffs.shape != expected_a.shape or not np.allclose(
-        a_coeffs, expected_a, atol=1e-12, rtol=0.0
-    ):
-        raise ConfigError(f"{path}: denominator does not match pole {pole}, degree {d_n}")
-    # relative to the coefficients, which reach (2 / (1 - |pole|))^d_n: the
-    # sum a(1) of a pole near the unit circle cancels them to round-off
-    if abs(float(np.sum(a_coeffs)) - 1.0) > 1e-9 * float(np.sum(np.abs(a_coeffs))):
-        raise ConfigError(f"{path}: denominator is not normalised to a(1) = 1")
     if expected_hash is not None and model_hash != expected_hash:
         raise ConfigError(
             f"{path}: artefact was designed against a different model "
             f"configuration (hash {model_hash[:12]}.. != {expected_hash[:12]}..)"
         )
     if expected_config is not None:
-        for name in {**expected_config, **config}:
-            if expected_config.get(name, ...) != config.get(name, ...):
-                was = json.dumps(config[name]) if name in config else "(not recorded)"
+        for name in {**expected_config, **record}:
+            if expected_config.get(name, ...) != record.get(name, ...):
+                was = json.dumps(record[name]) if name in record else "(not recorded)"
                 raise ConfigError(
                     f"{path}: the filter was designed with {name} = {was}, the configuration "
                     f"gives {json.dumps(expected_config.get(name))}; re-run the design phase"
                 )
+    try:
+        d_n, pole, mode, track = (record[name] for name in RECORDED)
+        d_n, pole, track = int(d_n), float(pole), bool(track)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed filter artefact: record entry {exc}") from exc
+    if d_n < 1 or not nbar.size or nbar.size % (d_n + 1):
+        raise ConfigError(
+            f"{path}: coefficient vector has {nbar.size} entries, "
+            f"which d_n + 1 = {d_n + 1} does not divide"
+        )
     if stacked is not None:
         if stacked.n_vars != nbar.size or stacked.d_n != d_n:
             raise ConfigError(f"{path}: artefact does not match the stacked system shape")
@@ -255,12 +252,10 @@ def load_filter(
         nbar=nbar,
         d_n=d_n,
         pole=pole,
-        a_coeffs=a_coeffs,
-        n_r=n_r,
         mode=mode,
         objective=objective,
         branch=branch,
         track_steady_state=track,
-        diagnostics={"calibration": calibration},
+        diagnostics={"tau_star": tau_star},
     )
     return design, model_hash

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass
-from math import ceil
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import matio
 from .agc import areas_from_dict
-from .config import TEST_SEED_OFFSET, ExperimentConfig
+from .config import TEST_SEED_OFFSET, ExperimentConfig, check_memory, hold_rows
 from .config import default_config, multivariate_default_config  # noqa: F401 (re-exported)
 from .design import (
     AttackModel,
@@ -116,40 +114,26 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     one form per run and the ``T x T`` Gram matrix; ``test.runs`` and the
     test horizon the test output record, a clean and an attacked copy of
     each run.  ``train.hold_seconds`` sizes each run's disturbance draw,
-    ``ceil(horizon / hold) + 1`` rows of ``n_d`` values and of one draw per
-    channel.
+    :func:`~diagfilter.config.hold_rows` rows of ``n_d`` values and of one
+    draw per channel.
     """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     form = ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
-    train_horizon = float(cfg.train["horizon_seconds"])
-    test_horizon = float(cfg.test["horizon_seconds"])
     train_samples = cfg.samples("train.horizon_seconds")
     test_samples = cfg.samples("test.horizon_seconds")
     hold = float(cfg.train["hold_seconds"])
     channels = cfg.train["channels"]
     row = model.n_d + (model.n_d if channels is None else len(channels))
-
-    def draw(horizon: float) -> int:
-        # the row count is capped at a size that fails anyway, so it stays finite
-        return (ceil(min(horizon / hold, memory)) + 1) * row
-
-    for names, floats in (
-        ("filter.d_n", form),
-        (
-            "train.m, train.horizon_seconds and train.hold_seconds",
-            int(cfg.train["m"]) * (model.n_y * train_samples + form + draw(train_horizon))
-            + train_samples**2,
-        ),
-        (
-            "test.runs, test.horizon_seconds and train.hold_seconds",
-            2 * int(cfg.test["runs"]) * (model.n_y * test_samples + draw(test_horizon)),
-        ),
-    ):
-        if 8 * floats > memory:
-            raise ConfigError(
-                f"the arrays sized by {names} need more than the "
-                f"{memory / 2**30:.1f} GiB of physical memory"
-            )
+    train_draw = hold_rows(float(cfg.train["horizon_seconds"]), hold) * row
+    test_draw = hold_rows(float(cfg.test["horizon_seconds"]), hold) * row
+    check_memory(form, "filter.d_n")
+    check_memory(
+        int(cfg.train["m"]) * (model.n_y * train_samples + form + train_draw) + train_samples**2,
+        "train.m, train.horizon_seconds and train.hold_seconds",
+    )
+    check_memory(
+        2 * int(cfg.test["runs"]) * (model.n_y * test_samples + test_draw),
+        "test.runs, test.horizon_seconds and train.hold_seconds",
+    )
 
 
 def build_context(cfg: ExperimentConfig) -> PipelineContext:
@@ -216,6 +200,10 @@ def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
 
 
 # --- pretrain -----------------------------------------------------------------
+
+
+# the pretrain report's keys besides its inputs (cmd_pretrain)
+_PRETRAIN_RESULT = {"gammas", "j_star", "gamma_star", "statuses", "feasible"}
 
 
 def _pretrain_inputs(ctx: PipelineContext) -> dict:
@@ -439,10 +427,14 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 
 
 def _load_pretrain(ctx: PipelineContext, out: Path) -> dict | None:
-    """The stored pretrain report if it was solved for this context, else None."""
-    path = out / "pretrain_report.json"
-    report = json.loads(path.read_text()) if path.exists() else {}
-    return report if _pretrain_inputs(ctx).items() <= report.items() else None
+    """The stored pretrain report if it was solved for this context, else None,
+    as for one that is missing, not a JSON object or short of a result key."""
+    try:
+        report = json.loads((out / "pretrain_report.json").read_text())
+    except (OSError, ValueError):
+        return None
+    whole = isinstance(report, dict) and _PRETRAIN_RESULT <= report.keys()
+    return report if whole and _pretrain_inputs(ctx).items() <= report.items() else None
 
 
 def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
@@ -530,14 +522,10 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         }
 
     detector = calibrate_threshold(design, q_list, float(cfg.filter["margin"]), ctx.window_samples)
-    calibration = {
-        "tau_star": float(detector.tau_star),
-        "margin": float(detector.margin),
-        "window": int(detector.window),
-        "warmup": int(detector.warmup),
-        "threshold": float(detector.threshold),
-    }
-    matio.save_filter(out / "filter.txt", design, ctx.model_hash, cfg.design_record(), calibration)
+    calibration = {**asdict(detector), "threshold": detector.threshold}
+    matio.save_filter(
+        out / "filter.txt", design, ctx.model_hash, cfg.design_record(), detector.tau_star
+    )
     report = {
         "mode": design.mode,
         "objective": float(design.objective),
@@ -616,14 +604,13 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
     design, _ = matio.load_filter(
         artefact, expected_hash=ctx.model_hash, stacked=ctx.stacked, expected_config=record
     )
-    cal = design.diagnostics["calibration"]
-    if not cal:
-        raise ConfigError(f"{artefact}: artefact carries no detector calibration")
+    # the detector the design calibrated: the margin and window are the
+    # record's, just matched against this configuration
     detector = Detector(
-        tau_star=float(cal["tau_star"]),
-        margin=float(cal["margin"]),
-        window=int(cal["window"]),
-        warmup=int(cal["warmup"]),
+        tau_star=design.diagnostics["tau_star"],
+        margin=float(cfg.filter["margin"]),
+        window=ctx.window_samples,
+        warmup=design.d_n,
     )
     test_dir = out / "test"
     test_dir.mkdir(parents=True, exist_ok=True)

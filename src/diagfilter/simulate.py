@@ -106,7 +106,7 @@ import numpy as np
 from numpy._core.umath import clip
 
 from .agc import AreaParams, AttackTopology, ModelIndex, assemble_multiarea
-from .config import FIELDS, whole_count
+from .config import FIELDS, check_memory, hold_rows, whole_count
 from .errors import ConfigError, SimulationBlowUp
 from .lti import LinearModel
 
@@ -142,7 +142,8 @@ class DisturbanceSpec:
     draws.  ``kind="step"`` applies a single deterministic step of
     ``step_value`` at ``step_time``.  Only the listed ``channels`` (load
     inputs) are driven, every one for ``None``; the rest stay zero.
-    Construction raises ConfigError on an invalid spec (see ``_SPEC_FIELDS``).
+    Construction raises ConfigError on an invalid spec (see ``_SPEC_FIELDS``)
+    and on a draw that cannot fit in physical memory, before it is made.
     """
 
     n_d: int
@@ -172,7 +173,8 @@ class DisturbanceSpec:
         if self.kind == "step":
             self.values = np.zeros((1, self.n_d))
             return
-        n_holds = int(np.ceil(self.horizon / self.hold)) + 1
+        n_holds = hold_rows(self.horizon, self.hold)
+        check_memory(n_holds * (self.n_d + len(self.channels)), "the disturbance horizon and hold")
         rng = np.random.default_rng(self.seed)
         # numpy refuses a scale of -0.0, which the rule of sigma admits
         draws = rng.normal(0.0, abs(self.sigma), size=(n_holds, len(self.channels)))

@@ -32,8 +32,9 @@ def tuples(entries, max_size: int = 3):
 # Each attribute of a directly built type, the configuration field whose
 # rule it follows, and the values drawn for it.  A spec's draw holds
 # ceil(horizon / hold) + 1 rows, so its horizons and holds are drawn where
-# that stays small: the memory that fits a draw is checked by build_context
-# for a configuration, and for a directly built spec by no one.
+# that stays small: a draw that fits in memory is made, and the test should
+# not make large ones.  One that does not fit is refused by a memory check,
+# not a field's rule (pinned below).
 PLANT_EDITS = {
     "t_s": drawn(REALS),
     "dt": drawn(REALS),
@@ -90,6 +91,7 @@ def from_dict_with(name: str, value):
 @example(edit=(("spec", "sigma", "train.sigma"), inf))
 @example(edit=(("spec", "sigma", "train.sigma"), -0.0))
 @example(edit=(("spec", "channels", "train.channels"), (True,)))
+@example(edit=(("spec", "hold", "train.hold_seconds"), 1e-300))
 def test_direct_types_refuse_exactly_what_the_configuration_refuses(edit):
     (owner, attr, name), value = edit
     if owner == "plant":

@@ -290,7 +290,7 @@ def test_univariate_design_succeeds_on_any_psd_form(seed, rank_fraction, log_sca
     if track:
         f_matrix = stacked.barF[stacked.coeff_slice(0), 0:1]
         assert abs(steady_state_residual(design, f_matrix, np.array([0.1])) - 0.1) < 1e-8
-        a_eq = np.vstack([a_eq, -stacked.barF.sum(axis=1) / design.a_at_one])
+        a_eq = np.vstack([a_eq, -stacked.barF.sum(axis=1) / float(np.sum(design.a_coeffs))])
         b_eq = np.append(b_eq, 1.0)
 
     # the iterative solver, where it converges, finds the same optimum
@@ -758,8 +758,6 @@ def test_steady_state_margin_positive_case():
         nbar=np.array([1.0, 0.0, 1.0, 0.0]),
         d_n=1,
         pole=0.5,
-        a_coeffs=pole_polynomial(0.5, 1),
-        n_r=2,
         mode="pure_model",
         objective=0.0,
         branch={},

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from diagfilter.agc import three_area_default, univariate_topology
-from diagfilter.design import design_univariate
+from diagfilter.config import ExperimentConfig, default_config, multivariate_default_config
+from diagfilter.design import design_multivariate, design_univariate, pretrain_multivariate
 from diagfilter.errors import ConfigError
 from diagfilter.lti import assemble_dae, build_stacked, zoh_discretize
 from diagfilter.matio import (
@@ -18,9 +19,17 @@ from diagfilter.matio import (
     save_trajectory,
     sidecar_path,
 )
+from diagfilter.pipeline import build_context
+from diagfilter.shiftpoly import pole_polynomial
 
-# the configuration values a design read, which save_filter records
-RECORD = {"filter.d_n": 3, "filter.pole": 0.5}
+# the configuration values a design read, which save_filter records: those
+# of the reference design, which the artefact takes from here
+RECORD = {
+    "filter.d_n": 3,
+    "filter.pole": 0.5,
+    "mode": "pure_model",
+    "filter.track_steady_state": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +141,7 @@ def test_model_hash_ignores_key_order_but_not_values():
 def test_filter_artefact_round_trip(tmp_path, reference_design):
     stacked, design = reference_design
     path = tmp_path / "filter.txt"
-    calibration = {"tau_star": 2.5e-6, "margin": 5e-4, "window": 20, "warmup": 3}
-    save_filter(path, design, "abc123", RECORD, calibration=calibration)
+    save_filter(path, design, "abc123", RECORD, 2.5e-6)
     loaded, model_hash = load_filter(
         path, expected_hash="abc123", stacked=stacked, expected_config=RECORD
     )
@@ -141,11 +149,69 @@ def test_filter_artefact_round_trip(tmp_path, reference_design):
     assert np.array_equal(loaded.nbar, design.nbar)
     assert np.array_equal(loaded.a_coeffs, design.a_coeffs)
     assert loaded.d_n == design.d_n
+    assert loaded.n_r == design.n_r
     assert loaded.pole == design.pole
     assert loaded.mode == design.mode
     assert loaded.branch == design.branch
     assert loaded.objective == design.objective
-    assert loaded.diagnostics["calibration"] == calibration
+    assert loaded.diagnostics["tau_star"] == 2.5e-6
+
+
+def test_filter_artefact_stores_each_value_once(tmp_path, reference_design):
+    _, design = reference_design
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, "abc123", RECORD, 2.5e-6)
+    tag, *lines = path.read_text().splitlines()
+    assert tag == "residual-filter-v2"
+    keys = [line.partition(":")[0] for line in lines]
+    assert keys == ["model_hash", "objective", "branch", "tau_star", "config", "nbar"]
+
+
+@pytest.mark.parametrize("kind", ["univariate", "multivariate"])
+def test_filter_artefact_takes_order_pole_mode_and_tracking_from_its_record(tmp_path, kind):
+    raw = default_config() if kind == "univariate" else multivariate_default_config()
+    raw["mode"] = "pure_model"
+    raw["filter"].update(d_n=2, pole=0.3)
+    cfg = ExperimentConfig.from_dict(raw)
+    ctx = build_context(cfg)
+    if kind == "univariate":
+        design = design_univariate(ctx.stacked, None, pole=0.3, track_steady_state=True)
+    else:
+        j = pretrain_multivariate(ctx.stacked, ctx.attack_model).j_star
+        design = design_multivariate(ctx.stacked, None, ctx.attack_model, j, pole=0.3)
+    record = cfg.design_record()
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, ctx.model_hash, record, 0.0)
+    loaded, _ = load_filter(
+        path, expected_hash=ctx.model_hash, stacked=ctx.stacked, expected_config=record
+    )
+    assert (loaded.d_n, loaded.pole, loaded.mode, loaded.track_steady_state) == (
+        record["filter.d_n"],
+        record["filter.pole"],
+        record["mode"],
+        record["filter.track_steady_state"],
+    )
+    assert np.array_equal(loaded.a_coeffs, pole_polynomial(0.3, 2))
+    assert loaded.n_r == ctx.stacked.n_r
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("filter.d_n", 2),
+        ("filter.pole", 0.6),
+        ("mode", "data_assisted"),
+        ("filter.track_steady_state", True),
+    ],
+)
+def test_save_filter_refuses_a_record_that_disagrees_with_the_design(
+    tmp_path, reference_design, name, value
+):
+    _, design = reference_design
+    path = tmp_path / "filter.txt"
+    with pytest.raises(ValueError, match=f"the record gives {name} = "):
+        save_filter(path, design, "abc123", {**RECORD, name: value}, 0.0)
+    assert not path.exists()
 
 
 def test_filter_artefact_round_trip_with_a_pole_near_one(tmp_path, reference_design):
@@ -154,15 +220,23 @@ def test_filter_artefact_round_trip_with_a_pole_near_one(tmp_path, reference_des
     stacked, _ = reference_design
     design = design_univariate(stacked, None, pole=0.999)
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123", RECORD)
+    save_filter(path, design, "abc123", {**RECORD, "filter.pole": 0.999}, 0.0)
     loaded, _ = load_filter(path, stacked=stacked)
     assert np.array_equal(loaded.a_coeffs, design.a_coeffs)
+
+
+def edit_lines(path, key, edit) -> None:
+    """Replace each line of the entry ``key`` by ``edit(line)`` (a list of lines)."""
+    lines = []
+    for ln in path.read_text().splitlines():
+        lines += edit(ln) if ln.startswith(f"{key}:") else [ln]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
     stacked, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123", RECORD)
+    save_filter(path, design, "abc123", RECORD, 0.0)
 
     # wrong format tag
     other = tmp_path / "other.txt"
@@ -175,13 +249,12 @@ def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
         load_filter(path, expected_hash="def456")
 
     # corrupt one coefficient: decoupling check must fire
-    lines = path.read_text().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("nbar:"):
-            vals = ln.split()
-            vals[1] = "0.5"
-            lines[i] = " ".join(vals)
-    path.write_text("\n".join(lines) + "\n")
+    def corrupt(ln):
+        vals = ln.split()
+        vals[1] = "0.5"
+        return [" ".join(vals)]
+
+    edit_lines(path, "nbar", corrupt)
     with pytest.raises(ConfigError, match="decoupling"):
         load_filter(path, stacked=stacked)
     # without the stacked system the corruption is structurally invisible
@@ -189,27 +262,50 @@ def test_filter_artefact_rejects_tampering(tmp_path, reference_design):
     assert loaded.nbar[0] == 0.5
 
 
-def test_filter_artefact_rejects_inconsistent_denominator(tmp_path, reference_design):
+def test_filter_artefact_pole_comes_from_its_record(tmp_path, reference_design):
+    # the record is the one copy of the pole: an edit of it is the filter
+    # loaded, and refused against the configuration the design read
     _, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123", RECORD)
-    lines = path.read_text().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("pole:"):
-            lines[i] = "pole: 0.6"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match="pole"):
+    save_filter(path, design, "abc123", RECORD, 0.0)
+    edit_lines(path, "config", lambda ln: [ln.replace('"filter.pole": 0.5', '"filter.pole": 0.6')])
+    loaded, _ = load_filter(path)
+    assert loaded.pole == 0.6
+    assert np.array_equal(loaded.a_coeffs, pole_polynomial(0.6, 3))
+    refusal = "designed with filter.pole = 0.6, the configuration gives 0.5"
+    with pytest.raises(ConfigError, match=refusal):
+        load_filter(path, expected_config=RECORD)
+
+
+@pytest.mark.parametrize("key", ["nbar", "config", "tau_star"])
+def test_filter_artefact_rejects_a_duplicated_entry(tmp_path, reference_design, key):
+    # a second line used to win silently
+    _, design = reference_design
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, "abc123", RECORD, 0.0)
+    edit_lines(path, key, lambda ln: [ln, ln])
+    with pytest.raises(ConfigError, match=f"duplicated entry '{key}'"):
+        load_filter(path)
+
+
+def test_filter_artefact_rejects_an_unknown_or_missing_entry(tmp_path, reference_design):
+    _, design = reference_design
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, "abc123", RECORD, 0.0)
+    text = path.read_text()
+    path.write_text(text + "pole: 0.5\n")
+    with pytest.raises(ConfigError, match="unknown entry 'pole'"):
+        load_filter(path)
+    path.write_text(text)
+    edit_lines(path, "tau_star", lambda ln: [])
+    with pytest.raises(ConfigError, match="no tau_star entry"):
         load_filter(path)
 
 
 def test_filter_artefact_rejects_truncated_coefficients(tmp_path, reference_design):
     _, design = reference_design
     path = tmp_path / "filter.txt"
-    save_filter(path, design, "abc123", RECORD)
-    lines = path.read_text().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("nbar:"):
-            lines[i] = " ".join(ln.split()[:-1])
-    path.write_text("\n".join(lines) + "\n")
+    save_filter(path, design, "abc123", RECORD, 0.0)
+    edit_lines(path, "nbar", lambda ln: [" ".join(ln.split()[:-1])])
     with pytest.raises(ConfigError, match="coefficient vector"):
         load_filter(path)

@@ -18,6 +18,7 @@ import scipy.linalg
 import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
+from diagfilter.cli import EXIT_OK, main
 from diagfilter.design import design_multivariate, design_univariate
 from diagfilter.errors import (
     ConfigError,
@@ -25,7 +26,13 @@ from diagfilter.errors import (
     NoFilterError,
     SimulationBlowUp,
 )
-from diagfilter.matio import load_matrix, load_trajectory, save_trajectory, sidecar_path
+from diagfilter.matio import (
+    load_filter,
+    load_matrix,
+    load_trajectory,
+    save_trajectory,
+    sidecar_path,
+)
 from diagfilter.config import (
     FIELDS,
     TEST_SEED_OFFSET,
@@ -42,6 +49,7 @@ from diagfilter.pipeline import (
     cmd_train,
     load_training_bundle,
 )
+from diagfilter.shiftpoly import pole_polynomial
 from diagfilter.solvers import Solution
 
 
@@ -109,7 +117,7 @@ def test_count_bound_is_the_physical_memory(monkeypatch):
     # 1 GiB, 5,000 do not
     page = 4096
     monkeypatch.setattr(
-        pipeline_module.os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**30 // page}.get
+        os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**30 // page}.get
     )
     cfg = default_config()
     cfg["train"]["m"] = 4000
@@ -253,9 +261,14 @@ def test_design_report_and_artefact_agree(completed_run):
     cal = report["calibration"]
     assert cal["threshold"] == cal["tau_star"] + cal["margin"]
     assert cal["window"] == 20
-    artefact = (out / "filter.txt").read_text()
-    assert artefact.splitlines()[0] == "residual-filter-v1"
-    assert json.dumps(cal, sort_keys=True) in artefact
+    # the artefact holds the calibrated tau_star; its record the margin and window
+    tag, *lines = (out / "filter.txt").read_text().splitlines()
+    assert tag == "residual-filter-v2"
+    entries = dict(line.split(": ", 1) for line in lines)
+    assert float(entries["tau_star"]) == cal["tau_star"]
+    record = json.loads(entries["config"])
+    assert record["filter.margin"] == cal["margin"]
+    assert record["filter.window_seconds"] / record["plant.t_s"] == cal["window"]
 
 
 def test_test_report_structure_and_seed_policy(completed_run):
@@ -309,6 +322,58 @@ def test_test_phase_rejects_a_filter_without_its_design_record(completed_run, tm
     with pytest.raises(ConfigError, match=r"seed = \(not recorded\).*re-run the design phase$"):
         cmd_test(cfg, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["filter.txt"]
+
+
+def test_test_phase_refuses_a_filter_that_contradicts_its_design_record(completed_run, tmp_path):
+    # an artefact in the format that stored the pole, denominator and
+    # calibration beside the record, with another pole and margin there: the
+    # test ran that filter and detector, not the one the record describes
+    cfg, out, _ = completed_run
+    design, model_hash = load_filter(out / "filter.txt")
+    calibration = json.loads((out / "design_report.json").read_text())["calibration"]
+    calibration["margin"] = 1.0
+
+    def fmt(values):
+        return " ".join(format(float(v), ".17g") for v in values)
+
+    lines = [
+        "residual-filter-v1",
+        f"d_n: {design.d_n}",
+        "pole: 0.6",
+        f"n_r: {design.n_r}",
+        f"mode: {design.mode}",
+        f"track_steady_state: {int(design.track_steady_state)}",
+        f"objective: {design.objective!r}",
+        f"model_hash: {model_hash}",
+        "branch: " + json.dumps(design.branch, sort_keys=True),
+        "calibration: " + json.dumps(calibration, sort_keys=True),
+        "config: " + json.dumps(cfg.design_record(), sort_keys=True),
+        "a_coeffs: " + fmt(pole_polynomial(0.6, design.d_n)),
+        "nbar: " + fmt(design.nbar),
+    ]
+    (tmp_path / "filter.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="not a residual-filter-v2 artefact"):
+        cmd_test(cfg, tmp_path)
+    # the record's own pole edited: refused against the configuration
+    text = (out / "filter.txt").read_text()
+    edited = text.replace('"filter.pole": 0.5', '"filter.pole": 0.6')
+    assert edited != text
+    (tmp_path / "filter.txt").write_text(edited)
+    refusal = "designed with filter.pole = 0.6, the configuration gives 0.5"
+    with pytest.raises(ConfigError, match=refusal):
+        cmd_test(cfg, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["filter.txt"]
+
+
+@pytest.mark.parametrize("damaged", [None, b"[1, 2]\n"], ids=["truncated", "not-an-object"])
+def test_design_solves_a_damaged_pretrain_report_again(mv_reuse_base, tmp_path, damaged):
+    run = tmp_path / "run"
+    shutil.copytree(mv_reuse_base, run)
+    report = run / "pretrain_report.json"
+    report.write_bytes(report.read_bytes()[:40] if damaged is None else damaged)
+    assert main(["design", "--config", str(run / "config.json"), "--out", str(run)]) == EXIT_OK
+    for name in ("pretrain_report.json", "filter.txt", "design_report.json"):
+        assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
 
 
 def test_trace_alarm_column_is_the_detector_decision(tmp_path):

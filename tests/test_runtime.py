@@ -18,7 +18,6 @@ from diagfilter.runtime import (
     calibrate_threshold,
     residual_energy,
 )
-from diagfilter.shiftpoly import pole_polynomial
 from diagfilter.simulate import AttackSpec, DisturbanceSpec, simulate_linear
 
 
@@ -33,13 +32,11 @@ def reference_setup(pole=0.5, d_n=3, t_s=0.5):
     return disc, dae, stacked, design
 
 
-def toy_design(nbar, d_n, n_r, pole=0.5) -> FilterDesign:
+def toy_design(nbar, d_n, pole=0.5) -> FilterDesign:
     return FilterDesign(
         nbar=np.asarray(nbar, dtype=float),
         d_n=d_n,
         pole=pole,
-        a_coeffs=pole_polynomial(pole, d_n),
-        n_r=n_r,
         mode="pure_model",
         objective=0.0,
         branch={},
@@ -86,7 +83,7 @@ def test_residual_responds_to_attack():
 
 def test_scalar_filter_reproduces_difference_equation():
     # single output, L = identity: r[k] = n0 y[k-1] + n1 y[k] - a0 r[k-1]
-    design = toy_design([0.25, 0.5], d_n=1, n_r=1)
+    design = toy_design([0.25, 0.5], d_n=1)
     filt = ResidualFilter(design, np.eye(1))
     a0, a1 = design.a_coeffs
     rng = np.random.default_rng(10)
@@ -101,7 +98,7 @@ def test_scalar_filter_reproduces_difference_equation():
 
 
 def test_run_rejects_wrong_output_count():
-    design = toy_design([0.25, 0.5], d_n=1, n_r=1)
+    design = toy_design([0.25, 0.5], d_n=1)
     filt = ResidualFilter(design, np.eye(1))
     with pytest.raises(ValueError, match="expected 1 outputs, got 2"):
         filt.run(np.zeros((2, 5)))
