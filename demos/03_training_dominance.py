@@ -19,7 +19,6 @@ from diagfilter import (
     ExperimentConfig,
     ResidualFilter,
     RunBatch,
-    average_q,
     calibrate_threshold,
     default_config,
     design_univariate,
@@ -27,6 +26,7 @@ from diagfilter import (
     mismatch_signature,
     q_matrix,
     residual_energy,
+    signature_energy,
     simulate_linear,
     simulate_nonlinear,
 )
@@ -50,15 +50,15 @@ def main():
          for i in range(M_TRAIN)]
     )
     plant_runs = simulate_nonlinear(ctx.plant, batch)
-    q_list, sigs = [], []
+    forms, sigs = [], []
     for i, ((dist, _), plant_run) in enumerate(zip(batch.runs, plant_runs)):
         model_run = simulate_linear(ctx.model_d, dist, AttackSpec())
         sig = mismatch_signature(plant_run.Y, model_run.Y)
         sigs.append(sig)
-        q_list.append(q_matrix(ctx.stacked, sig, gram))
+        forms.append(q_matrix(ctx.stacked, sig, gram))
         print(f"  instance {i}: max |mismatch| = {np.max(np.abs(sig)):.3e}")
-    qbar = average_q(q_list)
-    print(f"collected {len(q_list)} quadratic forms of shape {qbar.shape} "
+    qbar = sum(forms) / len(forms)
+    print(f"collected {len(forms)} quadratic forms of shape {qbar.shape} "
           f"in {time.perf_counter() - t0:.1f} s")
 
     print("\n=== design: trained vs model-only ===")
@@ -75,8 +75,14 @@ def main():
     print(f"improvement factor: {vp / max(va, 1e-300):.1e}")
 
     margin = float(ctx.cfg.filter["margin"])
-    det_a = calibrate_threshold(assisted, q_list, margin, ctx.window_samples)
-    det_p = calibrate_threshold(pure, q_list, margin, ctx.window_samples)
+
+    def calibrate(design):
+        # each training run's energy through this filter, as the design phase
+        # calibrates: a filter run per signature, not a form
+        energies = [signature_energy(ctx.stacked, design.nbar, sig, gram) for sig in sigs]
+        return calibrate_threshold(design, energies, margin, ctx.window_samples)
+
+    det_a, det_p = calibrate(assisted), calibrate(pure)
     print(f"\ncalibrated tau*: trained {det_a.tau_star:.3e}, "
           f"model-only {det_p.tau_star:.3e}")
     print(f"alarm thresholds (tau* + {margin}): trained {det_a.threshold:.6f}, "

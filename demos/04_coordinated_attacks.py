@@ -17,7 +17,6 @@ from diagfilter import (
     ExperimentConfig,
     ResidualFilter,
     RunBatch,
-    average_q,
     calibrate_threshold,
     design_multivariate,
     gram_matrix,
@@ -25,6 +24,7 @@ from diagfilter import (
     multivariate_default_config,
     pretrain_multivariate,
     q_matrix,
+    signature_energy,
     simulate_linear,
     simulate_nonlinear,
     steady_state_margin,
@@ -62,14 +62,13 @@ def main():
         [(ctx.disturbance_spec(ctx.cfg.seed + i, train_h), AttackSpec())
          for i in range(M_TRAIN)]
     )
-    q_list = []
-    for (dist, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch)):
-        model_run = simulate_linear(ctx.model_d, dist, AttackSpec())
-        q_list.append(
-            q_matrix(ctx.stacked, mismatch_signature(plant_run.Y, model_run.Y), gram)
-        )
+    sigs = [
+        mismatch_signature(plant_run.Y, simulate_linear(ctx.model_d, dist, AttackSpec()).Y)
+        for (dist, _), plant_run in zip(batch.runs, simulate_nonlinear(ctx.plant, batch))
+    ]
+    forms = [q_matrix(ctx.stacked, sig, gram) for sig in sigs]
     design = design_multivariate(
-        ctx.stacked, average_q(q_list), attack, pre.j_star,
+        ctx.stacked, sum(forms) / len(forms), attack, pre.j_star,
         pole=float(ctx.cfg.filter["pole"]),
     )
     print(f"branch {design.branch}, objective {design.objective:.3e}, "
@@ -93,7 +92,10 @@ def main():
         ctx.plant, RunBatch([(spec, AttackSpec(f_vec, ONSET))])
     )
     detector = calibrate_threshold(
-        design, q_list, float(ctx.cfg.filter["margin"]), ctx.window_samples
+        design,
+        [signature_energy(ctx.stacked, design.nbar, sig, gram) for sig in sigs],
+        float(ctx.cfg.filter["margin"]),
+        ctx.window_samples,
     )
     verdict = detector.evaluate(ResidualFilter(design, ctx.dae.L).run(traj.Y))
     print(f"threshold {detector.threshold:.6f}, "

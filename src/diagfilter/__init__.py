@@ -35,7 +35,6 @@ from .agc import (
 from .design import (
     AttackModel,
     FilterDesign,
-    average_q,
     design_multivariate,
     design_univariate,
     gram_matrix,
@@ -43,6 +42,7 @@ from .design import (
     mismatch_signature,
     pretrain_multivariate,
     q_matrix,
+    signature_energy,
     steady_state_margin,
     worst_case_alpha,
 )
@@ -103,7 +103,6 @@ __all__ = [
     "StackedSystem",
     "assemble_dae",
     "assemble_multiarea",
-    "average_q",
     "build_stacked",
     "calibrate_threshold",
     "cmd_run_all",
@@ -119,6 +118,7 @@ __all__ = [
     "pretrain_multivariate",
     "q_matrix",
     "residual_energy",
+    "signature_energy",
     "simulate_linear",
     "simulate_nonlinear",
     "solve_lp",

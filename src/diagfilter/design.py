@@ -4,9 +4,9 @@ A residual generator ``r = a(q)^{-1} N(q) L(q) y`` is blind to states and
 disturbances whenever ``nbar @ barH = 0``.  What remains in the residual is
 the attack response and the response to the output mismatch between the
 physical plant and its abstract model.  The functions here turn recorded
-mismatch trajectories into quadratic forms whose value at ``nbar`` is
-exactly the mismatch energy the filter would reproduce, and solve convex
-programs that trade that energy off against guaranteed attack visibility.
+mismatch trajectories into quadratic forms whose value at ``nbar`` is the
+mismatch energy the filter reproduces (or into that energy itself, as a
+filter run), and solve programs that trade it off against attack visibility.
 
 Horizon convention: a mismatch signature has one column per sample,
 k = 1..T; applying the shift beyond the horizon zero-fills, i.e. the
@@ -106,6 +106,16 @@ def stack_shifted(signature: np.ndarray, d_n: int) -> np.ndarray:
     return out
 
 
+def _numerator_rows(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``barL Dstack`` of a signature checked against the model and the Gram matrix."""
+    sig = np.atleast_2d(np.asarray(signature, dtype=float))
+    if sig.shape[0] != stacked.n_y:
+        raise ValueError(f"signature has {sig.shape[0]} rows, model has {stacked.n_y} outputs")
+    if gram.shape != (sig.shape[1], sig.shape[1]):
+        raise ValueError("gram matrix does not match the signature horizon")
+    return stacked.barL @ stack_shifted(sig, stacked.d_n)
+
+
 def q_matrix(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Quadratic form whose value ``nbar Q nbar'`` is the filtered mismatch energy.
 
@@ -113,26 +123,17 @@ def q_matrix(stacked: StackedSystem, signature: np.ndarray, gram: np.ndarray) ->
     construction; the returned matrix is explicitly symmetrised to keep
     round-off from leaking into eigenvalue checks.
     """
-    sig = np.atleast_2d(np.asarray(signature, dtype=float))
-    if sig.shape[0] != stacked.n_y:
-        raise ValueError(
-            f"signature has {sig.shape[0]} rows, model has {stacked.n_y} outputs"
-        )
-    if gram.shape != (sig.shape[1], sig.shape[1]):
-        raise ValueError("gram matrix does not match the signature horizon")
-    ld = stacked.barL @ stack_shifted(sig, stacked.d_n)
+    ld = _numerator_rows(stacked, signature, gram)
     q = ld @ gram @ ld.T
     return 0.5 * (q + q.T)
 
 
-def average_q(q_list: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the per-instance quadratic forms."""
-    if not q_list:
-        raise ValueError("need at least one quadratic form")
-    acc = np.zeros_like(np.asarray(q_list[0], dtype=float))
-    for q in q_list:
-        acc += q
-    return acc / len(q_list)
+def signature_energy(
+    stacked: StackedSystem, nbar: np.ndarray, signature: np.ndarray, gram: np.ndarray
+) -> float:
+    """:func:`q_matrix`'s value at ``nbar``, up to round-off, as a filter run:
+    the numerator output ``w = nbar barL Dstack`` has energy ``w G w'``."""
+    return quadratic_value(nbar @ _numerator_rows(stacked, signature, gram), gram)
 
 
 def quadratic_value(nbar: np.ndarray, q: np.ndarray) -> float:
@@ -143,11 +144,6 @@ def quadratic_value(nbar: np.ndarray, q: np.ndarray) -> float:
 def regularised_value(nbar: np.ndarray, q: np.ndarray) -> float:
     """``nbar`` on ``q`` plus the ridge the design programs add before solving."""
     return quadratic_value(nbar, q + REGULARIZATION * np.eye(q.shape[0]))
-
-
-def worst_case_value(nbar: np.ndarray, q_list: list[np.ndarray]) -> float:
-    """Largest per-instance energy ``nbar Q_i nbar'`` over a training set."""
-    return max(quadratic_value(nbar, q) for q in q_list)
 
 
 @dataclass

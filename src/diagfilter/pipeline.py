@@ -35,7 +35,6 @@ from .design import (
     AttackModel,
     FilterDesign,
     PretrainResult,
-    average_q,
     design_multivariate,
     design_univariate,
     gram_matrix,
@@ -44,6 +43,7 @@ from .design import (
     q_matrix,
     quadratic_value,
     regularised_value,
+    signature_energy,
     steady_state_margin,
     worst_case_alpha,
 )
@@ -108,16 +108,16 @@ class PipelineContext:
 def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     """Reject counts whose arrays cannot fit in physical memory, before any is made.
 
-    ``filter.d_n`` sizes every quadratic form over the filter coefficients,
-    ``((d_n + 1) (n_x + n_y))^2`` floats, the largest of the stacked
-    arrays.  ``train.m`` and the training horizon size the output record,
-    one form per run and the ``T x T`` Gram matrix; ``test.runs`` and the
-    test horizon the test output record, a clean and an attacked copy of
-    each run.  ``train.hold_seconds`` sizes each run's disturbance draw,
-    :func:`~diagfilter.config.hold_rows` rows of ``n_d`` values and of one
-    draw per channel.
+    ``filter.d_n`` sizes the quadratic forms, ``((d_n + 1) (n_x + n_y))^2``
+    floats each, four of them in flight while the design sums one per run.
+    ``train.m`` and the training horizon size each run's output record and
+    signature, besides the ``T x T`` Gram matrix and those forms once;
+    ``test.runs`` and the test horizon the test output record, a clean and an
+    attacked copy of each run.  ``train.hold_seconds`` sizes each run's
+    disturbance draw, :func:`~diagfilter.config.hold_rows` rows of ``n_d``
+    values and of one draw per channel.
     """
-    form = ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
+    forms = 4 * ((int(cfg.filter["d_n"]) + 1) * (model.n_x + model.n_y)) ** 2
     train_samples = cfg.samples("train.horizon_seconds")
     test_samples = cfg.samples("test.horizon_seconds")
     hold = float(cfg.train["hold_seconds"])
@@ -125,9 +125,10 @@ def _check_array_sizes(cfg: ExperimentConfig, model: LinearModel) -> None:
     row = model.n_d + (model.n_d if channels is None else len(channels))
     train_draw = hold_rows(float(cfg.train["horizon_seconds"]), hold) * row
     test_draw = hold_rows(float(cfg.test["horizon_seconds"]), hold) * row
-    check_memory(form, "filter.d_n")
+    check_memory(forms, "filter.d_n")
     check_memory(
-        int(cfg.train["m"]) * (model.n_y * train_samples + form + train_draw) + train_samples**2,
+        int(cfg.train["m"]) * (2 * model.n_y * train_samples + train_draw)
+        + train_samples**2 + forms,
         "train.m, train.horizon_seconds and train.hold_seconds",
     )
     check_memory(
@@ -382,11 +383,12 @@ def cmd_train(
 
 @dataclass
 class TrainingBundle:
-    """Mismatch statistics of a training set: one signature and form per run."""
+    """A training set's average form, each run's signature and form trace, and the Gram matrix."""
 
-    q_list: list[np.ndarray]
     qbar: np.ndarray
     signatures: list[np.ndarray]
+    q_trace: list[float]
+    gram: np.ndarray
 
 
 def _signatures(
@@ -403,12 +405,15 @@ def _signatures(
 def _training_bundle(
     ctx: PipelineContext, specs: list[DisturbanceSpec], outputs: list[np.ndarray]
 ) -> TrainingBundle:
-    """Signatures, quadratic forms and their average for recorded plant runs,
-    the forms averaged in the order given."""
+    """Signatures and the average of their quadratic forms for recorded plant
+    runs, each form added into one sum in the order given, then dropped."""
     gram = gram_matrix(ctx.a_coeffs, ctx.train_samples)
     signatures = _signatures(ctx, specs, outputs)
-    q_list = [q_matrix(ctx.stacked, sig, gram) for sig in signatures]
-    return TrainingBundle(q_list=q_list, qbar=average_q(q_list), signatures=signatures)
+    total, q_trace = np.zeros((ctx.stacked.n_vars, ctx.stacked.n_vars)), []
+    for q in (q_matrix(ctx.stacked, sig, gram) for sig in signatures):
+        total += q
+        q_trace.append(float(np.trace(q)))
+    return TrainingBundle(total / len(signatures), signatures, q_trace, gram)
 
 
 def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingBundle:
@@ -459,7 +464,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
     out.mkdir(parents=True, exist_ok=True)
 
     bundle = load_training_bundle(ctx, out) if cfg.mode == "data_assisted" else None
-    qbar, q_list = (bundle.qbar, bundle.q_list) if bundle else (None, [])
+    qbar = bundle.qbar if bundle else None
 
     pole = float(cfg.filter["pole"])
     if ctx.attack_model.kind == "univariate":
@@ -521,7 +526,9 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
             "ridged_ratio": float(assisted_ridged / pure_ridged),
         }
 
-    detector = calibrate_threshold(design, q_list, float(cfg.filter["margin"]), ctx.window_samples)
+    sigs = bundle.signatures if bundle else []
+    energies = [signature_energy(ctx.stacked, design.nbar, sig, bundle.gram) for sig in sigs]
+    detector = calibrate_threshold(design, energies, float(cfg.filter["margin"]), ctx.window_samples)
     calibration = {**asdict(detector), "threshold": detector.threshold}
     matio.save_filter(
         out / "filter.txt", design, ctx.model_hash, cfg.design_record(), detector.tau_star
@@ -540,7 +547,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
     if bundle:
         # the training form the design minimised, and each run's share of it
         report["qbar_trace"] = float(np.trace(qbar))
-        report["q_trace"] = [float(np.trace(q)) for q in q_list]
+        report["q_trace"] = bundle.q_trace
     if "gamma" in design.diagnostics:
         report["gamma"] = float(design.diagnostics["gamma"])
     if "qp" in design.diagnostics:

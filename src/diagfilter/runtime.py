@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FilterDesign, worst_case_value
+from .design import FilterDesign
 
 
 class ResidualFilter:
@@ -123,21 +123,17 @@ class Detector:
 
 
 def calibrate_threshold(
-    design: FilterDesign,
-    q_list: list[np.ndarray],
-    margin: float,
-    window: int,
+    design: FilterDesign, energies: list[float], margin: float, window: int
 ) -> Detector:
-    """Detector calibrated on the training quadratic forms.
+    """Detector calibrated on the training runs' filtered mismatch energies.
 
-    ``tau_star`` is the square root of the largest training-instance energy
-    of this particular filter; an empty or all-zero training set (the pure
-    model-based mode) calibrates to ``tau_star = 0`` and the detector runs
-    on the margin alone.
+    ``energies`` holds each training run's energy ``nbar Q_i nbar'`` for this
+    particular filter (:func:`~diagfilter.design.signature_energy`), and
+    ``tau_star`` is the square root of the largest; an empty or all-zero
+    training set (the pure model-based mode) calibrates to ``tau_star = 0``
+    and the detector runs on the margin alone.
     """
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    tau = 0.0
-    if q_list:
-        tau = float(np.sqrt(max(worst_case_value(design.nbar, q_list), 0.0)))
+    tau = float(np.sqrt(max([0.0, *energies])))
     return Detector(tau_star=tau, margin=margin, window=window, warmup=design.d_n)

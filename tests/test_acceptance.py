@@ -25,6 +25,7 @@ from diagfilter.design import (
     pretrain_multivariate,
     q_matrix,
     quadratic_value,
+    signature_energy,
     steady_state_margin,
     worst_case_alpha,
 )
@@ -75,6 +76,11 @@ def bundle(ctx, tmp_path_factory):
     return SimpleNamespace(data=data, seconds=seconds, out=out)
 
 
+def training_energies(ctx, design, data):
+    """Each training run's filtered mismatch energy under ``design``, as cmd_design takes it."""
+    return [signature_energy(ctx.stacked, design.nbar, s, data.gram) for s in data.signatures]
+
+
 @pytest.fixture(scope="module")
 def designs(ctx, bundle):
     margin = float(ctx.cfg.filter["margin"])
@@ -85,7 +91,9 @@ def designs(ctx, bundle):
         ctx.stacked, bundle.data.qbar, pole=pole, track_steady_state=True
     )
     pure = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=True)
-    det_assisted = calibrate_threshold(assisted, bundle.data.q_list, margin, window)
+    det_assisted = calibrate_threshold(
+        assisted, training_energies(ctx, assisted, bundle.data), margin, window
+    )
     det_pure = calibrate_threshold(pure, [], margin, window)
     seconds = time.perf_counter() - start
     return SimpleNamespace(
@@ -137,7 +145,7 @@ def mv_design(mv_ctx, bundle):
     )
     margin = float(mv_ctx.cfg.filter["margin"])
     detector = calibrate_threshold(
-        design, bundle.data.q_list, margin, mv_ctx.window_samples
+        design, training_energies(mv_ctx, design, bundle.data), margin, mv_ctx.window_samples
     )
     seconds = time.perf_counter() - start
     return SimpleNamespace(
@@ -161,14 +169,15 @@ def test_1_quadratic_form_equals_simulated_residual_energy(ctx):
     for sig, q in zip(sigs, q_mats):
         for nbar in nbars:
             direct = direct_energy(nbar, ctx.dae.L, sig, a_coeffs)
-            quad = quadratic_value(nbar, q)
-            worst = max(worst, abs(quad - direct) / max(abs(direct), 1e-30))
+            # the form, and the filter run the calibration takes
+            for value in (quadratic_value(nbar, q), signature_energy(ctx.stacked, nbar, sig, gram)):
+                worst = max(worst, abs(value - direct) / max(abs(direct), 1e-30))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0
     record_check(
         ok,
-        f"quadratic form vs simulated energy: worst relative error {worst:.3e} "
-        f"<= 1e-8 over 400 pairs ({elapsed:.1f} s < 10 s)",
+        f"quadratic form and filter run vs simulated energy: worst relative error "
+        f"{worst:.3e} <= 1e-8 over 400 pairs ({elapsed:.1f} s < 10 s)",
     )
     assert ok
 
@@ -233,8 +242,9 @@ def test_4_gram_matrix_matches_impulse_simulation():
     assert ok
 
 
-def test_5_training_forms_are_positive_semidefinite(bundle):
-    mins = [float(np.linalg.eigvalsh(q).min()) for q in bundle.data.q_list]
+def test_5_training_forms_are_positive_semidefinite(ctx, bundle):
+    forms = [q_matrix(ctx.stacked, s, bundle.data.gram) for s in bundle.data.signatures]
+    mins = [float(np.linalg.eigvalsh(q).min()) for q in forms]
     mins.append(float(np.linalg.eigvalsh(bundle.data.qbar).min()))
     worst = min(mins)
     ok = worst >= -1e-9

@@ -1,6 +1,6 @@
 """Residual filter synthesis: quadratic forms, convex branches, certificates."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from diagfilter.design import (
     REGULARIZATION,
     AttackModel,
     FilterDesign,
-    average_q,
     design_multivariate,
     design_univariate,
     gram_matrix,
@@ -24,10 +23,10 @@ from diagfilter.design import (
     program_branch,
     q_matrix,
     quadratic_value,
+    signature_energy,
     stack_shifted,
     steady_state_margin,
     worst_case_alpha,
-    worst_case_value,
 )
 from diagfilter.errors import ConfigError, NoFilterError, SolverError
 from diagfilter.lti import LinearModel, assemble_dae, build_stacked, zoh_discretize
@@ -178,27 +177,24 @@ def test_quadratic_form_reproduces_direct_filtering():
         direct = direct_energy(nbar, dae.L, sig, a)
         quad = quadratic_value(nbar, q)
         assert abs(quad - direct) < 1e-9 * (1.0 + abs(direct))
+        # the same energy as a filter run, without the form
+        run = signature_energy(stacked, nbar, sig, gram_matrix(a, horizon))
+        assert abs(run - direct) < 1e-9 * (1.0 + abs(direct))
         # and the form is PSD up to round-off
         assert np.min(np.linalg.eigvalsh(q)) > -1e-9
 
 
 def test_q_matrix_validates_shapes():
+    # signature_energy shares the checks
     rng = np.random.default_rng(0)
     dae, stacked = small_stacked(rng)
     g = gram_matrix(pole_polynomial(0.5, stacked.d_n), 10)
-    with pytest.raises(ValueError):
-        q_matrix(stacked, np.zeros((stacked.n_y + 1, 10)), g)
-    with pytest.raises(ValueError):
-        q_matrix(stacked, np.zeros((stacked.n_y, 9)), g)
-
-
-def test_average_q_is_elementwise_mean():
-    qs = [np.full((2, 2), 1.0), np.full((2, 2), 3.0)]
-    assert np.array_equal(average_q(qs), np.full((2, 2), 2.0))
-    with pytest.raises(ValueError):
-        average_q([])
-    nbar = np.array([1.0, 0.0])
-    assert worst_case_value(nbar, qs) == 3.0
+    nbar = np.ones(stacked.n_vars)
+    for evaluate in (partial(q_matrix, stacked), partial(signature_energy, stacked, nbar)):
+        with pytest.raises(ValueError, match="rows, model has"):
+            evaluate(np.zeros((stacked.n_y + 1, 10)), g)
+        with pytest.raises(ValueError, match="signature horizon"):
+            evaluate(np.zeros((stacked.n_y, 9)), g)
 
 
 def test_pure_design_on_reference_network():
@@ -231,10 +227,10 @@ def test_assisted_design_never_loses_to_pure_on_training_energy():
     dae, stacked = small_stacked(rng, d_n=3)
     a = pole_polynomial(0.5, 3)
     g = gram_matrix(a, 12)
-    q_list = [
+    forms = [
         q_matrix(stacked, rng.normal(size=(stacked.n_y, 12)), g) for _ in range(5)
     ]
-    qbar = average_q(q_list)
+    qbar = sum(forms) / len(forms)
     pure = design_univariate(stacked, None, pole=0.5)
     assisted = design_univariate(stacked, qbar, pole=0.5)
     assert assisted.mode == "data_assisted"

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,19 +112,19 @@ def test_count_whose_arrays_cannot_fit_is_rejected_before_any_is_made(mode, sect
 
 
 def test_count_bound_is_the_physical_memory(monkeypatch):
-    # default config: a run's output record is 25 x 20 floats, its form
-    # 176 x 176 and its disturbance draw 11 x (3 + 3), 252,336 bytes together
-    # (the 20 x 20 Gram matrix adds 3,200 bytes once); 4,000 runs fit in
-    # 1 GiB, 5,000 do not
+    # default config: a run's output record and signature are 25 x 20 floats
+    # each and its disturbance draw 11 x (3 + 3), 8,528 bytes together; the
+    # 20 x 20 Gram matrix and four 176 x 176 forms add 994,432 bytes once.
+    # 62,837 runs fit in 512 MiB, 62,838 do not
     page = 4096
     monkeypatch.setattr(
-        os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**30 // page}.get
+        os, "sysconf", {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 2**29 // page}.get
     )
     cfg = default_config()
-    cfg["train"]["m"] = 4000
+    cfg["train"]["m"] = 62_837
     build_context(ExperimentConfig.from_dict(cfg))
-    cfg["train"]["m"] = 5000
-    with pytest.raises(ConfigError, match="1.0 GiB of physical memory"):
+    cfg["train"]["m"] = 62_838
+    with pytest.raises(ConfigError, match="0.5 GiB of physical memory"):
         build_context(ExperimentConfig.from_dict(cfg))
 
 
@@ -741,16 +742,40 @@ def test_training_bundle_round_trip(completed_run):
     cfg, out, _ = completed_run
     ctx = build_context(cfg)
     bundle = load_training_bundle(ctx, out)
-    assert len(bundle.q_list) == 3
+    assert np.array_equal(bundle.gram, design_module.gram_matrix(ctx.a_coeffs, ctx.train_samples))
+    forms = [design_module.q_matrix(ctx.stacked, sig, bundle.gram) for sig in bundle.signatures]
+    assert len(forms) == 3
     assert bundle.qbar.shape == (176, 176)
-    assert np.array_equal(bundle.qbar, design_module.average_q(bundle.q_list))
+    assert np.array_equal(bundle.qbar, sum(forms) / len(forms))
+    assert bundle.q_trace == [float(np.trace(q)) for q in forms]
     paths, runs = pipeline_module._training_runs(ctx, out / "train")
     outputs = [load_trajectory(path)[1] for path in paths]
     again = pipeline_module._training_bundle(ctx, [dist for dist, _ in runs], outputs)
     assert np.array_equal(again.qbar, bundle.qbar)
     report = json.loads((out / "design_report.json").read_text())
     assert report["qbar_trace"] == float(np.trace(bundle.qbar))
-    assert report["q_trace"] == [float(np.trace(q)) for q in bundle.q_list]
+    assert report["q_trace"] == [float(np.trace(q)) for q in forms]
+
+
+def test_training_bundle_memory_does_not_grow_by_a_form_per_run(tmp_path):
+    # the design adds each training form into one sum as it makes it, so four
+    # times the runs add their output records and signatures, about a KiB
+    # each here, and not a 176 x 176 form (247,808 bytes) each
+    raw = default_config()
+    raw["train"].update(m=16, horizon_seconds=2.5)
+    cmd_train(ExperimentConfig.from_dict(raw), tmp_path)
+    peaks = []
+    for m in (4, 16):
+        raw["train"]["m"] = m
+        ctx = build_context(ExperimentConfig.from_dict(raw))
+        tracemalloc.start()
+        try:
+            load_training_bundle(ctx, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    form = 8 * ctx.stacked.n_vars**2
+    assert peaks[1] - peaks[0] < 2 * form, peaks
 
 
 def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from diagfilter.agc import three_area_default, univariate_topology
 from diagfilter.design import (
     FilterDesign,
-    average_q,
     design_univariate,
     gram_matrix,
     q_matrix,
+    signature_energy,
 )
 from diagfilter.lti import assemble_dae, build_stacked, zoh_discretize
 from diagfilter.runtime import (
@@ -137,12 +137,10 @@ def test_calibration_uses_worst_training_energy():
     disc, dae, stacked, design = reference_setup()
     a = design.a_coeffs
     g = gram_matrix(a, 10)
-    q_list = [
-        q_matrix(stacked, rng.normal(scale=0.01, size=(stacked.n_y, 10)), g)
-        for _ in range(4)
-    ]
-    det = calibrate_threshold(design, q_list, margin=0.05, window=20)
-    worst = max(float(design.nbar @ q @ design.nbar) for q in q_list)
+    sigs = [rng.normal(scale=0.01, size=(stacked.n_y, 10)) for _ in range(4)]
+    energies = [signature_energy(stacked, design.nbar, s, g) for s in sigs]
+    det = calibrate_threshold(design, energies, margin=0.05, window=20)
+    worst = max(float(design.nbar @ q_matrix(stacked, s, g) @ design.nbar) for s in sigs)
     assert abs(det.tau_star - np.sqrt(worst)) < 1e-12
     assert det.warmup == design.d_n
     assert det.threshold == det.tau_star + 0.05
@@ -171,11 +169,12 @@ def test_replaying_training_data_stays_under_calibrated_threshold():
         sig = rng.normal(scale=0.01, size=(stacked.n_y, horizon))
         sig[:, : design.d_n] = 0.0
         sigs.append(sig)
-    q_list = [q_matrix(stacked, s, g) for s in sigs]
-    det = calibrate_threshold(design, q_list, margin=1e-9, window=horizon)
+    det = calibrate_threshold(
+        design, [signature_energy(stacked, design.nbar, s, g) for s in sigs], 1e-9, horizon
+    )
     filt = ResidualFilter(design, dae.L)
     energies = []
-    for sig, q in zip(sigs, q_list):
+    for sig, q in zip(sigs, [q_matrix(stacked, s, g) for s in sigs]):
         r = filt.run(sig)
         energy = residual_energy(r, horizon)[-1]
         energies.append(energy)

@@ -28,11 +28,15 @@ def test_every_traced_layer_records_a_call_over_a_univariate_and_a_multivariate_
     spans, workloads = perfbench_module("spans"), perfbench_module("workloads")
     tracer = spans.Tracer(spans.LAYER_SITES)
     calls: dict[str, int] = {}
+    forms = {}
     for family in ("tiny", "mv"):
         cfg = config.ExperimentConfig.from_dict(workloads.family_config(family, 0))
         with tracer.installed():
             pipeline.cmd_run_all(cfg, tmp_path / family)
         for layer, record in tracer.layers().items():
             calls[layer] = calls.get(layer, 0) + record["calls"]
+        forms[family] = (tracer.layers()["design.q_matrix"]["calls"], cfg.train["m"])
     silent = sorted({layer for layer, *_ in spans.LAYER_SITES} - {k for k, n in calls.items() if n})
     assert not silent, f"layers that recorded no call: {silent}"
+    # the design makes one form per training run, where the pipeline calls it
+    assert forms == {"tiny": (2, 2), "mv": (8, 8)}
