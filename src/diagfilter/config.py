@@ -39,6 +39,20 @@ def hold_rows(horizon: float, hold: float) -> int:
     return ceil(min(horizon / hold, 2.0**62)) + 1
 
 
+def _read_json(path: Path, what: str):
+    """The JSON value in the file at ``path``; ConfigError, naming it ``what``,
+    when it is missing, cannot be read, or does not hold JSON."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, text not in UTF-8 or an integer past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def check_memory(floats: int, names: str) -> None:
     """ConfigError unless ``floats`` doubles, sized by ``names``, fit in physical memory."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -194,10 +208,7 @@ class ExperimentConfig:
             # a referenced file is ignored where its section is given
             key = raw.pop(f"{section}_path", None)
             if section not in raw and key is not None:
-                path = base / key
-                if not path.exists():
-                    raise ConfigError(f"referenced {section} file not found: {path}")
-                raw[section] = json.loads(path.read_text())
+                raw[section] = _read_json(base / key, f"referenced {section} file")
         missing = [k for k in ("model", "attack") if k not in raw]
         if missing:
             raise ConfigError(f"configuration missing section(s): {', '.join(missing)}")
@@ -226,13 +237,7 @@ class ExperimentConfig:
         """Load a JSON configuration; ``overrides`` replaces top-level fields
         (the CLI's ``--seed`` and ``--mode``) before it is validated."""
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"configuration file not found: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except ValueError as exc:
-            # a JSONDecodeError, or an integer past Python's digit limit
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raw = _read_json(path, "configuration file")
         if isinstance(raw, dict) and overrides:
             raw = {**raw, **overrides}
         return ExperimentConfig.from_dict(raw, base_dir=path.parent)

@@ -8,6 +8,11 @@ mismatch trajectories into quadratic forms whose value at ``nbar`` is the
 mismatch energy the filter reproduces (or into that energy itself, as a
 filter run), and solve programs that trade it off against attack visibility.
 
+The model fixes each program's feasible set and the training data only its
+objective.  So a design function given a training form also solves its
+program without the form, over the same constraints, and rejects a design
+that loses to this model-only baseline; the design carries the baseline.
+
 Horizon convention: a mismatch signature has one column per sample,
 k = 1..T; applying the shift beyond the horizon zero-fills, i.e. the
 signature is treated as a finite-support signal.
@@ -141,11 +146,6 @@ def quadratic_value(nbar: np.ndarray, q: np.ndarray) -> float:
     return float(nbar @ q @ nbar)
 
 
-def regularised_value(nbar: np.ndarray, q: np.ndarray) -> float:
-    """``nbar`` on ``q`` plus the ridge the design programs add before solving."""
-    return quadratic_value(nbar, q + REGULARIZATION * np.eye(q.shape[0]))
-
-
 @dataclass
 class AttackModel:
     """Declared attack set used during synthesis.
@@ -204,10 +204,9 @@ class FilterDesign:
     """A synthesised residual generator plus its design certificates.
 
     ``mode`` is ``"data_assisted"`` for a design against a training form and
-    ``"pure_model"`` for one without.  ``constraints`` is the problem whose
-    constraints the design was solved over; a later design over the same
-    constraints, such as the model-only baseline, takes it to reuse their
-    reduction.  It is not persisted.
+    ``"pure_model"`` for one without.  A data-assisted design carries in
+    ``baseline`` the model-only design over its constraints that it was
+    checked against (:func:`_with_baseline`).  It is not persisted.
     """
 
     nbar: np.ndarray
@@ -218,7 +217,7 @@ class FilterDesign:
     branch: dict
     track_steady_state: bool = False
     diagnostics: dict = field(default_factory=dict)
-    constraints: QpProblem | None = field(default=None, repr=False, compare=False)
+    baseline: FilterDesign | None = field(default=None, repr=False, compare=False)
 
     @property
     def a_coeffs(self) -> np.ndarray:
@@ -240,22 +239,44 @@ class FilterDesign:
         return self.nbar.reshape(self.d_n + 1, self.n_r).sum(axis=0)
 
 
-def _design_matrices(stacked: StackedSystem, qbar: np.ndarray | None):
+def _objective(stacked: StackedSystem, qbar: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The training form (zero for a model-only design) and the ridged ``P``
+    of the programs that minimise it."""
     n = stacked.n_vars
     if qbar is None:
         qbar = np.zeros((n, n))
     qbar = np.asarray(qbar, dtype=float)
     if qbar.shape != (n, n):
         raise ValueError(f"qbar must be {n} x {n}")
-    p_mat = 2.0 * (qbar + REGULARIZATION * np.eye(n))
-    a_eq = stacked.barH.T
-    b_eq = np.zeros(a_eq.shape[0])
-    return qbar, p_mat, a_eq, b_eq
+    return qbar, 2.0 * (qbar + REGULARIZATION * np.eye(n))
 
 
-def _nf_first_nonzero(nf_row: np.ndarray) -> float:
-    nz = nf_row[np.abs(nf_row) > 1e-9]
-    return float(nz[0]) if nz.size else 0.0
+def _with_baseline(design: FilterDesign, baseline: FilterDesign, form: np.ndarray) -> FilterDesign:
+    """``design`` carrying its model-only ``baseline`` once it scores no worse.
+
+    Both filters are scored on the ridged training ``form`` the programs
+    minimise, relatively, as the forms are of order 1e-14 to 1e-10; the
+    scores go to ``diagnostics["dominance"]``.  DetectorInfeasibleError if
+    the baseline scores lower.
+    """
+    ridged = form + REGULARIZATION * np.eye(form.shape[0])
+    assisted_ridged = quadratic_value(design.nbar, ridged)
+    pure_ridged = quadratic_value(baseline.nbar, ridged)
+    if assisted_ridged > pure_ridged * (1.0 + 1e-6):
+        raise DetectorInfeasibleError(
+            "training-aware design lost to the model-only baseline on its own "
+            f"objective ({assisted_ridged:.6e} > {pure_ridged:.6e}); "
+            "the quadratic forms are inconsistent"
+        )
+    design.baseline = baseline
+    design.diagnostics["dominance"] = {
+        "assisted_value": float(design.objective),
+        "pure_value": float(quadratic_value(baseline.nbar, form)),
+        "assisted_ridged": float(assisted_ridged),
+        "pure_ridged": float(pure_ridged),
+        "ridged_ratio": float(assisted_ridged / pure_ridged),
+    }
+    return design
 
 
 def design_univariate(
@@ -264,7 +285,6 @@ def design_univariate(
     *,
     pole: float,
     track_steady_state: bool = False,
-    constraints: QpProblem | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a single attacked channel.
 
@@ -292,28 +312,44 @@ def design_univariate(
     All branches share the equalities, so one reduction of them
     (:meth:`~diagfilter.solvers.QpProblem.reduction`, one SVD) gives the
     particular solution, ``Z`` and the pseudo-inverse that recovers every
-    candidate's equality multipliers.  ``constraints``, an earlier
-    design's :attr:`FilterDesign.constraints` under the same ``pole`` and
-    ``track_steady_state``, supplies that reduction; without it the design
-    builds its own.
+    candidate's equality multipliers.  Given a training form, the design
+    also searches the branches without it, over the same reduction, and
+    carries that model-only baseline (:func:`_with_baseline`).
 
     Raises:
         NoFilterError: if every branch is infeasible.
         SolverError: if a candidate fails KKT certification.
+        DetectorInfeasibleError: if the design loses to its baseline.
     """
     if stacked.n_f != 1:
         raise ConfigError("design_univariate expects exactly one attack channel")
-    qbar_true, p_mat, a_eq, b_eq = _design_matrices(stacked, qbar)
-    signs = (1, -1) if track_steady_state else (1,)
-    if constraints is None:
-        if track_steady_state:
-            a_one = float(np.sum(pole_polynomial(pole, stacked.d_n)))
-            dc_row = -(1.0 / a_one) * stacked.barF.sum(axis=1)
-            a_eq = np.vstack([a_eq, dc_row])
-            b_eq = np.append(b_eq, 1.0)
-        constraints = QpProblem(P=p_mat, c=np.zeros(stacked.n_vars), a_eq=a_eq, b_eq=b_eq)
+    form, p_mat = _objective(stacked, qbar)
+    a_eq = stacked.barH.T
+    b_eq = np.zeros(a_eq.shape[0])
+    if track_steady_state:
+        a_one = float(np.sum(pole_polynomial(pole, stacked.d_n)))
+        dc_row = -(1.0 / a_one) * stacked.barF.sum(axis=1)
+        a_eq = np.vstack([a_eq, dc_row])
+        b_eq = np.append(b_eq, 1.0)
+    constraints = QpProblem(P=p_mat, c=np.zeros(stacked.n_vars), a_eq=a_eq, b_eq=b_eq)
+    mode = "pure_model" if qbar is None else "data_assisted"
+    design = _branch_search(stacked, constraints, form, mode, pole, track_steady_state)
+    if qbar is None:
+        return design
+    zero, p_pure = _objective(stacked, None)
+    pure = constraints.with_objective(p_pure, constraints.c)
+    baseline = _branch_search(stacked, pure, zero, "pure_model", pole, track_steady_state)
+    return _with_baseline(design, baseline, form)
 
-    red = constraints.reduction()
+
+def _branch_search(
+    stacked: StackedSystem, qp: QpProblem, form: np.ndarray, mode: str, pole: float, track: bool
+) -> FilterDesign:
+    """:func:`design_univariate`'s branches under ``qp``'s objective, whose
+    ``P`` ridges ``form``, over its equalities; each branch's certificate
+    swaps its inequality row ``g x >= 1`` into ``qp``."""
+    p_mat = qp.P
+    red = qp.reduction()
     x_part, z_basis, eq_pinv = red.x_part, red.z_basis, red.eq_pinv
     consistent = red.start is not None
     if consistent:
@@ -322,12 +358,9 @@ def design_univariate(
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"reduced quadratic form is not positive definite: {exc}") from exc
         x_free = x_part - z_basis @ scipy.linalg.cho_solve(chol, z_basis.T @ (p_mat @ x_part))
-        # one problem to certify against, its P validated once per design
-        # (not again when the design built the constraints over that P);
-        # each branch swaps in its own inequality row g x >= 1
-        problem = constraints.with_objective(p_mat, np.zeros(stacked.n_vars))
-        problem.b_ineq = np.array([1.0])
+        qp.b_ineq = np.array([1.0])
 
+    signs = (1, -1) if track else (1,)
     best = None
     report = []
     for j in range(stacked.d_n + 1):
@@ -347,9 +380,9 @@ def design_univariate(
                 step = scipy.linalg.cho_solve(chol, h)
                 lam = shortfall / (h @ step)
                 x = x_free + z_basis @ (lam * step)
-            problem.a_ineq = g[None, :]
-            sol = certify_point(problem, x, np.array([lam]), eq_pinv)
-            value = quadratic_value(sol.x, qbar_true)
+            qp.a_ineq = g[None, :]
+            sol = certify_point(qp, x, np.array([lam]), eq_pinv)
+            value = quadratic_value(sol.x, form)
             entry.update(status=sol.status, objective=value)
             if best is None or value < best[0] - 1e-12:
                 best = (value, j, sign, sol)
@@ -359,7 +392,8 @@ def design_univariate(
     value, j, sign, sol = best
     nbar = sol.x.copy()
     nf_row = nbar @ stacked.barF
-    if not track_steady_state and _nf_first_nonzero(nf_row) < 0:
+    leading = nf_row[np.abs(nf_row) > 1e-9]
+    if not track and leading.size and leading[0] < 0:
         nbar = -nbar
         nf_row = -nf_row
         sign = -sign
@@ -367,16 +401,15 @@ def design_univariate(
         nbar=nbar,
         d_n=stacked.d_n,
         pole=pole,
-        mode="pure_model" if qbar is None else "data_assisted",
+        mode=mode,
         objective=value,
         branch={"coeff_index": j, "sign": sign},
-        track_steady_state=track_steady_state,
+        track_steady_state=track,
         diagnostics={
             "null_residual": float(np.abs(nbar @ stacked.barH).max()),
             "attack_gain": float(np.abs(nf_row).max()),
             "branch_report": report,
         },
-        constraints=constraints,
     )
 
 
@@ -520,94 +553,95 @@ def design_multivariate(
     j: int,
     *,
     pole: float,
-    gamma: float | None = None,
     pretrain: PretrainResult | None = None,
-    constraints: QpProblem | None = None,
 ) -> FilterDesign:
     """Synthesise a filter against a polytopic attack set at program ``j``.
 
     Minimises the averaged mismatch form subject to the visibility floor
-    ``b' lambda >= gamma`` and the coupling rows of program ``j``.  With
-    ``gamma=None`` the floor is the largest feasible one: the optimum of
-    program ``j``'s support LP, the margin pretraining reports, and one QP
-    is solved there.  ``pretrain``, the :func:`pretrain_multivariate`
-    result for this system and attack set, supplies that margin and its LP
-    status; without it the design solves the LP pretraining solves for
-    ``j``'s mirror pair, so either way the floor is ``pretrain.gammas[j - 1]``
-    bit for bit.  Where
+    ``b' lambda >= gamma`` and the coupling rows of program ``j``.  The
+    floor is the largest feasible one: the optimum of program ``j``'s
+    support LP, the margin pretraining reports, and one QP is solved there.
+    ``pretrain``, the :func:`pretrain_multivariate` result for this system
+    and attack set, supplies that margin and its LP status; without it the
+    design solves the LP pretraining solves for ``j``'s mirror pair, so
+    either way the floor is ``pretrain.gammas[j - 1]`` bit for bit.  Where
     the QP rejects that optimum by round-off, or its solver fails there,
-    the floor is lowered once by ``FLOOR_BACKOFF`` (relative).  A number
-    fixes the floor instead.  ``constraints``, the
-    :attr:`FilterDesign.constraints` of an earlier design of program ``j``,
-    fixes the floor at that design's: the QP is solved over the same
-    constraints and reuses their factorisation and phase-one start.
+    the floor is lowered once by ``FLOOR_BACKOFF`` (relative).  Given a
+    training form, the design also solves the model-only baseline over the
+    constraints at the final floor, reusing their factorisation and
+    phase-one start, and carries it (:func:`_with_baseline`).
 
     Raises:
-        NoFilterError: if the support LP is infeasible or unbounded, or a
-            fixed floor is infeasible.
+        NoFilterError: if the support LP is infeasible or unbounded.
         SolverError: if the QP rejects or fails at the support-LP floor and
             at its back-off, which the LP certifies feasible.
+        DetectorInfeasibleError: if the design loses to its baseline.
     """
     attack.validate_against(stacked.n_f)
-    qbar_true, p_mat, _, _ = _design_matrices(stacked, qbar)
-    n_vars = stacked.n_vars
-    n_b = attack.polytope_b.size
-    p_full = np.zeros((n_vars + n_b, n_vars + n_b))
-    p_full[:n_vars, :n_vars] = p_mat
-    c_full = np.zeros(n_vars + n_b)
-
-    def program(floor: float) -> QpProblem:
-        a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, floor)
-        return QpProblem(P=p_full, c=c_full, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
+    form, p_mat = _objective(stacked, qbar)
+    # the variables are [nbar, lambda], the polytope duals free of cost
+    no_cost = np.zeros((attack.polytope_b.size,) * 2)
+    p_full = scipy.linalg.block_diag(p_mat, no_cost)
+    c_full = np.zeros(p_full.shape[0])
 
     def attempt(floor: float) -> tuple[QpProblem, Solution | None, str]:
-        problem = program(floor)
+        a_eq, b_eq, a_ineq, b_ineq = _program_constraints(stacked, attack, j, floor)
+        problem = QpProblem(P=p_full, c=c_full, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
         try:
             sol = solve_qp(problem)
         except SolverError as exc:
             return problem, None, f"SolverError: {exc}"
         return problem, sol, f"QP status {sol.status}"
 
-    if constraints is not None:
-        problem = constraints.with_objective(p_full, c_full)
-        gamma = float(problem.b_ineq[n_b])
-    elif gamma is not None:
-        gamma = float(gamma)
-        problem = program(gamma)
-    if gamma is not None:
-        sol = solve_qp(problem)
-        if sol.status != "optimal":
-            raise NoFilterError(f"program {j} infeasible at gamma = {gamma}")
+    if pretrain is None:
+        gamma, status = _support_floor(stacked, attack, j)
     else:
-        if pretrain is None:
-            gamma, status = _support_floor(stacked, attack, j)
-        else:
-            gamma, status = float(pretrain.gammas[j - 1]), pretrain.statuses[j - 1]
-        if status == "unbounded":
-            raise NoFilterError("visibility floor appears unbounded under the norm cap")
-        if status != "optimal":
-            raise NoFilterError(f"program {j} infeasible even at gamma = 0")
-        floor = gamma
-        problem, sol, first = attempt(floor)
+        gamma, status = float(pretrain.gammas[j - 1]), pretrain.statuses[j - 1]
+    if status == "unbounded":
+        raise NoFilterError("visibility floor appears unbounded under the norm cap")
+    if status != "optimal":
+        raise NoFilterError(f"program {j} infeasible even at gamma = 0")
+    floor = gamma
+    problem, sol, first = attempt(floor)
+    if sol is None or sol.status != "optimal":
+        gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))
+        problem, sol, second = attempt(gamma)
         if sol is None or sol.status != "optimal":
-            gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))
-            problem, sol, second = attempt(gamma)
-            if sol is None or sol.status != "optimal":
-                raise SolverError(
-                    f"program {j}: the QP rejected the support-LP floor {floor!r} "
-                    f"({first}) and its back-off to gamma = {gamma!r} ({second})"
-                )
+            raise SolverError(
+                f"program {j}: the QP rejected the support-LP floor {floor!r} "
+                f"({first}) and its back-off to gamma = {gamma!r} ({second})"
+            )
 
-    nbar = sol.x[:n_vars].copy()
-    lam = sol.x[n_vars:].copy()
+    mode = "pure_model" if qbar is None else "data_assisted"
+    design = _program_filter(stacked, attack, j, sol, form, mode, pole, gamma)
+    if qbar is None:
+        return design
+    zero, p_pure = _objective(stacked, None)
+    pure = solve_qp(problem.with_objective(scipy.linalg.block_diag(p_pure, no_cost), c_full))
+    baseline = _program_filter(stacked, attack, j, pure, zero, "pure_model", pole, gamma)
+    return _with_baseline(design, baseline, form)
+
+
+def _program_filter(
+    stacked: StackedSystem,
+    attack: AttackModel,
+    j: int,
+    sol: Solution,
+    form: np.ndarray,
+    mode: str,
+    pole: float,
+    gamma: float,
+) -> FilterDesign:
+    """The filter of program ``j``'s QP optimum ``sol`` at the floor ``gamma``."""
+    nbar = sol.x[: stacked.n_vars].copy()
+    lam = sol.x[stacked.n_vars :].copy()
     idx, sign = program_branch(j)
-    value = quadratic_value(nbar, qbar_true)
     return FilterDesign(
         nbar=nbar,
         d_n=stacked.d_n,
         pole=pole,
-        mode="pure_model" if qbar is None else "data_assisted",
-        objective=value,
+        mode=mode,
+        objective=quadratic_value(nbar, form),
         branch={"coeff_index": idx, "sign": sign, "program": j},
         diagnostics={
             "null_residual": float(np.abs(nbar @ stacked.barH).max()),
@@ -616,7 +650,6 @@ def design_multivariate(
             "polytope_dual": lam,
             "qp": {"iterations": int(sol.iterations), "kkt_residuals": dict(sol.residuals)},
         },
-        constraints=problem,
     )
 
 

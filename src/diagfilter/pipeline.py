@@ -41,8 +41,6 @@ from .design import (
     mismatch_signature,
     pretrain_multivariate,
     q_matrix,
-    quadratic_value,
-    regularised_value,
     signature_energy,
     steady_state_margin,
     worst_case_alpha,
@@ -433,30 +431,36 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 
 def _load_pretrain(ctx: PipelineContext, out: Path) -> dict | None:
     """The stored pretrain report if it was solved for this context, else None,
-    as for one that is missing, not a JSON object or short of a result key."""
+    as for one that is missing, not a JSON object, short of a result key or
+    whose results do not fit the ``2 d_n + 2`` programs (a margin that is not
+    a number, a status no LP reports, or a best program outside them)."""
     try:
         report = json.loads((out / "pretrain_report.json").read_text())
     except (OSError, ValueError):
         return None
-    whole = isinstance(report, dict) and _PRETRAIN_RESULT <= report.keys()
-    return report if whole and _pretrain_inputs(ctx).items() <= report.items() else None
+    if not (isinstance(report, dict) and _PRETRAIN_RESULT <= report.keys()):
+        return None
+    n_programs = 2 * ctx.stacked.d_n + 2
+    j_star, gammas, statuses = report["j_star"], report["gammas"], report["statuses"]
+    fits = (
+        type(j_star) is int
+        and 1 <= j_star <= n_programs
+        and all(isinstance(v, list) and len(v) == n_programs for v in (gammas, statuses))
+        and all(type(gamma) in (int, float) for gamma in gammas)
+        and all(status in ("optimal", "infeasible", "unbounded") for status in statuses)
+    )
+    return report if fits and _pretrain_inputs(ctx).items() <= report.items() else None
 
 
 def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
     """Synthesise the filter, calibrate the detector, write the artefact.
 
-    ``pose(form, constraints)`` is the one design call of the configured
-    attack kind (a multivariate attack first loads or runs pretraining for
-    its program, and starts from the floor the report holds instead of
-    solving the support LP again).  A data-assisted design is checked
-    against the model-only baseline: the same design without the training
-    form.  The model fixes the feasible set and the form only the
-    objective, so the baseline is posed over the assisted design's
-    constraints (for a multivariate attack, at its final floor) and reuses
-    their reduction: one factorisation of the equalities and one phase-one
-    start per call.
-    Both are compared on the ridged form the design programs minimise
-    (:func:`~diagfilter.design.regularised_value`).
+    One design call of the configured attack kind (a multivariate attack
+    first loads or runs pretraining for its program, and starts from the
+    floor the report holds instead of solving the support LP again).  A
+    data-assisted design carries the model-only baseline it was checked
+    against (:attr:`~diagfilter.design.FilterDesign.baseline`); the report
+    copies that check's values and the baseline's QP record.
     """
     ctx = _context(cfg)
     cfg = ctx.cfg
@@ -469,12 +473,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
     pole = float(cfg.filter["pole"])
     if ctx.attack_model.kind == "univariate":
         track = bool(cfg.filter["track_steady_state"])
-
-        def pose(form, constraints=None):
-            return design_univariate(
-                ctx.stacked, form, pole=pole, track_steady_state=track, constraints=constraints
-            )
-
+        design = design_univariate(ctx.stacked, qbar, pole=pole, track_steady_state=track)
         pretrain_used = None
     else:
         report = _load_pretrain(ctx, out) or cmd_pretrain(ctx, out)
@@ -484,47 +483,11 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
                 "every visibility program is nonpositive",
                 gammas=report["gammas"],
             )
-        pretrain = PretrainResult(
-            gammas=np.array(report["gammas"]),
-            j_star=int(report["j_star"]),
-            statuses=report["statuses"],
+        pretrain = PretrainResult(np.array(report["gammas"]), report["j_star"], report["statuses"])
+        design = design_multivariate(
+            ctx.stacked, qbar, ctx.attack_model, pretrain.j_star, pole=pole, pretrain=pretrain
         )
-
-        def pose(form, constraints=None):
-            return design_multivariate(
-                ctx.stacked,
-                form,
-                ctx.attack_model,
-                j=pretrain.j_star,
-                pole=pole,
-                pretrain=pretrain,
-                constraints=constraints,
-            )
-
         pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}
-
-    design = pose(qbar)
-    dominance = baseline = None
-    if qbar is not None:
-        baseline = pose(None, design.constraints)
-        # the assisted design minimises the ridged form over a set that holds
-        # the baseline; compared relatively, as the forms are of order 1e-14
-        # to 1e-10
-        assisted_ridged = regularised_value(design.nbar, qbar)
-        pure_ridged = regularised_value(baseline.nbar, qbar)
-        if assisted_ridged > pure_ridged * (1.0 + 1e-6):
-            raise DetectorInfeasibleError(
-                "training-aware design lost to the model-only baseline on its own "
-                f"objective ({assisted_ridged:.6e} > {pure_ridged:.6e}); "
-                "the quadratic forms are inconsistent"
-            )
-        dominance = {
-            "assisted_value": float(design.objective),
-            "pure_value": float(quadratic_value(baseline.nbar, qbar)),
-            "assisted_ridged": float(assisted_ridged),
-            "pure_ridged": float(pure_ridged),
-            "ridged_ratio": float(assisted_ridged / pure_ridged),
-        }
 
     sigs = bundle.signatures if bundle else []
     energies = [signature_energy(ctx.stacked, design.nbar, sig, bundle.gram) for sig in sigs]
@@ -539,7 +502,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         "branch": design.branch,
         "track_steady_state": bool(design.track_steady_state),
         "calibration": calibration,
-        "dominance": dominance,
+        "dominance": design.diagnostics.get("dominance"),
         "branch_report": design.diagnostics.get("branch_report"),
         "pretrain": pretrain_used,
         "model_hash": ctx.model_hash,
@@ -548,13 +511,12 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         # the training form the design minimised, and each run's share of it
         report["qbar_trace"] = float(np.trace(qbar))
         report["q_trace"] = bundle.q_trace
-    if "gamma" in design.diagnostics:
-        report["gamma"] = float(design.diagnostics["gamma"])
     if "qp" in design.diagnostics:
-        # the multivariate designs' QPs: iterations and KKT residuals
+        # the multivariate design's floor and QPs: iterations and KKT residuals
+        report["gamma"] = float(design.diagnostics["gamma"])
         report["qp"] = {
             "assisted": design.diagnostics["qp"],
-            "baseline": None if baseline is None else baseline.diagnostics["qp"],
+            "baseline": None if design.baseline is None else design.baseline.diagnostics["qp"],
         }
     _write_json(out / "design_report.json", report)
     return design

@@ -90,19 +90,15 @@ class QpProblem:
         return self._reduction
 
     def with_objective(self, P: np.ndarray, c: np.ndarray) -> QpProblem:
-        """These constraints under the objective ``(P, c)``, sharing one reduction.
-
-        ``P`` is validated as by the constructor unless it is this problem's
-        own, already validated, ``P``.
-        """
+        """These constraints under the objective ``(P, c)``, sharing one reduction;
+        ``P`` is validated as by the constructor."""
         if self._reduction is None:  # computed here, so that both problems share it
             self.reduction()
         other = copy.copy(self)  # the constraint arrays and their reduction
         other.c = np.asarray(c, dtype=float).ravel()
         if other.c.size != self.n:
             raise ValueError(f"c has {other.c.size} entries, the constraints {self.n} columns")
-        if P is not self.P:
-            other.P = _symmetric_form(P, self.n)
+        other.P = _symmetric_form(P, self.n)
         return other
 
 

@@ -139,6 +139,26 @@ def test_missing_config_exits_config_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "model-is-a-directory", "model-not-json"])
+def test_config_that_cannot_be_read_as_json_exits_config_code(tmp_path, capsys, case):
+    cfg = tiny_config()
+    model = tmp_path / "model.json"
+    if case == "model-is-a-directory":
+        model.mkdir()
+    else:
+        model.write_text('{"areas": [')
+    cfg["model_path"] = "model.json"
+    del cfg["model"]
+    cfg_path = write_config(tmp_path, cfg)
+    if case == "config-is-a-directory":
+        cfg_path = str(tmp_path / "as-directory")
+        Path(cfg_path).mkdir()
+    code = main(["design", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_mode_value_exits_config_code(tmp_path):
     cfg = tiny_config()
     cfg["mode"] = "hybrid"

@@ -340,8 +340,8 @@ def test_univariate_design_factors_its_equalities_once(monkeypatch):
 
 
 def test_univariate_design_validates_its_form_once(monkeypatch):
-    # the symmetry check of P runs once per design, whether the design builds
-    # its constraints over that P or takes an earlier design's
+    # the symmetry check of P runs once per objective: once for a model-only
+    # design, and for a data-assisted one once more for its baseline's P
     _, stacked = default_stacked()
     check = solvers_module._symmetric_form
     shapes = []
@@ -351,13 +351,13 @@ def test_univariate_design_validates_its_form_once(monkeypatch):
         return check(p, n)
 
     monkeypatch.setattr(solvers_module, "_symmetric_form", counted)
-    first = design_univariate(stacked, None, pole=0.5, track_steady_state=True)
+    design_univariate(stacked, None, pole=0.5, track_steady_state=True)
     assert shapes == [(stacked.n_vars, stacked.n_vars)]
     shapes.clear()
-    design_univariate(
-        stacked, None, pole=0.5, track_steady_state=True, constraints=first.constraints
-    )
-    assert shapes == [(stacked.n_vars, stacked.n_vars)]
+    b = np.random.default_rng(3).normal(size=(stacked.n_vars, stacked.n_vars))
+    assisted = design_univariate(stacked, 1e-3 * b @ b.T, pole=0.5, track_steady_state=True)
+    assert assisted.baseline is not None
+    assert shapes == [(stacked.n_vars, stacked.n_vars)] * 2
 
 
 def test_multivariate_design_factors_only_through_svd(monkeypatch):
@@ -595,15 +595,6 @@ def test_multivariate_design_certifies_visibility_floor():
     assert np.all(MV_POLY_A @ alpha >= MV_POLY_B - 1e-9)
 
 
-def test_multivariate_design_without_tuning_respects_fixed_floor():
-    _, stacked = mv_stacked(d_n=2)
-    attack = mv_attack()
-    design = design_multivariate(stacked, None, attack, 4, pole=0.5, gamma=0.05)
-    assert design.diagnostics["support_value"] >= 0.05 - 1e-8
-    with pytest.raises(NoFilterError):
-        design_multivariate(stacked, None, attack, 4, pole=0.5, gamma=1e9)
-
-
 def test_every_program_gets_its_support_lp_floor():
     _, stacked = mv_stacked()
     attack = mv_attack()
@@ -703,37 +694,49 @@ def test_support_lp_floor_matches_the_bisection_reference(j):
     b = rng.normal(size=(stacked.n_vars, stacked.n_vars))
     qbar = 1e-3 * (b @ b.T) / stacked.n_vars
 
+    p_mat = 2.0 * (qbar + REGULARIZATION * np.eye(stacked.n_vars))
+    n_b = attack.polytope_b.size
+    p_full = scipy.linalg.block_diag(p_mat, np.zeros((n_b, n_b)))
+
     def attempt(gamma):
-        try:
-            return design_multivariate(stacked, qbar, attack, j, pole=0.5, gamma=gamma)
-        except NoFilterError:
+        # the design QP at the fixed floor gamma: its filter's objective, or
+        # None when the floor is infeasible
+        a_eq, b_eq, a_ineq, b_ineq = design_module._program_constraints(stacked, attack, j, gamma)
+        problem = QpProblem(p_full, np.zeros(p_full.shape[0]), a_eq, b_eq, a_ineq, b_ineq)
+        sol = solve_qp(problem)
+        if sol.status != "optimal":
             return None
+        return quadratic_value(sol.x[: stacked.n_vars], qbar)
 
     floor = pretrain_multivariate(stacked, attack).gammas[j - 1]
-    ref_gamma, ref = bisect_visibility_floor(attempt, floor)
+    ref_gamma, ref_objective = bisect_visibility_floor(attempt, floor)
     design = design_multivariate(stacked, qbar, attack, j, pole=0.5)
     gamma = design.diagnostics["gamma"]
     assert abs(gamma - ref_gamma) <= 1e-7 * max(1.0, ref_gamma)
-    assert abs(design.objective - ref.objective) <= 1e-6 * ref.objective
+    assert abs(design.objective - ref_objective) <= 1e-6 * ref_objective
 
 
 @pytest.mark.parametrize("j", [1, 3])
 def test_baseline_over_shared_constraints_is_a_baseline_designed_alone(j):
     # program 1 backs its floor off, program 3 keeps the support-LP optimum:
-    # either way the baseline meets the arrays the assisted design ended on
+    # either way the baseline meets the arrays the assisted design ended on,
+    # and the model-only design posed alone ends on the same floor
     _, stacked = mv_stacked(d_n=2)
     attack = mv_attack()
     b = np.random.default_rng(7).normal(size=(stacked.n_vars, stacked.n_vars))
     qbar = 1e-3 * (b @ b.T) / stacked.n_vars
     assisted = design_multivariate(stacked, qbar, attack, j, pole=0.5)
     gamma = assisted.diagnostics["gamma"]
-    shared = design_multivariate(
-        stacked, None, attack, j, pole=0.5, constraints=assisted.constraints
-    )
-    alone = design_multivariate(stacked, None, attack, j, pole=0.5, gamma=gamma)
-    assert shared.diagnostics["gamma"] == gamma
+    floor = pretrain_multivariate(stacked, attack).gammas[j - 1]
+    assert (gamma < floor) == (j == 1)
+    shared = assisted.baseline
+    alone = design_multivariate(stacked, None, attack, j, pole=0.5)
+    assert alone.baseline is None
+    assert shared.mode == alone.mode == "pure_model"
+    assert shared.diagnostics["gamma"] == alone.diagnostics["gamma"] == gamma
     assert np.array_equal(shared.nbar, alone.nbar)
     assert np.array_equal(shared.objective, alone.objective)
+    assert assisted.diagnostics["dominance"]["ridged_ratio"] <= 1.0 + 1e-6
 
 
 def test_steady_state_margin_flags_stealthy_sets():

@@ -377,6 +377,33 @@ def test_design_solves_a_damaged_pretrain_report_again(mv_reuse_base, tmp_path, 
         assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("j_star", 99),
+        ("j_star", 0),
+        ("j_star", 3.0),
+        ("gammas", [0.3]),
+        ("gammas", ["0.3"] * 8),
+        ("statuses", []),
+        ("statuses", ["done"] * 8),
+    ],
+    ids=["j-star-past-the-programs", "j-star-zero", "j-star-not-whole", "short-gammas",
+         "gammas-not-numbers", "short-statuses", "statuses-not-lp-verdicts"],
+)
+def test_design_solves_a_pretrain_report_that_misfits_the_programs_again(
+    mv_reuse_base, tmp_path, key, value
+):
+    run = tmp_path / "run"
+    shutil.copytree(mv_reuse_base, run)
+    report = json.loads((run / "pretrain_report.json").read_text())
+    report[key] = value
+    (run / "pretrain_report.json").write_text(json.dumps(report))
+    assert main(["design", "--config", str(run / "config.json"), "--out", str(run)]) == EXIT_OK
+    for name in ("pretrain_report.json", "filter.txt", "design_report.json"):
+        assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
+
+
 def test_trace_alarm_column_is_the_detector_decision(tmp_path):
     # with the attack on from t = 0 the energy clears the threshold during
     # the warm-up, where the detector never alarms; the trace must agree
@@ -497,6 +524,8 @@ def test_multivariate_design_shares_one_phase_one_and_factorisation(
 def test_baseline_of_a_design_pass_is_the_baseline_designed_alone(
     kind, completed_run, mv_trained, tmp_path, monkeypatch
 ):
+    # the design pass calls the design function once; the design carries the
+    # baseline it was checked against
     cfg, out = completed_run[:2] if kind == "univariate" else mv_trained
     shutil.copytree(out / "train", tmp_path / "train")
     name = f"design_{kind}"
@@ -510,7 +539,8 @@ def test_baseline_of_a_design_pass_is_the_baseline_designed_alone(
     monkeypatch.setattr(pipeline_module, name, recorded)
     cmd_design(cfg, tmp_path)
     monkeypatch.undo()
-    assisted, baseline = designs
+    [assisted] = designs
+    baseline = assisted.baseline
     ctx = build_context(cfg)
     pole = float(cfg.filter["pole"])
     if kind == "univariate":
@@ -518,16 +548,15 @@ def test_baseline_of_a_design_pass_is_the_baseline_designed_alone(
         alone = design_univariate(ctx.stacked, None, pole=pole, track_steady_state=track)
     else:
         alone = design_multivariate(
-            ctx.stacked,
-            None,
-            ctx.attack_model,
-            assisted.branch["program"],
-            pole=pole,
-            gamma=assisted.diagnostics["gamma"],
+            ctx.stacked, None, ctx.attack_model, assisted.branch["program"], pole=pole
         )
+        assert alone.diagnostics["gamma"] == assisted.diagnostics["gamma"]
+    assert assisted.mode == "data_assisted"
     assert baseline.mode == "pure_model"
     assert np.array_equal(baseline.nbar, alone.nbar)
     assert np.array_equal(baseline.objective, alone.objective)
+    report = json.loads((tmp_path / "design_report.json").read_text())
+    assert report["dominance"] == assisted.diagnostics["dominance"]
 
 
 def record_qps(monkeypatch) -> list:
@@ -705,20 +734,20 @@ def test_design_that_loses_to_its_baseline_is_rejected(completed_run, tmp_path, 
     # at the training scale, below the assisted one by much less than 1e-9
     cfg, out, _ = completed_run
     shutil.copytree(out / "train", tmp_path / "train")
-    design_univariate = pipeline_module.design_univariate
-    assisted = []
+    branch_search = design_module._branch_search
+    searched = []
 
-    def halved(stacked, qbar, **kwargs):
-        design = design_univariate(stacked, qbar, **kwargs)
-        if qbar is not None:
-            assisted.append(design)
-        else:
-            design.nbar = 0.5 * assisted[0].nbar
-        return design
+    def halved(stacked, problem, form, mode, *args):
+        searched.append(branch_search(stacked, problem, form, mode, *args))
+        if mode == "pure_model":
+            searched[-1].nbar = 0.5 * searched[0].nbar
+        return searched[-1]
 
-    monkeypatch.setattr(pipeline_module, "design_univariate", halved)
+    monkeypatch.setattr(design_module, "_branch_search", halved)
     with pytest.raises(DetectorInfeasibleError, match="lost to the model-only baseline"):
         cmd_design(cfg, tmp_path)
+    assert [design.mode for design in searched] == ["data_assisted", "pure_model"]
+    assert not (tmp_path / "filter.txt").exists()
 
 
 def test_training_is_byte_deterministic(tmp_path):
