@@ -49,9 +49,9 @@ def main():
 
     print("\n=== visibility pretraining ===")
     pre = pretrain_multivariate(ctx.stacked, attack)
-    for j, (gamma, status) in enumerate(zip(pre.gammas, pre.statuses), start=1):
+    for j, gamma in enumerate(pre.gammas, start=1):
         marker = "  <-- selected" if j == pre.j_star else ""
-        print(f"  program {j}: gamma = {gamma:9.6f}  ({status}){marker}")
+        print(f"  program {j}: gamma = {gamma:9.6f}{marker}")
     print(f"best certified visibility gamma* = {pre.gamma_star:.6f} "
           f"on program {pre.j_star}")
 

@@ -12,6 +12,8 @@ The model fixes each program's feasible set and the training data only its
 objective.  So a design function given a training form also solves its
 program without the form, over the same constraints, and rejects a design
 that loses to this model-only baseline; the design carries the baseline.
+The support LPs of the multivariate programs are the one verdict on the
+attack set: they are unbounded exactly when its polytope is empty.
 
 Horizon convention: a mismatch signature has one column per sample,
 k = 1..T; applying the shift beyond the horizon zero-fills, i.e. the
@@ -156,8 +158,9 @@ class AttackModel:
 
     ``kind="multivariate"`` models coordinated biases ``f = basis @ alpha``
     with ``alpha`` constrained to the polytope ``polytope_a @ alpha >=
-    polytope_b``.  ``basis`` has one column per degree of freedom.  An empty
-    polytope is rejected at construction.
+    polytope_b``.  ``basis`` has one column per degree of freedom.  Only the
+    shapes are checked here; the design's support LPs find an empty
+    polytope (:func:`_support_floor`).
     """
 
     kind: str
@@ -175,12 +178,8 @@ class AttackModel:
         self.basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         self.polytope_a = np.atleast_2d(np.asarray(self.polytope_a, dtype=float))
         self.polytope_b = np.asarray(self.polytope_b, dtype=float).ravel()
-        d = self.basis.shape[1]
-        if self.polytope_a.shape != (self.polytope_b.size, d):
+        if self.polytope_a.shape != (self.polytope_b.size, self.basis.shape[1]):
             raise ConfigError("polytope dimensions do not match the basis")
-        probe = solve_lp(np.zeros(d), a_ineq=self.polytope_a, b_ineq=self.polytope_b)
-        if probe.status == "infeasible":
-            raise ConfigError("attack polytope is empty")
 
     @property
     def dof(self) -> int:
@@ -422,7 +421,7 @@ def program_branch(j: int) -> tuple[int, int]:
     ``barH' nbar = 0`` and the norm cap are symmetric, and the coupling rows
     ``sign * m_resp' nbar_sl - A' lambda = 0`` flip ``sign`` with ``nbar``.
     The support objective ``b' lambda`` reads ``lambda`` alone, so both
-    programs of a pair have one support LP: one optimum, one status.
+    programs of a pair have one support LP and one optimum.
     """
     if j < 1:
         raise ValueError("program numbers are 1-based")
@@ -434,17 +433,20 @@ class PretrainResult:
     """Attack-visibility margins, one per sign-definite linear program."""
 
     gammas: np.ndarray
-    j_star: int
-    statuses: list[str]
 
     @property
-    def feasible(self) -> bool:
-        """True when some program certifies strictly positive visibility."""
-        return bool(np.nanmax(self.gammas) > 1e-9)
+    def j_star(self) -> int:
+        """The first program with the largest margin, 1-based."""
+        return int(np.argmax(self.gammas)) + 1
 
     @property
     def gamma_star(self) -> float:
         return float(self.gammas[self.j_star - 1])
+
+    @property
+    def feasible(self) -> bool:
+        """True when some program certifies strictly positive visibility."""
+        return self.gamma_star > 1e-9
 
 
 def _coupling_rows(stacked: StackedSystem, attack: AttackModel, j: int) -> np.ndarray:
@@ -505,17 +507,23 @@ def _support_lp(stacked: StackedSystem, attack: AttackModel, j: int) -> Solution
     return solve_lp(cost, a_eq=a_eq, b_eq=b_eq, a_ineq=a_ineq, b_ineq=b_ineq)
 
 
-def _support_floor(stacked: StackedSystem, attack: AttackModel, j: int) -> tuple[float, str]:
-    """Program ``j``'s visibility floor and status, from its pair's support LP.
+def _support_floor(stacked: StackedSystem, attack: AttackModel, j: int) -> float:
+    """Program ``j``'s visibility floor: the optimum of its pair's support LP.
 
-    Solves the LP of the pair's odd program, whose optimum and status the
-    even one shares (:func:`program_branch`).  The floor is the optimum,
-    ``inf`` when the LP is unbounded and 0 when it has no optimum.
+    Solves the LP of the pair's odd program, whose optimum the even one
+    shares (:func:`program_branch`).  ``(nbar, lambda) = 0`` meets its
+    constraints, so it is never infeasible.  With ``nbar`` capped it is
+    unbounded exactly along a ray ``lambda >= 0``, ``A' lambda = 0``,
+    ``b' lambda > 0``, which by Farkas' lemma exists exactly when no
+    ``alpha`` has ``A alpha >= b``: then ConfigError, the attack polytope
+    is empty.  Any other end without an optimum is a SolverError.
     """
     sol = _support_lp(stacked, attack, j if j % 2 else j - 1)
-    if sol.status == "optimal":
-        return -sol.objective, sol.status
-    return (np.inf if sol.status == "unbounded" else 0.0), sol.status
+    if sol.status == "unbounded":
+        raise ConfigError("attack polytope is empty")
+    if sol.status != "optimal":
+        raise SolverError(f"program {j}'s support LP ended {sol.status}, though 0 meets it")
+    return -sol.objective
 
 
 def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> PretrainResult:
@@ -526,24 +534,18 @@ def pretrain_multivariate(stacked: StackedSystem, attack: AttackModel) -> Pretra
     constraint and the duality coupling between the filter's coefficient
     response and the polytope normals.  A positive optimum certifies that
     every admissible attack is visible in that coefficient with at least the
-    optimal margin.  The filter norm is capped at one (infinity norm) so the
-    programs stay bounded; a program the solver still reports unbounded
-    gets the margin ``inf``.  Programs 2k-1 and 2k mirror each other
-    (:func:`program_branch`), so ``d_n + 1`` LPs are solved, one per pair,
-    and both programs of a pair get its margin and status.  ``j_star`` is
-    the first maximiser, so always an odd program.
+    optimal margin.  The filter norm is capped at one (infinity norm), so a
+    program is unbounded only over an empty polytope, which raises
+    ConfigError (:func:`_support_floor`).  Programs 2k-1 and 2k mirror each
+    other (:func:`program_branch`), so ``d_n + 1`` LPs are solved, one per
+    pair, and both programs of a pair get its margin.  ``j_star`` is the
+    first maximiser, so always an odd program.
     """
     attack.validate_against(stacked.n_f)
-    n_programs = 2 * stacked.d_n + 2
-
-    gammas = np.zeros(n_programs)
-    statuses = []
-    for j in range(1, n_programs + 1, 2):
-        gamma, status = _support_floor(stacked, attack, j)
-        gammas[j - 1 : j + 1] = gamma
-        statuses += [status, status]
-    j_star = int(np.argmax(gammas)) + 1
-    return PretrainResult(gammas=gammas, j_star=j_star, statuses=statuses)
+    gammas = np.zeros(2 * stacked.d_n + 2)
+    for j in range(1, gammas.size + 1, 2):
+        gammas[j - 1 : j + 1] = _support_floor(stacked, attack, j)
+    return PretrainResult(gammas)
 
 
 def design_multivariate(
@@ -562,9 +564,9 @@ def design_multivariate(
     floor is the largest feasible one: the optimum of program ``j``'s
     support LP, the margin pretraining reports, and one QP is solved there.
     ``pretrain``, the :func:`pretrain_multivariate` result for this system
-    and attack set, supplies that margin and its LP status; without it the
-    design solves the LP pretraining solves for ``j``'s mirror pair, so
-    either way the floor is ``pretrain.gammas[j - 1]`` bit for bit.  Where
+    and attack set, supplies that margin; without it the design solves the
+    LP pretraining solves for ``j``'s mirror pair, so either way the floor
+    is ``pretrain.gammas[j - 1]`` bit for bit.  Where
     the QP rejects that optimum by round-off, or its solver fails there,
     the floor is lowered once by ``FLOOR_BACKOFF`` (relative).  Given a
     training form, the design also solves the model-only baseline over the
@@ -572,9 +574,10 @@ def design_multivariate(
     phase-one start, and carries it (:func:`_with_baseline`).
 
     Raises:
-        NoFilterError: if the support LP is infeasible or unbounded.
-        SolverError: if the QP rejects or fails at the support-LP floor and
-            at its back-off, which the LP certifies feasible.
+        ConfigError: if the attack polytope is empty (:func:`_support_floor`).
+        SolverError: if the support LP ends without an optimum otherwise, or
+            the QP rejects or fails at its floor and at the back-off, which
+            the LP certifies feasible.
         DetectorInfeasibleError: if the design loses to its baseline.
     """
     attack.validate_against(stacked.n_f)
@@ -594,14 +597,10 @@ def design_multivariate(
         return problem, sol, f"QP status {sol.status}"
 
     if pretrain is None:
-        gamma, status = _support_floor(stacked, attack, j)
+        floor = _support_floor(stacked, attack, j)
     else:
-        gamma, status = float(pretrain.gammas[j - 1]), pretrain.statuses[j - 1]
-    if status == "unbounded":
-        raise NoFilterError("visibility floor appears unbounded under the norm cap")
-    if status != "optimal":
-        raise NoFilterError(f"program {j} infeasible even at gamma = 0")
-    floor = gamma
+        floor = float(pretrain.gammas[j - 1])
+    gamma = floor
     problem, sol, first = attempt(floor)
     if sol is None or sol.status != "optimal":
         gamma -= FLOOR_BACKOFF * max(1.0, abs(gamma))

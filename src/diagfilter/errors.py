@@ -38,10 +38,6 @@ class NoFilterError(RuntimeError):
 class DetectorInfeasibleError(RuntimeError):
     """No residual generator can see the declared attack set (all margins <= 0)."""
 
-    def __init__(self, message: str, gammas=None):
-        super().__init__(message)
-        self.gammas = gammas
-
 
 class SolverError(RuntimeError):
     """A convex program terminated without a certified verdict."""

@@ -14,8 +14,9 @@ figures from them:
   objective and branch, the calibrated ``tau_star``, the configuration
   values the design read (its record, which alone gives the order, pole,
   mode and tracking flag) and the coefficients at 17 significant digits.
-  Loading re-verifies the hash, the record and the decoupling, so a stale
-  artefact fails loudly instead of producing silently wrong residuals.
+  Loading re-verifies the hash, the record, the branch and the decoupling,
+  so a stale artefact fails loudly instead of producing silently wrong
+  residuals.
 
 The three CSV kinds are written by ``np.savetxt`` and read by ``np.loadtxt``;
 each loader parses and checks its own header line.  Floats are written with
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import FilterDesign
+from .design import FilterDesign, program_branch
 from .errors import ConfigError
 from .lti import StackedSystem
 
@@ -189,7 +190,8 @@ def load_filter(
     decoupling (the left-null-space membership of the coefficients).  The
     checks run in that order.  The order, pole, mode and tracking flag come
     from the record, ``n_r`` from the size of ``nbar``; the calibrated
-    ``tau_star`` is returned in the design's ``diagnostics``.
+    ``tau_star`` is returned in the design's ``diagnostics``.  A branch no
+    design of the recorded order and attack kind chooses is malformed.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != FILTER_FORMAT_TAG:
@@ -238,6 +240,18 @@ def load_filter(
         raise ConfigError(
             f"{path}: coefficient vector has {nbar.size} entries, "
             f"which d_n + 1 = {d_n + 1} does not divide"
+        )
+    # every branch a design of the recorded order and attack kind chooses, of
+    # integers; a multivariate design's record holds its attack polytope
+    multivariate = "attack.polytope_b" in record
+    fits = []
+    for j in range(1, 2 * d_n + 3):
+        index, sign = program_branch(j)
+        fits.append({"coeff_index": index, "sign": sign} | ({"program": j} if multivariate else {}))
+    if branch not in fits or any(type(value) is not int for value in branch.values()):
+        raise ConfigError(
+            f"{path}: malformed filter artefact: branch {json.dumps(branch)} "
+            f"names no design branch of order {d_n}"
         )
     if stacked is not None:
         if stacked.n_vars != nbar.size or stacked.d_n != d_n:

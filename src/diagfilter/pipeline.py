@@ -13,8 +13,8 @@ run would be integrated from; training and test integrate the rest, and
 the design phase, which integrates nothing, fails on them.  Training
 stores only plant runs, so no training file depends on the filter: the
 design forms the mismatch signatures and their average from the training
-runs, and re-runs the pretrain when its report was solved for another
-model, filter order or attack set.  Held-out runs draw their disturbances
+runs, and re-runs the pretrain unless its report is, byte for byte, what
+the pretrain phase would write.  Held-out runs draw their disturbances
 from seeds no training run uses (``config.TEST_SEED_OFFSET``).
 """
 
@@ -180,8 +180,12 @@ def _context(cfg: ExperimentConfig | PipelineContext) -> PipelineContext:
     return cfg if isinstance(cfg, PipelineContext) else build_context(cfg)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(payload))
 
 
 def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
@@ -201,14 +205,15 @@ def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
 # --- pretrain -----------------------------------------------------------------
 
 
-# the pretrain report's keys besides its inputs (cmd_pretrain)
-_PRETRAIN_RESULT = {"gammas", "j_star", "gamma_star", "statuses", "feasible"}
-
-
-def _pretrain_inputs(ctx: PipelineContext) -> dict:
-    """What the visibility programs are posed from: the stacked system and the attack set."""
+def _pretrain_report(ctx: PipelineContext, result: PretrainResult) -> dict:
+    """The pretrain report of ``result``: the margins and what the visibility
+    programs are posed from, the stacked system and the attack set."""
     atk = ctx.attack_model
     return {
+        "gammas": [float(g) for g in result.gammas],
+        "j_star": result.j_star,
+        "gamma_star": result.gamma_star,
+        "feasible": result.feasible,
         "model_hash": ctx.model_hash,
         "t_s": ctx.t_s,
         "d_n": ctx.stacked.d_n,
@@ -222,7 +227,8 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
     """Solve the visibility programs and persist the margin table.
 
     Raises:
-        ConfigError: for univariate attack hypotheses (nothing to pretrain).
+        ConfigError: for univariate attack hypotheses (nothing to pretrain)
+            and, before a report is written, an empty attack polytope.
         DetectorInfeasibleError: when no program certifies positive margin.
     """
     ctx = _context(cfg)
@@ -231,19 +237,11 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = pretrain_multivariate(ctx.stacked, ctx.attack_model)
-    report = {
-        "gammas": [float(g) for g in result.gammas],
-        "j_star": int(result.j_star),
-        "gamma_star": float(result.gamma_star),
-        "statuses": list(result.statuses),
-        "feasible": bool(result.feasible),
-        **_pretrain_inputs(ctx),
-    }
+    report = _pretrain_report(ctx, result)
     _write_json(out / "pretrain_report.json", report)
     if not result.feasible:
         raise DetectorInfeasibleError(
-            "no detectable attack direction: every visibility program is nonpositive",
-            gammas=result.gammas,
+            "no detectable attack direction: every visibility program is nonpositive"
         )
     return report
 
@@ -429,38 +427,34 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 # --- design -------------------------------------------------------------------
 
 
-def _load_pretrain(ctx: PipelineContext, out: Path) -> dict | None:
-    """The stored pretrain report if it was solved for this context, else None,
-    as for one that is missing, not a JSON object, short of a result key or
-    whose results do not fit the ``2 d_n + 2`` programs (a margin that is not
-    a number, a status no LP reports, or a best program outside them)."""
+def _load_pretrain(ctx: PipelineContext, out: Path) -> PretrainResult | None:
+    """The stored pretrain result, or None unless the report holds ``2 d_n + 2``
+    finite margins, is feasible and is, byte for byte, what :func:`cmd_pretrain`
+    writes for them in this context.  So a report solved for another context,
+    or missing, damaged or edited in any key, is solved again."""
     try:
-        report = json.loads((out / "pretrain_report.json").read_text())
-    except (OSError, ValueError):
+        stored = (out / "pretrain_report.json").read_bytes()
+        gammas = np.array(json.loads(stored)["gammas"], dtype=float)
+    except (OSError, ValueError, TypeError, KeyError, OverflowError):
         return None
-    if not (isinstance(report, dict) and _PRETRAIN_RESULT <= report.keys()):
+    if gammas.shape != (2 * ctx.stacked.d_n + 2,) or not np.isfinite(gammas).all():
         return None
-    n_programs = 2 * ctx.stacked.d_n + 2
-    j_star, gammas, statuses = report["j_star"], report["gammas"], report["statuses"]
-    fits = (
-        type(j_star) is int
-        and 1 <= j_star <= n_programs
-        and all(isinstance(v, list) and len(v) == n_programs for v in (gammas, statuses))
-        and all(type(gamma) in (int, float) for gamma in gammas)
-        and all(status in ("optimal", "infeasible", "unbounded") for status in statuses)
-    )
-    return report if fits and _pretrain_inputs(ctx).items() <= report.items() else None
+    result = PretrainResult(gammas)
+    fresh = _json_text(_pretrain_report(ctx, result)).encode()
+    return result if result.feasible and stored == fresh else None
 
 
 def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
     """Synthesise the filter, calibrate the detector, write the artefact.
 
-    One design call of the configured attack kind (a multivariate attack
-    first loads or runs pretraining for its program, and starts from the
-    floor the report holds instead of solving the support LP again).  A
-    data-assisted design carries the model-only baseline it was checked
-    against (:attr:`~diagfilter.design.FilterDesign.baseline`); the report
-    copies that check's values and the baseline's QP record.
+    One design call of the configured attack kind.  A multivariate attack
+    first loads the stored pretrain result (:func:`_load_pretrain`) or runs
+    :func:`cmd_pretrain`, whose errors end the design, and starts from the
+    floor of the result's best program instead of solving its support LP
+    again; the report's ``pretrain`` block is that result's ``j_star`` and
+    ``gamma_star``.  A data-assisted design carries the model-only baseline
+    it was checked against (:attr:`~diagfilter.design.FilterDesign.baseline`);
+    the report copies that check's values and the baseline's QP record.
     """
     ctx = _context(cfg)
     cfg = ctx.cfg
@@ -476,18 +470,13 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         design = design_univariate(ctx.stacked, qbar, pole=pole, track_steady_state=track)
         pretrain_used = None
     else:
-        report = _load_pretrain(ctx, out) or cmd_pretrain(ctx, out)
-        if not report["feasible"]:
-            raise DetectorInfeasibleError(
-                "the stored pretrain report certifies no detectable attack direction: "
-                "every visibility program is nonpositive",
-                gammas=report["gammas"],
-            )
-        pretrain = PretrainResult(np.array(report["gammas"]), report["j_star"], report["statuses"])
+        pretrain = _load_pretrain(ctx, out)
+        if pretrain is None:
+            pretrain = PretrainResult(np.array(cmd_pretrain(ctx, out)["gammas"]))
         design = design_multivariate(
             ctx.stacked, qbar, ctx.attack_model, pretrain.j_star, pole=pole, pretrain=pretrain
         )
-        pretrain_used = {"j_star": report["j_star"], "gamma_star": report["gamma_star"]}
+        pretrain_used = {"j_star": pretrain.j_star, "gamma_star": pretrain.gamma_star}
 
     sigs = bundle.signatures if bundle else []
     energies = [signature_energy(ctx.stacked, design.nbar, sig, bundle.gram) for sig in sigs]

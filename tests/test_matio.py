@@ -5,7 +5,12 @@ import pytest
 
 from diagfilter.agc import three_area_default, univariate_topology
 from diagfilter.config import ExperimentConfig, default_config, multivariate_default_config
-from diagfilter.design import design_multivariate, design_univariate, pretrain_multivariate
+from diagfilter.design import (
+    FilterDesign,
+    design_multivariate,
+    design_univariate,
+    pretrain_multivariate,
+)
 from diagfilter.errors import ConfigError
 from diagfilter.lti import assemble_dae, build_stacked, zoh_discretize
 from diagfilter.matio import (
@@ -155,6 +160,34 @@ def test_filter_artefact_round_trip(tmp_path, reference_design):
     assert loaded.branch == design.branch
     assert loaded.objective == design.objective
     assert loaded.diagnostics["tau_star"] == 2.5e-6
+
+
+@pytest.mark.parametrize(
+    "branch, fits",
+    [
+        ({"coeff_index": 3, "sign": -1}, True),
+        ({"coeff_index": 4, "sign": 1}, False),
+        ({"coeff_index": 0, "sign": 2}, False),
+        ({"coeff_index": 0, "sign": True}, False),
+        ({"coeff_index": 1, "program": 4, "sign": 1}, False),
+        ([0, 1], False),
+    ],
+    ids=["last-coefficient", "coeff-past-the-order", "sign-two", "sign-a-bool",
+         "program-of-a-univariate-design", "not-an-object"],
+)
+def test_filter_artefact_branch_is_one_a_univariate_design_chooses(
+    tmp_path, reference_design, branch, fits
+):
+    # the reference design is of order 3 and its record names no attack polytope
+    stacked, design = reference_design
+    design = FilterDesign(**{**vars(design), "branch": branch})
+    path = tmp_path / "filter.txt"
+    save_filter(path, design, "abc123", RECORD, 2.5e-6)
+    if fits:
+        assert load_filter(path, stacked=stacked)[0].branch == branch
+    else:
+        with pytest.raises(ConfigError, match="malformed filter artefact: branch"):
+            load_filter(path, stacked=stacked)
 
 
 def test_filter_artefact_stores_each_value_once(tmp_path, reference_design):

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import pickle
 import re
@@ -19,12 +20,11 @@ import scipy.linalg
 import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
-from diagfilter.cli import EXIT_OK, main
-from diagfilter.design import design_multivariate, design_univariate
+from diagfilter.cli import EXIT_CONFIG, EXIT_OK, main
+from diagfilter.design import PretrainResult, design_multivariate, design_univariate
 from diagfilter.errors import (
     ConfigError,
     DetectorInfeasibleError,
-    NoFilterError,
     SimulationBlowUp,
 )
 from diagfilter.matio import (
@@ -387,9 +387,16 @@ def test_design_solves_a_damaged_pretrain_report_again(mv_reuse_base, tmp_path, 
         ("gammas", ["0.3"] * 8),
         ("statuses", []),
         ("statuses", ["done"] * 8),
+        ("j_star", 5),
+        ("gamma_star", 0.123),
+        ("feasible", False),
+        ("gammas", [math.inf] * 8),
+        ("gammas", [10**400] * 8),
     ],
     ids=["j-star-past-the-programs", "j-star-zero", "j-star-not-whole", "short-gammas",
-         "gammas-not-numbers", "short-statuses", "statuses-not-lp-verdicts"],
+         "gammas-not-numbers", "short-statuses", "statuses-not-lp-verdicts",
+         "j-star-not-the-best", "gamma-star-not-the-best-margin", "feasible-false",
+         "gammas-infinite", "gammas-past-the-float-range"],
 )
 def test_design_solves_a_pretrain_report_that_misfits_the_programs_again(
     mv_reuse_base, tmp_path, key, value
@@ -402,6 +409,52 @@ def test_design_solves_a_pretrain_report_that_misfits_the_programs_again(
     assert main(["design", "--config", str(run / "config.json"), "--out", str(run)]) == EXIT_OK
     for name in ("pretrain_report.json", "filter.txt", "design_report.json"):
         assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
+
+
+def test_only_the_report_the_pretrain_writes_is_read_back(mv_reuse_base, tmp_path):
+    # the exact text of a report is read back as its result; a report in that
+    # text over an infinite margin, which no support LP ends with, is not
+    ctx = build_context(ExperimentConfig.from_dict(mv_reuse_config()))
+    result = pipeline_module._load_pretrain(ctx, mv_reuse_base)
+    assert result is not None
+    assert (mv_reuse_base / "pretrain_report.json").read_text() == pipeline_module._json_text(
+        pipeline_module._pretrain_report(ctx, result)
+    )
+    gammas = result.gammas.copy()
+    gammas[result.j_star - 1] = math.inf
+    infinite = pipeline_module._pretrain_report(ctx, PretrainResult(gammas))
+    assert infinite["gamma_star"] == math.inf and infinite["feasible"]
+    (tmp_path / "pretrain_report.json").write_text(pipeline_module._json_text(infinite))
+    assert pipeline_module._load_pretrain(ctx, tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        '{"coeff_index": 1, "sign": 1}',
+        "[1, 2]",
+        '{"coeff_index": 1, "program": 99, "sign": -1}',
+        '{"coeff_index": 9, "program": 3, "sign": -1}',
+        '{"coeff_index": 1, "program": 3, "sign": 0}',
+        '{"coeff_index": 1, "program": 5, "sign": -1}',
+        '{"coeff_index": 1.0, "program": 3, "sign": -1}',
+    ],
+    ids=["no-program", "not-an-object", "program-past-the-programs", "coeff-past-the-order",
+         "sign-zero", "program-of-another-pair", "coeff-not-an-integer"],
+)
+def test_a_filter_branch_no_multivariate_design_chooses_is_malformed(
+    mv_reuse_base, tmp_path, capsys, branch
+):
+    run = tmp_path / "run"
+    shutil.copytree(mv_reuse_base, run)
+    text = (run / "filter.txt").read_text()
+    assert 'branch: {"coeff_index": 1, "program": 3, "sign": -1}\n' in text
+    edited = re.sub(r"(?m)^branch: .*$", "branch: " + branch, text)
+    (run / "filter.txt").write_text(edited)
+    code = main(["test", "--config", str(run / "config.json"), "--out", str(run)])
+    assert code == EXIT_CONFIG
+    assert "malformed filter artefact: branch" in capsys.readouterr().err
+    assert tree(run / "test") == tree(mv_reuse_base / "test")
 
 
 def test_trace_alarm_column_is_the_detector_decision(tmp_path):
@@ -601,9 +654,9 @@ def test_each_visibility_lp_is_solved_once(mv_trained, tmp_path, monkeypatch):
     assert len(solved) == 1
 
 
-def test_a_stored_unbounded_floor_means_no_filter(mv_trained, tmp_path, monkeypatch):
-    # the best program's support LP unbounded: the stored report holds an
-    # infinite floor, and the design rejects it as when it solved the LP itself
+def test_an_unbounded_support_lp_is_an_empty_polytope(mv_trained, tmp_path, monkeypatch):
+    # one pair's support LP unbounded: the attack polytope is empty, and
+    # neither the pretrain nor a design over it writes a report
     cfg, out = mv_trained
     shutil.copytree(out / "train", tmp_path / "train")
     support_lp = design_module._support_lp
@@ -612,18 +665,18 @@ def test_a_stored_unbounded_floor_means_no_filter(mv_trained, tmp_path, monkeypa
         return Solution("unbounded") if j == 3 else support_lp(stacked, attack, j)
 
     monkeypatch.setattr(design_module, "_support_lp", unbounded_at_3)
-    cmd_pretrain(cfg, tmp_path)
-    text = (tmp_path / "pretrain_report.json").read_text()
-    assert '"gamma_star": Infinity' in text and json.loads(text)["j_star"] == 3
-    with pytest.raises(NoFilterError, match="visibility floor appears unbounded"):
+    with pytest.raises(ConfigError, match="attack polytope is empty"):
+        cmd_pretrain(cfg, tmp_path)
+    with pytest.raises(ConfigError, match="attack polytope is empty"):
         cmd_design(cfg, tmp_path)
-    assert not (tmp_path / "filter.txt").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["train"]
 
 
 def test_a_stored_infeasible_pretrain_means_no_design(tmp_path):
     # an all-zero attack basis leaves no direction to detect: pretraining
-    # stores its report and fails, and a design over that report fails too
-    # before it writes a file, rather than shipping an all-zero filter
+    # stores its report and fails, and a design solves that report again and
+    # fails as the pretrain does, before it writes a filter, rather than
+    # shipping an all-zero filter
     raw = multivariate_default_config()
     raw["mode"] = "pure_model"
     raw["attack"]["basis"] = np.zeros(np.shape(raw["attack"]["basis"])).tolist()
@@ -631,7 +684,7 @@ def test_a_stored_infeasible_pretrain_means_no_design(tmp_path):
     with pytest.raises(DetectorInfeasibleError, match="nonpositive"):
         cmd_pretrain(cfg, tmp_path)
     assert not json.loads((tmp_path / "pretrain_report.json").read_text())["feasible"]
-    with pytest.raises(DetectorInfeasibleError, match="stored pretrain report"):
+    with pytest.raises(DetectorInfeasibleError, match="nonpositive"):
         cmd_design(cfg, tmp_path)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["pretrain_report.json"]
 
@@ -834,6 +887,30 @@ def test_univariate_design_does_not_import_the_lp_backend(completed_run, tmp_pat
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "filter.txt").exists()
     assert done.stdout.strip() == "False"
+
+
+def test_multivariate_training_does_not_import_the_lp_backend(tmp_path):
+    # training reads no attack set and solves no LP, so a fresh `train`
+    # process under a multivariate attack must not import scipy.optimize
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(mv_reuse_config()))
+    script = (
+        "import sys\n"
+        "from diagfilter.cli import main\n"
+        "code = main(['train', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(design_module.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(cfg_file), str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run/train/training_summary.json").exists()
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 # --- held-out plant runs read back --------------------------------------------
