@@ -359,8 +359,7 @@ def cmd_train(
     paths, runs = _training_runs(ctx, train_dir)
     labels = [f"training instance {i}, seed {dist.seed}" for i, (dist, _) in enumerate(runs)]
     trajs = _plant_runs(ctx, paths, runs, labels)
-    # qbar.csv: the average form training once stored, now formed by the design
-    _remove_stale(train_dir, ("traj_*.csv", "qbar.csv"), paths)
+    _remove_stale(train_dir, ("traj_*.csv",), paths)
     signatures = _signatures(ctx, [dist for dist, _ in runs], [traj.Y for traj in trajs])
     summary = {
         "m": len(runs),
@@ -449,18 +448,25 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
 
     One design call of the configured attack kind.  A multivariate attack
     first loads the stored pretrain result (:func:`_load_pretrain`) or runs
-    :func:`cmd_pretrain`, whose errors end the design, and starts from the
-    floor of the result's best program instead of solving its support LP
-    again; the report's ``pretrain`` block is that result's ``j_star`` and
-    ``gamma_star``.  A data-assisted design carries the model-only baseline
-    it was checked against (:attr:`~diagfilter.design.FilterDesign.baseline`);
-    the report copies that check's values and the baseline's QP record.
+    :func:`cmd_pretrain`, whose errors end the design, before it reads any
+    training run, so an empty attack polytope is reported as such with or
+    without them.  The design starts from the floor of the result's best
+    program instead of solving its support LP again; the report's
+    ``pretrain`` block is that result's ``j_star`` and ``gamma_star``.  A
+    data-assisted design carries the model-only baseline it was checked
+    against (:attr:`~diagfilter.design.FilterDesign.baseline`); the report
+    copies that check's values and the baseline's QP record.
     """
     ctx = _context(cfg)
     cfg = ctx.cfg
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    pretrain = None
+    if ctx.attack_model.kind == "multivariate":
+        pretrain = _load_pretrain(ctx, out)
+        if pretrain is None:
+            pretrain = PretrainResult(np.array(cmd_pretrain(ctx, out)["gammas"]))
     bundle = load_training_bundle(ctx, out) if cfg.mode == "data_assisted" else None
     qbar = bundle.qbar if bundle else None
 
@@ -470,9 +476,6 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
         design = design_univariate(ctx.stacked, qbar, pole=pole, track_steady_state=track)
         pretrain_used = None
     else:
-        pretrain = _load_pretrain(ctx, out)
-        if pretrain is None:
-            pretrain = PretrainResult(np.array(cmd_pretrain(ctx, out)["gammas"]))
         design = design_multivariate(
             ctx.stacked, qbar, ctx.attack_model, pretrain.j_star, pole=pole, pretrain=pretrain
         )

@@ -42,46 +42,50 @@ the calls.  Each stage has its own work array, the four stacked as one
 ``(4, n_work, runs)`` array; the state lives at the head of stage 0's,
 where it is differentiated in place.  The stepper builds one program per
 chunk mode (free, pinned and checked, below): the ``(ufunc, operands)``
-calls of one step, with every switch resolved and every view bound, so a
-step runs its mode's program call by call.  Outputs are passed to the
+calls of each step of a chunk, with every switch resolved and every view
+bound, so a step runs its program call by call.  Outputs are passed to the
 ufuncs positionally (keyword parsing costs more than some of the
 operations), but for the checked step's masked clamps, which need a
-``where``.  Each two-sided clamp (the deadband feature, the rate limit,
-a pin, the checked AGC state) and each running extreme is one call of
-numpy's ``clip`` ufunc, an extreme against an infinite bound:
+``where``.  An in-place call passes one view object as its input and its
+output: numpy skips its memory-overlap analysis for the same object, not
+for two views of the same memory.  Each two-sided clamp (the deadband
+feature, the rate limit, a pin, the checked AGC state) is one call of
+numpy's ``clip`` ufunc, a pin an extreme against an infinite bound:
 ``clip(x, m, +inf)`` is bitwise ``np.maximum(x, m)``, NaN included.  numpy
 exposes that ufunc under no public name, so it is imported from its
 private module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level
 argument handling that costs more than the two-call clamp.  At the
-package's default switches a step makes 30 numpy calls in a free chunk,
-34 in a pinned one and 45 in a checked one.
+package's default switches a step makes 29 numpy calls in a free chunk,
+33 in a pinned one and 45 in a checked one.
 
 The AGC limits cost little while a run's commands stay inside them or stay
 at one.  A stepper call integrates its steps in chunks of
 ``_CHUNK_STEPS``, each either checked (every stage tests the AGC entries
 against the limits and clamps the slopes of those at a limit, through
 ``where`` masks that change no bit while they are all false, and every
-step clamps the AGC state) or fast (neither; it only tracks the running
-extremes of all four stages' AGC entries, one strided view of the stacked
-work arrays, or in a narrow batch the contiguous span of them from stage
-0's first AGC entry to stage 3's last, a cheaper operand).  A fast chunk
-is free unless an AGC entry sits exactly at a limit at its start; then it
-is pinned: each stage clamps the AGC slope with one ``clip`` against
-per-entry bounds, 0 on a pinned entry's limit side and infinite
-elsewhere, where a checked stage clamps an entry at a limit.  A fast chunk
-stands if every free entry's stage values stayed strictly inside the
-limits, every pinned entry's stayed exactly at its limit and the final AGC
-state lies within the limits: every stage test would then have fired just
-where a pin clamped, and no clamp of the state would have moved anything,
-so it performed exactly a checked chunk's operations.  Any other fast
-chunk, a non-finite one included, is restored from a snapshot of the work
-arrays taken at its start (held inputs and all) and integrated again,
-checked; the next chunk tries fast again and pins what the replay left at
-a limit.  A saturated run thus pays one replay where a command meets or
-leaves a limit, and the pinned price in between.  Whether a chunk runs
-fast or checked changes no bit, so neither do the chunk boundaries: any
-partition of the steps into stepper calls leaves the work array bitwise
-the same.
+step clamps the AGC state) or fast (neither).  A fast step records its
+four stages' AGC entries, before the RK4 combination moves the state, with
+one copy into its own slot of the chunk's history: one strided view of the
+stacked work arrays, or in a narrow batch the contiguous span of them from
+stage 0's first AGC entry to stage 3's last, a cheaper operand.  At the end
+of the chunk two reductions over the slots it used give every entry's
+extremes, which are tested once.  A fast chunk is free unless an AGC entry
+sits exactly at a limit at its start; then it is pinned: each stage clamps
+the AGC slope with one ``clip`` against per-entry bounds, 0 on a pinned
+entry's limit side and infinite elsewhere, where a checked stage clamps an
+entry at a limit.  A fast chunk stands if every free entry's stage values
+stayed strictly inside the limits, every pinned entry's stayed exactly at
+its limit and the final AGC state lies within the limits: every stage test
+would then have fired just where a pin clamped, and no clamp of the state
+would have moved anything, so it performed exactly a checked chunk's
+operations.  Any other fast chunk, a non-finite one included (a NaN
+reaches both extremes), is restored from a snapshot of the work arrays
+taken at its start (held inputs and all) and integrated again, checked;
+the next chunk tries fast again and pins what the replay left at a limit.
+A saturated run thus pays one replay where a command meets or leaves a
+limit, and the pinned price in between.  Whether a chunk runs fast or
+checked changes no bit, so neither do the chunk boundaries: any partition
+of the steps into stepper calls leaves the work array bitwise the same.
 
 That partition invariance lets twins share steps.  Runs with equal
 disturbance specs, such as a held-out run and its attacked copy, hold equal
@@ -118,10 +122,10 @@ _ONSET_EDGE = 1e-12  # in seconds
 # RK4 steps per chunk of a sample interval (see simulate_nonlinear)
 _CHUNK_STEPS = 50
 
-# Floats up to which the running extremes are tracked over a contiguous span
-# (see _rk4_stepper): a strided operand costs a clip call about as much as
-# 500 contiguous floats (numpy 2.4, 2-vCPU Xeon), so a span of up to half
-# that wins, and the strided view takes the wider batches
+# Floats up to which a fast step records the AGC stage values over a
+# contiguous span (see _rk4_stepper): a strided operand costs a ufunc call
+# about as much as 500 contiguous floats (numpy 2.4, 2-vCPU Xeon), so a span
+# of up to half that wins, and the strided view takes the wider batches
 _SPAN_FLOATS = 256
 
 _SAMPLES_RULE = "horizon must be a multiple of the sampling time"
@@ -453,13 +457,15 @@ def _rk4_stepper(
     limits then act elementwise on the derivative's blocks.  Each stage has
     its own work array, the four stacked as ``work``, ``(4, n_work, runs)``.
 
-    Once per stepper, each chunk mode's step is built as one program, the
-    tuple of ``(ufunc, operands)`` calls it makes in order: the free, the
-    pinned and the checked step, every switch (deadband, sine ties, rate
-    limit, pin clamp, limit tests, running extremes, state clamp) resolved
-    while the list is built.  A step sets the held inputs that switch there
-    and runs its chunk's program; the constant operands, the pin bounds
-    and the running extremes are arrays allocated here and filled in place.
+    Once per stepper, each chunk mode's steps are built as one program, the
+    tuple of ``(ufunc, operands)`` calls each step of a chunk makes in
+    order: the free, the pinned and the checked steps, every switch
+    (deadband, sine ties, rate limit, pin clamp, limit tests, the record of
+    the AGC stage values, state clamp) resolved while the calls are built.
+    A fast step's calls differ from the chunk's other steps' only in the
+    history slot they record into.  A step sets the held inputs that switch
+    there and runs its calls; the constant operands, the pin bounds, the
+    history and its extremes are arrays allocated here and filled in place.
 
     Returns:
         ``(advance, work, state, order)``.  ``advance(start, stop)``
@@ -502,9 +508,11 @@ def _rk4_stepper(
     state = work[0, :n_state]
     helds = work[:, u]
     agc_state = state[agc]
-    # the running extremes of every stage's AGC entries, one strided view of
-    # the stacked work arrays; a narrow batch tracks them over the contiguous
-    # span from stage 0's first AGC entry to stage 3's last instead
+    # every stage's AGC entries, which a fast step records in its slot of
+    # the chunk's history: one strided view of the stacked work arrays; a
+    # narrow batch records the contiguous span from stage 0's first AGC
+    # entry to stage 3's last instead.  The extremes over the slots a chunk
+    # used are reduced into agc_max and agc_min.
     span = slice(agc.start * n_runs, (3 * n_work + agc.stop) * n_runs)
     if span.stop - span.start <= _SPAN_FLOATS:
         extremes = np.empty((2, *work.shape))
@@ -513,6 +521,7 @@ def _rk4_stepper(
     else:
         tracked = work[:, agc]
         agc_max, agc_min = tracked_max, tracked_min = np.empty((2, *tracked.shape))
+    history = np.empty((_CHUNK_STEPS, *tracked.shape))
     snapshot = np.empty_like(work)
     k = np.empty((4, n_state, n_runs))
     k1, k2, k3, k4 = k
@@ -532,50 +541,44 @@ def _rk4_stepper(
     agc_lo, agc_hi, agc_zero = (np.full(agc_state.shape, v) for v in (lo, hi, 0.0))
     rate_hi = np.full(agc_state.shape, np.inf if rate is None else rate)
     rate_lo = -rate_hi
-    tracked_hi = np.full(tracked.shape, np.inf)
-    tracked_lo = -tracked_hi
     two, sixth = np.full(state.shape, 2.0), np.full(state.shape, dt / 6.0)
 
     def program(mode: str) -> tuple:
-        """The ``(ufunc, operands)`` calls of one step of a chunk mode."""
-        calls = []
+        """The ``(ufunc, operands)`` calls of each step of a chunk mode, one
+        call tuple per step of a chunk: a fast step records the AGC stage
+        values in its own slot of the history, the rest are alike."""
+        stages = []
         for i, h in enumerate((None, 0.5 * dt, 0.5 * dt, dt)):
-            stage_x, k_agc = work[i, :n_state], k[i][agc]
+            stage_x, k_tie, k_agc = work[i, :n_state], k[i][tie], k[i][agc]
             if h is not None:  # the stage state along the previous slope
-                calls += [
+                stages += [
                     (np.multiply, (k[i - 1], np.full(state.shape, h), stage_x)),
                     (np.add, (stage_x, state, stage_x)),
                 ]
             if n_band:
-                calls.append((clip, (work[i, omega], band_lo, band_hi, work[i, band])))
-            calls.append((np.matvec, (matrix, work[i].T, k[i].T)))
+                stages.append((clip, (work[i, omega], band_lo, band_hi, work[i, band])))
+            stages.append((np.matvec, (matrix, work[i].T, k[i].T)))
             if plant.sine_ties:
                 # each tie row of A holds only the linear coupling stiffness *
                 # (omega difference), which the sine law scales by cos(theta)
-                calls += [
+                stages += [
                     (np.cos, (work[i, theta], cos_theta)),
-                    (np.multiply, (k[i][tie], cos_theta, k[i][tie])),
+                    (np.multiply, (k_tie, cos_theta, k_tie)),
                 ]
             if mode == "checked":
                 # a where= mask that is all false changes no bit
-                calls += [
+                stages += [
                     (np.greater_equal, (work[i, agc], agc_hi, at_hi)),
                     (np.less_equal, (work[i, agc], agc_lo, at_lo)),
                     (partial(np.minimum, out=k_agc, where=at_hi), (k_agc, agc_zero)),
                     (partial(np.maximum, out=k_agc, where=at_lo), (k_agc, agc_zero)),
                 ]
             elif mode == "pinned":
-                calls.append((clip, (k_agc, slope_lo, slope_hi, k_agc)))
+                stages.append((clip, (k_agc, slope_lo, slope_hi, k_agc)))
             if rate is not None:
-                calls.append((clip, (k_agc, rate_lo, rate_hi, k_agc)))
-        if limits is not None and mode != "checked":
-            # the running extremes: clip(x, m, +inf) is bitwise max(x, m)
-            calls += [
-                (clip, (tracked, tracked_max, tracked_hi, tracked_max)),
-                (clip, (tracked, tracked_lo, tracked_min, tracked_min)),
-            ]
+                stages.append((clip, (k_agc, rate_lo, rate_hi, k_agc)))
         # state + dt/6 * (k1 + 2 (k2 + k3) + k4), in that operation order
-        calls += [
+        combination = [
             (np.add, (k2, k3, acc)),
             (np.multiply, (acc, two, acc)),
             (np.add, (acc, k1, acc)),
@@ -584,8 +587,13 @@ def _rk4_stepper(
             (np.add, (state, acc, state)),
         ]
         if mode == "checked":
-            calls.append((clip, (agc_state, agc_lo, agc_hi, agc_state)))
-        return tuple(calls)
+            combination.append((clip, (agc_state, agc_lo, agc_hi, agc_state)))
+        if limits is None or mode == "checked":
+            return (tuple(stages + combination),) * _CHUNK_STEPS
+        # the record precedes the combination, which moves stage 0's values
+        return tuple(
+            tuple([*stages, (np.positive, (tracked, slot)), *combination]) for slot in history
+        )
 
     free, pinned, checked = (program(mode) for mode in ("free", "pinned", "checked"))
     switch_at = switches.get
@@ -596,34 +604,36 @@ def _rk4_stepper(
         while start < stop:
             end = min(start + _CHUNK_STEPS, stop)
             fast = limits is not None and not checking
-            calls = checked if checking else free
+            steps = checked if checking else free
             if fast:
                 np.copyto(snapshot, work)
-                tracked_max.fill(-np.inf)
-                tracked_min.fill(np.inf)
                 np.equal(agc_state, agc_hi, at_hi)
                 np.equal(agc_state, agc_lo, at_lo)
                 below, above = agc_lo, agc_hi
                 if np.count_nonzero(at_limit):
                     # a pinned slope may only leave its limit; its stage
                     # values must stay exactly there
-                    calls = pinned
+                    steps = pinned
                     slope_lo[...] = np.where(at_lo, 0.0, -np.inf)
                     slope_hi[...] = np.where(at_hi, 0.0, np.inf)
                     pins = at_hi | at_lo
                     below = np.where(pins, np.nextafter(agc_state, -np.inf), agc_lo)
                     above = np.where(pins, np.nextafter(agc_state, np.inf), agc_hi)
-            for step in range(start, end):
+            for step, calls in zip(range(start, end), steps):
                 switch = switch_at(step)
                 if switch is not None:
                     runs, values = switch
                     helds[:, :, runs] = values
                 for f, args in calls:
                     f(*args)
-            if fast and not _clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi):
-                np.copyto(work, snapshot)
-                checking = True
-                continue
+            if fast:
+                recorded = history[: end - start]
+                np.maximum.reduce(recorded, 0, None, tracked_max)
+                np.minimum.reduce(recorded, 0, None, tracked_min)
+                if not _clear_of_limits(agc_max, agc_min, agc_state, below, above, lo, hi):
+                    np.copyto(work, snapshot)
+                    checking = True
+                    continue
             checking = False
             start = end
 

@@ -282,16 +282,16 @@ def test_rank_deficient_training_form_designs(tmp_path):
 
 def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
     # the support LPs find the empty polytope: every phase that solves them
-    # exits 4 before it writes a report; training reads no attack set, and a
-    # test finds no filter
+    # exits 4 before it writes a report, and a design solves them before it
+    # reads a training run, with or without them; training reads no attack
+    # set, and a test finds no filter
     cfg = multivariate_default_config()
     cfg["train"].update(m=2, horizon_seconds=2.5)
     cfg["attack"]["polytope_a"] = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
     cfg["attack"]["polytope_b"] = [1.0, 1.0]
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "o"
-    # a data-assisted design needs training runs first; a model-only one not
-    for phase in (["pretrain"], ["design", "--mode", "pure"], ["run-all"]):
+    for phase in (["pretrain"], ["design"], ["design", "--mode", "pure"], ["run-all"]):
         code = main([*phase, "--config", cfg_path, "--out", str(out)])
         assert code == EXIT_CONFIG, phase
         assert "configuration error: attack polytope is empty" in capsys.readouterr().err

@@ -1343,15 +1343,6 @@ def test_a_retrain_over_the_base_runs_writes_what_a_fresh_directory_writes(
     assert (tree(fresh / "train") != tree(base / "train")) == stale
 
 
-def test_a_retrain_removes_the_average_form_training_once_stored(reuse_base, tmp_path):
-    run = tmp_path / "run"
-    shutil.copytree(reuse_base, run)
-    (run / "train/qbar.csv").write_text("# 1 1\n0.5\n")
-    (run / "train/qbar.meta.json").write_text("{}\n")
-    cmd_train(ExperimentConfig.from_dict(reuse_config()), run)
-    assert tree(run) == tree(reuse_base)
-
-
 def test_an_unchanged_retrain_reads_every_run_back(reuse_base, tmp_path, monkeypatch):
     shutil.copytree(reuse_base, tmp_path / "run")
     calls = record_simulations(monkeypatch)

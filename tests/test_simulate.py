@@ -1,5 +1,7 @@
 """Disturbance generation and the linear / nonlinear simulator pair."""
 
+import inspect
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -411,6 +413,64 @@ def test_limit_first_met_by_the_clamp_ending_a_chunk_matches_the_loop(fast_chunk
     assert_chunks_change_no_bit(plant, runs)
 
 
+def test_limit_met_only_by_the_last_stage_of_a_chunk_matches_the_loop(fast_chunks):
+    # Without a rate limit, a 0.05 step on every load raises area 3's AGC
+    # command ever more slowly from about step 1200 on, so the last stage
+    # value of each step overshoots the state the step ends in.  The upper
+    # limit is that value at step 1249, the last of chunk 24: no earlier
+    # stage value reaches it, nor does the state step 1249 ends in, and only
+    # the test at that stage fires, clamping a slope that still rises.
+    hi = 0.012906205264161483
+    plant = default_plant(deadband=0.001, sine_ties=True, agc_limits=(-1.0, hi))
+    runs = [step_run(0.05), step_run(0.0)]
+    simulate_nonlinear(plant, RunBatch(runs))
+    assert all(kept for kept, *_ in fast_chunks[:24])
+    kept, stage_max, final_max, _ = fast_chunks[24]
+    assert not kept and stage_max == hi > final_max
+    assert_chunks_change_no_bit(plant, runs)
+
+
+@pytest.mark.parametrize(
+    "span_floats", [simulate_module._SPAN_FLOATS, 0], ids=["span", "strided"]
+)
+def test_a_fast_chunk_tests_the_stage_values_of_exactly_its_steps(monkeypatch, span_floats):
+    # t_s = 0.52 s: each sample interval ends in a chunk of 20 steps, after
+    # chunks of 50.  The AGC commands rise in one run and fall in the other,
+    # so each chunk's extremes sit at its first and last steps, and every
+    # stage value a chunk does not take (the state after its last step, a
+    # slot its history kept from the chunk before) lies beyond them.
+    monkeypatch.setattr(simulate_module, "_SPAN_FLOATS", span_floats)
+    plant = default_plant(deadband=0.001, sine_ties=True, agc_limits=(-1.0, 1.0), t_s=0.52)
+    runs = [step_run(0.05, horizon=1.04), step_run(-0.03, horizon=1.04)]
+    model, index = plant.assemble()
+    n_tie, n_area = index.tie_rows.size, len(index.area_ids)
+    agc = slice(n_tie + n_area, n_tie + 2 * n_area)
+    # every step's four stage values, one step per stepper call
+    advance, work, state, _ = simulate_module._rk4_stepper(plant, model, index, RunBatch(runs))
+    stages = []
+    for step in range(1040):
+        start = state[agc].copy()
+        advance(step, step + 1)
+        stages.append([start, *work[1:, agc].copy()])
+    stages = np.array(stages)
+
+    tested = []
+    clear_of_limits = simulate_module._clear_of_limits
+
+    def recorded(agc_max, agc_min, *args):
+        tested.append((agc_max.copy(), agc_min.copy()))
+        return clear_of_limits(agc_max, agc_min, *args)
+
+    monkeypatch.setattr(simulate_module, "_clear_of_limits", recorded)
+    simulate_nonlinear(plant, RunBatch(runs))
+    edges = [start + offset for start in (0, 520) for offset in (*range(0, 520, 50), 520)]
+    chunks = [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    assert len(tested) == len(chunks) == 22
+    for (agc_max, agc_min), (a, b) in zip(tested, chunks):
+        assert np.array_equal(agc_max, stages[a:b].max(axis=0))
+        assert np.array_equal(agc_min, stages[a:b].min(axis=0))
+
+
 def test_limits_touched_on_and_off_across_chunks_match_the_loop(fast_chunks):
     # the AGC commands meet the limits, leave them and meet them again, so a
     # fast chunk is kept between two replayed ones
@@ -496,6 +556,7 @@ def test_commands_pinned_at_either_limit_keep_their_chunks_fast(fast_chunks, loa
 @pytest.mark.parametrize(
     "bias, onset_step, released_at, chunk_kept",
     [
+        pytest.param(0.1, 700, 1, False, id="at the first stage of the chunk's first step"),
         pytest.param(0.1, 723, 1, False, id="inside the chunk, from the first stage"),
         pytest.param(0.04441577, 749, 3, False, id="at the last stage of the chunk's last step"),
         pytest.param(0.0444152, 749, 4, True, id="by the combination ending the chunk"),
@@ -508,7 +569,8 @@ def test_a_pin_released_in_a_chunk_matches_the_loop(
     # upper limit from chunk 12 on.  An attack switched on at `onset_step`
     # of chunk 14 (steps 700-749) pulls area 1's command off the limit: its
     # value at stages 1-3 of that step leaves it from stage `released_at` on
-    # (4: only the state the step ends in does).  The biases of step 749 sit
+    # (4: only the state the step ends in does).  At step 700 the command
+    # meets the limit only at stage 0 of the chunk's first step.  The biases of step 749 sit
     # inside windows of relative width 7e-7 and 2.4e-5 found by bisection.
     plant = default_plant(**ALL_SWITCHES)
     hi = plant.agc_limits[1]
@@ -640,6 +702,26 @@ def test_any_partition_of_the_steps_integrates_bit_for_bit(partition_case, cuts)
     assert np.array_equal(work, reference)
 
 
+@pytest.mark.parametrize("case", sorted({**SWITCH_CASES, **COMBINED_CASES}))
+@pytest.mark.parametrize("width", [2, 12])
+def test_no_call_of_a_step_writes_over_an_input_it_is_not(case, width):
+    # An output that overlaps an input costs numpy a memory-overlap analysis
+    # per call, unless both are one array object: every in-place call of a
+    # step program passes the same view twice.
+    plant, runs = switch_case(case, width)
+    advance, *_ = simulate_module._rk4_stepper(plant, *plant.assemble(), RunBatch(runs))
+    programs = inspect.getclosurevars(advance).nonlocals
+    for mode in ("free", "pinned", "checked"):
+        for calls in programs[mode]:
+            for f, args in calls:
+                # a masked clamp is a partial that binds its output and mask
+                ufunc, bound = (f.func, f.keywords) if isinstance(f, partial) else (f, {})
+                inputs = [*args[: ufunc.nin], *([bound["where"]] if "where" in bound else [])]
+                outputs = [*args[ufunc.nin :], *([bound["out"]] if "out" in bound else [])]
+                for x, out in product(inputs, outputs):
+                    assert x is out or not np.shares_memory(x, out), (mode, ufunc.__name__)
+
+
 def test_clip_ufunc_is_the_two_call_clamp():
     # The stepper clamps with numpy's private clip ufunc; a numpy that moves
     # it or changes its semantics fails here rather than in a trajectory.
@@ -668,17 +750,15 @@ def test_clip_ufunc_is_the_two_call_clamp():
 
 
 def test_clip_ufunc_against_an_infinite_bound_is_max_or_min():
-    # A fast chunk tracks its running extremes as clip(x, m, +inf) and
-    # clip(x, -inf, m); each must be bitwise np.maximum(x, m) and
-    # np.minimum(x, m), NaN in either operand included, so that a
-    # non-finite chunk still fails its test.
+    # A pinned chunk clamps a pinned AGC slope as clip(k, 0, +inf) or
+    # clip(k, -inf, 0); such a call must be bitwise np.maximum(k, m) and
+    # np.minimum(k, m), NaN in either operand included, so that a
+    # non-finite slope stays non-finite and its chunk fails its test.
     clip = simulate_module.clip
     tiny = np.nextafter(0.0, 1.0)
     specials = [np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0]
     x_values, m_values = (np.array(pair) for pair in zip(*product(specials, repeat=2)))
-    # the stepper's operands: every stage's AGC entries, a strided view of
-    # the stacked work arrays, (4, n_area, runs), or in a narrow batch a
-    # contiguous span of the stacked arrays
+    # a strided view of a stacked array and a contiguous span of one
     stacked = np.zeros((4, x_values.size // 12 + 7, 3))
     strided = stacked[:, 5 : 5 + x_values.size // 12]
     strided[...] = x_values.reshape(strided.shape)
@@ -693,7 +773,7 @@ def test_clip_ufunc_against_an_infinite_bound_is_max_or_min():
             out = np.empty(x.shape)
             clip(*operands, out)
             assert out.tobytes() == expected.tobytes()
-            clip(*operands, extreme)  # in place, as the stepper tracks an extreme
+            clip(*operands, extreme)  # in place
             assert extreme.tobytes() == expected.tobytes()
 
 
