@@ -661,7 +661,9 @@ def worst_case_alpha(
     the design's program over the polytope.  By linear-programming duality
     the optimum can never fall below the ``b' lambda`` certified at design
     time.  Returns ``(alpha, value, status)``; alpha is None when the
-    program is unbounded.
+    program is unbounded.  Over the polytope rows alone it is infeasible
+    exactly when the polytope is empty: ConfigError, as
+    :func:`_support_floor` reports it.
     """
     attack.validate_against(stacked.n_f)
     idx, sign = program_branch(design.branch["program"])
@@ -670,9 +672,11 @@ def worst_case_alpha(
     ]
     cost = sign * (resp @ attack.basis)
     sol = solve_lp(cost, a_ineq=attack.polytope_a, b_ineq=attack.polytope_b)
-    if sol.status == "optimal":
-        return sol.x, float(sol.objective), sol.status
-    return None, float("-inf") if sol.status == "unbounded" else float("nan"), sol.status
+    if sol.status == "infeasible":
+        raise ConfigError("attack polytope is empty")
+    if sol.status == "unbounded":
+        return None, float("-inf"), sol.status
+    return sol.x, float(sol.objective), sol.status
 
 
 def steady_state_margin(
@@ -682,7 +686,10 @@ def steady_state_margin(
 
     Solves two sign-restricted linear programs (response >= 0 and <= 0) and
     takes the smaller magnitude; a zero margin certifies the existence of an
-    admissible attack that is invisible in steady state.
+    admissible attack that is invisible in steady state.  Each program is
+    bounded below by 0 and an admissible attack meets one of them, so both
+    end without an optimum only over an empty polytope: ConfigError, as
+    :func:`_support_floor` reports it.
     """
     attack.validate_against(f_matrix.shape[1])
     cost = -(design.coeff_sum() @ f_matrix @ attack.basis) / float(np.sum(design.a_coeffs))
@@ -696,5 +703,5 @@ def steady_state_margin(
             if best is None or value < best[0]:
                 best = (value, sol.x)
     if best is None:
-        raise DetectorInfeasibleError("attack polytope is empty")
+        raise ConfigError("attack polytope is empty")
     return best

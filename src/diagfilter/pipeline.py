@@ -13,8 +13,8 @@ run would be integrated from; training and test integrate the rest, and
 the design phase, which integrates nothing, fails on them.  Training
 stores only plant runs, so no training file depends on the filter: the
 design forms the mismatch signatures and their average from the training
-runs, and re-runs the pretrain unless its report is, byte for byte, what
-the pretrain phase would write.  Held-out runs draw their disturbances
+runs, and solves the pretrain's support LPs itself: it writes their
+report and no phase reads it back.  Held-out runs draw their disturbances
 from seeds no training run uses (``config.TEST_SEED_OFFSET``).
 """
 
@@ -180,12 +180,8 @@ def _context(cfg: ExperimentConfig | PipelineContext) -> PipelineContext:
     return cfg if isinstance(cfg, PipelineContext) else build_context(cfg)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_json_text(payload))
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
@@ -205,26 +201,11 @@ def dump_model_matrices(ctx: PipelineContext, out_dir: str | Path) -> None:
 # --- pretrain -----------------------------------------------------------------
 
 
-def _pretrain_report(ctx: PipelineContext, result: PretrainResult) -> dict:
-    """The pretrain report of ``result``: the margins and what the visibility
-    programs are posed from, the stacked system and the attack set."""
-    atk = ctx.attack_model
-    return {
-        "gammas": [float(g) for g in result.gammas],
-        "j_star": result.j_star,
-        "gamma_star": result.gamma_star,
-        "feasible": result.feasible,
-        "model_hash": ctx.model_hash,
-        "t_s": ctx.t_s,
-        "d_n": ctx.stacked.d_n,
-        "basis": atk.basis.tolist(),
-        "polytope_a": atk.polytope_a.tolist(),
-        "polytope_b": atk.polytope_b.tolist(),
-    }
-
-
 def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> dict:
     """Solve the visibility programs and persist the margin table.
+
+    The design phase runs it for a multivariate attack; no phase reads the
+    table back.
 
     Raises:
         ConfigError: for univariate attack hypotheses (nothing to pretrain)
@@ -236,8 +217,22 @@ def cmd_pretrain(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -
         raise ConfigError("pretraining applies to multivariate attack models only")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = pretrain_multivariate(ctx.stacked, ctx.attack_model)
-    report = _pretrain_report(ctx, result)
+    atk = ctx.attack_model
+    result = pretrain_multivariate(ctx.stacked, atk)
+    # the margins and what the visibility programs are posed from, the
+    # stacked system and the attack set
+    report = {
+        "gammas": [float(g) for g in result.gammas],
+        "j_star": result.j_star,
+        "gamma_star": result.gamma_star,
+        "feasible": result.feasible,
+        "model_hash": ctx.model_hash,
+        "t_s": ctx.t_s,
+        "d_n": ctx.stacked.d_n,
+        "basis": atk.basis.tolist(),
+        "polytope_a": atk.polytope_a.tolist(),
+        "polytope_b": atk.polytope_b.tolist(),
+    }
     _write_json(out / "pretrain_report.json", report)
     if not result.feasible:
         raise DetectorInfeasibleError(
@@ -426,32 +421,14 @@ def load_training_bundle(ctx: PipelineContext, out_dir: str | Path) -> TrainingB
 # --- design -------------------------------------------------------------------
 
 
-def _load_pretrain(ctx: PipelineContext, out: Path) -> PretrainResult | None:
-    """The stored pretrain result, or None unless the report holds ``2 d_n + 2``
-    finite margins, is feasible and is, byte for byte, what :func:`cmd_pretrain`
-    writes for them in this context.  So a report solved for another context,
-    or missing, damaged or edited in any key, is solved again."""
-    try:
-        stored = (out / "pretrain_report.json").read_bytes()
-        gammas = np.array(json.loads(stored)["gammas"], dtype=float)
-    except (OSError, ValueError, TypeError, KeyError, OverflowError):
-        return None
-    if gammas.shape != (2 * ctx.stacked.d_n + 2,) or not np.isfinite(gammas).all():
-        return None
-    result = PretrainResult(gammas)
-    fresh = _json_text(_pretrain_report(ctx, result)).encode()
-    return result if result.feasible and stored == fresh else None
-
-
 def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> FilterDesign:
     """Synthesise the filter, calibrate the detector, write the artefact.
 
     One design call of the configured attack kind.  A multivariate attack
-    first loads the stored pretrain result (:func:`_load_pretrain`) or runs
-    :func:`cmd_pretrain`, whose errors end the design, before it reads any
-    training run, so an empty attack polytope is reported as such with or
-    without them.  The design starts from the floor of the result's best
-    program instead of solving its support LP again; the report's
+    first runs :func:`cmd_pretrain`, whose errors end the design, before it
+    reads any training run, so an empty attack polytope is reported as such
+    with or without them.  The design starts from the floor of the result's
+    best program instead of solving its support LP again; the report's
     ``pretrain`` block is that result's ``j_star`` and ``gamma_star``.  A
     data-assisted design carries the model-only baseline it was checked
     against (:attr:`~diagfilter.design.FilterDesign.baseline`); the report
@@ -464,9 +441,7 @@ def cmd_design(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> 
 
     pretrain = None
     if ctx.attack_model.kind == "multivariate":
-        pretrain = _load_pretrain(ctx, out)
-        if pretrain is None:
-            pretrain = PretrainResult(np.array(cmd_pretrain(ctx, out)["gammas"]))
+        pretrain = PretrainResult(np.array(cmd_pretrain(ctx, out)["gammas"]))
     bundle = load_training_bundle(ctx, out) if cfg.mode == "data_assisted" else None
     qbar = bundle.qbar if bundle else None
 
@@ -644,8 +619,11 @@ def cmd_test(cfg: ExperimentConfig | PipelineContext, out_dir: str | Path) -> di
 def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """Execute every phase in order into one experiment directory.
 
-    The context is built once and handed to every phase.  ``jobs`` has no
-    effect; it is accepted so callers that pass it keep working.
+    The context is built once and handed to every phase.  The design phase
+    runs the pretrain of a multivariate attack, so its support LPs are
+    solved once, after training; its report stays in
+    ``pretrain_report.json``.  ``jobs`` has no effect; it is accepted so
+    callers that pass it keep working.
     """
     ctx = build_context(cfg)
     out = Path(out_dir)
@@ -653,8 +631,6 @@ def cmd_run_all(cfg: ExperimentConfig, out_dir: str | Path, jobs: int = 1) -> di
     _write_json(out / "config.json", cfg.to_dict())
     dump_model_matrices(ctx, out)
     summary: dict = {}
-    if ctx.attack_model.kind == "multivariate":
-        summary["pretrain"] = cmd_pretrain(ctx, out)
     if cfg.mode == "data_assisted":
         summary["train"] = cmd_train(ctx, out)
     design = cmd_design(ctx, out)

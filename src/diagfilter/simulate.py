@@ -50,8 +50,8 @@ operations), but for the checked step's masked clamps, which need a
 output: numpy skips its memory-overlap analysis for the same object, not
 for two views of the same memory.  Each two-sided clamp (the deadband
 feature, the rate limit, a pin, the checked AGC state) is one call of
-numpy's ``clip`` ufunc, a pin an extreme against an infinite bound:
-``clip(x, m, +inf)`` is bitwise ``np.maximum(x, m)``, NaN included.  numpy
+numpy's ``clip`` ufunc, a pin's against the bounds 0 and +-inf:
+``clip(x, 0, +inf)`` is bitwise ``np.maximum(x, 0)``, NaN included.  numpy
 exposes that ufunc under no public name, so it is imported from its
 private module: ``np.clip`` and ``ndarray.clip`` wrap it in Python-level
 argument handling that costs more than the two-call clamp.  At the

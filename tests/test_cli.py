@@ -284,7 +284,8 @@ def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
     # the support LPs find the empty polytope: every phase that solves them
     # exits 4 before it writes a report, and a design solves them before it
     # reads a training run, with or without them; training reads no attack
-    # set, and a test finds no filter
+    # set, so run-all trains before its design exits, and a test finds no
+    # filter
     cfg = multivariate_default_config()
     cfg["train"].update(m=2, horizon_seconds=2.5)
     cfg["attack"]["polytope_a"] = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
@@ -296,6 +297,7 @@ def test_empty_attack_polytope_exits_config_code(tmp_path, capsys):
         assert code == EXIT_CONFIG, phase
         assert "configuration error: attack polytope is empty" in capsys.readouterr().err
         assert not (out / "pretrain_report.json").exists()
+    assert (out / "train" / "training_summary.json").exists()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
     assert main(["design", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
     assert "attack polytope is empty" in capsys.readouterr().err

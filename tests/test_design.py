@@ -795,3 +795,23 @@ def test_steady_state_margin_positive_case():
     margin, alpha = steady_state_margin(design, f_matrix, attack)
     assert abs(margin - 2.0) < 1e-9
     assert abs(alpha[0] - 1.0) < 1e-9
+
+
+def test_the_test_phase_programs_give_the_support_lps_verdict_on_an_empty_polytope():
+    # alpha_1 >= 1 and -alpha_1 >= 1 admit no attack: the least-visible
+    # attack and the steady-state margin end as the support LPs do, with
+    # ConfigError, not with a verdict on the filter
+    dae, stacked = mv_stacked()
+    design = design_multivariate(stacked, None, mv_attack(), 3, pole=0.5)
+    empty = AttackModel(
+        kind="multivariate",
+        basis=MV_BASIS,
+        polytope_a=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        polytope_b=np.array([1.0, 1.0]),
+    )
+    with pytest.raises(ConfigError, match="^attack polytope is empty$"):
+        pretrain_multivariate(stacked, empty)
+    with pytest.raises(ConfigError, match="^attack polytope is empty$"):
+        worst_case_alpha(stacked, design, empty)
+    with pytest.raises(ConfigError, match="^attack polytope is empty$"):
+        steady_state_margin(design, dae.F, empty)

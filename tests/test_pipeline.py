@@ -21,7 +21,7 @@ import diagfilter.design as design_module
 import diagfilter.pipeline as pipeline_module
 import diagfilter.solvers as solvers_module
 from diagfilter.cli import EXIT_CONFIG, EXIT_OK, main
-from diagfilter.design import PretrainResult, design_multivariate, design_univariate
+from diagfilter.design import design_multivariate, design_univariate
 from diagfilter.errors import (
     ConfigError,
     DetectorInfeasibleError,
@@ -366,66 +366,62 @@ def test_test_phase_refuses_a_filter_that_contradicts_its_design_record(complete
     assert sorted(p.name for p in tmp_path.iterdir()) == ["filter.txt"]
 
 
-@pytest.mark.parametrize("damaged", [None, b"[1, 2]\n"], ids=["truncated", "not-an-object"])
-def test_design_solves_a_damaged_pretrain_report_again(mv_reuse_base, tmp_path, damaged):
+def _with_key(key, value):
+    """Set one key of a stored pretrain report."""
+
+    def damage(report: Path) -> None:
+        stored = json.loads(report.read_text())
+        stored[key] = value
+        report.write_text(json.dumps(stored))
+
+    return damage
+
+
+def _solved_for_another_polytope(report: Path) -> None:
+    # a polytope further out along its normal, whose margins are twice these
+    raw = edited(mv_reuse_config(), ("attack", "polytope_b"), [3.0])
+    cmd_pretrain(ExperimentConfig.from_dict(raw), report.parent)
+
+
+STORED_REPORTS = [
+    pytest.param(Path.unlink, id="missing"),
+    pytest.param(lambda report: report.write_bytes(report.read_bytes()[:40]), id="truncated"),
+    pytest.param(lambda report: report.write_bytes(b"[1, 2]\n"), id="not-an-object"),
+    *(
+        pytest.param(_with_key(key, value), id=name)
+        for name, key, value in [
+            ("j-star-past-the-programs", "j_star", 99),
+            ("j-star-zero", "j_star", 0),
+            ("j-star-not-whole", "j_star", 3.0),
+            ("short-gammas", "gammas", [0.3]),
+            ("gammas-not-numbers", "gammas", ["0.3"] * 8),
+            ("short-statuses", "statuses", []),
+            ("statuses-not-lp-verdicts", "statuses", ["done"] * 8),
+            ("j-star-not-the-best", "j_star", 5),
+            ("gamma-star-not-the-best-margin", "gamma_star", 0.123),
+            ("feasible-false", "feasible", False),
+            ("gammas-infinite", "gammas", [math.inf] * 8),
+            ("gammas-past-the-float-range", "gammas", [10**400] * 8),
+        ]
+    ),
+    pytest.param(_solved_for_another_polytope, id="solved-for-another-polytope"),
+]
+
+
+@pytest.mark.parametrize("damage", STORED_REPORTS)
+def test_a_stored_pretrain_report_changes_no_design_output(mv_reuse_base, tmp_path, damage):
+    # the design solves the support LPs itself and never reads the report
+    # back: whatever is stored there, it writes what run-all wrote
     run = tmp_path / "run"
     shutil.copytree(mv_reuse_base, run)
     report = run / "pretrain_report.json"
-    report.write_bytes(report.read_bytes()[:40] if damaged is None else damaged)
+    damage(report)
+    assert not report.exists() or report.read_bytes() != (
+        mv_reuse_base / "pretrain_report.json"
+    ).read_bytes()
     assert main(["design", "--config", str(run / "config.json"), "--out", str(run)]) == EXIT_OK
     for name in ("pretrain_report.json", "filter.txt", "design_report.json"):
         assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("j_star", 99),
-        ("j_star", 0),
-        ("j_star", 3.0),
-        ("gammas", [0.3]),
-        ("gammas", ["0.3"] * 8),
-        ("statuses", []),
-        ("statuses", ["done"] * 8),
-        ("j_star", 5),
-        ("gamma_star", 0.123),
-        ("feasible", False),
-        ("gammas", [math.inf] * 8),
-        ("gammas", [10**400] * 8),
-    ],
-    ids=["j-star-past-the-programs", "j-star-zero", "j-star-not-whole", "short-gammas",
-         "gammas-not-numbers", "short-statuses", "statuses-not-lp-verdicts",
-         "j-star-not-the-best", "gamma-star-not-the-best-margin", "feasible-false",
-         "gammas-infinite", "gammas-past-the-float-range"],
-)
-def test_design_solves_a_pretrain_report_that_misfits_the_programs_again(
-    mv_reuse_base, tmp_path, key, value
-):
-    run = tmp_path / "run"
-    shutil.copytree(mv_reuse_base, run)
-    report = json.loads((run / "pretrain_report.json").read_text())
-    report[key] = value
-    (run / "pretrain_report.json").write_text(json.dumps(report))
-    assert main(["design", "--config", str(run / "config.json"), "--out", str(run)]) == EXIT_OK
-    for name in ("pretrain_report.json", "filter.txt", "design_report.json"):
-        assert (run / name).read_bytes() == (mv_reuse_base / name).read_bytes(), name
-
-
-def test_only_the_report_the_pretrain_writes_is_read_back(mv_reuse_base, tmp_path):
-    # the exact text of a report is read back as its result; a report in that
-    # text over an infinite margin, which no support LP ends with, is not
-    ctx = build_context(ExperimentConfig.from_dict(mv_reuse_config()))
-    result = pipeline_module._load_pretrain(ctx, mv_reuse_base)
-    assert result is not None
-    assert (mv_reuse_base / "pretrain_report.json").read_text() == pipeline_module._json_text(
-        pipeline_module._pretrain_report(ctx, result)
-    )
-    gammas = result.gammas.copy()
-    gammas[result.j_star - 1] = math.inf
-    infinite = pipeline_module._pretrain_report(ctx, PretrainResult(gammas))
-    assert infinite["gamma_star"] == math.inf and infinite["feasible"]
-    (tmp_path / "pretrain_report.json").write_text(pipeline_module._json_text(infinite))
-    assert pipeline_module._load_pretrain(ctx, tmp_path) is None
 
 
 @pytest.mark.parametrize(
@@ -640,18 +636,26 @@ def record_lps(monkeypatch) -> list:
 
 
 def test_each_visibility_lp_is_solved_once(mv_trained, tmp_path, monkeypatch):
-    # pretraining solves one support LP per mirror pair of programs; a design
-    # over its stored report solves none of them again, only the phase-one
-    # LP that the assisted design and its baseline share
+    # a design solves one support LP per mirror pair of programs itself, a
+    # stored report beside it or not, and each once: the QP starts from their
+    # floor, and the only other LP is the phase-one LP that the assisted
+    # design and its baseline share
     cfg, out = mv_trained
     shutil.copytree(out / "train", tmp_path / "train")
     ctx = build_context(cfg)
-    solved = record_lps(monkeypatch)
     cmd_pretrain(ctx, tmp_path)
-    assert len(solved) == ctx.stacked.d_n + 1
-    solved.clear()
+    support_lp = design_module._support_lp
+    pairs = []
+
+    def recorded(stacked, attack, j):
+        pairs.append(j)
+        return support_lp(stacked, attack, j)
+
+    monkeypatch.setattr(design_module, "_support_lp", recorded)
+    solved = record_lps(monkeypatch)
     cmd_design(ctx, tmp_path)
-    assert len(solved) == 1
+    assert pairs == list(range(1, 2 * ctx.stacked.d_n + 2, 2))
+    assert len(solved) == ctx.stacked.d_n + 2
 
 
 def test_an_unbounded_support_lp_is_an_empty_polytope(mv_trained, tmp_path, monkeypatch):
@@ -674,9 +678,9 @@ def test_an_unbounded_support_lp_is_an_empty_polytope(mv_trained, tmp_path, monk
 
 def test_a_stored_infeasible_pretrain_means_no_design(tmp_path):
     # an all-zero attack basis leaves no direction to detect: pretraining
-    # stores its report and fails, and a design solves that report again and
-    # fails as the pretrain does, before it writes a filter, rather than
-    # shipping an all-zero filter
+    # stores its report and fails, and a design, which solves the programs
+    # itself, fails as the pretrain does, before it writes a filter, rather
+    # than shipping an all-zero filter
     raw = multivariate_default_config()
     raw["mode"] = "pure_model"
     raw["attack"]["basis"] = np.zeros(np.shape(raw["attack"]["basis"])).tolist()
@@ -1394,17 +1398,17 @@ def test_design_re_runs_a_pretrain_solved_for_another_attack_set(
         return pretrain(stacked, attack)
 
     monkeypatch.setattr(pipeline_module, "pretrain_multivariate", recorded)
-    # a report solved for this configuration is read back
+    # every design solves the pretrain once, beside a report solved for its
+    # own attack set or for another
     cmd_design(cfg, base)
-    assert solved == []
-    # a wider polytope raises the certified margin: the report is solved again
-    wider = ExperimentConfig.from_dict(edited(cfg.to_dict(), ("attack", "polytope_b"), [3.0]))
+    assert solved == [cfg.attack["polytope_b"]]
+    # a polytope further out raises the certified margin
+    further = ExperimentConfig.from_dict(edited(cfg.to_dict(), ("attack", "polytope_b"), [3.0]))
     fresh = tmp_path / "fresh"
     shutil.copytree(out, fresh)
-    cmd_pretrain(wider, fresh)
-    cmd_design(wider, fresh)
+    cmd_design(further, fresh)
     solved.clear()
-    cmd_design(wider, base)
+    cmd_design(further, base)
     assert solved == [[3.0]]
     report = json.loads((base / "design_report.json").read_text())
     assert report["pretrain"]["gamma_star"] == pytest.approx(0.6, abs=1e-6)

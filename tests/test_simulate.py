@@ -727,8 +727,12 @@ def test_clip_ufunc_is_the_two_call_clamp():
     # it or changes its semantics fails here rather than in a trajectory.
     clip = simulate_module.clip
     assert isinstance(clip, np.ufunc) and (clip.nin, clip.nout) == (3, 1)
+    # The pin clamp's bounds are 0 and +-inf, so a non-finite slope, NaN of
+    # either sign, stays non-finite and its chunk fails its test.
     tiny = np.nextafter(0.0, 1.0)
-    specials = [np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0]
+    specials = [
+        np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0,
+    ]
     bounds = [
         (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-tiny, tiny), (tiny, 1e-300),
         (-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf), (-0.0005, 0.0005),
@@ -736,45 +740,20 @@ def test_clip_ufunc_is_the_two_call_clamp():
     for lo, hi in bounds:
         edges = [lo, hi, *np.nextafter([lo, lo, hi, hi], [-np.inf, np.inf, -np.inf, np.inf])]
         values = np.array(specials + edges)
-        # the stepper's operands: strided views of a stacked work array
+        # the stepper's operands: a strided view of a stacked work array and
+        # a contiguous span of one
         stacked = np.zeros((4, values.size, 3))
         stacked[:, :, 1] = values
-        x = stacked[:, :, 1]
-        lo_x, hi_x = np.full(x.shape, lo), np.full(x.shape, hi)
-        expected = np.maximum(np.minimum(x, hi_x), lo_x)
-        out = np.empty_like(x)
-        clip(x, lo_x, hi_x, out)
-        assert out.tobytes() == expected.tobytes(), (lo, hi)
-        clip(x, lo_x, hi_x, x)  # in place, as the rate and AGC-state clamps run
-        assert np.ascontiguousarray(x).tobytes() == expected.tobytes(), (lo, hi)
-
-
-def test_clip_ufunc_against_an_infinite_bound_is_max_or_min():
-    # A pinned chunk clamps a pinned AGC slope as clip(k, 0, +inf) or
-    # clip(k, -inf, 0); such a call must be bitwise np.maximum(k, m) and
-    # np.minimum(k, m), NaN in either operand included, so that a
-    # non-finite slope stays non-finite and its chunk fails its test.
-    clip = simulate_module.clip
-    tiny = np.nextafter(0.0, 1.0)
-    specials = [np.nan, -np.nan, -0.0, 0.0, -np.inf, np.inf, tiny, -tiny, 2.2e-308, -1e-310, 0.25, -3.0]
-    x_values, m_values = (np.array(pair) for pair in zip(*product(specials, repeat=2)))
-    # a strided view of a stacked array and a contiguous span of one
-    stacked = np.zeros((4, x_values.size // 12 + 7, 3))
-    strided = stacked[:, 5 : 5 + x_values.size // 12]
-    strided[...] = x_values.reshape(strided.shape)
-    span = np.concatenate([[1.0], x_values])[1:]
-    for x, m in [(strided, m_values.reshape(strided.shape)), (span, m_values)]:
-        inf = np.full(x.shape, np.inf)
-        highest, lowest = m.copy(), m.copy()
-        for expected, operands, extreme in [
-            (np.maximum(x, m), (x, highest, inf), highest),
-            (np.minimum(x, m), (x, -inf, lowest), lowest),
-        ]:
-            out = np.empty(x.shape)
-            clip(*operands, out)
-            assert out.tobytes() == expected.tobytes()
-            clip(*operands, extreme)  # in place
-            assert extreme.tobytes() == expected.tobytes()
+        span = np.zeros(4 * values.size + 2)
+        span[1:-1] = np.tile(values, 4)
+        for x in (stacked[:, :, 1], span[1:-1]):
+            lo_x, hi_x = np.full(x.shape, lo), np.full(x.shape, hi)
+            expected = np.maximum(np.minimum(x, hi_x), lo_x)
+            out = np.empty_like(x)
+            clip(x, lo_x, hi_x, out)
+            assert out.tobytes() == expected.tobytes(), (lo, hi, x.ndim)
+            clip(x, lo_x, hi_x, x)  # in place, as the rate and AGC-state clamps run
+            assert np.ascontiguousarray(x).tobytes() == expected.tobytes(), (lo, hi, x.ndim)
 
 
 def twin_batch(groups, order: int = 0) -> list:
